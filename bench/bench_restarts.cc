@@ -33,7 +33,6 @@ struct RestartRow {
   const char* scenario;
   uint64_t ops;
   uint64_t restarts;
-  uint64_t backtracks;
   uint64_t merge_follows;
   uint64_t link_follows;
 };
@@ -96,7 +95,6 @@ RestartRow RunScenario(const char* label, bool with_compressors,
   return RestartRow{label,
                     total_ops,
                     stats.Get(StatId::kRestarts),
-                    stats.Get(StatId::kBacktracks),
                     stats.Get(StatId::kMergePointerFollows),
                     stats.Get(StatId::kLinkFollows)};
 }
@@ -111,8 +109,8 @@ int main() {
               "readers recover through the deleted node's merge pointer "
               "without restarting");
 
-  Table table({"scenario", "ops", "restarts", "per Mop", "backtracks",
-               "merge-ptr hops", "link follows"});
+  Table table({"scenario", "ops", "restarts", "per Mop", "merge-ptr hops",
+               "link follows"});
   for (const RestartRow& row : {
            RunScenario("no compression (4R+4W)", false, 4, 4),
            RunScenario("scan+queue compressors (4R+4W)", true, 4, 4),
@@ -121,8 +119,7 @@ int main() {
     table.AddRow({row.scenario, Fmt(row.ops), Fmt(row.restarts),
                   Fmt(static_cast<double>(row.restarts) * 1e6 /
                       static_cast<double>(row.ops)),
-                  Fmt(row.backtracks), Fmt(row.merge_follows),
-                  Fmt(row.link_follows)});
+                  Fmt(row.merge_follows), Fmt(row.link_follows)});
   }
   table.Print();
 

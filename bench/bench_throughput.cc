@@ -6,17 +6,6 @@
 // hand-off) and out-scale lock-coupling and a global lock decisively,
 // with the gap widening with thread count and write share.
 //
-// E2c — copy-reads vs optimistic in-place reads on the Sagiv tree: the
-// same read-mostly workload with the descent copying 4 KB per node
-// visited (optimistic_reads = false) against the version-validated
-// in-place read path (the default). This is the PR 2 tentpole measured,
-// not asserted.
-//
-// E2d — copy-writes vs in-place writes on the Sagiv tree: a write-heavy
-// workload with every mutation doing the full Get + Put page copy cycle
-// (inplace_writes = false) against the seqlock-bracketed in-place
-// mutation path (the default), which stores only the shifted entries.
-//
 // E2f — monotonic insert-only with append-optimized leaves on vs off:
 // every key extends the max, so the rightmost fast path skips the
 // descent and tail-biased splits keep retired leaves ~full. The 1-thread
@@ -72,8 +61,7 @@ void Record(const std::string& config, int threads, double kops) {
   Samples().push_back(JsonSample{config, threads, kops});
 }
 
-void WriteJson(const char* path, bool quick, double read_path_speedup_1t,
-               double write_path_speedup_1t, double mixed_scaling_4t_over_1t,
+void WriteJson(const char* path, bool quick, double mixed_scaling_4t_over_1t,
                double batch_io_speedup_1t, double append_path_speedup_1t,
                double monotonic_scaling_4t_over_1t, double io_real_vs_sim) {
   std::FILE* f = std::fopen(path, "w");
@@ -89,10 +77,6 @@ void WriteJson(const char* path, bool quick, double read_path_speedup_1t,
   // the CI gate (which runs on a multi-core runner) can tell a real
   // scaling regression from a core-starved host.
   std::fprintf(f, "  \"cpus\": %u,\n", std::thread::hardware_concurrency());
-  std::fprintf(f, "  \"read_path_speedup_1t\": %.3f,\n",
-               read_path_speedup_1t);
-  std::fprintf(f, "  \"write_path_speedup_1t\": %.3f,\n",
-               write_path_speedup_1t);
   // Single-tree mixed(50/25/25) in-memory scaling, 4 threads over 1:
   // PR 4 removed the copy traffic (0.97x), PR 5's contention-proof paper
   // lock + contention-aware write descent attack the remaining
@@ -198,127 +182,6 @@ void RunMix(WorkloadSpec spec, const std::vector<int>& thread_counts,
   }
   table.Print();
   std::printf("(cells are Kops/s; higher is better)\n\n");
-}
-
-// ------------------------------------------------------------------- E2c
-
-WorkloadSpec ReadPathSpec(Key key_space) {
-  WorkloadSpec spec = WorkloadSpec::ReadMostly();
-  spec.key_space = key_space;
-  spec.preload = key_space / 2;
-  return spec;
-}
-
-DriverResult ReadPathRun(bool optimistic, int threads,
-                         uint64_t ops_per_thread, Key key_space) {
-  TreeOptions options;
-  options.min_entries = 32;
-  options.optimistic_reads = optimistic;
-  SagivTree tree(options);
-  const WorkloadSpec spec = ReadPathSpec(key_space);
-  PreloadTree(&tree, spec, 4);
-  return RunWorkload(&tree, spec, threads, ops_per_thread, /*seed=*/7);
-}
-
-double RunReadPathComparison(bool quick) {
-  PrintBanner(
-      "E2c: copy-reads vs optimistic in-place reads, Sagiv tree",
-      "the copy path moves 4 KB per node visited (>= 12 KB per point "
-      "lookup on a height-3 tree); the optimistic path reads the header "
-      "and one binary-search slot in place and validates the page version "
-      "instead. Same workload, same tree — the opt/copy column is the "
-      "read-path win; retries/op shows validation pressure");
-  const Key key_space = 200'000;
-  const uint64_t ops = quick ? 30'000 : 200'000;
-  const std::string workload = ReadPathSpec(key_space).name;
-  std::printf("workload: %s, %llu ops/thread, %llu preloaded keys\n",
-              workload.c_str(), static_cast<unsigned long long>(ops),
-              static_cast<unsigned long long>(key_space / 2));
-  Table table({"threads", "copy", "optimistic", "opt/copy", "retries/op",
-               "fallbacks"});
-  double speedup_1t = 0.0;
-  for (int threads : {1, 2, 4}) {
-    const DriverResult copy = ReadPathRun(false, threads, ops, key_space);
-    const DriverResult opt = ReadPathRun(true, threads, ops, key_space);
-    const double copy_kops = copy.MopsPerSec() * 1000.0;
-    const double opt_kops = opt.MopsPerSec() * 1000.0;
-    Record(workload + "/copy", threads, copy_kops);
-    Record(workload + "/optimistic", threads, opt_kops);
-    if (threads == 1 && copy_kops > 0) speedup_1t = opt_kops / copy_kops;
-    const double retries_per_op =
-        static_cast<double>(opt.stats.Get(StatId::kOptimisticRetries)) /
-        static_cast<double>(opt.total_ops);
-    table.AddRow({Fmt(static_cast<uint64_t>(threads)), Fmt(copy_kops),
-                  Fmt(opt_kops), FmtRatio(opt_kops, copy_kops),
-                  Fmt(retries_per_op, 4),
-                  Fmt(opt.stats.Get(StatId::kOptimisticFallbacks))});
-  }
-  table.Print();
-  std::printf("(cells are Kops/s; higher is better)\n\n");
-  return speedup_1t;
-}
-
-// ------------------------------------------------------------------- E2d
-
-WorkloadSpec WritePathSpec(Key key_space) {
-  WorkloadSpec spec;
-  spec.search_pct = 0.10;
-  spec.insert_pct = 0.45;
-  spec.delete_pct = 0.45;
-  spec.scan_pct = 0.0;
-  spec.name = "write-heavy(10/45/45)";
-  spec.key_space = key_space;
-  spec.preload = key_space / 2;
-  return spec;
-}
-
-DriverResult WritePathRun(bool inplace, int threads, uint64_t ops_per_thread,
-                          Key key_space) {
-  TreeOptions options;
-  options.min_entries = 32;
-  options.inplace_writes = inplace;
-  SagivTree tree(options);
-  const WorkloadSpec spec = WritePathSpec(key_space);
-  PreloadTree(&tree, spec, 4);
-  return RunWorkload(&tree, spec, threads, ops_per_thread, /*seed=*/11);
-}
-
-double RunWritePathComparison(bool quick) {
-  PrintBanner(
-      "E2d: copy-writes vs in-place writes, Sagiv tree",
-      "the copy path moves >= 8 KB per mutation (full-page Get under the "
-      "lock + full-page Put back) to change one slot; the in-place path "
-      "mutates the live page under the paper lock, bracketed by seqlock "
-      "odd/even bumps, storing only the shifted entries. inplace/copy is "
-      "the write-path win; ip-writes/op counts mutations served in place");
-  const Key key_space = 200'000;
-  const uint64_t ops = quick ? 30'000 : 200'000;
-  const std::string workload = WritePathSpec(key_space).name;
-  std::printf("workload: %s, %llu ops/thread, %llu preloaded keys\n",
-              workload.c_str(), static_cast<unsigned long long>(ops),
-              static_cast<unsigned long long>(key_space / 2));
-  Table table({"threads", "copy", "inplace", "inplace/copy", "ip-writes/op",
-               "fallbacks"});
-  double speedup_1t = 0.0;
-  for (int threads : {1, 2, 4}) {
-    const DriverResult copy = WritePathRun(false, threads, ops, key_space);
-    const DriverResult inplace = WritePathRun(true, threads, ops, key_space);
-    const double copy_kops = copy.MopsPerSec() * 1000.0;
-    const double inplace_kops = inplace.MopsPerSec() * 1000.0;
-    Record(workload + "/copy", threads, copy_kops);
-    Record(workload + "/inplace", threads, inplace_kops);
-    if (threads == 1 && copy_kops > 0) speedup_1t = inplace_kops / copy_kops;
-    const double ip_per_op =
-        static_cast<double>(inplace.stats.Get(StatId::kInplaceWrites)) /
-        static_cast<double>(inplace.total_ops);
-    table.AddRow({Fmt(static_cast<uint64_t>(threads)), Fmt(copy_kops),
-                  Fmt(inplace_kops), FmtRatio(inplace_kops, copy_kops),
-                  Fmt(ip_per_op, 4),
-                  Fmt(inplace.stats.Get(StatId::kInplaceFallbacks))});
-  }
-  table.Print();
-  std::printf("(cells are Kops/s; higher is better)\n\n");
-  return speedup_1t;
 }
 
 // ------------------------------------------------------------------- E2e
@@ -649,8 +512,6 @@ int main(int argc, char** argv) {
   const uint64_t io_ops = quick ? 200 : 2'000;
   const Key key_space = quick ? 40'000 : 400'000;
 
-  const double speedup_1t = RunReadPathComparison(quick);
-  const double write_speedup_1t = RunWritePathComparison(quick);
   const double batch_io_speedup = RunBatchComparison(quick);
   double append_speedup_1t = 0.0;
   double monotonic_scaling = 0.0;
@@ -697,8 +558,7 @@ int main(int argc, char** argv) {
       "Record-only: disk speed varies too much across runners to gate.");
   const double io_real_vs_sim = RunPersistenceCells(quick);
 
-  WriteJson("BENCH_throughput.json", quick, speedup_1t, write_speedup_1t,
-            mixed_scaling, batch_io_speedup, append_speedup_1t,
-            monotonic_scaling, io_real_vs_sim);
+  WriteJson("BENCH_throughput.json", quick, mixed_scaling, batch_io_speedup,
+            append_speedup_1t, monotonic_scaling, io_real_vs_sim);
   return 0;
 }

@@ -74,11 +74,10 @@ class ConcurrentMap {
   /// Insert a new key. AlreadyExists if present; the stored value wins.
   Status Insert(Key key, Value value);
 
-  /// Point lookup. Lock-free: never blocks and never blocks writers. With
-  /// options.tree.optimistic_reads (the default) the descent is also
-  /// copy-free — node pages are read in place under seqlock version
-  /// validation instead of being copied 4 KB at a time (see README "Read
-  /// path").
+  /// Point lookup. Lock-free: never blocks and never blocks writers. The
+  /// descent is also copy-free — node pages are read in place under
+  /// seqlock version validation instead of being copied 4 KB at a time
+  /// (see README "Read path").
   Result<Value> Get(Key key) const;
 
   /// Remove a key. NotFound if absent.

@@ -33,7 +33,7 @@ struct TreeOptions {
   /// a page during a split-with-insert). k = 1 is rejected: our uniform
   /// node layout gives internal nodes 2k children (the paper's layout
   /// gives them 2k+1), and 2-children internal nodes degenerate under
-  /// monotone insertion patterns — see DESIGN.md §6.
+  /// monotone insertion patterns.
   uint32_t min_entries = 60;
 
   /// Safety valve: an operation that restarts more than this many times
@@ -50,35 +50,6 @@ struct TreeOptions {
   /// tree's compression queue (Section 5.4). A QueueCompressor must be
   /// draining the queue for space to be recovered.
   bool enqueue_underfull_on_delete = false;
-
-  /// When true (default), the unlocked read descents — Search, Scan, and
-  /// the route-finding descent shared with updaters — read node headers
-  /// and the one binary-search slot they need directly from the live page
-  /// under seqlock version validation, instead of copying the full 4 KB
-  /// page per node visited. Writers, the structural checker, and the
-  /// compressors keep copy semantics regardless.
-  bool optimistic_reads = true;
-
-  /// Validation-failure budget of the optimistic read path, per logical
-  /// operation: after this many discarded in-place reads (concurrent puts
-  /// kept moving the page version) the operation falls back to copy-reads
-  /// for its remainder (counted as StatId::kOptimisticFallbacks). Bounds
-  /// tail latency when a node is rewritten continuously.
-  int optimistic_retry_limit = 8;
-
-  /// When true (default), the no-split/no-merge mutation hot path — an
-  /// Insert landing in a non-full node, a Delete removing from a leaf —
-  /// mutates the live page in place under the paper lock, bracketed by
-  /// seqlock odd/even bumps (PageManager::BeginWrite), instead of copying
-  /// the full 4 KB page out and back (>= 8 KB of memory traffic to change
-  /// one slot). The paper lock makes the writer the sole mutator; the
-  /// seqlock keeps optimistic readers safe (they discard anything read
-  /// under an odd or moved version). Splits, root changes, Rearrange, and
-  /// the compressors keep copy semantics regardless. An operation whose
-  /// locked in-place inspection cannot validate (a racing page reuse)
-  /// falls back to the copy path for that operation
-  /// (StatId::kInplaceFallbacks).
-  bool inplace_writes = true;
 
   /// When true (default), the tree optimizes the monotonic-insert pattern
   /// (auto-increment IDs, timestamps) two ways. (1) Rightmost fast path:
@@ -117,11 +88,10 @@ struct TreeOptions {
   uint32_t lock_backoff_max = 256;
 
   /// Fault tolerance: how many times a descent re-issues a page fetch
-  /// that reported Status::Unavailable (an injected — or, once a real
-  /// PageStore exists, a real — transient I/O error) before giving up and
-  /// surfacing the error to the operation. Each retry backs off
-  /// exponentially from fetch_retry_backoff_us. Retries are counted as
-  /// StatId::kFetchRetries, exhaustions as kFetchGiveups.
+  /// that failed (an injected fault, or a store read error) before giving
+  /// up and surfacing Status::Unavailable to the operation. Each retry
+  /// backs off exponentially from fetch_retry_backoff_us. Retries are
+  /// counted as StatId::kFetchRetries, exhaustions as kFetchGiveups.
   int fetch_retry_limit = 4;
 
   /// Base backoff between fetch retries, in microseconds (doubles per
@@ -177,9 +147,6 @@ struct TreeOptions {
     }
     if (max_restarts < 1) {
       return Status::InvalidArgument("max_restarts must be positive");
-    }
-    if (optimistic_retry_limit < 1) {
-      return Status::InvalidArgument("optimistic_retry_limit must be positive");
     }
     if (lock_backoff_max < 1) {
       return Status::InvalidArgument("lock_backoff_max must be positive");

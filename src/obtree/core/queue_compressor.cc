@@ -60,17 +60,20 @@ QueueCompressor::Outcome QueueCompressor::ProcessTask(CompressionTask task) {
     }
     start = *r;
   }
-  Page f_buf;
-  Node* fn = f_buf.As<Node>();
   int restarts = 0;
-  Result<PageId> fr = tree_->internal_AcquireTargetNode(
-      task.high, parent_level, start, nullptr, &restarts, &f_buf,
+  const Node* f_live = nullptr;
+  Result<PageId> fr = tree_->internal_AcquireTargetInPlace(
+      task.high, parent_level, start, nullptr, &restarts, &f_live,
       /*wait_for_level=*/false);
   if (!fr.ok()) {
     stats->Add(StatId::kQueueDiscards);
     return Outcome::kDropped;
   }
   const PageId f_page = *fr;
+  // Rearrange edits a private image: copy F out under the lock.
+  Page f_buf;
+  Node* fn = f_buf.As<Node>();
+  pager->Get(f_page, &f_buf);
 
   // --- verify F still has the pair (pointer to A, recorded high) --------
   // Footnote 14: the high value must be the key of the very entry that
@@ -103,6 +106,21 @@ QueueCompressor::Outcome QueueCompressor::ProcessTask(CompressionTask task) {
   // --- special case: F holds only the pointer to A ----------------------
   if (fn->count == 1) {
     const bool f_is_root = fn->is_root();
+    if (!f_is_root) {
+      // F itself is under-full and only its own compression can give A a
+      // sibling to pair with. Queue F while its lock is held (§5.4), or
+      // A's requeues would wait for an F task nobody created.
+      CompressionTask f_task;
+      f_task.node = f_page;
+      f_task.level = parent_level;
+      f_task.high = fn->high;
+      f_task.stamp = task.stamp;
+      if (!task.stack.empty()) {
+        f_task.stack.assign(task.stack.begin(), task.stack.end() - 1);
+      }
+      queue_->Push(std::move(f_task), /*update_if_present=*/true);
+      stats->Add(StatId::kQueueEnqueues);
+    }
     pager->Unlock(f_page);
     if (f_is_root) {
       // Root with a single child: try to shrink the tree.

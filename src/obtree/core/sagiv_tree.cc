@@ -16,8 +16,15 @@ namespace {
 
 // Hard bound on pointer-chasing steps in a single descent attempt. A valid
 // tree never approaches this; it converts corruption into Status::Internal
-// instead of a hang.
+// instead of a hang. Torn reads count as steps, so it also bounds re-reads.
 constexpr int kMaxStepsPerAttempt = 1 << 22;
+
+// Torn peeks a paper-lock holder tolerates on one node before it gives the
+// lock back and restarts (or, on the append fast path, misses). Only an
+// in-flight reuse of a stale page can tear a locked page, and that resolves
+// in a few version bumps; the bound keeps a protocol bug from spinning
+// while holding a lock.
+constexpr int kLockedPeekRetryLimit = 8;
 
 // Where an unlocked descent proceeds from one node, as decided from an
 // optimistic (unvalidated) in-place image. kTorn marks an image too
@@ -82,8 +89,8 @@ Route RouteForKey(const NodeView& view, Key key, uint32_t target_level) {
   return r;
 }
 
-// The restart cause a Route restart kind charges (shared by the three
-// route dispatchers: the optimistic descents and the in-place acquire).
+// The restart cause a Route restart kind charges (shared by the route
+// dispatchers: the descents and the locked acquire). kTorn maps to kNone.
 SagivTree::RestartCause CauseFor(Route::Kind kind) {
   switch (kind) {
     case Route::kRestartStale:
@@ -97,12 +104,11 @@ SagivTree::RestartCause CauseFor(Route::Kind kind) {
   }
 }
 
-// Per-thread scratch shared by the read paths: the optimistic scan's
-// harvest buffer and the copy fallback's page image. One instance per
-// thread instead of per call; the in_use flag hands reentrant calls (a
-// visitor that scans the same tree) a local buffer instead.
+// Per-thread scratch of the scan: the harvest buffer one leaf's entries
+// are validated in before delivery. One instance per thread instead of per
+// call; the in_use flag hands reentrant calls (a visitor that scans the
+// same tree) a local buffer instead.
 struct TlReadBuffers {
-  Page page;
   std::vector<Entry> entries;
   bool in_use = false;
 };
@@ -270,13 +276,11 @@ void SagivTree::AttachCompressionQueue(CompressionQueue* queue) {
 // Descending
 // ---------------------------------------------------------------------------
 
-Status SagivTree::FetchPage(PageId id, Page* out) const {
-  Status s = pager_->Get(id, out);
-  if (s.ok()) return s;
-  // Transient fetch failure (injected today; a real PageStore's I/O error
-  // tomorrow): bounded retry with exponential backoff before surfacing
-  // Unavailable to the operation. Only the lock-free descents come through
-  // here — locked fetches cannot fail (see PageManager::Get).
+void SagivTree::RetryFaultedFetch(PageId id,
+                                  PageManager::ReadGuard* g) const {
+  // Transient fetch failure (injected, or a store read error): bounded
+  // retry with exponential backoff before the operation surfaces
+  // Unavailable. A torn read is not a fault; the caller just re-reads.
   for (int attempt = 0; attempt < options_.fetch_retry_limit; ++attempt) {
     stats_->Add(StatId::kFetchRetries);
     const uint32_t base = options_.fetch_retry_backoff_us;
@@ -285,11 +289,10 @@ Status SagivTree::FetchPage(PageId id, Page* out) const {
       std::this_thread::sleep_for(
           std::chrono::microseconds(static_cast<uint64_t>(base) << shift));
     }
-    s = pager_->Get(id, out);
-    if (s.ok()) return s;
+    *g = pager_->OptimisticRead(id);
+    if (!g->faulted()) return;
   }
   stats_->Add(StatId::kFetchGiveups);
-  return s;
 }
 
 void SagivTree::CountRestart(RestartCause cause) const {
@@ -312,19 +315,6 @@ void SagivTree::CountRestart(RestartCause cause) const {
 Result<PageId> SagivTree::internal_FindNodeAtLevel(
     Key key, uint32_t level, std::vector<PageId>* stack_out,
     bool wait_for_level) const {
-  if (options_.optimistic_reads) {
-    int failures = 0;
-    Result<PageId> r = OptimisticFindNodeAtLevel(key, level, stack_out,
-                                                 wait_for_level, &failures);
-    if (r.ok() || !r.status().IsAborted()) return r;
-    stats_->Add(StatId::kOptimisticFallbacks);
-  }
-  return CopyFindNodeAtLevel(key, level, stack_out, wait_for_level);
-}
-
-Result<PageId> SagivTree::OptimisticFindNodeAtLevel(
-    Key key, uint32_t level, std::vector<PageId>* stack_out,
-    bool wait_for_level, int* failures) const {
   int restarts = 0;
   int waits = 0;
   for (;;) {
@@ -350,7 +340,8 @@ Result<PageId> SagivTree::OptimisticFindNodeAtLevel(
       if (steps > kMaxStepsPerAttempt) {
         return Status::Internal("descent did not terminate");
       }
-      const PageManager::ReadGuard g = pager_->OptimisticRead(current);
+      const PageManager::ReadGuard g = FetchPage(current);
+      if (g.faulted()) return Status::Unavailable("page fetch failed");
       Route route;  // defaults to kTorn for the unstable-guard case
       if (g.stable()) {
         route = RouteForKey(NodeView(g.page()->As<Node>()), key, level);
@@ -362,9 +353,6 @@ Result<PageId> SagivTree::OptimisticFindNodeAtLevel(
       }
       if (route.kind == Route::kTorn) {
         stats_->Add(StatId::kOptimisticRetries);
-        if (++(*failures) > options_.optimistic_retry_limit) {
-          return Status::Aborted("optimistic retry budget exhausted");
-        }
         continue;  // re-read the same node
       }
       stats_->Add(StatId::kOptimisticValidations);
@@ -400,152 +388,6 @@ Result<PageId> SagivTree::OptimisticFindNodeAtLevel(
   }
 }
 
-Result<PageId> SagivTree::CopyFindNodeAtLevel(Key key, uint32_t level,
-                                              std::vector<PageId>* stack_out,
-                                              bool wait_for_level) const {
-  int restarts = 0;
-  int waits = 0;
-  for (;;) {
-    if (stack_out) stack_out->clear();
-    const PrimeBlockData pb = prime_.Read();
-    if (pb.num_levels <= level) {
-      if (!wait_for_level) {
-        return Status::NotFound("level does not exist");
-      }
-      // Section 3.3: a split outran the creation of the level it must post
-      // to (or the level was collapsed and will be regrown by a pending
-      // insertion). Wait for the prime block to show the level.
-      if (++waits > options_.max_restarts) {
-        return Status::Internal("level never appeared");
-      }
-      std::this_thread::yield();
-      continue;
-    }
-    PageId current = pb.root();
-    Page page;
-    Node* node = page.As<Node>();
-    RestartCause cause = RestartCause::kNone;
-    for (int steps = 0;; ++steps) {
-      if (steps > kMaxStepsPerAttempt) {
-        return Status::Internal("descent did not terminate");
-      }
-      Status gs = FetchPage(current, &page);
-      if (!gs.ok()) return gs;
-      if (node->is_deleted()) {
-        const PageId target = node->merge_target;
-        if (target == kInvalidPageId) {
-          cause = RestartCause::kMissingMergeTarget;
-          break;
-        }
-        stats_->Add(StatId::kMergePointerFollows);
-        current = target;
-        continue;
-      }
-      if (node->level < level || key <= node->low) {
-        // Wrong node: either a reclaimed-and-reused page (stale pointer) or
-        // data moved left by a compression (Section 5.2 case (2)).
-        cause = RestartCause::kStaleNode;
-        break;
-      }
-      if (key > node->high) {
-        const PageId link = node->link;
-        if (link == kInvalidPageId) {
-          cause = RestartCause::kRightmostStale;  // stale rightmost node
-          break;
-        }
-        stats_->Add(StatId::kLinkFollows);
-        current = link;
-        continue;
-      }
-      if (node->level == level) return current;
-      if (stack_out) stack_out->push_back(current);
-      current = node->ChildFor(key);
-    }
-    CountRestart(cause);
-    if (++restarts > options_.max_restarts) {
-      return Status::Internal("too many restarts in FindNodeAtLevel");
-    }
-  }
-}
-
-Status SagivTree::DescendToLeaf(Key key, EpochManager::Guard* guard,
-                                Page* page, PageId* leaf_page) const {
-  Node* node = page->As<Node>();
-  int restarts = 0;
-  for (;;) {
-    const PrimeBlockData pb = prime_.Read();
-    PageId current = pb.root();
-    // §5.2 backtrack optimization: remember the node we came down
-    // through; a search routed to a wrong node first retries from there
-    // and only restarts at the root if the previous node is also wrong.
-    PageId previous = kInvalidPageId;
-    bool backtracked = false;
-    int backtracks_this_attempt = 0;
-    RestartCause cause = RestartCause::kNone;
-    for (int steps = 0;; ++steps) {
-      if (steps > kMaxStepsPerAttempt) {
-        return Status::Internal("descent did not terminate");
-      }
-      Status gs = FetchPage(current, page);
-      if (!gs.ok()) return gs;
-      bool wrong = false;
-      if (node->is_deleted()) {
-        const PageId target = node->merge_target;
-        if (target != kInvalidPageId) {
-          stats_->Add(StatId::kMergePointerFollows);
-          current = target;
-          continue;
-        }
-        cause = RestartCause::kMissingMergeTarget;
-        wrong = true;
-      } else if (key <= node->low) {
-        cause = RestartCause::kStaleNode;
-        wrong = true;
-      }
-      if (wrong) {
-        if (previous != kInvalidPageId && !backtracked &&
-            ++backtracks_this_attempt <= 4) {
-          // One backtrack per wrong-node event, a few per descent: the
-          // previous node re-evaluates next(A, v) against fresh contents;
-          // if it keeps routing us wrong, fall back to a root restart.
-          stats_->Add(StatId::kBacktracks);
-          current = previous;
-          previous = kInvalidPageId;
-          backtracked = true;
-          continue;
-        }
-        break;
-      }
-      if (key > node->high) {
-        const PageId link = node->link;
-        if (link == kInvalidPageId) {
-          cause = RestartCause::kRightmostStale;
-          break;
-        }
-        stats_->Add(StatId::kLinkFollows);
-        previous = current;
-        backtracked = false;
-        current = link;
-        continue;
-      }
-      if (node->is_leaf()) {
-        *leaf_page = current;
-        return Status::OK();
-      }
-      previous = current;
-      backtracked = false;
-      current = node->ChildFor(key);
-    }
-    CountRestart(cause);
-    if (++restarts > options_.max_restarts) {
-      return Status::Internal("too many restarts in search");
-    }
-    // Re-pin: a restarted search may legally observe a fresher tree, and
-    // releasing the old pin lets reclamation advance (Section 5.3).
-    guard->Refresh();
-  }
-}
-
 // ---------------------------------------------------------------------------
 // Search
 // ---------------------------------------------------------------------------
@@ -556,23 +398,11 @@ Result<Value> SagivTree::Search(Key key) const {
   }
   stats_->Add(StatId::kSearches);
   EpochManager::Guard guard(epoch_.get());
-  if (options_.optimistic_reads) {
-    Result<Value> r = OptimisticSearch(key, &guard);
-    if (r.ok() || !r.status().IsAborted()) return r;
-    stats_->Add(StatId::kOptimisticFallbacks);
-  }
-  Page page;
-  PageId leaf_page;
-  Status s = DescendToLeaf(key, &guard, &page, &leaf_page);
-  if (!s.ok()) return s;
-  std::optional<Value> v = page.As<Node>()->FindLeafValue(key);
-  if (!v.has_value()) return Status::NotFound();
-  return *v;
+  return SearchPinned(key, &guard);
 }
 
-Result<Value> SagivTree::OptimisticSearch(Key key,
-                                          EpochManager::Guard* guard) const {
-  int failures = 0;
+Result<Value> SagivTree::SearchPinned(Key key,
+                                      EpochManager::Guard* guard) const {
   int restarts = 0;
   for (;;) {
     const PrimeBlockData pb = prime_.Read();
@@ -583,7 +413,8 @@ Result<Value> SagivTree::OptimisticSearch(Key key,
       if (steps > kMaxStepsPerAttempt) {
         return Status::Internal("descent did not terminate");
       }
-      const PageManager::ReadGuard g = pager_->OptimisticRead(current);
+      const PageManager::ReadGuard g = FetchPage(current);
+      if (g.faulted()) return Status::Unavailable("page fetch failed");
       Route route;  // defaults to kTorn for the unstable-guard case
       std::optional<Value> value;
       if (g.stable()) {
@@ -598,9 +429,6 @@ Result<Value> SagivTree::OptimisticSearch(Key key,
       }
       if (route.kind == Route::kTorn) {
         stats_->Add(StatId::kOptimisticRetries);
-        if (++failures > options_.optimistic_retry_limit) {
-          return Status::Aborted("optimistic retry budget exhausted");
-        }
         continue;  // re-read the same node
       }
       stats_->Add(StatId::kOptimisticValidations);
@@ -648,26 +476,13 @@ size_t SagivTree::Scan(Key lo, Key hi,
   EpochManager::Guard guard(epoch_.get());
 
   size_t visited = 0;
-  Key next_key = lo;
-  if (options_.optimistic_reads) {
-    Status s = OptimisticScan(&next_key, hi, visitor, &guard, &visited);
-    if (!s.IsAborted()) return visited;  // done (or stopped / gave up)
-    stats_->Add(StatId::kOptimisticFallbacks);
-  }
-  return CopyScan(next_key, hi, visitor, &guard, visited);
-}
-
-Status SagivTree::OptimisticScan(Key* next_key_io, Key hi,
-                                 const std::function<bool(Key, Value)>& visitor,
-                                 EpochManager::Guard* guard,
-                                 size_t* visited) const {
-  int failures = 0;
   int restarts = 0;
-  Key next_key = *next_key_io;
+  Key next_key = lo;
   PageId current = kInvalidPageId;  // invalid: descend to locate the leaf
 
   // Entries of one leaf are harvested under a single version, validated,
   // and only then delivered — the visitor never sees an unvalidated pair.
+  // A failed descent or fetch ends the scan with what was delivered.
   TlReadBuffersLease lease;
   std::vector<Entry> local_entries;
   std::vector<Entry>& buf =
@@ -676,23 +491,16 @@ Status SagivTree::OptimisticScan(Key* next_key_io, Key hi,
 
   int steps = 0;
   for (;;) {
-    *next_key_io = next_key;
     if (current == kInvalidPageId) {
       Result<PageId> leaf =
-          OptimisticFindNodeAtLevel(next_key, /*level=*/0, nullptr,
-                                    /*wait_for_level=*/true, &failures);
-      if (!leaf.ok()) {
-        // Aborted propagates to the copy fallback; a hard failure ends
-        // the scan with what was delivered (the copy path's behavior).
-        return leaf.status().IsAborted() ? leaf.status() : Status::OK();
-      }
+          internal_FindNodeAtLevel(next_key, /*level=*/0, nullptr);
+      if (!leaf.ok()) return visited;
       current = *leaf;
       steps = 0;
     }
-    if (++steps > kMaxStepsPerAttempt) {
-      return Status::Internal("scan did not terminate");
-    }
-    const PageManager::ReadGuard g = pager_->OptimisticRead(current);
+    if (++steps > kMaxStepsPerAttempt) return visited;
+    const PageManager::ReadGuard g = FetchPage(current);
+    if (g.faulted()) return visited;
     enum { kRetry, kMove, kRestart, kDeliver } action = kRetry;
     PageId move_to = kInvalidPageId;
     StatId move_stat = StatId::kLinkFollows;
@@ -748,9 +556,6 @@ Status SagivTree::OptimisticScan(Key* next_key_io, Key hi,
     switch (action) {
       case kRetry:
         stats_->Add(StatId::kOptimisticRetries);
-        if (++failures > options_.optimistic_retry_limit) {
-          return Status::Aborted("optimistic retry budget exhausted");
-        }
         continue;  // re-read the same page
       case kMove:
         stats_->Add(StatId::kOptimisticValidations);
@@ -760,10 +565,8 @@ Status SagivTree::OptimisticScan(Key* next_key_io, Key hi,
       case kRestart:
         stats_->Add(StatId::kOptimisticValidations);
         CountRestart(cause);
-        if (++restarts > options_.max_restarts) {
-          return Status::Internal("too many restarts in scan");
-        }
-        guard->Refresh();
+        if (++restarts > options_.max_restarts) return visited;
+        guard.Refresh();
         current = kInvalidPageId;
         continue;
       case kDeliver:
@@ -771,10 +574,10 @@ Status SagivTree::OptimisticScan(Key* next_key_io, Key hi,
     }
     stats_->Add(StatId::kOptimisticValidations);
     for (const Entry& e : buf) {
-      ++*visited;
-      if (!visitor(e.key, e.value)) return Status::OK();
+      ++visited;
+      if (!visitor(e.key, e.value)) return visited;
     }
-    if (leaf_high >= hi || leaf_high == kPlusInfinity) return Status::OK();
+    if (leaf_high >= hi || leaf_high == kPlusInfinity) return visited;
     next_key = leaf_high + 1;
     steps = 0;  // the steps bound is per positioning attempt, not per scan
     // Fast path: follow the leaf link (the probe above re-checks that it
@@ -784,112 +587,16 @@ Status SagivTree::OptimisticScan(Key* next_key_io, Key hi,
   }
 }
 
-size_t SagivTree::CopyScan(Key next_key, Key hi,
-                           const std::function<bool(Key, Value)>& visitor,
-                           EpochManager::Guard* guard, size_t visited) const {
-  // Reuse the thread-local page across leaves (a fresh 4 KB buffer per
-  // scan costs a cache-cold write-back on every call).
-  TlReadBuffersLease lease;
-  Page local_page;
-  Page& page = lease.claimed() ? tl_read_buffers.page : local_page;
-  Node* node = page.As<Node>();
-  bool have_leaf = false;
-  for (;;) {
-    if (!have_leaf) {
-      PageId leaf_page;
-      if (!DescendToLeaf(next_key, guard, &page, &leaf_page).ok()) {
-        return visited;
-      }
-    }
-    // Deliver this leaf's keys in [next_key, hi].
-    for (uint32_t i = node->LowerBound(next_key); i < node->count; ++i) {
-      if (node->entries[i].key > hi) return visited;
-      ++visited;
-      if (!visitor(node->entries[i].key, node->entries[i].value)) {
-        return visited;
-      }
-    }
-    if (node->high >= hi || node->high == kPlusInfinity) return visited;
-    next_key = node->high + 1;
-    // Fast path: follow the leaf link; fall back to a fresh descent when
-    // compression moved the range.
-    const PageId link = node->link;
-    have_leaf = false;
-    if (link != kInvalidPageId) {
-      // A failed link fetch just falls back to a fresh descent (which
-      // retries with backoff); the page image is only trusted on OK.
-      if (pager_->Get(link, &page).ok() && !node->is_deleted() &&
-          node->is_leaf() && next_key > node->low && next_key <= node->high) {
-        stats_->Add(StatId::kLinkFollows);
-        have_leaf = true;
-      }
-    }
-  }
-}
-
 // ---------------------------------------------------------------------------
 // Insertion (Figs. 5 and 6)
 // ---------------------------------------------------------------------------
-
-Result<PageId> SagivTree::AcquireTargetNode(Key ins_key, uint32_t level,
-                                            PageId start,
-                                            std::vector<PageId>* stack,
-                                            int* restarts, Page* page,
-                                            bool wait_for_level) const {
-  Node* node = page->As<Node>();
-  PageId current = start;
-  for (int steps = 0;; ++steps) {
-    if (steps > kMaxStepsPerAttempt) {
-      return Status::Internal("moveright did not terminate");
-    }
-    pager_->Lock(current);
-    // Locked fetches cannot fail: fault errors target lock-free readers
-    // only (see PageManager::Get).
-    pager_->Get(current, page);
-    RestartCause cause = RestartCause::kNone;
-    if (node->is_deleted()) {
-      const PageId target = node->merge_target;
-      pager_->Unlock(current);
-      if (target != kInvalidPageId) {
-        stats_->Add(StatId::kMergePointerFollows);
-        current = target;
-        continue;
-      }
-      cause = RestartCause::kMissingMergeTarget;
-    } else if (node->level != level || ins_key <= node->low) {
-      pager_->Unlock(current);
-      cause = RestartCause::kStaleNode;
-    } else if (ins_key > node->high) {
-      const PageId link = node->link;
-      pager_->Unlock(current);
-      if (link == kInvalidPageId) {
-        cause = RestartCause::kRightmostStale;
-      } else {
-        stats_->Add(StatId::kLinkFollows);
-        current = link;
-        continue;
-      }
-    } else {
-      return current;  // locked; image in *page
-    }
-    assert(cause != RestartCause::kNone);
-    CountRestart(cause);
-    if (++(*restarts) > options_.max_restarts) {
-      return Status::Internal("too many restarts acquiring target node");
-    }
-    Result<PageId> r =
-        internal_FindNodeAtLevel(ins_key, level, stack, wait_for_level);
-    if (!r.ok()) return r.status();
-    current = *r;
-  }
-}
 
 Result<PageId> SagivTree::AcquireTargetInPlace(Key key, uint32_t level,
                                                PageId start,
                                                std::vector<PageId>* stack,
                                                int* restarts,
-                                               const Node** live) const {
-  int failures = 0;
+                                               const Node** live,
+                                               bool wait_for_level) const {
   PageId current = start;
   for (int steps = 0;; ++steps) {
     if (steps > kMaxStepsPerAttempt) {
@@ -907,7 +614,7 @@ Result<PageId> SagivTree::AcquireTargetInPlace(Key key, uint32_t level,
     // that still looks like the target is worth the parking Lock.
     if (!pager_->TryLockSpin(current)) {
       const PageManager::ReadGuard peek = pager_->OptimisticRead(current);
-      Route reroute;  // kTorn when unstable/unvalidated: no usable signal
+      Route reroute;  // kTorn when unstable/faulted/unvalidated: no signal
       if (peek.stable()) {
         reroute = RouteForKey(NodeView(peek.page()->As<Node>()), key, level);
         if (!peek.Validate()) reroute.kind = Route::kTorn;
@@ -928,7 +635,8 @@ Result<PageId> SagivTree::AcquireTargetInPlace(Key key, uint32_t level,
           if (++(*restarts) > options_.max_restarts) {
             return Status::Internal("too many restarts acquiring target node");
           }
-          Result<PageId> r = internal_FindNodeAtLevel(key, level, stack);
+          Result<PageId> r =
+              internal_FindNodeAtLevel(key, level, stack, wait_for_level);
           if (!r.ok()) return r.status();
           current = *r;
           continue;
@@ -946,31 +654,28 @@ Result<PageId> SagivTree::AcquireTargetInPlace(Key key, uint32_t level,
     // Allocate zeroing -> initializing Put run without it), so reads stay
     // atomic-and-validated until the image proves live; from then on the
     // lock alone pins the node. Every peek — retries included — counts
-    // as a node access, exactly like the optimistic descents.
+    // as a node access, exactly like the unlocked descents.
     Route route;
     const Node* node_image = nullptr;
-    for (;;) {
+    for (int peeks = 0;; ++peeks) {
       const PageManager::ReadGuard g = pager_->PeekLocked(current);
       route = Route{};  // kTorn: also covers the unstable-guard case
       if (g.stable()) {
         node_image = g.page()->As<Node>();
         route = RouteForKey(NodeView(node_image), key, level);
         // Under the lock, a node of a HIGHER level than the target is a
-        // reused page, not a descent point — same restart the copy
-        // acquire takes on node->level != level.
+        // reused page, not a descent point: restart.
         if (route.kind == Route::kChild) route.kind = Route::kRestartStale;
         if (route.kind != Route::kTorn && !g.Validate()) {
           route.kind = Route::kTorn;
         }
       }
       if (route.kind != Route::kTorn) break;
-      // Only an in-flight page reuse can keep tearing a locked page; it
-      // resolves in a bounded number of bumps, but budget it like the
-      // optimistic read path so a protocol bug cannot spin here.
       stats_->Add(StatId::kOptimisticRetries);
-      if (++failures > options_.optimistic_retry_limit) {
-        pager_->Unlock(current);
-        return Status::Aborted("in-place write retry budget exhausted");
+      if (peeks >= kLockedPeekRetryLimit) {
+        // Still torn: give the lock back and restart from the root below.
+        stats_->Add(StatId::kInplaceFallbacks);
+        break;
       }
     }
     switch (route.kind) {
@@ -988,15 +693,15 @@ Result<PageId> SagivTree::AcquireTargetInPlace(Key key, uint32_t level,
         current = route.next;
         continue;
       default:
-        break;  // a restart kind (kChild/kTorn were handled above)
+        break;  // a restart kind, or kTorn past the peek bound
     }
     pager_->Unlock(current);
-    const RestartCause cause = CauseFor(route.kind);
-    CountRestart(cause);
+    CountRestart(CauseFor(route.kind));
     if (++(*restarts) > options_.max_restarts) {
       return Status::Internal("too many restarts acquiring target node");
     }
-    Result<PageId> r = internal_FindNodeAtLevel(key, level, stack);
+    Result<PageId> r =
+        internal_FindNodeAtLevel(key, level, stack, wait_for_level);
     if (!r.ok()) return r.status();
     current = *r;
   }
@@ -1010,16 +715,6 @@ void SagivTree::ApplyInsert(Node* node, Key key, uint64_t down_ptr) {
     assert(ok);
     (void)ok;
   }
-}
-
-void SagivTree::InsertIntoSafe(Page* page, PageId page_id, Key key,
-                               uint64_t down_ptr, AscentState* st) {
-  Node* node = page->As<Node>();
-  ApplyInsert(node, key, down_ptr);
-  pager_->Put(page_id, *page);
-  pager_->Unlock(page_id);
-  stats_->Add(StatId::kWriteBytesCopied, 2 * kPageSize);  // get + put
-  st->completed = true;
 }
 
 void SagivTree::InsertIntoSafeInPlace(PageId page_id, Key key,
@@ -1234,8 +929,7 @@ Status SagivTree::TryAppendFast(Key key, Value value, bool* done) {
   // the epoch after a successful validation rejects exactly those
   // images. A stable epoch across snapshot and re-check proves the
   // validated node was link-reachable.
-  int failures = 0;
-  for (;;) {
+  for (int peeks = 0;; ++peeks) {
     const PageManager::ReadGuard g = pager_->PeekLocked(hint);
     bool is_target = false;
     bool torn = true;
@@ -1253,22 +947,13 @@ Status SagivTree::TryAppendFast(Key key, Value value, bool* done) {
       if (frontier_seq_.load(std::memory_order_acquire) != seq) {
         break;  // frontier split began or completed meanwhile: miss
       }
-      if (options_.inplace_writes) {
-        PageManager::WriteGuard wg = pager_->BeginWrite(hint);
-        const size_t bytes =
-            wg.page()->As<Node>()->AppendLeafEntryInPlace(key, value);
-        wg.Release();
-        pager_->Unlock(hint);
-        stats_->Add(StatId::kInplaceWrites);
-        stats_->Add(StatId::kWriteBytesInplace, bytes);
-      } else {
-        Page page;
-        pager_->Get(hint, &page);
-        page.As<Node>()->InsertLeafEntry(key, value);
-        pager_->Put(hint, page);
-        pager_->Unlock(hint);
-        stats_->Add(StatId::kWriteBytesCopied, 2 * kPageSize);  // get + put
-      }
+      PageManager::WriteGuard wg = pager_->BeginWrite(hint);
+      const size_t bytes =
+          wg.page()->As<Node>()->AppendLeafEntryInPlace(key, value);
+      wg.Release();
+      pager_->Unlock(hint);
+      stats_->Add(StatId::kInplaceWrites);
+      stats_->Add(StatId::kWriteBytesInplace, bytes);
       stats_->Add(StatId::kAppendFastHits);
       size_.fetch_add(1, std::memory_order_relaxed);
       NoteMaxKey(key);
@@ -1276,7 +961,10 @@ Status SagivTree::TryAppendFast(Key key, Value value, bool* done) {
       return Status::OK();
     }
     stats_->Add(StatId::kOptimisticRetries);
-    if (++failures > options_.optimistic_retry_limit) break;  // miss
+    if (peeks >= kLockedPeekRetryLimit) {
+      stats_->Add(StatId::kInplaceFallbacks);
+      break;  // miss
+    }
   }
   pager_->Unlock(hint);
   stats_->Add(StatId::kAppendFastMisses);
@@ -1368,38 +1056,15 @@ Status SagivTree::InsertCommit(Key key, Value value, PageId start,
   uint64_t down_ptr = value;
   uint32_t level = 0;
   int restarts = 0;
-  // In-place mode is per-operation: once a locked inspection exhausts its
-  // validation budget the whole operation falls back to copy semantics.
-  bool inplace = options_.inplace_writes;
-  Page page;
-  Node* node = page.As<Node>();
+  Page page;  // private image for splits
 
   for (;;) {  // the "repeat ... until completed" of Fig. 5
-    // `view` is the locked node's image: the live page (in-place acquire,
-    // plain reads safe under the lock) or the private copy in `page`.
+    // `view` is the locked live node: plain reads are safe under the lock.
     const Node* view = nullptr;
-    bool locked_inplace = false;
-    if (inplace) {
-      Result<PageId> target =
-          AcquireTargetInPlace(ins_key, level, current, &stack, &restarts,
-                               &view);
-      if (target.ok()) {
-        current = *target;
-        locked_inplace = true;
-      } else if (target.status().IsAborted()) {
-        stats_->Add(StatId::kInplaceFallbacks);
-        inplace = false;
-      } else {
-        return target.status();
-      }
-    }
-    if (!locked_inplace) {
-      Result<PageId> target =
-          AcquireTargetNode(ins_key, level, current, &stack, &restarts, &page);
-      if (!target.ok()) return target.status();
-      current = *target;
-      view = node;
-    }
+    Result<PageId> target =
+        AcquireTargetInPlace(ins_key, level, current, &stack, &restarts, &view);
+    if (!target.ok()) return target.status();
+    current = *target;
 
     if (level == 0) {
       const uint32_t idx = view->LowerBound(ins_key);
@@ -1411,39 +1076,24 @@ Status SagivTree::InsertCommit(Key key, Value value, PageId start,
         // Upsert replace case: overwrite the value under the lock we
         // already hold — same critical section as the presence check, so
         // the key is never transiently absent. Size is unchanged.
-        if (locked_inplace) {
-          PageManager::WriteGuard wg = pager_->BeginWrite(current);
-          const size_t bytes =
-              wg.page()->As<Node>()->SetLeafValueAtInPlace(idx, value);
-          wg.Release();
-          pager_->Unlock(current);
-          stats_->Add(StatId::kInplaceWrites);
-          stats_->Add(StatId::kWriteBytesInplace, bytes);
-        } else {
-          node->entries[idx].value = value;
-          pager_->Put(current, page);
-          pager_->Unlock(current);
-          stats_->Add(StatId::kWriteBytesCopied, 2 * kPageSize);  // get + put
-        }
+        PageManager::WriteGuard wg = pager_->BeginWrite(current);
+        const size_t bytes =
+            wg.page()->As<Node>()->SetLeafValueAtInPlace(idx, value);
+        wg.Release();
+        pager_->Unlock(current);
+        stats_->Add(StatId::kInplaceWrites);
+        stats_->Add(StatId::kWriteBytesInplace, bytes);
         return Status::OK();
       }
     }
 
     AscentState st;
     if (view->count < options_.capacity()) {
-      if (locked_inplace) {
-        InsertIntoSafeInPlace(current, ins_key, down_ptr, &st);
-      } else {
-        InsertIntoSafe(&page, current, ins_key, down_ptr, &st);
-      }
+      InsertIntoSafeInPlace(current, ins_key, down_ptr, &st);
     } else {
-      if (locked_inplace) {
-        // Splits keep copy semantics: pay the copy-out the in-place
-        // acquire skipped, under the lock we already hold (locked fetches
-        // cannot fail).
-        pager_->Get(current, &page);
-        view = node;
-      }
+      // Splits keep copy semantics: copy the page out under the lock we
+      // already hold (locked fetches cannot fail).
+      pager_->Get(current, &page);
       Status s =
           view->is_root()
               ? InsertIntoUnsafeRoot(&page, current, ins_key, down_ptr, &st)
@@ -1516,56 +1166,27 @@ Status SagivTree::DeleteCommit(Key key, PageId start,
   std::vector<PageId> unused_stack;
   std::vector<PageId>& stack = want_stack ? *stack_in : unused_stack;
 
-  Page page;
-  Node* node = page.As<Node>();
   int restarts = 0;
-  // `view` is the locked leaf's image: the live page (in-place mode) or
-  // the private copy in `page`; after the removal it reflects the new
-  // count/high either way.
+  // `view` is the locked live leaf; after the removal it reflects the new
+  // count/high.
   const Node* view = nullptr;
-  bool locked_inplace = false;
-  PageId leaf = kInvalidPageId;
-  if (options_.inplace_writes) {
-    Result<PageId> target = AcquireTargetInPlace(
-        key, 0, start, want_stack ? &stack : nullptr, &restarts, &view);
-    if (target.ok()) {
-      leaf = *target;
-      locked_inplace = true;
-    } else if (target.status().IsAborted()) {
-      stats_->Add(StatId::kInplaceFallbacks);
-    } else {
-      return target.status();
-    }
-  }
-  if (!locked_inplace) {
-    Result<PageId> target = AcquireTargetNode(
-        key, 0, start, want_stack ? &stack : nullptr, &restarts, &page);
-    if (!target.ok()) return target.status();
-    leaf = *target;
-    view = node;
-  }
+  Result<PageId> target = AcquireTargetInPlace(
+      key, 0, start, want_stack ? &stack : nullptr, &restarts, &view);
+  if (!target.ok()) return target.status();
+  const PageId leaf = *target;
 
-  if (locked_inplace) {
-    // One search serves both the presence check and the removal: the
-    // lock pins the live image, so the index cannot shift in between.
-    const uint32_t idx = view->LowerBound(key);
-    if (idx >= view->count || view->entries[idx].key != key) {
-      pager_->Unlock(leaf);
-      return Status::NotFound();
-    }
-    PageManager::WriteGuard wg = pager_->BeginWrite(leaf);
-    const size_t bytes = wg.page()->As<Node>()->RemoveLeafEntryAtInPlace(idx);
-    wg.Release();
-    stats_->Add(StatId::kInplaceWrites);
-    stats_->Add(StatId::kWriteBytesInplace, bytes);
-  } else {
-    if (!node->RemoveLeafEntry(key)) {
-      pager_->Unlock(leaf);
-      return Status::NotFound();
-    }
-    pager_->Put(leaf, page);
-    stats_->Add(StatId::kWriteBytesCopied, 2 * kPageSize);  // get + put
+  // One search serves both the presence check and the removal: the lock
+  // pins the live image, so the index cannot shift in between.
+  const uint32_t idx = view->LowerBound(key);
+  if (idx >= view->count || view->entries[idx].key != key) {
+    pager_->Unlock(leaf);
+    return Status::NotFound();
   }
+  PageManager::WriteGuard wg = pager_->BeginWrite(leaf);
+  const size_t bytes = wg.page()->As<Node>()->RemoveLeafEntryAtInPlace(idx);
+  wg.Release();
+  stats_->Add(StatId::kInplaceWrites);
+  stats_->Add(StatId::kWriteBytesInplace, bytes);
   size_.fetch_sub(1, std::memory_order_relaxed);
 
   // §5.4: while still holding the lock, record the leaf for compression if
@@ -1591,7 +1212,6 @@ Status SagivTree::DeleteCommit(Key key, PageId start,
 
 void SagivTree::PipelineDescents(BatchCont* ops, size_t n, bool collect_stacks,
                                  bool probe_values, BatchStats* bs) const {
-  assert(options_.optimistic_reads);
   // Forfeits unconsumed prepaid-I/O credits at scope exit (a faulted read
   // returns before its MaybeSimulateIo and never consumes its credit).
   PageManager::IoBatchScope io_scope;
@@ -1650,6 +1270,17 @@ void SagivTree::PipelineDescents(BatchCont* ops, size_t n, bool collect_stacks,
       const uint64_t group = static_cast<uint64_t>(ge - gi);
 
       const PageManager::ReadGuard g = pager_->OptimisticRead(page_id);
+      if (g.faulted()) {
+        // The fetch failed: hand just these ops to the single-op path,
+        // whose FetchPage retries with backoff. Ops on other pages are
+        // unaffected.
+        stats_->Add(StatId::kOptimisticFallbacks, group);
+        for (size_t k = gi; k < ge; ++k) {
+          ops[active[k]].state = BatchCont::kFallback;
+        }
+        gi = ge;
+        continue;
+      }
       routes.clear();
       values.clear();
       bool valid = false;
@@ -1669,22 +1300,14 @@ void SagivTree::PipelineDescents(BatchCont* ops, size_t n, bool collect_stacks,
       }
       if (!valid) {
         // Torn read: every sharer would have discarded this image had it
-        // read the page itself, so each op's retry budget advances.
+        // read the page itself; all of them re-read it next round.
         stats_->Add(StatId::kOptimisticRetries, group);
-        for (size_t k = gi; k < ge; ++k) {
-          BatchCont& op = ops[active[k]];
-          if (++op.failures > options_.optimistic_retry_limit) {
-            op.state = BatchCont::kFallback;
-          }
-          // else: stay on the same page for the next round's re-read
+      } else {
+        stats_->Add(StatId::kOptimisticValidations, group);
+        if (group > 1) {
+          stats_->Add(StatId::kBatchPagesCoalesced, group - 1);
+          bs->pages_coalesced += group - 1;
         }
-        gi = ge;
-        continue;
-      }
-      stats_->Add(StatId::kOptimisticValidations, group);
-      if (group > 1) {
-        stats_->Add(StatId::kBatchPagesCoalesced, group - 1);
-        bs->pages_coalesced += group - 1;
       }
       for (size_t k = gi; k < ge; ++k) {
         BatchCont& op = ops[active[k]];
@@ -1693,6 +1316,7 @@ void SagivTree::PipelineDescents(BatchCont* ops, size_t n, bool collect_stacks,
           op.status = Status::Internal("descent did not terminate");
           continue;
         }
+        if (!valid) continue;  // stay on the same page
         const Route& route = routes[k - gi];
         switch (route.kind) {
           case Route::kArrived:
@@ -1726,9 +1350,6 @@ void SagivTree::PipelineDescents(BatchCont* ops, size_t n, bool collect_stacks,
             // Inconsistent-but-validated image (defensive ChildFor
             // miss): treat like a discarded read and re-read next round.
             stats_->Add(StatId::kOptimisticRetries);
-            if (++op.failures > options_.optimistic_retry_limit) {
-              op.state = BatchCont::kFallback;
-            }
             break;
         }
       }
@@ -1743,10 +1364,8 @@ void SagivTree::MultiSearch(const Key* keys, size_t n, Result<Value>* out,
   if (n == 0) return;
   stats_->Add(StatId::kBatchOps, n);
   if (batch_stats) batch_stats->ops = n;
-  if (!options_.optimistic_reads || n == 1) {
-    // Single-op path (also the whole-batch mode for copy-read trees:
-    // pipelining requires the in-place read protocol).
-    for (size_t i = 0; i < n; ++i) out[i] = Search(keys[i]);
+  if (n == 1) {  // nothing to pipeline: the single-op path
+    out[0] = Search(keys[0]);
     return;
   }
   stats_->Add(StatId::kSearches, n);
@@ -1777,21 +1396,9 @@ void SagivTree::MultiSearch(const Key* keys, size_t n, Result<Value>* out,
         case BatchCont::kError:
           out[w0 + j] = op.status;
           break;
-        case BatchCont::kFallback: {
-          // Same copy-read fallback as single-op Search.
-          stats_->Add(StatId::kOptimisticFallbacks);
-          Page page;
-          PageId leaf_page;
-          Status s = DescendToLeaf(op.key, &guard, &page, &leaf_page);
-          if (!s.ok()) {
-            out[w0 + j] = s;
-            break;
-          }
-          std::optional<Value> v = page.As<Node>()->FindLeafValue(op.key);
-          out[w0 + j] = v.has_value() ? Result<Value>(*v)
-                                      : Result<Value>(Status::NotFound());
+        case BatchCont::kFallback:
+          out[w0 + j] = SearchPinned(op.key, &guard);
           break;
-        }
         case BatchCont::kRunning:
           assert(false);  // PipelineDescents only returns terminal states
           out[w0 + j] = Status::Internal("batch descent did not terminate");
@@ -1809,13 +1416,11 @@ void SagivTree::MultiMutate(const Key* keys, const Value* values, size_t n,
   if (n == 0) return;
   stats_->Add(StatId::kBatchOps, n);
   if (batch_stats) batch_stats->ops = n;
-  if (!options_.optimistic_reads || n == 1) {
-    for (size_t i = 0; i < n; ++i) {
-      switch (kind) {
-        case MutateKind::kInsert: out[i] = Insert(keys[i], values[i]); break;
-        case MutateKind::kUpsert: out[i] = Upsert(keys[i], values[i]); break;
-        case MutateKind::kDelete: out[i] = Delete(keys[i]); break;
-      }
+  if (n == 1) {  // nothing to pipeline: the single-op path
+    switch (kind) {
+      case MutateKind::kInsert: out[0] = Insert(keys[0], values[0]); break;
+      case MutateKind::kUpsert: out[0] = Upsert(keys[0], values[0]); break;
+      case MutateKind::kDelete: out[0] = Delete(keys[0]); break;
     }
     return;
   }
@@ -1861,13 +1466,10 @@ void SagivTree::MultiMutate(const Key* keys, const Value* values, size_t n,
         continue;
       }
       if (op.state == BatchCont::kFallback) {
-        // Copy-read fallback descent, as internal_FindNodeAtLevel does
-        // after an exhausted optimistic budget.
-        stats_->Add(StatId::kOptimisticFallbacks);
-        op.stack.clear();
-        Result<PageId> found = CopyFindNodeAtLevel(
-            op.key, 0, want_stack ? &op.stack : nullptr,
-            /*wait_for_level=*/true);
+        // The pipelined read faulted: redo this op's descent on the
+        // single-op path, which retries the fetch with backoff.
+        Result<PageId> found = internal_FindNodeAtLevel(
+            op.key, 0, want_stack ? &op.stack : nullptr);
         if (!found.ok()) {
           out[w0 + j] = found.status();
           continue;

@@ -3,20 +3,17 @@
 // SagivTree: the paper's primary contribution. A B-link tree supporting
 // fully concurrent searches, insertions, and deletions where
 //
-//   * readers acquire NO locks and may read nodes locked by updaters; by
-//     default they also copy no pages: the unlocked descents read node
-//     headers and the one binary-search slot they need in place through
+//   * readers acquire NO locks and may read nodes locked by updaters; they
+//     also copy no pages: the unlocked descents read node headers and the
+//     one binary-search slot they need in place through
 //     PageManager::OptimisticRead, validating the seqlock version before
-//     trusting anything, and fall back to full-page copy-reads after
-//     options().optimistic_retry_limit failed validations;
+//     trusting anything and re-reading a node whose read tore;
 //   * an insertion holds AT MOST ONE lock at any instant (Section 3) —
-//     updaters may overtake one another on the way up the tree; by
-//     default the no-split/no-merge mutations also copy no pages: the
-//     lock-holding writer edits the live page in place, bracketed by
-//     seqlock odd/even bumps (options().inplace_writes,
-//     PageManager::BeginWrite), falling back to the get/put copy cycle
-//     for splits, root changes, and any op whose locked inspection
-//     cannot validate against a racing page reuse;
+//     updaters may overtake one another on the way up the tree; the
+//     no-split/no-merge mutations also copy no pages: the lock-holding
+//     writer edits the live page in place, bracketed by seqlock odd/even
+//     bumps (PageManager::BeginWrite); only splits and root changes take
+//     the get/put copy cycle;
 //   * deletions remove the record from its leaf under one lock (Section 4)
 //     and optionally enqueue under-full leaves for the queue-driven
 //     compressor of Section 5.4;
@@ -71,15 +68,16 @@ class SagivTree {
 
   /// Insert-or-replace in ONE descent: the same single-lock insertion
   /// protocol as Insert, except that finding the key already present in
-  /// the locked leaf overwrites its value (one word store in place, or
-  /// the copy path's put) instead of returning AlreadyExists. Atomic:
+  /// the locked leaf overwrites its value (one word store in place)
+  /// instead of returning AlreadyExists. Atomic:
   /// there is no window where the key is absent, and concurrent readers
   /// see either the old or the new value, never neither.
   Status Upsert(Key key, Value value);
 
-  /// Look up a key. Returns the value or NotFound. Lock-free; with
-  /// options().optimistic_reads (the default) also copy-free: the descent
-  /// validates page versions instead of copying 4 KB per node visited.
+  /// Look up a key. Returns the value or NotFound (Unavailable when a page
+  /// fetch keeps failing past options().fetch_retry_limit). Lock-free and
+  /// copy-free: the descent validates page versions instead of copying
+  /// 4 KB per node visited.
   Result<Value> Search(Key key) const;
 
   /// Delete a key. Returns NotFound if absent. No restructuring happens
@@ -94,13 +92,14 @@ class SagivTree {
   // group's simulated-I/O waits together (PageManager::PrefetchPages) and
   // sharing one validated read per distinct page, then advancing every
   // continuation one step. Results land in out[i] for keys[i]; per-op
-  // semantics (including restart budgets and the optimistic->copy
-  // fallback) are identical to the single-op calls. For the write forms
+  // semantics (including restart budgets and fetch retries: an op whose
+  // read faults finishes on the single-op path) are identical to the
+  // single-op calls. For the write forms
   // only the lock-free descent is pipelined — each op's locked mutation
   // then runs serially from its descent's leaf, so the locking protocol
   // (one lock per process) is untouched. `batch_stats`, when non-null,
   // receives this batch's slice of the kBatch* counters. Batches of one
-  // (and trees with optimistic_reads off) take the single-op path.
+  // take the single-op path.
 
   /// Batched Search: out[i] is the value for keys[i] or NotFound.
   void MultiSearch(const Key* keys, size_t n, Result<Value>* out,
@@ -174,11 +173,10 @@ class SagivTree {
   /// and merge pointers. If stack_out != nullptr, it receives the pages
   /// through which the descent came down at each level above `level`
   /// (deepest last), as produced by the paper's movedown-and-stack.
-  /// Does not lock. Returns the page id, or Internal after too many
-  /// restarts. Uses the optimistic in-place read path when
-  /// options().optimistic_reads is set (with automatic fallback to
-  /// copy-reads); callers that need the node contents re-read them under
-  /// their own lock/copy discipline afterwards.
+  /// Does not lock or copy: every node is read in place and validated.
+  /// Returns the page id, Unavailable when a fetch keeps failing, or
+  /// Internal after too many restarts; callers that need the node
+  /// contents re-read them under their own lock afterwards.
   ///
   /// If the tree currently has fewer than level+1 levels: with
   /// wait_for_level (the insertion ascent semantics of Section 3.3) the
@@ -190,16 +188,18 @@ class SagivTree {
 
   /// Lock the live node at `level` whose key range contains `key`,
   /// starting the moveright from `start` (restarting from the root when
-  /// routed wrong). On success the node is paper-locked and its image is
-  /// in *page. Used by the insertion/deletion paths and by the queue
-  /// compressor's parent search (Section 5.4).
-  Result<PageId> internal_AcquireTargetNode(Key key, uint32_t level,
-                                            PageId start,
-                                            std::vector<PageId>* stack,
-                                            int* restarts, Page* page,
-                                            bool wait_for_level = true) const {
-    return AcquireTargetNode(key, level, start, stack, restarts, page,
-                             wait_for_level);
+  /// routed wrong); see AcquireTargetInPlace. On success the node is
+  /// paper-locked and *live points at its live image. Used by the
+  /// insertion/deletion paths and by the queue compressor's parent search
+  /// (Section 5.4).
+  Result<PageId> internal_AcquireTargetInPlace(Key key, uint32_t level,
+                                               PageId start,
+                                               std::vector<PageId>* stack,
+                                               int* restarts,
+                                               const Node** live,
+                                               bool wait_for_level) const {
+    return AcquireTargetInPlace(key, level, start, stack, restarts, live,
+                                wait_for_level);
   }
 
   /// Adjust the logical size counter (used by compressors never; by tests
@@ -238,7 +238,7 @@ class SagivTree {
 
   // Resumable continuation of one in-flight batch descent: the explicit
   // per-op state the single-op descent loops keep in locals (current
-  // page, movedown stack, retry/restart/step budgets), plus the op's
+  // page, movedown stack, restart/step budgets), plus the op's
   // final outcome. The engine advances a window of these in lockstep
   // rounds; see PipelineDescents.
   struct BatchCont {
@@ -247,15 +247,14 @@ class SagivTree {
     std::vector<PageId> stack;    // movedown stack (collect_stacks mode)
     std::optional<Value> value;   // leaf probe result (probe_values mode)
     Status status;                // outcome when state == kError
-    int failures = 0;             // discarded optimistic reads so far
     int restarts = 0;             // restarts from the root so far
     int steps = 0;                // pointer-chasing bound (kMaxSteps...)
     bool need_root = true;        // (re)seed from the prime block
     enum State {
       kRunning,   // still descending
       kArrived,   // at the live level-0 target (current = leaf)
-      kFallback,  // optimistic budget exhausted: caller runs the serial
-                  // copy-path fallback for this op
+      kFallback,  // a read faulted: the caller finishes this op on the
+                  // single-op path (which retries the fetch)
       kError,     // terminal failure in `status`
     } state = kRunning;
   };
@@ -266,8 +265,9 @@ class SagivTree {
   // together (PageManager::PrefetchPages), perform ONE validated
   // OptimisticRead per distinct page shared by every op routed through
   // it (the sharers beyond the first count kBatchPagesCoalesced), then
-  // advance each continuation by one routing step. Requires
-  // options().optimistic_reads; the caller holds the epoch guard. `bs`
+  // advance each continuation by one routing step; a torn read is re-read
+  // next round, a faulted one sends its ops to kFallback
+  // (kOptimisticFallbacks). The caller holds the epoch guard. `bs`
   // accumulates the batch-level counters.
   void PipelineDescents(BatchCont* ops, size_t n, bool collect_stacks,
                         bool probe_values, BatchStats* bs) const;
@@ -297,9 +297,8 @@ class SagivTree {
   // Attempt the rightmost-append fast path for (key, value): lock the
   // hinted page, validate under the lock that it is still the live
   // rightmost leaf (not deleted, level 0, nil link, high = +inf, not
-  // full) and that `key` extends its max, then append — in place under a
-  // seqlock write bracket when options().inplace_writes, via the get/put
-  // copy cycle otherwise. On success sets *done and returns the insert's
+  // full) and that `key` extends its max, then append in place under a
+  // seqlock write bracket. On success sets *done and returns the insert's
   // status (kAppendFastHits). Any validation failure unlocks, counts
   // kAppendFastMisses, leaves *done false, and the caller runs the normal
   // descent. The caller holds the epoch guard and has counted kInserts.
@@ -324,102 +323,64 @@ class SagivTree {
   Status DeleteCommit(Key key, PageId start, std::vector<PageId>* stack,
                       const EpochManager::Guard& guard);
 
-  // Fault-tolerant page fetch for the lock-free descents: retries an
-  // Unavailable Get up to options().fetch_retry_limit times with
-  // exponential backoff (kFetchRetries per retry, kFetchGiveups on
-  // exhaustion) before surfacing the error to the operation.
-  Status FetchPage(PageId id, Page* out) const;
+  // Fault-tolerant optimistic page read for the lock-free descents: the
+  // one place a faulted read (ReadGuard::faulted) is retried, up to
+  // options().fetch_retry_limit times with exponential backoff
+  // (kFetchRetries per retry, kFetchGiveups on exhaustion). A guard that
+  // is still faulted on return means the caller surfaces Unavailable; an
+  // unfaulted one may still be torn (unstable or failing Validate), and
+  // the caller re-reads. The fast path stays inline: it runs once per
+  // node visited.
+  PageManager::ReadGuard FetchPage(PageId id) const {
+    PageManager::ReadGuard g = pager_->OptimisticRead(id);
+    if (g.faulted()) RetryFaultedFetch(id, &g);
+    return g;
+  }
+  void RetryFaultedFetch(PageId id, PageManager::ReadGuard* g) const;
 
-  // Copy-read search descent (the fallback path, and the only path when
-  // options().optimistic_reads is false): movedown + moveright without
-  // locking. Fills *page with the image of the leaf whose range contains
-  // `key` and *leaf_page with its id. Restarts (refreshing *guard) when
-  // routed to a wrong node. Counts restarts against options().max_restarts.
-  Status DescendToLeaf(Key key, EpochManager::Guard* guard, Page* page,
-                       PageId* leaf_page) const;
+  // Point lookup under the caller's epoch pin: in-place descent to the
+  // leaf, in-place value probe, single validation covering the probe.
+  // Restarts refresh *guard.
+  Result<Value> SearchPinned(Key key, EpochManager::Guard* guard) const;
 
-  // Copy-read half of internal_FindNodeAtLevel (one 4 KB Get per node
-  // visited).
-  Result<PageId> CopyFindNodeAtLevel(Key key, uint32_t level,
-                                     std::vector<PageId>* stack_out,
-                                     bool wait_for_level) const;
-
-  // Optimistic half of internal_FindNodeAtLevel: reads each node in place
-  // and validates the page version before acting on anything it saw.
-  // *failures accumulates discarded reads across the logical operation;
-  // returns Aborted once it exceeds options().optimistic_retry_limit (the
-  // caller then falls back to the copy path).
-  Result<PageId> OptimisticFindNodeAtLevel(Key key, uint32_t level,
-                                           std::vector<PageId>* stack_out,
-                                           bool wait_for_level,
-                                           int* failures) const;
-
-  // Optimistic point lookup: in-place descent to the leaf, in-place value
-  // probe, single validation covering the probe. Aborted = fall back.
-  Result<Value> OptimisticSearch(Key key, EpochManager::Guard* guard) const;
-
-  // Optimistic range scan from *next_key: harvests each leaf's relevant
-  // entries into a (thread-local) buffer, validates, then delivers. On
-  // Aborted, *next_key is the resume position for the copy fallback and
-  // *visited the pairs already delivered.
-  Status OptimisticScan(Key* next_key, Key hi,
-                        const std::function<bool(Key, Value)>& visitor,
-                        EpochManager::Guard* guard, size_t* visited) const;
-
-  // Copy-read scan loop starting at next_key with `visited` pairs already
-  // delivered; returns the final total.
-  size_t CopyScan(Key next_key, Key hi,
-                  const std::function<bool(Key, Value)>& visitor,
-                  EpochManager::Guard* guard, size_t visited) const;
-
-  // Lock the live node at `level` in whose range `ins_key` falls, starting
-  // the moveright from `start`. On return the node is paper-locked and its
-  // image is in *page. `stack` (may be null) is refreshed when a restart
-  // from the root is needed. Returns the node's page id.
-  Result<PageId> AcquireTargetNode(Key ins_key, uint32_t level, PageId start,
-                                   std::vector<PageId>* stack, int* restarts,
-                                   Page* page, bool wait_for_level = true)
-      const;
-
-  // In-place counterpart of AcquireTargetNode (the inplace_writes fast
-  // path): locks the live node WITHOUT copying its page, using a
-  // contention-aware acquisition — a bounded TryLockSpin first; if the
-  // lock stays contended through the spin budget, the routing decision is
-  // re-checked optimistically from the live image (the holder may be
-  // splitting this very node) and only a node that still looks like the
-  // target is waited for with a parking Lock. The locked
-  // inspection reads through NodeView + PeekLocked validation, because a
-  // stale page can be reused (zeroed and rewritten) underneath even a
-  // lock holder; once an image validates as the live target, the lock
-  // alone pins it, so on success *live points at the live image and
-  // plain (non-atomic) reads of it are safe until Unlock. Returns
-  // Aborted — with the lock released — when repeated validation failures
-  // exhaust options().optimistic_retry_limit; the caller then falls back
-  // to the copy path for this operation (StatId::kInplaceFallbacks).
+  // Lock the live node at `level` in whose range `key` falls, starting
+  // the moveright from `start`, WITHOUT copying its page. Contention-aware
+  // acquisition: a bounded TryLockSpin first; if the lock stays contended
+  // through the spin budget, the routing decision is re-checked
+  // optimistically from the live image (the holder may be splitting this
+  // very node) and only a node that still looks like the target is
+  // waited for with a parking Lock. The locked inspection reads through
+  // NodeView + PeekLocked validation, because a stale page can be reused
+  // (zeroed and rewritten) underneath even a lock holder; once an image
+  // validates as the live target, the lock alone pins it, so on success
+  // *live points at the live image and plain (non-atomic) reads of it
+  // are safe until Unlock. A peek that keeps tearing past a file-local
+  // bound unlocks and restarts from the root (StatId::kInplaceFallbacks).
+  // `stack` (may be null) is refreshed by restarts; `wait_for_level` is
+  // passed to their descents.
   Result<PageId> AcquireTargetInPlace(Key key, uint32_t level, PageId start,
                                       std::vector<PageId>* stack,
-                                      int* restarts, const Node** live) const;
+                                      int* restarts, const Node** live,
+                                      bool wait_for_level = true) const;
 
-  // The three insertion finishers of Fig. 6. `page` is the locked image of
-  // `page_id`. Either completes the logical insert or prepares (sep,
-  // new_child) for the next level. All unlock `page_id` before returning.
+  // The insertion finishers of Fig. 6. Either completes the logical insert
+  // or prepares (sep, new_child) for the next level. All unlock `page_id`
+  // before returning.
   struct AscentState {
     bool completed = false;
     Key sep = 0;            // separator to post one level up
     PageId new_child = kInvalidPageId;
   };
-  void InsertIntoSafe(Page* page, PageId page_id, Key key, uint64_t down_ptr,
-                      AscentState* st);
+  // The split finishers: `page` is a private copy of the locked `page_id`.
   Status InsertIntoUnsafe(Page* page, PageId page_id, Key key,
                           uint64_t down_ptr, AscentState* st);
   Status InsertIntoUnsafeRoot(Page* page, PageId page_id, Key key,
                               uint64_t down_ptr, AscentState* st);
 
-  // In-place finisher for the no-split case (requires a lock obtained via
+  // The no-split finisher (requires a lock obtained via
   // AcquireTargetInPlace): seqlock odd, apply the entry edit to the live
   // page through relaxed atomic stores, seqlock even, unlock. One node
-  // access (PageManager::BeginWrite) instead of the copy path's
-  // get + put.
+  // access (PageManager::BeginWrite) instead of a get + put.
   void InsertIntoSafeInPlace(PageId page_id, Key key, uint64_t down_ptr,
                              AscentState* st);
 

@@ -245,14 +245,12 @@ Status PageManager::Get(PageId id, Page* out) const {
 
 PageManager::ReadGuard PageManager::OptimisticRead(PageId id) const {
   if (MaybeTrap("get", id, /*error_eligible=*/tl_locks_held == 0)) {
-    // Injected fetch failure: an invalid guard, which the optimistic read
-    // paths already treat as a torn read (retry, then copy fallback).
-    return ReadGuard();
+    return ReadGuard::Faulted();  // injected fetch failure
   }
   MaybeSimulateIo();
   Slot* slot = SlotFor(id);
   if (paged_ && !EnsureResident(id, slot).ok()) {
-    return ReadGuard();  // store fault: callers treat it as a torn read
+    return ReadGuard::Faulted();  // store read error
   }
   // If the page is evicted after this point the eviction's version bumps
   // make Validate() fail, so the zeroed bytes can never be trusted.

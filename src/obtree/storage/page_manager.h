@@ -135,6 +135,12 @@ class PageManager {
     /// on Validate().
     bool stable() const { return seq_ != nullptr && (version_ & 1) == 0; }
 
+    /// True if the fetch itself failed (an injected fault on site "get",
+    /// or a store read error faulting the page in). Never stable. Unlike
+    /// a torn read, re-reading at once rarely helps: callers retry with
+    /// backoff (SagivTree::FetchPage) or surface the error.
+    bool faulted() const { return faulted_; }
+
     /// True iff no put has started or finished on the page since
     /// acquisition — everything read from page() in between is a
     /// consistent snapshot. (Page reuse via Retire/Allocate also bumps
@@ -150,16 +156,24 @@ class PageManager {
     ReadGuard(const std::atomic<uint64_t>* seq, const Page* page,
               uint64_t version)
         : seq_(seq), page_(page), version_(version) {}
+    static ReadGuard Faulted() {
+      ReadGuard g;
+      g.faulted_ = true;
+      return g;
+    }
 
     const std::atomic<uint64_t>* seq_ = nullptr;
     const Page* page_ = nullptr;
     uint64_t version_ = 1;  // odd: never validates
+    bool faulted_ = false;
   };
 
   /// Begin an optimistic in-place read (the fast-path alternative to Get
   /// that moves no page bytes). Counts as a node access: it pays the
   /// simulated I/O latency and the kGets counter exactly like Get, so the
-  /// paper's cost model still holds; Validate() is free.
+  /// paper's cost model still holds; Validate() is free. A failed fetch
+  /// returns a faulted() guard; like Get, injected errors only reach
+  /// threads holding no paper lock.
   ReadGuard OptimisticRead(PageId id) const;
 
   /// Batched-I/O overlap hook for the pipelined descent engine

@@ -21,11 +21,10 @@ const char* StatName(StatId id) {
     case StatId::kRestartsRightmostStale: return "restarts_rightmost_stale";
     case StatId::kRestartsMissingMergeTarget:
       return "restarts_missing_merge_target";
-    case StatId::kBacktracks: return "backtracks";
     case StatId::kOptimisticValidations: return "optimistic_validations";
     case StatId::kOptimisticRetries: return "optimistic_retries";
     case StatId::kOptimisticFallbacks: return "optimistic_fallbacks";
-    case StatId::kInplaceWrites: return "inplace_writes";
+    case StatId::kInplaceWrites: return "writes_inplace";
     case StatId::kInplaceFallbacks: return "inplace_fallbacks";
     case StatId::kWriteBytesInplace: return "write_bytes_inplace";
     case StatId::kWriteBytesCopied: return "write_bytes_copied";

@@ -62,23 +62,22 @@ enum class StatId : int {
                             ///< (nil link) no longer covers the key
   kRestartsMissingMergeTarget,  ///< restarts: deleted node with no merge
                                 ///< pointer yet (§5.1 window)
-  kBacktracks,           ///< wrong-node events recovered by backtracking
-                         ///< to the previous node (§5.2 optimization)
   kOptimisticValidations,  ///< optimistic in-place reads validated clean
   kOptimisticRetries,    ///< optimistic reads discarded (version moved or
                          ///< a put was in flight) and re-attempted
-  kOptimisticFallbacks,  ///< operations that exhausted the optimistic
-                         ///< retry budget and fell back to copy-reads
+  kOptimisticFallbacks,  ///< batch ops sent to the single-op path after
+                         ///< their pipelined read faulted
   kInplaceWrites,        ///< no-split mutations applied to the live page
                          ///< under the seqlock (PageManager::BeginWrite)
                          ///< instead of a Get + Put copy cycle
-  kInplaceFallbacks,     ///< mutations that abandoned the in-place path
-                         ///< (locked inspection could not validate under
-                         ///< racing page reuse) and used copy semantics
+  kInplaceFallbacks,     ///< locked peeks that kept tearing past their
+                         ///< retry bound (racing page reuse) and gave the
+                         ///< lock back: the write restarted from the root,
+                         ///< or the append fast path missed
   kWriteBytesInplace,    ///< bytes stored by in-place mutations
-  kWriteBytesCopied,     ///< bytes moved by copy-path mutations on the
-                         ///< Insert/Delete paths (page copied out under
-                         ///< the lock + every page image written back)
+  kWriteBytesCopied,     ///< bytes moved by splits on the insert path
+                         ///< (page copied out under the lock + every
+                         ///< page image written back)
   kAppendFastHits,       ///< inserts completed by the rightmost fast path
                          ///< (options().append_leaves): descent skipped,
                          ///< key appended to the hinted rightmost leaf

@@ -25,41 +25,14 @@
 namespace obtree {
 namespace {
 
-TreeOptions SmallNodes(bool inplace) {
+TreeOptions SmallNodes() {
   TreeOptions options;
   options.min_entries = 4;  // deep trees: more splits, merges, stale routes
-  options.inplace_writes = inplace;
   return options;
 }
 
-TEST(InplaceWriteTest, InplaceAndCopyModesAgree) {
-  SagivTree inplace(SmallNodes(true));
-  SagivTree copy(SmallNodes(false));
-  for (Key k = 1; k <= 2000; ++k) {
-    ASSERT_TRUE(inplace.Insert(k * 3, k * 3 + 1).ok());
-    ASSERT_TRUE(copy.Insert(k * 3, k * 3 + 1).ok());
-  }
-  for (Key k = 1; k <= 2000; k += 2) {  // delete every other key
-    ASSERT_TRUE(inplace.Delete(k * 3).ok());
-    ASSERT_TRUE(copy.Delete(k * 3).ok());
-  }
-  EXPECT_EQ(inplace.Size(), copy.Size());
-  for (Key k = 1; k <= 2000; ++k) {
-    auto vi = inplace.Search(k * 3);
-    auto vc = copy.Search(k * 3);
-    ASSERT_EQ(vi.ok(), vc.ok()) << k;
-    if (vi.ok()) {
-      EXPECT_EQ(*vi, k * 3 + 1);
-    }
-    // Re-deleting / re-inserting behaves identically.
-    EXPECT_EQ(inplace.Delete(k * 3).ok(), copy.Delete(k * 3).ok());
-  }
-  Status si = TreeChecker(&inplace).CheckStructure();
-  EXPECT_TRUE(si.ok()) << si.ToString();
-}
-
 TEST(InplaceWriteTest, InplaceModeCountsStats) {
-  SagivTree tree(SmallNodes(true));
+  SagivTree tree(SmallNodes());
   for (Key k = 1; k <= 500; ++k) ASSERT_TRUE(tree.Insert(k, k + 1).ok());
   for (Key k = 1; k <= 250; ++k) ASSERT_TRUE(tree.Delete(k).ok());
   const StatsSnapshot snap = tree.stats()->Snapshot();
@@ -72,17 +45,8 @@ TEST(InplaceWriteTest, InplaceModeCountsStats) {
   EXPECT_LT(snap.Get(StatId::kWriteBytesCopied), 750u * 8192u / 2);
 }
 
-TEST(InplaceWriteTest, CopyModeNeverWritesInPlace) {
-  SagivTree tree(SmallNodes(false));
-  for (Key k = 1; k <= 500; ++k) ASSERT_TRUE(tree.Insert(k, k + 1).ok());
-  for (Key k = 1; k <= 250; ++k) ASSERT_TRUE(tree.Delete(k).ok());
-  EXPECT_EQ(tree.stats()->Get(StatId::kInplaceWrites), 0u);
-  EXPECT_EQ(tree.stats()->Get(StatId::kWriteBytesInplace), 0u);
-  EXPECT_GT(tree.stats()->Get(StatId::kWriteBytesCopied), 0u);
-}
-
 TEST(InplaceWriteTest, UnderfullLeafStillEnqueuedForCompression) {
-  TreeOptions options = SmallNodes(true);
+  TreeOptions options = SmallNodes();
   options.enqueue_underfull_on_delete = true;
   SagivTree tree(options);
   CompressionQueue queue;
@@ -100,7 +64,7 @@ TEST(InplaceWriteTest, UnderfullLeafStillEnqueuedForCompression) {
 // clean NotFound.
 TEST(InplaceWriteTest, ConcurrentReadersNeverSeeTornInplaceWrites) {
   MapOptions options;
-  options.tree = SmallNodes(true);
+  options.tree = SmallNodes();
   options.compression = CompressionMode::kQueueWorkers;
   options.compression_threads = 1;
   ConcurrentMap map(options);
@@ -180,7 +144,7 @@ TEST(InplaceWriteTest, ConcurrentReadersNeverSeeTornInplaceWrites) {
 // in-place mutations must serialize through the paper lock — the final
 // tree is exactly the set both writers agreed on, structure valid.
 TEST(InplaceWriteTest, ConcurrentWritersSerializeThroughPaperLock) {
-  SagivTree tree(SmallNodes(true));
+  SagivTree tree(SmallNodes());
   constexpr Key kSpace = 8'000;
   std::vector<std::thread> writers;
   for (int t = 0; t < 4; ++t) {

@@ -20,61 +20,17 @@
 namespace obtree {
 namespace {
 
-TreeOptions SmallNodes(bool optimistic) {
+TreeOptions SmallNodes() {
   TreeOptions options;
   options.min_entries = 4;  // deep trees: more splits, merges, stale routes
-  options.optimistic_reads = optimistic;
   return options;
 }
 
-TEST(OptimisticReadTest, OptimisticAndCopyModesAgree) {
-  SagivTree optimistic(SmallNodes(true));
-  SagivTree copy(SmallNodes(false));
-  for (Key k = 1; k <= 2000; ++k) {
-    ASSERT_TRUE(optimistic.Insert(k * 3, k * 3 + 1).ok());
-    ASSERT_TRUE(copy.Insert(k * 3, k * 3 + 1).ok());
-  }
-  for (Key k = 1; k <= 2000; ++k) {
-    auto vo = optimistic.Search(k * 3);
-    auto vc = copy.Search(k * 3);
-    ASSERT_TRUE(vo.ok());
-    ASSERT_TRUE(vc.ok());
-    EXPECT_EQ(*vo, *vc);
-    EXPECT_EQ(*vo, k * 3 + 1);
-    EXPECT_TRUE(optimistic.Search(k * 3 + 1).status().IsNotFound());
-  }
-}
-
 TEST(OptimisticReadTest, OptimisticModeCountsValidations) {
-  SagivTree tree(SmallNodes(true));
+  SagivTree tree(SmallNodes());
   for (Key k = 1; k <= 500; ++k) ASSERT_TRUE(tree.Insert(k, k + 1).ok());
   for (Key k = 1; k <= 500; ++k) ASSERT_TRUE(tree.Search(k).ok());
   EXPECT_GT(tree.stats()->Get(StatId::kOptimisticValidations), 0u);
-}
-
-TEST(OptimisticReadTest, CopyModeNeverValidates) {
-  SagivTree tree(SmallNodes(false));
-  for (Key k = 1; k <= 500; ++k) ASSERT_TRUE(tree.Insert(k, k + 1).ok());
-  for (Key k = 1; k <= 500; ++k) ASSERT_TRUE(tree.Search(k).ok());
-  size_t n = 0;
-  tree.Scan(1, 500, [&n](Key, Value) {
-    ++n;
-    return true;
-  });
-  EXPECT_EQ(n, 500u);
-  EXPECT_EQ(tree.stats()->Get(StatId::kOptimisticValidations), 0u);
-  EXPECT_EQ(tree.stats()->Get(StatId::kOptimisticRetries), 0u);
-  EXPECT_EQ(tree.stats()->Get(StatId::kOptimisticFallbacks), 0u);
-}
-
-TEST(OptimisticReadTest, RejectsNonPositiveRetryLimit) {
-  TreeOptions options;
-  options.optimistic_retry_limit = 0;
-  EXPECT_FALSE(options.Validate().ok());
-  SagivTree tree(options);  // falls back to defaults
-  EXPECT_FALSE(tree.init_status().ok());
-  EXPECT_TRUE(tree.Insert(1, 2).ok());
-  EXPECT_TRUE(tree.Search(1).ok());
 }
 
 // The tentpole safety property: searches running against concurrent
@@ -82,7 +38,7 @@ TEST(OptimisticReadTest, RejectsNonPositiveRetryLimit) {
 // value — every hit is exactly key + 1, every miss a clean NotFound.
 TEST(OptimisticReadTest, ConcurrentSearchNeverReturnsTornValue) {
   MapOptions options;
-  options.tree = SmallNodes(true);
+  options.tree = SmallNodes();
   options.compression = CompressionMode::kQueueWorkers;
   options.compression_threads = 1;
   ConcurrentMap map(options);
@@ -144,7 +100,7 @@ TEST(OptimisticReadTest, ConcurrentSearchNeverReturnsTornValue) {
 // and with untorn values.
 TEST(OptimisticReadTest, ConcurrentScanStaysSortedAndUntorn) {
   MapOptions options;
-  options.tree = SmallNodes(true);
+  options.tree = SmallNodes();
   options.compression = CompressionMode::kQueueWorkers;
   options.compression_threads = 1;
   ConcurrentMap map(options);
@@ -183,12 +139,10 @@ TEST(OptimisticReadTest, ConcurrentScanStaysSortedAndUntorn) {
   EXPECT_TRUE(ok);
 }
 
-// A retry budget of 1 under heavy single-node churn exercises the
-// copy-read fallback; results must be identical either way.
-TEST(OptimisticReadTest, FallbackPathServesCorrectResults) {
-  TreeOptions options = SmallNodes(true);
-  options.optimistic_retry_limit = 1;
-  SagivTree tree(options);
+// Heavy churn on a small tree tears many reads; each torn node is simply
+// re-read, and every result must still be exact.
+TEST(OptimisticReadTest, TornReadsRereadUnderChurn) {
+  SagivTree tree(SmallNodes());
   constexpr Key kSpace = 4'000;
   for (Key k = 2; k <= kSpace; k += 2) {
     ASSERT_TRUE(tree.Insert(k, k + 1).ok());
@@ -224,7 +178,7 @@ TEST(OptimisticReadTest, FallbackPathServesCorrectResults) {
 // Reentrancy: a visitor that scans the same tree from inside a scan (the
 // thread-local harvest buffer must not be clobbered by the inner call).
 TEST(OptimisticReadTest, ReentrantScanFromVisitor) {
-  SagivTree tree(SmallNodes(true));
+  SagivTree tree(SmallNodes());
   for (Key k = 1; k <= 1000; ++k) ASSERT_TRUE(tree.Insert(k, k + 1).ok());
   size_t outer = 0;
   size_t inner_total = 0;

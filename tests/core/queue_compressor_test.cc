@@ -191,6 +191,28 @@ TEST(QueueCompressorTest, EmptyingTreeCollapsesRoot) {
   EXPECT_GT(s.tree->stats()->Get(StatId::kRootCollapses), 0u);
 }
 
+// A parent left holding only the task's node cannot be compressed from
+// below; unless the compressor also queues that parent, the child's task
+// requeues forever waiting for a parent task nobody created.
+TEST(QueueCompressorTest, DrainQueuesParentHoldingOnlyTheNode) {
+  QueueSetup s(2);
+  for (Key k = 1; k <= 400; ++k) ASSERT_TRUE(s.tree->Insert(k, k).ok());
+  for (Key k = 1; k <= 400; ++k) {
+    if (k % 10 != 0) {
+      ASSERT_TRUE(s.tree->Delete(k).ok());
+    }
+  }
+  QueueCompressor compressor(s.tree.get(), s.queue.get());
+  compressor.Drain();
+  EXPECT_TRUE(s.queue->Empty()) << s.queue->Size() << " tasks left";
+  EXPECT_LE(s.tree->Height(), 4u);
+  Status st = TreeChecker(s.tree.get()).CheckStructure();
+  EXPECT_TRUE(st.ok()) << st.ToString();
+  for (Key k = 10; k <= 400; k += 10) {
+    ASSERT_TRUE(s.tree->Search(k).ok()) << k;
+  }
+}
+
 TEST(QueueCompressorTest, StaleTaskIsDropped) {
   QueueSetup s(2);
   for (Key k = 1; k <= 100; ++k) ASSERT_TRUE(s.tree->Insert(k, k).ok());

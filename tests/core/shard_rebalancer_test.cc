@@ -404,8 +404,11 @@ TEST(ShardRebalancerStress, EightThreadChurnUnderLiveRebalancing) {
   }
   for (auto& th : threads) th.join();
 
-  // Park the controller so the final checks run against a quiescent map.
+  // Park the controller and detach every shard from the pool (blocks
+  // until no worker is mid-rearrange) so the final checks run against a
+  // quiescent map.
   map.rebalancer()->Stop();
+  for (uint32_t i = 0; i < map.num_shards(); ++i) map.shard(i)->Quiesce();
 
   EXPECT_EQ(value_mismatches.load(), 0u);
   EXPECT_EQ(order_violations.load(), 0u);

@@ -234,8 +234,8 @@ TEST_F(FaultStressTest, MixedTrafficSurvivesInjectedFaults) {
   // faults fired, fetch retries healed reads, dead workers were replaced.
   const StatsSnapshot stats = map.Stats();
   EXPECT_GT(stats.Get(StatId::kFaultsInjected), 0u);
-  // Reads heal through two channels: optimistic descents absorb an
-  // injected fetch as a torn read, copy descents retry with backoff.
+  // Reads heal through FetchPage's retry-with-backoff; torn reads are
+  // re-read.
   EXPECT_GT(stats.Get(StatId::kFetchRetries) +
                 stats.Get(StatId::kOptimisticRetries),
             0u);
@@ -264,10 +264,6 @@ TEST_F(FaultStressTest, MixedTrafficSurvivesInjectedFaults) {
 TEST_F(FaultStressTest, FetchRetriesHealReadsTransparently) {
   TreeOptions opt;
   opt.min_entries = 4;
-  // Copy descents only: every injected fetch failure must go through the
-  // FetchPage retry loop (optimistic descents would absorb it as a torn
-  // read instead and never touch the retry budget).
-  opt.optimistic_reads = false;
   SagivTree tree(opt);
   constexpr Key kN = 20'000;
   for (Key k = 1; k <= kN; ++k) {
