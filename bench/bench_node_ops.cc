@@ -3,11 +3,13 @@
 // E9: node-level micro-benchmarks. The paper's cost model counts node
 // reads/writes; these measure what one such operation costs on the
 // in-memory page substrate: in-node binary search, leaf insert/remove,
-// split, merge, redistribution, and the seqlock get/put page copies.
+// split, merge, redistribution, and the seqlock get/put page copies; plus
+// the checksum FileStore computes on every page it reads or writes.
 
 #include <benchmark/benchmark.h>
 
 #include "obtree/node/node.h"
+#include "obtree/storage/file_store.h"
 #include "obtree/storage/page_manager.h"
 #include "obtree/util/fault_injector.h"
 #include "obtree/util/random.h"
@@ -122,6 +124,23 @@ void BM_PageGet(benchmark::State& state) {
                           static_cast<int64_t>(kPageSize));
 }
 BENCHMARK(BM_PageGet);
+
+// The CRC-32 FileStore verifies on every page fault and computes on every
+// eviction write-back and checkpointed page: the per-page checksum cost,
+// apart from the device read or write it rides on.
+void BM_FileStoreCrc32Page(benchmark::State& state) {
+  Page p;
+  Random rng(5);
+  for (size_t i = 0; i < kPageSize; ++i) {
+    p.bytes[i] = static_cast<uint8_t>(rng.Uniform(256));
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(FileStore::Crc32(p.bytes, kPageSize));
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(kPageSize));
+}
+BENCHMARK(BM_FileStoreCrc32Page);
 
 // The tentpole comparison at node granularity: one copy-read (BM_PageGet
 // moves 4 KB) vs one optimistic in-place probe (header + binary search +

@@ -8,6 +8,7 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <vector>
@@ -71,6 +72,41 @@ Status PreadAll(int fd, void* buf, size_t n, off_t off, size_t* got) {
   return Status::OK();
 }
 
+// IEEE CRC-32 (reflected polynomial 0xedb88320) tables for slicing-by-8:
+// t[0] is the classic byte table and t[k][b] is t[0][b] advanced through
+// k more zero bytes, so one step folds 8 input bytes with 8 independent
+// lookups and gives the same checksum as t[0] alone, byte by byte.
+struct Crc32Tables {
+  uint32_t t[8][256];
+};
+
+constexpr Crc32Tables MakeCrc32Tables() {
+  Crc32Tables tables{};
+  for (uint32_t i = 0; i < 256; ++i) {
+    uint32_t c = i;
+    for (int k = 0; k < 8; ++k) {
+      c = (c & 1) ? 0xedb88320u ^ (c >> 1) : c >> 1;
+    }
+    tables.t[0][i] = c;
+  }
+  for (uint32_t i = 0; i < 256; ++i) {
+    for (int k = 1; k < 8; ++k) {
+      const uint32_t prev = tables.t[k - 1][i];
+      tables.t[k][i] = tables.t[0][prev & 0xffu] ^ (prev >> 8);
+    }
+  }
+  return tables;
+}
+
+constexpr Crc32Tables kCrc32Tables = MakeCrc32Tables();
+
+// "0x" + 8 hex digits, the form checksum errors print CRCs in.
+std::string Hex32(uint32_t v) {
+  char buf[11];
+  std::snprintf(buf, sizeof(buf), "0x%08x", v);
+  return buf;
+}
+
 // --- little-endian buffer serialization -----------------------------------
 
 void Put32(std::string* out, uint32_t v) {
@@ -116,22 +152,21 @@ class Parser {
 }  // namespace
 
 uint32_t FileStore::Crc32(const void* data, size_t n) {
-  // IEEE CRC-32, bitwise-table hybrid; table built once.
-  static const uint32_t* table = [] {
-    static uint32_t t[256];
-    for (uint32_t i = 0; i < 256; ++i) {
-      uint32_t c = i;
-      for (int k = 0; k < 8; ++k) {
-        c = (c & 1) ? 0xedb88320u ^ (c >> 1) : c >> 1;
-      }
-      t[i] = c;
-    }
-    return t;
-  }();
+  const auto& t = kCrc32Tables.t;
   const auto* p = static_cast<const unsigned char*>(data);
   uint32_t crc = 0xffffffffu;
-  for (size_t i = 0; i < n; ++i) {
-    crc = table[(crc ^ p[i]) & 0xffu] ^ (crc >> 8);
+  for (; n >= 8; n -= 8, p += 8) {
+    // Bytes combined little-endian: no alignment or host-order assumption.
+    const uint32_t lo = crc ^ (uint32_t{p[0]} | uint32_t{p[1]} << 8 |
+                               uint32_t{p[2]} << 16 | uint32_t{p[3]} << 24);
+    const uint32_t hi = uint32_t{p[4]} | uint32_t{p[5]} << 8 |
+                        uint32_t{p[6]} << 16 | uint32_t{p[7]} << 24;
+    crc = t[7][lo & 0xffu] ^ t[6][(lo >> 8) & 0xffu] ^
+          t[5][(lo >> 16) & 0xffu] ^ t[4][lo >> 24] ^ t[3][hi & 0xffu] ^
+          t[2][(hi >> 8) & 0xffu] ^ t[1][(hi >> 16) & 0xffu] ^ t[0][hi >> 24];
+  }
+  for (; n > 0; --n, ++p) {
+    crc = t[0][(crc ^ *p) & 0xffu] ^ (crc >> 8);
   }
   return crc ^ 0xffffffffu;
 }
@@ -210,8 +245,10 @@ Status FileStore::LoadManifest() {
   if (blob.size() < 4) return Status::DataLoss("manifest truncated");
   Parser tail(blob.data() + blob.size() - 4, 4);
   const uint32_t trailer = tail.U32();
-  if (Crc32(blob.data(), blob.size() - 4) != trailer) {
-    return Status::DataLoss("manifest checksum mismatch");
+  const uint32_t computed = Crc32(blob.data(), blob.size() - 4);
+  if (computed != trailer) {
+    return Status::DataLoss("manifest checksum mismatch: stored " +
+                            Hex32(trailer) + ", computed " + Hex32(computed));
   }
 
   Parser p(blob.data(), blob.size() - 4);
@@ -287,8 +324,12 @@ Status FileStore::ReadPage(PageId id, void* buf) {
   if (got < kPageSize) {
     return Status::DataLoss("page image truncated");
   }
-  if (Crc32(buf, kPageSize) != info.crc) {
-    return Status::DataLoss("page checksum mismatch");
+  const uint32_t computed = Crc32(buf, kPageSize);
+  if (computed != info.crc) {
+    return Status::DataLoss(
+        "page checksum mismatch: page " + std::to_string(id) + " slot " +
+        std::to_string(info.slot) + ", stored " + Hex32(info.crc) +
+        ", computed " + Hex32(computed));
   }
   return Status::OK();
 }

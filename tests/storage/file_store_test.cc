@@ -1,17 +1,20 @@
 // Copyright 2026 The obtree Authors.
 //
-// Backend unit tests of FileStore: page round trips through the shadow
-// (ping-pong) slot pairs, manifest atomicity, checksum verification on
-// read-back, and the PageManager-level buffer pool over it (fault-in,
-// eviction, counters). Crash injection is exercised separately by
-// crash_recovery_test (it forks); everything here stays in-process.
+// Backend unit tests of FileStore: the CRC-32 checksum format, page round
+// trips through the shadow (ping-pong) slot pairs, manifest atomicity,
+// checksum verification on read-back, and the PageManager-level buffer
+// pool over it (fault-in, eviction, counters). Crash injection is
+// exercised separately by crash_recovery_test (it forks); everything here
+// stays in-process.
 
 #include "obtree/storage/file_store.h"
 
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -43,6 +46,54 @@ Page MakePage(uint8_t fill) {
   Page p;
   std::memset(p.bytes, fill, kPageSize);
   return p;
+}
+
+// --- checksum format ------------------------------------------------------
+//
+// Every page image and manifest on disk carries this checksum, so its
+// value for a given input must never change.
+
+// One bit at a time, straight from the definition of the reflected IEEE
+// CRC-32: the reference the table-driven Crc32 must agree with.
+uint32_t BitwiseCrc32(const unsigned char* p, size_t n) {
+  uint32_t crc = 0xffffffffu;
+  for (size_t i = 0; i < n; ++i) {
+    crc ^= p[i];
+    for (int k = 0; k < 8; ++k) {
+      crc = (crc & 1) ? 0xedb88320u ^ (crc >> 1) : crc >> 1;
+    }
+  }
+  return crc ^ 0xffffffffu;
+}
+
+TEST(Crc32Test, StandardCheckValue) {
+  EXPECT_EQ(FileStore::Crc32("123456789", 9), 0xCBF43926u);
+  EXPECT_EQ(FileStore::Crc32("", 0), 0u);
+}
+
+// Golden value of a full page, fixed from the byte-at-a-time
+// implementation that wrote every existing store.
+TEST(Crc32Test, PageChecksumIsUnchanged) {
+  Page p;
+  for (size_t i = 0; i < kPageSize; ++i) {
+    p.bytes[i] = static_cast<uint8_t>(i * 131 + 7);
+  }
+  EXPECT_EQ(FileStore::Crc32(p.bytes, kPageSize), 0xA3F5519Cu);
+}
+
+// Every tail length and every misalignment of the 8-byte steps.
+TEST(Crc32Test, MatchesBitwiseReferenceAtEveryLengthAndOffset) {
+  std::vector<unsigned char> buf(64 + 8);
+  for (size_t i = 0; i < buf.size(); ++i) {
+    buf[i] = static_cast<unsigned char>(i * 37 + 11);
+  }
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t len = 0; len <= 64; ++len) {
+      EXPECT_EQ(FileStore::Crc32(buf.data() + offset, len),
+                BitwiseCrc32(buf.data() + offset, len))
+          << "offset " << offset << " len " << len;
+    }
+  }
 }
 
 TEST_F(FileStoreTest, OpenCreatesDirectoryAndEmptyStore) {
@@ -185,6 +236,8 @@ TEST_F(FileStoreTest, CorruptedPageImageReadsAsDataLoss) {
   Page r;
   Status s = (*store)->ReadPage(0, r.bytes);
   EXPECT_TRUE(s.IsDataLoss()) << s.ToString();
+  EXPECT_NE(s.message().find("page 0 slot"), std::string::npos)
+      << s.ToString();
 }
 
 // A torn manifest (trailing checksum broken) must fail Open loudly.
@@ -210,6 +263,8 @@ TEST_F(FileStoreTest, CorruptedManifestFailsOpen) {
   auto store = FileStore::Open(dir_);
   EXPECT_FALSE(store.ok());
   EXPECT_TRUE(store.status().IsDataLoss()) << store.status().ToString();
+  EXPECT_NE(store.status().message().find("stored 0x"), std::string::npos)
+      << store.status().ToString();
 }
 
 // A leftover MANIFEST.tmp (crash between the tmp fsync and the rename)
