@@ -125,10 +125,13 @@ struct TreeOptions {
   std::string storage_dir;
 
   /// Buffer-pool budget for a persistent tree: the number of page images
-  /// kept resident in RAM. Above the budget, a clock sweep evicts
-  /// resident pages (staging dirty ones to the store) and later accesses
-  /// fault them back in (StatId::kPagesEvicted / kStoreReads). 0 = every
-  /// page stays resident (no eviction). Ignored without storage_dir.
+  /// kept resident in RAM, and so the size of the frame arena that holds
+  /// them (N frames of 4 KiB + 64 B, plus PageManager::kFrameSlack
+  /// frames; each page also has 16 bytes of metadata). Above the budget, a CLOCK sweep
+  /// evicts pages not accessed since its last pass (staging dirty ones to
+  /// the store) and reuses their frames; later accesses fault them back
+  /// in (StatId::kPagesEvicted / kStoreReads). 0 = every page stays
+  /// resident (no eviction). Ignored without storage_dir.
   /// When non-zero, values below 64 are rejected: the working set of one
   /// descent (root-to-leaf path + split spine) must fit with slack or
   /// the pool thrashes pathologically.

@@ -7,9 +7,16 @@
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
+#include <new>
 #include <thread>
 
+#include <sys/mman.h>
+
 #include "obtree/storage/mem_store.h"
+
+#ifndef MAP_POPULATE  // Linux-only; elsewhere frames fault in on first use
+#define MAP_POPULATE 0
+#endif
 
 namespace obtree {
 
@@ -50,7 +57,7 @@ void AtomicCopyIn(const uint8_t* src, uint8_t* dst, size_t bytes) {
 }
 
 // Zero a page with the same word-granular atomic stores as AtomicCopyIn:
-// optimistic readers may still be probing a page while its reuse zeroes
+// optimistic readers may still be probing a frame while its reuse zeroes
 // it, and a plain memset racing those atomic loads would be undefined.
 void AtomicZero(uint8_t* dst) {
   auto* d = reinterpret_cast<uint64_t*>(dst);
@@ -67,18 +74,24 @@ PageManager::PageManager(EpochManager* epoch, StatsCollector* stats,
       stats_(stats),
       store_(store != nullptr ? store : MemStore::Shared()),
       paged_(store_ != nullptr && store_->persistent()),
-      pool_cap_(buffer_pool_pages),
-      chunks_(kMaxChunks),
+      pool_cap_(paged_ ? buffer_pool_pages : 0),
+      frame_chunks_(kMaxChunks),
+      meta_chunks_(kMaxChunks),
       next_fresh_(0) {
   assert(epoch != nullptr && stats != nullptr);
-  for (auto& c : chunks_) c.store(nullptr, std::memory_order_relaxed);
+  for (auto& c : frame_chunks_) c.store(nullptr, std::memory_order_relaxed);
+  for (auto& c : meta_chunks_) c.store(nullptr, std::memory_order_relaxed);
 }
 
 PageManager::~PageManager() {
   // Drop our share of the shared trap gate if a hook is still installed.
   if (test_hook_ != nullptr) FaultInjector::ReleaseTrapRef();
-  for (auto& c : chunks_) {
+  for (auto& c : meta_chunks_) {
     delete c.load(std::memory_order_relaxed);
+  }
+  for (auto& c : frame_chunks_) {
+    uint8_t* frames = c.load(std::memory_order_relaxed);
+    if (frames != nullptr) munmap(frames, kChunkSize * kFrameStride);
   }
 }
 
@@ -94,20 +107,41 @@ bool PageManager::TrapSlow(const char* op, PageId id,
   return f.inject_error;
 }
 
-PageManager::Slot* PageManager::SlotFor(PageId id) const {
-  Chunk* chunk =
-      chunks_[id >> kChunkBits].load(std::memory_order_acquire);
+PageManager::Meta* PageManager::MetaFor(PageId id) const {
+  MetaChunk* chunk =
+      meta_chunks_[id >> kChunkBits].load(std::memory_order_acquire);
   assert(chunk != nullptr);
-  return &chunk->slots[id & (kChunkSize - 1)];
+  return &chunk->meta[id & (kChunkSize - 1)];
 }
 
-void PageManager::EnsureChunk(size_t chunk_index) {
-  if (chunks_[chunk_index].load(std::memory_order_acquire) != nullptr) return;
-  Chunk* fresh = new Chunk();
-  Chunk* expected = nullptr;
-  if (!chunks_[chunk_index].compare_exchange_strong(
-          expected, fresh, std::memory_order_acq_rel)) {
-    delete fresh;  // another allocator won the race
+void PageManager::EnsureMetaChunk(size_t chunk_index) {
+  if (meta_chunks_[chunk_index].load(std::memory_order_relaxed) == nullptr) {
+    meta_chunks_[chunk_index].store(new MetaChunk(),
+                                    std::memory_order_release);
+  }
+}
+
+Page* PageManager::Frame(uint32_t state) const {
+  const uint32_t frame = state >> kFrameShift;
+  uint8_t* chunk = frame_chunks_[frame >> kChunkBits].load(
+      std::memory_order_acquire);
+  assert(chunk != nullptr);
+  return reinterpret_cast<Page*>(chunk +
+                                 (frame & (kChunkSize - 1)) * kFrameStride);
+}
+
+uint64_t PageManager::BeginSeqWrite(Meta* m) {
+  uint64_t seq = m->seq.load(std::memory_order_relaxed);
+  for (;;) {
+    if ((seq & 1) != 0) {
+      // Another writer (often a fault-in waiting on the store) holds the
+      // page: let it run, then look again.
+      std::this_thread::yield();
+      seq = m->seq.load(std::memory_order_relaxed);
+    } else if (m->seq.compare_exchange_weak(seq, seq + 1,
+                                            std::memory_order_acq_rel)) {
+      return seq;
+    }
   }
 }
 
@@ -131,6 +165,7 @@ Result<PageId> PageManager::Allocate() {
       if (budget < 0) break;  // reset to unlimited concurrently
     }
   }
+  PageId id;
   {
     std::lock_guard<std::mutex> l(alloc_mu_);
     if (free_list_.empty()) {
@@ -144,35 +179,28 @@ Result<PageId> PageManager::Allocate() {
       }
     }
     if (!free_list_.empty()) {
-      PageId id = free_list_.back();
+      id = free_list_.back();
       free_list_.pop_back();
-      Slot* slot = SlotFor(id);
-      // Zero the reused page under the seqlock so no reader sees a blend of
-      // the dead node and the new one.
-      uint64_t seq = slot->seq.fetch_add(1, std::memory_order_acq_rel);
-      (void)seq;
-      AtomicZero(slot->page.bytes);
-      // The zeroed image fully defines the page's content: resident and
-      // dirty with no store read (paged mode only).
-      if (paged_) MarkResidentDirty(slot);
-      slot->seq.fetch_add(1, std::memory_order_release);
-      if (paged_) MaybeEvict();
-      return id;
+    } else {
+      id = next_fresh_.load(std::memory_order_relaxed);
+      if ((id >> kChunkBits) >= kMaxChunks) {
+        return Status::ResourceExhausted("page arena exhausted");
+      }
+      // The metadata chunk exists before the frontier covers the page,
+      // so the sweep and the checkpoint can index every id below it.
+      EnsureMetaChunk(id >> kChunkBits);
+      next_fresh_.store(id + 1, std::memory_order_release);
     }
   }
-  const uint32_t id = next_fresh_.fetch_add(1, std::memory_order_acq_rel);
-  const size_t chunk_index = id >> kChunkBits;
-  if (chunk_index >= kMaxChunks) {
-    return Status::ResourceExhausted("page arena exhausted");
-  }
-  EnsureChunk(chunk_index);
-  if (paged_) {
-    // Fresh chunk slots are value-initialized (all-zero pages), so the
-    // content is defined without a store round trip here too.
-    MarkResidentDirty(SlotFor(id));
-    MaybeEvict();
-  }
-  return static_cast<PageId>(id);
+  // Zero the page under its seqlock so no reader sees a blend of a dead
+  // node and the new one. The zeroed image fully defines the content:
+  // resident and dirty with no store read.
+  Meta* m = MetaFor(id);
+  const uint64_t seq = BeginSeqWrite(m);
+  FrameForWrite(m, /*zero=*/true);
+  m->seq.store(seq + 2, std::memory_order_release);
+  if (paged_) MaybeEvict();
+  return id;
 }
 
 void PageManager::MaybeSimulateIo() const {
@@ -216,28 +244,32 @@ Status PageManager::Get(PageId id, Page* out) const {
     return Status::Unavailable("injected page-fetch failure");
   }
   MaybeSimulateIo();
-  Slot* slot = SlotFor(id);
+  Meta* m = MetaFor(id);
   for (;;) {
     if (paged_) {
       // Fault the page in if evicted. Checked inside the loop: an
-      // eviction can land between iterations, and a copy that raced one
-      // must not pass off the zeroed arena bytes as the page.
-      Status s = EnsureResident(id, slot);
+      // eviction can land between iterations, and its frame may already
+      // hold another page.
+      Status s = EnsureResident(id, m);
       if (!s.ok()) {
         std::memset(out->bytes, 0, kPageSize);
         return s;
       }
     }
-    const uint64_t s1 = slot->seq.load(std::memory_order_acquire);
+    const uint64_t s1 = m->seq.load(std::memory_order_acquire);
     if (s1 & 1) continue;  // a put is in flight
-    if (paged_ &&
-        !(slot->state.load(std::memory_order_acquire) & kSlotResident)) {
-      continue;  // evicted after the version read: re-fault
+    const uint32_t st = m->state.load(std::memory_order_acquire);
+    if (!(st & kResident)) {
+      assert(paged_);
+      continue;  // evicted after the fault-in: re-fault
     }
-    AtomicCopyOut(slot->page.bytes, out->bytes, kPageSize);
+    AtomicCopyOut(Frame(st)->bytes, out->bytes, kPageSize);
     std::atomic_thread_fence(std::memory_order_acquire);
-    const uint64_t s2 = slot->seq.load(std::memory_order_relaxed);
-    if (s1 == s2) break;
+    const uint64_t s2 = m->seq.load(std::memory_order_relaxed);
+    if (s1 == s2) {
+      Touch(m, st);
+      break;
+    }
   }
   stats_->Add(StatId::kGets);
   return Status::OK();
@@ -248,15 +280,24 @@ PageManager::ReadGuard PageManager::OptimisticRead(PageId id) const {
     return ReadGuard::Faulted();  // injected fetch failure
   }
   MaybeSimulateIo();
-  Slot* slot = SlotFor(id);
-  if (paged_ && !EnsureResident(id, slot).ok()) {
-    return ReadGuard::Faulted();  // store read error
+  Meta* m = MetaFor(id);
+  for (;;) {
+    if (paged_ && !EnsureResident(id, m).ok()) {
+      return ReadGuard::Faulted();  // store read error
+    }
+    // Version, then state, then (in the caller) the frame: a sweep that
+    // evicts the page after the fault-in above shows up here as a
+    // non-resident state, or later as a moved version in Validate().
+    const uint64_t version = m->seq.load(std::memory_order_acquire);
+    const uint32_t st = m->state.load(std::memory_order_acquire);
+    if (!(st & kResident)) {
+      assert(paged_);
+      continue;  // evicted between the fault-in and the version: re-fault
+    }
+    Touch(m, st);
+    stats_->Add(StatId::kGets);
+    return ReadGuard(&m->seq, Frame(st), version);
   }
-  // If the page is evicted after this point the eviction's version bumps
-  // make Validate() fail, so the zeroed bytes can never be trusted.
-  const uint64_t version = slot->seq.load(std::memory_order_acquire);
-  stats_->Add(StatId::kGets);
-  return ReadGuard(&slot->seq, &slot->page, version);
 }
 
 PageManager::ReadGuard PageManager::PeekLocked(PageId id) const {
@@ -271,71 +312,38 @@ PageManager::WriteGuard PageManager::BeginWrite(PageId id) {
   // readable (the storage-model property the interleaving tests assert).
   MaybeTrap("put", id, /*error_eligible=*/false);
   assert(LocksHeldByThisThread() > 0);  // the paper lock is the mutator license
-  Slot* slot = SlotFor(id);
+  Meta* m = MetaFor(id);
   // The caller's paper lock excludes every Put/BeginWrite on this page;
   // only an in-flight reuse of a STALE page could hold the seq odd, and
   // the acquire discipline (validate as live under the lock first) rules
-  // that out. The CAS loop is defensive.
-  uint64_t seq = slot->seq.load(std::memory_order_relaxed);
-  for (;;) {
-    if ((seq & 1) == 0 &&
-        slot->seq.compare_exchange_weak(seq, seq + 1,
-                                        std::memory_order_acq_rel)) {
-      break;
-    }
-  }
+  // that out. The wait in BeginSeqWrite is defensive.
+  BeginSeqWrite(m);
+  // The caller validated the page under its paper lock (PeekLocked), and
+  // the sweep cannot evict a locked page: it is resident in its frame.
+  const uint32_t st = m->state.load(std::memory_order_relaxed);
+  assert(st & kResident);
   if (paged_) {
-    // Defensive re-fault: the caller validated the page under its paper
-    // lock (PeekLocked), which pins it against eviction from then on —
-    // but if a page was evicted before that lock/validate cycle the
-    // image must come back before bytes are edited in place. We hold
-    // the seqlock odd, so the fault-in is private.
-    if (!(slot->state.load(std::memory_order_acquire) & kSlotResident)) {
-      Page buf;
-      Status s = store_->ReadPage(id, &buf.bytes[0]);
-      // A store fault here cannot be surfaced (BeginWrite is
-      // infallible by contract and the caller re-validates nothing);
-      // zero-filling keeps the image inert and the caller's node-format
-      // checks reject it. In practice the preceding PeekLocked already
-      // faulted the page in, so this path is a race backstop.
-      if (!s.ok()) std::memset(buf.bytes, 0, kPageSize);
-      AtomicCopyIn(buf.bytes, slot->page.bytes, kPageSize);
-      const uint32_t prev = slot->state.fetch_or(
-          kSlotResident, std::memory_order_release);
-      if (!(prev & kSlotResident)) {
-        resident_count_.fetch_add(1, std::memory_order_relaxed);
-      }
-      stats_->Add(StatId::kStoreReads);
-    }
-    slot->state.fetch_or(kSlotDirty, std::memory_order_release);
+    m->state.fetch_or(kDirty | kReferenced, std::memory_order_relaxed);
   }
   stats_->Add(StatId::kPuts);
-  return WriteGuard(&slot->seq, &slot->page);
+  return WriteGuard(&m->seq, Frame(st));
 }
 
 void PageManager::Put(PageId id, const Page& in) {
   MaybeTrap("put", id, /*error_eligible=*/false);
   MaybeSimulateIo();
-  Slot* slot = SlotFor(id);
+  Meta* m = MetaFor(id);
   // Serialize concurrent puts on the same page via the seqlock's odd state.
   // Protocol-level locks already prevent concurrent writers in practice.
-  uint64_t seq = slot->seq.load(std::memory_order_relaxed);
-  for (;;) {
-    if ((seq & 1) == 0 &&
-        slot->seq.compare_exchange_weak(seq, seq + 1,
-                                        std::memory_order_acq_rel)) {
-      break;
-    }
-  }
-  AtomicCopyIn(in.bytes, slot->page.bytes, kPageSize);
+  const uint64_t seq = BeginSeqWrite(m);
   // A put defines the page's full content: resident + dirty, no read.
-  if (paged_) MarkResidentDirty(slot);
-  slot->seq.store(seq + 2, std::memory_order_release);
+  AtomicCopyIn(in.bytes, FrameForWrite(m, /*zero=*/false)->bytes, kPageSize);
+  m->seq.store(seq + 2, std::memory_order_release);
   stats_->Add(StatId::kPuts);
   if (paged_) MaybeEvict();
 }
 
-bool PageManager::LockContended(Slot* slot, bool bounded) {
+bool PageManager::LockContended(Meta* m, bool bounded) {
   // Telemetry only runs once contention is established: the uncontended
   // fast path (one CAS) never reads a clock or touches these counters.
   stats_->Add(StatId::kLocksContended);
@@ -344,10 +352,10 @@ bool PageManager::LockContended(Slot* slot, bool bounded) {
   const uint32_t backoff = lock_backoff_max_.load(std::memory_order_relaxed);
   bool acquired;
   if (bounded) {
-    acquired = slot->paper_lock.SpinAcquire(spin, backoff);
+    acquired = m->paper_lock.SpinAcquire(spin, backoff);
     if (!acquired) stats_->Add(StatId::kLockSpinGiveups);
   } else {
-    if (slot->paper_lock.Lock(spin, backoff)) {
+    if (m->paper_lock.Lock(spin, backoff)) {
       stats_->Add(StatId::kLockParks);
     }
     acquired = true;
@@ -369,9 +377,9 @@ void PageManager::Lock(PageId id) {
   // skip the gate — a lock holder must never block on the barrier, or a
   // checkpoint waiting for that holder would deadlock.
   if (paged_ && tl_locks_held == 0) EnterMutatorGate();
-  Slot* slot = SlotFor(id);
-  if (!slot->paper_lock.TryLock()) {
-    LockContended(slot, /*bounded=*/false);
+  Meta* m = MetaFor(id);
+  if (!m->paper_lock.TryLock()) {
+    LockContended(m, /*bounded=*/false);
   }
   tl_locks_held++;
   stats_->Add(StatId::kLocksAcquired);
@@ -381,7 +389,7 @@ void PageManager::Lock(PageId id) {
 bool PageManager::TryLock(PageId id) {
   const bool gated = paged_ && tl_locks_held == 0;
   if (gated && !TryEnterMutatorGate()) return false;
-  if (!SlotFor(id)->paper_lock.TryLock()) {
+  if (!MetaFor(id)->paper_lock.TryLock()) {
     if (gated) ExitMutatorGate();
     return false;
   }
@@ -395,8 +403,8 @@ bool PageManager::TryLockSpin(PageId id) {
   MaybeTrap("lock", id, /*error_eligible=*/false);
   const bool gated = paged_ && tl_locks_held == 0;
   if (gated) EnterMutatorGate();
-  Slot* slot = SlotFor(id);
-  if (!slot->paper_lock.TryLock() && !LockContended(slot, /*bounded=*/true)) {
+  Meta* m = MetaFor(id);
+  if (!m->paper_lock.TryLock() && !LockContended(m, /*bounded=*/true)) {
     if (gated) ExitMutatorGate();
     return false;
   }
@@ -410,7 +418,7 @@ void PageManager::Unlock(PageId id) {
   MaybeTrap("unlock", id, /*error_eligible=*/false);
   tl_locks_held--;
   assert(tl_locks_held >= 0);
-  SlotFor(id)->paper_lock.Unlock();
+  MetaFor(id)->paper_lock.Unlock();
   // Last lock released: this mutation is fully published (every Put /
   // WriteGuard release happened before the paper-lock release above), so
   // a checkpoint barrier that proceeds now captures it completely.
@@ -457,51 +465,115 @@ size_t PageManager::free_pages() const {
   return free_list_.size();
 }
 
-// --- buffer-pool internals (paged_ only) ------------------------------------
+// --- frame arena and buffer pool -------------------------------------------
 
-void PageManager::MarkResidentDirty(Slot* slot) const {
-  const uint32_t prev = slot->state.fetch_or(kSlotResident | kSlotDirty,
-                                             std::memory_order_release);
-  if (!(prev & kSlotResident)) {
+Page* PageManager::FrameForWrite(Meta* m, bool zero) const {
+  uint32_t st = m->state.load(std::memory_order_relaxed);
+  bool fresh = false;
+  if (st & kResident) {
+    if (paged_) {
+      m->state.fetch_or(kDirty | kReferenced, std::memory_order_relaxed);
+    }
+  } else {
+    st = AcquireFrame(&fresh) << kFrameShift | kResident |
+         (paged_ ? kDirty | kReferenced : 0u);
+    // Release: a reader that sees this state also sees the frame's chunk.
+    m->state.store(st, std::memory_order_release);
     resident_count_.fetch_add(1, std::memory_order_relaxed);
   }
+  Page* frame = Frame(st);
+  if (zero && !fresh) AtomicZero(frame->bytes);
+  return frame;
 }
 
-Status PageManager::EnsureResident(PageId id, Slot* slot) const {
-  if (slot->state.load(std::memory_order_acquire) & kSlotResident) {
-    return Status::OK();
-  }
-  return FaultInSlot(id, slot);
-}
-
-Status PageManager::FaultInSlot(PageId id, Slot* slot) const {
-  // Take the slot's seqlock odd: the fault-in is then private — copy
-  // readers wait, optimistic readers discard. Competing fault-ins on the
-  // same page serialize here too.
-  uint64_t seq = slot->seq.load(std::memory_order_relaxed);
+uint32_t PageManager::AcquireFrame(bool* fresh) const {
   for (;;) {
-    if ((seq & 1) == 0 &&
-        slot->seq.compare_exchange_weak(seq, seq + 1,
-                                        std::memory_order_acq_rel)) {
-      break;
+    {
+      std::lock_guard<std::mutex> l(frame_mu_);
+      if (!free_frames_.empty()) {
+        const uint32_t frame = free_frames_.back();
+        free_frames_.pop_back();
+        return frame;
+      }
+      if (pool_cap_ == 0 || frame_count_.load(std::memory_order_relaxed) <
+                                static_cast<uint64_t>(pool_cap_) +
+                                    kFrameSlack) {
+        if (fresh) *fresh = true;
+        return CarveFrameLocked();
+      }
+    }
+    // Every frame is taken: evict a page for one. Waits for a sweep in
+    // progress, which may free the frame this thread needs.
+    std::lock_guard<std::mutex> ev(evict_mu_);
+    {
+      std::lock_guard<std::mutex> l(frame_mu_);
+      if (!free_frames_.empty()) continue;
+    }
+    if (EvictPages(1) == 0) {
+      // Every resident page is pinned by a paper or seq lock: exceed the
+      // cap rather than wait on holders that may need a frame themselves.
+      std::lock_guard<std::mutex> l(frame_mu_);
+      return CarveFrameLocked();
     }
   }
-  // Lost a fault-in race (another thread published while we CASed)?
-  if (slot->state.load(std::memory_order_acquire) & kSlotResident) {
-    slot->seq.store(seq, std::memory_order_release);  // content untouched
+}
+
+uint32_t PageManager::CarveFrameLocked() const {
+  const uint32_t frame = frame_count_.load(std::memory_order_relaxed);
+  const size_t chunk = frame >> kChunkBits;
+  // A frame per page at most, so the page-id limit bounds this too.
+  assert(chunk < kMaxChunks);
+  if (frame_chunks_[chunk].load(std::memory_order_relaxed) == nullptr) {
+    // Anonymous mappings come back zeroed. A chunk whose frames will all
+    // be carved is faulted in here, at once, so a split does not pay a
+    // page fault on its fresh frame; the last chunk of a bounded pool is
+    // left to fault frame by frame, so its unused tail costs no memory.
+    const bool filled =
+        pool_cap_ == 0 || (chunk + 1) * kChunkSize <= pool_cap_ + kFrameSlack;
+    const int flags =
+        MAP_PRIVATE | MAP_ANONYMOUS | (filled ? MAP_POPULATE : 0);
+    void* p = mmap(nullptr, kChunkSize * kFrameStride,
+                   PROT_READ | PROT_WRITE, flags, -1, 0);
+    if (p == MAP_FAILED) throw std::bad_alloc();
+    frame_chunks_[chunk].store(static_cast<uint8_t*>(p),
+                               std::memory_order_release);
+  }
+  frame_count_.store(frame + 1, std::memory_order_relaxed);
+  return frame;
+}
+
+Status PageManager::EnsureResident(PageId id, Meta* m) const {
+  if (m->state.load(std::memory_order_acquire) & kResident) {
+    return Status::OK();
+  }
+  return FaultIn(id, m);
+}
+
+Status PageManager::FaultIn(PageId id, Meta* m) const {
+  // Take the seqlock odd: the fault-in is then private — copy readers
+  // wait, optimistic readers discard. Competing fault-ins on the same
+  // page serialize here too.
+  const uint64_t seq = BeginSeqWrite(m);
+  // Lost a fault-in race (another thread published while we waited)?
+  if (m->state.load(std::memory_order_acquire) & kResident) {
+    m->seq.store(seq, std::memory_order_release);  // content untouched
     return Status::OK();
   }
   Page buf;
   Status s = store_->ReadPage(id, buf.bytes);
   if (!s.ok()) {
-    // Restore the original even version: the arena content (zeroes) is
-    // exactly what it was, so readers that captured `seq` lose nothing.
-    slot->seq.store(seq, std::memory_order_release);
+    // Restore the original even version: the page still has no frame,
+    // so readers that captured `seq` lose nothing.
+    m->seq.store(seq, std::memory_order_release);
     return s;
   }
-  AtomicCopyIn(buf.bytes, slot->page.bytes, kPageSize);
-  slot->state.fetch_or(kSlotResident, std::memory_order_release);
-  slot->seq.store(seq + 2, std::memory_order_release);
+  const uint32_t frame_state =
+      AcquireFrame(nullptr) << kFrameShift | kResident | kReferenced;
+  // Readers of the frame's previous page may still be probing it; they
+  // fail validation, and the atomic stores keep their loads defined.
+  AtomicCopyIn(buf.bytes, Frame(frame_state)->bytes, kPageSize);
+  m->state.store(frame_state, std::memory_order_release);
+  m->seq.store(seq + 2, std::memory_order_release);
   resident_count_.fetch_add(1, std::memory_order_relaxed);
   stats_->Add(StatId::kStoreReads);
   MaybeEvict();
@@ -512,67 +584,79 @@ void PageManager::MaybeEvict() const {
   if (pool_cap_ == 0) return;
   if (resident_count_.load(std::memory_order_relaxed) <= pool_cap_) return;
   // One sweeper at a time; everyone else goes on with their lives (the
-  // pool budget is a soft target, not an admission control).
+  // pool budget is a soft target; kFrameSlack absorbs the overshoot).
   std::unique_lock<std::mutex> lk(evict_mu_, std::try_to_lock);
   if (!lk.owns_lock()) return;
-  const uint32_t total = next_fresh_.load(std::memory_order_acquire);
-  if (total == 0) return;
-  size_t scanned = 0;
-  while (resident_count_.load(std::memory_order_relaxed) > pool_cap_ &&
-         scanned < 2ull * total) {
-    const PageId victim = static_cast<PageId>(clock_hand_ % total);
-    ++clock_hand_;
-    ++scanned;
-    TryEvictSlot(victim);
-  }
+  const size_t resident = resident_count_.load(std::memory_order_relaxed);
+  if (resident > pool_cap_) EvictPages(resident - pool_cap_);
 }
 
-bool PageManager::TryEvictSlot(PageId id) const {
-  Slot* slot = SlotFor(id);
-  if (!(slot->state.load(std::memory_order_acquire) & kSlotResident)) {
-    return false;
+size_t PageManager::EvictPages(size_t n) const {
+  const PageId total = next_fresh_.load(std::memory_order_acquire);
+  size_t evicted = 0;
+  // Three passes at most: the first two can only clear reference bits.
+  for (size_t scanned = 0; evicted < n && scanned < 3ull * total;
+       ++scanned) {
+    if (clock_hand_ >= total) clock_hand_ = 0;
+    const PageId id = clock_hand_++;
+    Meta* m = MetaFor(id);
+    const uint32_t st = m->state.load(std::memory_order_relaxed);
+    if (!(st & kResident)) continue;
+    if (st & kReferenced) {  // second chance
+      m->state.fetch_and(~kReferenced, std::memory_order_relaxed);
+      continue;
+    }
+    if (TryEvict(id)) ++evicted;
   }
+  return evicted;
+}
+
+bool PageManager::TryEvict(PageId id) const {
+  Meta* m = MetaFor(id);
   // A locked page may be pinned by an in-place reader or writer whose
-  // validated `live` pointer dereferences the arena bytes directly (see
-  // PeekLocked): evicting under them would swap authentic content for
-  // zeroes mid-read. The paper lock is what pins a validated image, so
-  // take it — non-blocking, straight on the PaperLock (PageManager::
-  // TryLock would perturb tl_locks_held and the checkpoint gate).
-  if (!slot->paper_lock.TryLock()) return false;
-  uint64_t seq = slot->seq.load(std::memory_order_relaxed);
+  // validated `live` pointer dereferences its frame directly (see
+  // PeekLocked): handing the frame to another page under them would
+  // swap in foreign content mid-read. The paper lock is what pins a
+  // validated image, so take it — non-blocking, straight on the
+  // PaperLock (PageManager::TryLock would perturb tl_locks_held and the
+  // checkpoint gate).
+  if (!m->paper_lock.TryLock()) return false;
+  uint64_t seq = m->seq.load(std::memory_order_relaxed);
   if ((seq & 1) != 0 ||
-      !slot->seq.compare_exchange_strong(seq, seq + 1,
-                                         std::memory_order_acq_rel)) {
-    slot->paper_lock.Unlock();
+      !m->seq.compare_exchange_strong(seq, seq + 1,
+                                      std::memory_order_acq_rel)) {
+    m->paper_lock.Unlock();
     return false;
   }
-  uint32_t state = slot->state.load(std::memory_order_acquire);
-  if (!(state & kSlotResident)) {  // raced an eviction: nothing to do
-    slot->seq.store(seq, std::memory_order_release);
-    slot->paper_lock.Unlock();
+  const uint32_t st = m->state.load(std::memory_order_acquire);
+  if (!(st & kResident)) {  // raced an eviction: nothing to do
+    m->seq.store(seq, std::memory_order_release);
+    m->paper_lock.Unlock();
     return false;
   }
-  if (state & kSlotDirty) {
+  if (st & kDirty) {
     Page buf;
-    AtomicCopyOut(slot->page.bytes, buf.bytes, kPageSize);
+    AtomicCopyOut(Frame(st)->bytes, buf.bytes, kPageSize);
     Status s = store_->WritePage(id, buf.bytes);
     if (!s.ok()) {
       // Keep the page resident and dirty; a later sweep or the next
       // checkpoint retries the write.
-      slot->seq.store(seq, std::memory_order_release);
-      slot->paper_lock.Unlock();
+      m->seq.store(seq, std::memory_order_release);
+      m->paper_lock.Unlock();
       return false;
     }
     stats_->Add(StatId::kStoreWrites);
   }
-  // Zero the arena copy so a missed re-fault reads an inert empty image
-  // (and so bugs in the residency protocol are loudly observable).
-  AtomicZero(slot->page.bytes);
-  slot->state.store(0, std::memory_order_release);
-  slot->seq.store(seq + 2, std::memory_order_release);
-  slot->paper_lock.Unlock();
+  // The frame keeps its bytes: the version bump below is what tells a
+  // reader still probing the frame that its bytes are no longer this
+  // page's.
+  m->state.store(0, std::memory_order_release);
+  m->seq.store(seq + 2, std::memory_order_release);
+  m->paper_lock.Unlock();
   resident_count_.fetch_sub(1, std::memory_order_relaxed);
   stats_->Add(StatId::kPagesEvicted);
+  std::lock_guard<std::mutex> l(frame_mu_);
+  free_frames_.push_back(st >> kFrameShift);
   return true;
 }
 
@@ -636,19 +720,20 @@ Status PageManager::Checkpoint(
   Status result = Status::OK();
   {
     // Exclude the eviction sweep so no dirty page is concurrently staged
-    // (double-writes would be harmless but wasteful) or zeroed mid-copy.
+    // (double-writes would be harmless but wasteful) or loses its frame
+    // mid-copy.
     std::lock_guard<std::mutex> ev(evict_mu_);
     StoreMeta meta;
     fill_tree_meta(&meta);
     const uint32_t total = next_fresh_.load(std::memory_order_acquire);
     Page buf;
     for (uint32_t id = 0; id < total; ++id) {
-      Slot* slot = SlotFor(id);
-      const uint32_t state = slot->state.load(std::memory_order_acquire);
-      if (!(state & kSlotDirty)) continue;
+      Meta* m = MetaFor(id);
+      const uint32_t state = m->state.load(std::memory_order_acquire);
+      if (!(state & kDirty)) continue;
       // No mutators and no eviction: the content is frozen, so a plain
       // word-granular copy is a consistent snapshot (readers only read).
-      AtomicCopyOut(slot->page.bytes, buf.bytes, kPageSize);
+      AtomicCopyOut(Frame(state)->bytes, buf.bytes, kPageSize);
       Status s = store_->WritePage(id, buf.bytes);
       if (!s.ok()) {
         result = s;
@@ -658,7 +743,7 @@ Status PageManager::Checkpoint(
       // Clear dirty only after a successful stage. If the later Commit
       // fails, the staged image survives in the store's pending set and
       // rides into the next checkpoint's commit — nothing is lost.
-      slot->state.fetch_and(~kSlotDirty, std::memory_order_release);
+      m->state.fetch_and(~kDirty, std::memory_order_release);
     }
     if (result.ok()) {
       meta.next_fresh = total;
@@ -683,11 +768,13 @@ Status PageManager::Checkpoint(
 }
 
 void PageManager::RestoreFromMeta(const StoreMeta& meta) {
-  next_fresh_.store(meta.next_fresh, std::memory_order_release);
-  for (size_t c = 0; (c << kChunkBits) < meta.next_fresh; ++c) {
-    EnsureChunk(c);
-  }
+  // Metadata only: every page starts non-resident and takes a frame on
+  // its first fault-in.
   std::lock_guard<std::mutex> a(alloc_mu_);
+  for (size_t c = 0; (c << kChunkBits) < meta.next_fresh; ++c) {
+    EnsureMetaChunk(c);
+  }
+  next_fresh_.store(meta.next_fresh, std::memory_order_release);
   free_list_ = meta.free_pages;
 }
 

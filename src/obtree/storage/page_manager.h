@@ -59,12 +59,13 @@ class PageManager {
   ///              path below (residency, eviction, checkpoint gate)
   ///              is compiled out of the hot paths behind one plain
   ///              bool, preserving the pre-PageStore behavior exactly.
-  ///              A persistent store (FileStore) turns the arena into a
-  ///              buffer pool over the store: non-resident pages fault
-  ///              in on access (kStoreReads), dirty pages stage out on
-  ///              eviction and checkpoint (kStoreWrites).
+  ///              A persistent store (FileStore) turns the frame arena
+  ///              into a buffer pool over the store: non-resident pages
+  ///              fault in on access (kStoreReads), dirty pages stage out
+  ///              on eviction and checkpoint (kStoreWrites).
   /// @param buffer_pool_pages resident-page budget for a persistent
-  ///              store (0 = unbounded); see
+  ///              store (0 = unbounded); it also caps the frame arena at
+  ///              buffer_pool_pages + kFrameSlack frames. See
   ///              TreeOptions::buffer_pool_pages.
   PageManager(EpochManager* epoch, StatsCollector* stats,
               PageStore* store = nullptr, uint32_t buffer_pool_pages = 0);
@@ -122,6 +123,10 @@ class PageManager {
   /// page() is untrusted garbage until Validate() returns true AFTER the
   /// reads — and every access to page() bytes must go through relaxed
   /// atomic loads (see NodeView) to stay defined under a racing Put.
+  /// page() is the page's frame at acquisition; if the page is evicted
+  /// meanwhile, the frame may already hold another page's image, and the
+  /// eviction's version bumps make Validate() fail exactly as a rewrite
+  /// would.
   class ReadGuard {
    public:
     /// Invalid guard: stable() and Validate() are false.
@@ -222,6 +227,12 @@ class PageManager {
   /// fresh right node that no link points at yet; callers for whom that
   /// matters need their own publication protocol (see SagivTree's
   /// frontier_seq_ epoch and TryAppendFast).
+  ///
+  /// Pinning invariant: the eviction sweep must TryLock a page's paper
+  /// lock before it evicts the page, so a page whose lock the caller
+  /// holds stays resident in the same frame until Unlock. A validated
+  /// guard from PeekLocked therefore keeps its frame, and the BeginWrite
+  /// that follows never has to fault the page in.
   ReadGuard PeekLocked(PageId id) const;
 
   /// Handle for an in-place mutation of one page by the paper-lock
@@ -386,16 +397,33 @@ class PageManager {
   /// The backing store (never null; the shared MemStore by default).
   PageStore* store() const { return store_; }
 
-  /// Pages currently resident in the arena (== live pages when no
-  /// eviction has happened; only meaningful when persistent()).
+  /// Pages currently holding a frame (== live pages when no eviction has
+  /// happened; only meaningful when persistent()).
   size_t resident_pages() const {
     return resident_count_.load(std::memory_order_relaxed);
   }
 
+  /// Frames above buffer_pool_pages the arena may carve: resident pages
+  /// can briefly exceed the budget while the single sweeper is busy, and
+  /// these frames let concurrent fault-ins proceed instead of queueing
+  /// behind it.
+  static constexpr uint32_t kFrameSlack = 64;
+
+  /// Frames carved from the arena so far (resident pages plus frames
+  /// waiting on the free list). Never shrinks. With buffer_pool_pages =
+  /// N > 0 it stays <= N + kFrameSlack as long as fewer than N pages are
+  /// paper-locked at once (a fault-in that finds every resident page
+  /// pinned carves an extra frame rather than deadlock); with N = 0 every
+  /// page that was ever resident keeps its frame.
+  size_t frame_count() const {
+    return frame_count_.load(std::memory_order_relaxed);
+  }
+
   /// Adopt a recovered checkpoint's allocator state: the fresh-page
   /// frontier and free list from the manifest. Every page below the
-  /// frontier starts NON-resident (faulted in from the store on first
-  /// access). Call once, before any concurrent use.
+  /// frontier starts NON-resident, with metadata but no frame (faulted in
+  /// from the store on first access). Call once, before any concurrent
+  /// use.
   void RestoreFromMeta(const StoreMeta& meta);
 
   /// Checkpoint barrier. Blocks until every in-flight mutator (thread
@@ -437,50 +465,96 @@ class PageManager {
   };
 
  private:
-  // Residency bits of Slot::state (consulted only when paged_).
-  static constexpr uint32_t kSlotResident = 1u;
-  static constexpr uint32_t kSlotDirty = 2u;
+  // Per-page metadata, 16 bytes; the page's bytes live in a frame of
+  // the separate arena. `state` packs three flag bits with the frame
+  // number (state >> kFrameShift), valid only while kResident is set.
+  // Residency and frame change only with `seq` held odd, so a reader
+  // that loads the version, then the state, then reads the frame, and
+  // finally re-checks the version never trusts bytes of a frame that
+  // stopped being this page's. Under MemStore every allocated page is
+  // resident and keeps its frame for good.
+  static constexpr uint32_t kResident = 1u;
+  static constexpr uint32_t kDirty = 2u;       // image newer than the store
+  static constexpr uint32_t kReferenced = 4u;  // CLOCK bit: accessed since
+                                               // the hand last passed
+  static constexpr int kFrameShift = 3;
 
-  struct Slot {
+  struct Meta {
     std::atomic<uint64_t> seq{0};  // seqlock: odd while a put is in flight
     PaperLock paper_lock;          // 4-byte spin-then-park lock
-    std::atomic<uint32_t> state{0};  // kSlotResident | kSlotDirty
-    Page page;
+    std::atomic<uint32_t> state{0};  // flags | frame << kFrameShift
   };
+  static_assert(sizeof(Meta) == 16, "per-page metadata must stay compact");
 
-  static constexpr int kChunkBits = 10;  // 1024 pages (4 MiB) per chunk
+  // Both the metadata and the frame arena grow in chunks of 1024 entries:
+  // 16 KiB of metadata, or ~4 MiB of frames mmap'd as one region.
+  static constexpr int kChunkBits = 10;
   static constexpr size_t kChunkSize = 1ull << kChunkBits;
   static constexpr size_t kMaxChunks = 1ull << 14;  // up to 16M pages
 
-  struct Chunk {
-    Slot slots[kChunkSize];
+  struct MetaChunk {
+    Meta meta[kChunkSize];
   };
 
-  Slot* SlotFor(PageId id) const;
-  void EnsureChunk(size_t chunk_index);
+  // Frames start kFrameStride bytes apart, one cache line more than a
+  // page. Packed at 4 KiB, every node's header (and every binary-search
+  // probe at a given offset) would fall into the same L1 cache set, and
+  // a descent's pages would evict each other: the benchmark's
+  // ingest-checkpoint get_p50 measured about 12% slower that way (4-vCPU
+  // Xeon). The extra line shifts each frame by one set; frames stay
+  // 64-byte aligned.
+  static constexpr size_t kFrameStride = kPageSize + 64;
+
+  Meta* MetaFor(PageId id) const;
+  void EnsureMetaChunk(size_t chunk_index);  // alloc_mu_ held or no races
+  Page* Frame(uint32_t state) const;
   void MaybeSimulateIo() const;
 
-  // --- buffer-pool internals (paged_ only) --------------------------------
+  // Take `m`'s seqlock odd, waiting out any put in flight; returns the
+  // even version it replaced (store version + 2 to publish, or version
+  // itself to roll back an untouched page).
+  static uint64_t BeginSeqWrite(Meta* m);
 
-  // Fault `id` into the arena if non-resident (no-op otherwise): seqlock
-  // odd, read the store image into a scratch buffer, publish it into the
-  // live page via relaxed word stores, mark resident, seqlock even.
-  // Errors (checksum mismatch, transient I/O) leave the page
-  // non-resident with its version restored.
-  Status EnsureResident(PageId id, Slot* slot) const;
-  Status FaultInSlot(PageId id, Slot* slot) const;
+  // Set the CLOCK reference bit of a page read with state `st` (bounded
+  // pool only; a no-op once the bit is set, so hot pages are not written).
+  void Touch(Meta* m, uint32_t st) const {
+    if (pool_cap_ != 0 && !(st & kReferenced)) {
+      m->state.fetch_or(kReferenced, std::memory_order_relaxed);
+    }
+  }
 
-  // Mark a page resident + dirty after a full-image write (Allocate/Put
-  // define the whole content, so no store read is needed). Caller holds
-  // the slot's seqlock odd or is the sole referent (fresh allocation).
-  void MarkResidentDirty(Slot* slot) const;
+  // --- frame arena and buffer pool ----------------------------------------
 
-  // Clock sweep: while the resident count exceeds the pool budget, pick
-  // victims round-robin, stage dirty ones to the store, zero the arena
-  // copy and clear residency. Skips pages whose paper lock or seqlock is
-  // held (a locked page may be pinned by an in-place reader/writer).
+  // Make the page resident for a full-image write (Allocate/Put define
+  // the whole content, so no store read is needed): a non-resident page
+  // gets a frame first. Marks it dirty and referenced when paged_.
+  // Caller holds m->seq odd. Returns the page's frame, zeroed if `zero`.
+  Page* FrameForWrite(Meta* m, bool zero) const;
+
+  // A free frame number: from the free list, else freshly carved while
+  // under the cap, else one the sweep evicts. Sets *fresh (if non-null)
+  // when the frame is newly carved, and so still all zeroes.
+  uint32_t AcquireFrame(bool* fresh) const;
+  uint32_t CarveFrameLocked() const;  // frame_mu_ held
+
+  // Fault `id` into a frame if non-resident (no-op otherwise): seqlock
+  // odd, read the store image into a scratch buffer, publish it into a
+  // frame via relaxed word stores, mark resident, seqlock even. Errors
+  // (checksum mismatch, transient I/O) leave the page non-resident with
+  // its version restored.
+  Status EnsureResident(PageId id, Meta* m) const;
+  Status FaultIn(PageId id, Meta* m) const;
+
+  // CLOCK sweep: while the resident count exceeds the pool budget, advance
+  // the hand over page ids; a referenced page loses its bit and is
+  // skipped, an unreferenced one is evicted (dirty image staged to the
+  // store, frame returned to the free list, bytes left as they are).
+  // Skips pages whose paper lock or seqlock is held (a locked page may be
+  // pinned by an in-place reader/writer). EvictPages runs with evict_mu_
+  // held and returns how many of the `n` wanted it evicted.
   void MaybeEvict() const;
-  bool TryEvictSlot(PageId id) const;
+  size_t EvictPages(size_t n) const;
+  bool TryEvict(PageId id) const;
 
   // Checkpoint gate (persistent mode only): mutators hold it shared —
   // normally for a whole logical operation via MutatorScope, with the
@@ -500,19 +574,26 @@ class PageManager {
   // Slow-path helper for Lock/TryLockSpin: runs once an acquisition has
   // found the lock held. Returns true with the lock held (recording the
   // wait time and park count), false when `bounded` gave up.
-  bool LockContended(Slot* slot, bool bounded);
+  bool LockContended(Meta* m, bool bounded);
 
   EpochManager* const epoch_;
   StatsCollector* const stats_;
   PageStore* const store_;   // never null (MemStore::Shared() by default)
   const bool paged_;         // store_->persistent(): gates all pool logic
-  const uint32_t pool_cap_;  // 0 = unbounded
+  const uint32_t pool_cap_;  // 0 = unbounded (always 0 unless paged_)
   mutable std::atomic<size_t> resident_count_{0};
 
   // Eviction sweep state; evict_mu_ also excludes eviction from the
   // checkpoint flush.
   mutable std::mutex evict_mu_;
-  mutable size_t clock_hand_ = 0;
+  mutable PageId clock_hand_ = 0;
+
+  // Frame arena: chunk directory (atomic so readers index it while a
+  // carve maps a new chunk), carve count and free list.
+  mutable std::vector<std::atomic<uint8_t*>> frame_chunks_;
+  mutable std::mutex frame_mu_;
+  mutable std::atomic<uint32_t> frame_count_{0};
+  mutable std::vector<uint32_t> free_frames_;
 
   // Checkpoint gate.
   std::mutex gate_mu_;
@@ -537,9 +618,9 @@ class PageManager {
   }
   bool TrapSlow(const char* op, PageId id, bool error_eligible) const;
 
-  // Chunk directory: atomic pointers so readers can index while the
-  // allocator grows the arena.
-  mutable std::vector<std::atomic<Chunk*>> chunks_;
+  // Metadata directory: atomic pointers so readers can index while the
+  // allocator grows it. A chunk is in place before next_fresh_ covers it.
+  std::vector<std::atomic<MetaChunk*>> meta_chunks_;
   std::atomic<uint32_t> next_fresh_;  // next never-used page id
 
   mutable std::mutex alloc_mu_;

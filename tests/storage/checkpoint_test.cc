@@ -8,6 +8,7 @@
 // reproduce a tree that passes TreeChecker and serves those operations.
 
 #include <atomic>
+#include <chrono>
 #include <filesystem>
 #include <map>
 #include <string>
@@ -18,6 +19,7 @@
 
 #include "obtree/api/concurrent_map.h"
 #include "obtree/api/sharded_map.h"
+#include "obtree/core/sagiv_tree.h"
 #include "obtree/core/tree_checker.h"
 #include "obtree/util/fault_injector.h"
 #include "obtree/util/random.h"
@@ -165,15 +167,17 @@ TEST_F(CheckpointTest, BufferPoolBoundedTreeRoundTrips) {
     ConcurrentMap map(opt);
     ASSERT_TRUE(map.init_status().ok());
     for (Key k = 1; k <= kN; ++k) ASSERT_TRUE(map.Insert(k, k + 5).ok());
-    // Eviction really happened on the way here.
+    // Eviction really happened on the way here. (The ascending inserts
+    // themselves need no fault-in: the CLOCK sweep keeps their hot path
+    // resident and evicts the cold leaves behind it.)
     EXPECT_GT(map.Stats().Get(StatId::kPagesEvicted), 0u);
-    EXPECT_GT(map.Stats().Get(StatId::kStoreReads), 0u);
     // Reads fault evicted pages back in correctly.
     for (Key k = 1; k <= kN; k += 97) {
       Result<Value> r = map.Get(k);
       ASSERT_TRUE(r.ok()) << k;
       EXPECT_EQ(*r, k + 5) << k;
     }
+    EXPECT_GT(map.Stats().Get(StatId::kStoreReads), 0u);
     ASSERT_TRUE(map.Checkpoint().ok());
   }
   MapOptions opt;
@@ -187,6 +191,116 @@ TEST_F(CheckpointTest, BufferPoolBoundedTreeRoundTrips) {
     Result<Value> r = map.Get(k);
     ASSERT_TRUE(r.ok()) << k;
     EXPECT_EQ(*r, k + 5) << k;
+  }
+  Status s = map.ValidateStructure();
+  EXPECT_TRUE(s.ok()) << s.ToString();
+}
+
+// Optimistic readers racing eviction and frame reuse through a pool far
+// smaller than the tree: three readers (Get, MultiGet(32), Scan(50)) on
+// preloaded keys and one upserter on its own key range, each checked
+// against its own model. Every reader must keep making progress (a
+// livelock fails the op floor), the structure must stay valid, and the
+// frame arena must stay within its documented bound throughout.
+TEST_F(CheckpointTest, ReadersRaceEvictionAndFrameReuse) {
+  constexpr uint32_t kPool = 64;
+  constexpr Key kN = 20'000;        // readers' keys: 1..kN
+  constexpr Key kWriterKeys = 4'000;  // upserter's keys: kN+1..kN+kWriterKeys
+  constexpr uint64_t kMinOps = 1'000;
+  MapOptions opt;
+  opt.tree.storage_dir = dir_;
+  opt.tree.buffer_pool_pages = kPool;
+  opt.compression = CompressionMode::kNone;
+  ConcurrentMap map(opt);
+  ASSERT_TRUE(map.init_status().ok());
+  for (Key k = 1; k <= kN; ++k) ASSERT_TRUE(map.Insert(k, k * 3 + 1).ok());
+  const PageManager* pager = map.tree()->internal_pager();
+  ASSERT_GT(pager->allocated_pages(), 2u * kPool);
+
+  std::atomic<bool> stop{false};
+  std::atomic<uint64_t> reader_ops[3] = {{0}, {0}, {0}};
+  std::atomic<uint64_t> wrong{0};
+  std::vector<std::thread> threads;
+  threads.emplace_back([&] {  // Get
+    Random rng(1);
+    while (!stop.load(std::memory_order_relaxed)) {
+      const Key k = 1 + rng.Uniform(kN);
+      Result<Value> r = map.Get(k);
+      if (!r.ok() || *r != k * 3 + 1) wrong.fetch_add(1);
+      reader_ops[0].fetch_add(1, std::memory_order_relaxed);
+    }
+  });
+  threads.emplace_back([&] {  // MultiGet(32)
+    Random rng(2);
+    std::vector<Key> keys(32);
+    while (!stop.load(std::memory_order_relaxed)) {
+      for (Key& k : keys) k = 1 + rng.Uniform(kN);
+      const BatchResult r = map.MultiGet(keys);
+      for (size_t i = 0; i < keys.size(); ++i) {
+        if (!r.values[i].ok() || *r.values[i] != keys[i] * 3 + 1) {
+          wrong.fetch_add(1);
+        }
+      }
+      reader_ops[1].fetch_add(1, std::memory_order_relaxed);
+    }
+  });
+  threads.emplace_back([&] {  // Scan(50)
+    Random rng(3);
+    while (!stop.load(std::memory_order_relaxed)) {
+      const Key lo = 1 + rng.Uniform(kN - 49);
+      Key next = lo;
+      map.Scan(lo, lo + 49, [&](Key k, Value v) {
+        if (k != next || v != k * 3 + 1) wrong.fetch_add(1);
+        ++next;
+        return true;
+      });
+      if (next != lo + 50) wrong.fetch_add(1);
+      reader_ops[2].fetch_add(1, std::memory_order_relaxed);
+    }
+  });
+  std::vector<Value> model(kWriterKeys, 0);  // 0 = never written
+  threads.emplace_back([&] {  // upserter, read-your-writes
+    Random rng(4);
+    for (Value v = 1; !stop.load(std::memory_order_relaxed); ++v) {
+      const Key i = rng.Uniform(kWriterKeys);
+      if (!map.Upsert(kN + 1 + i, v).ok()) wrong.fetch_add(1);
+      model[i] = v;
+      Result<Value> r = map.Get(kN + 1 + i);
+      if (!r.ok() || *r != v) wrong.fetch_add(1);
+    }
+  });
+
+  // At least ~2 s of traffic, and long enough for every reader to reach
+  // the op floor on slow (sanitized) builds; a livelocked reader hits
+  // the time cap instead.
+  const auto start = std::chrono::steady_clock::now();
+  size_t max_frames = 0;
+  for (;;) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    max_frames = std::max(max_frames, pager->frame_count());
+    const auto elapsed = std::chrono::steady_clock::now() - start;
+    bool floor_met = true;
+    for (const auto& ops : reader_ops) floor_met &= ops.load() >= kMinOps;
+    if ((floor_met && elapsed >= std::chrono::seconds(2)) ||
+        elapsed >= std::chrono::seconds(60)) {
+      break;
+    }
+  }
+  stop.store(true);
+  for (auto& t : threads) t.join();
+
+  for (const auto& ops : reader_ops) EXPECT_GE(ops.load(), kMinOps);
+  EXPECT_EQ(wrong.load(), 0u);
+  EXPECT_GT(map.Stats().Get(StatId::kPagesEvicted), 0u);
+  EXPECT_LE(max_frames, kPool + PageManager::kFrameSlack);
+  for (Key i = 0; i < kWriterKeys; ++i) {
+    Result<Value> r = map.Get(kN + 1 + i);
+    if (model[i] == 0) {
+      EXPECT_FALSE(r.ok()) << kN + 1 + i;
+    } else {
+      ASSERT_TRUE(r.ok()) << kN + 1 + i;
+      EXPECT_EQ(*r, model[i]) << kN + 1 + i;
+    }
   }
   Status s = map.ValidateStructure();
   EXPECT_TRUE(s.ok()) << s.ToString();

@@ -21,6 +21,7 @@
 #include "obtree/storage/page_manager.h"
 #include "obtree/util/epoch.h"
 #include "obtree/util/fault_injector.h"
+#include "obtree/util/random.h"
 #include "obtree/util/stats.h"
 
 namespace obtree {
@@ -354,6 +355,133 @@ TEST_F(BufferPoolTest, EvictionStagesDirtyPagesAndFaultsThemBack) {
     EXPECT_EQ(r.bytes[1], static_cast<uint8_t>(id & 0xff)) << id;
   }
   EXPECT_GT(stats.Get(StatId::kStoreReads), 0u);
+}
+
+// An optimistic read must never validate the image of a page that is no
+// longer resident. The sweep that ends a fault-in may evict other pages,
+// and it used to be able to evict the very page just faulted in, after
+// which the guard validated an all-zero image: a node with high = 0 and
+// link = 0 that sent descents to page 0.
+TEST_F(BufferPoolTest, OptimisticReadNeverValidatesAnEvictedImage) {
+  auto store = FileStore::Open(dir_);
+  ASSERT_TRUE(store.ok());
+  EpochManager epoch;
+  StatsCollector stats;
+  PageManager pm(&epoch, &stats, store->get(), /*buffer_pool_pages=*/64);
+
+  constexpr uint32_t kPages = 256;
+  std::vector<PageId> ids;
+  for (uint32_t i = 0; i < kPages; ++i) {
+    auto id = pm.Allocate();
+    ASSERT_TRUE(id.ok());
+    Page w = MakePage(static_cast<uint8_t>(1 + i % 255));  // never zero
+    std::memcpy(w.bytes, &*id, sizeof(PageId));
+    pm.Put(*id, w);
+    ids.push_back(*id);
+  }
+
+  Random rng(15);
+  uint64_t validated = 0;
+  for (int i = 0; i < 100'000; ++i) {
+    const uint32_t idx = static_cast<uint32_t>(rng.Uniform(kPages));
+    const PageManager::ReadGuard g = pm.OptimisticRead(ids[idx]);
+    ASSERT_FALSE(g.faulted());
+    if (!g.stable()) continue;
+    // One thread: nothing writes the frame between here and Validate.
+    PageId seen;
+    std::memcpy(&seen, g.page()->bytes, sizeof(PageId));
+    const uint8_t fill = g.page()->bytes[kPageSize - 1];
+    if (!g.Validate()) continue;
+    ++validated;
+    ASSERT_EQ(fill, static_cast<uint8_t>(1 + idx % 255))
+        << "read " << i << " validated a zeroed or foreign image";
+    ASSERT_EQ(seen, ids[idx]) << "read " << i;
+  }
+  EXPECT_GT(validated, 90'000u);
+  EXPECT_GT(stats.Get(StatId::kPagesEvicted), 0u);
+}
+
+// The pinning invariant behind BeginWrite: a page whose paper lock is
+// held cannot be evicted, so a PeekLocked guard taken under the lock
+// keeps validating — with its frame unchanged — however much the pool
+// churns, and the in-place write that follows needs no fault-in.
+TEST_F(BufferPoolTest, LockedPageStaysResidentThroughSweeps) {
+  auto store = FileStore::Open(dir_);
+  ASSERT_TRUE(store.ok());
+  EpochManager epoch;
+  StatsCollector stats;
+  constexpr uint32_t kPool = 64;
+  PageManager pm(&epoch, &stats, store->get(), kPool);
+
+  auto target = pm.Allocate();
+  ASSERT_TRUE(target.ok());
+  pm.Put(*target, MakePage(0x5a));
+  pm.Lock(*target);
+  const PageManager::ReadGuard g = pm.PeekLocked(*target);
+  ASSERT_TRUE(g.stable());
+
+  // Allocations and fault-ins of 10x the pool while the lock is held.
+  std::vector<PageId> others;
+  for (uint32_t i = 0; i < 5 * kPool; ++i) {
+    auto id = pm.Allocate();
+    ASSERT_TRUE(id.ok());
+    pm.Put(*id, MakePage(static_cast<uint8_t>(i)));
+    others.push_back(*id);
+  }
+  Page r;
+  for (PageId id : others) ASSERT_TRUE(pm.Get(id, &r).ok());
+  EXPECT_GE(stats.Get(StatId::kStoreReads), 4u * kPool);
+  EXPECT_GE(stats.Get(StatId::kPagesEvicted), 8u * kPool);
+
+  EXPECT_TRUE(g.Validate());
+  EXPECT_EQ(g.page()->bytes[0], 0x5a);
+  const uint64_t reads_before = stats.Get(StatId::kStoreReads);
+  {
+    PageManager::WriteGuard wg = pm.BeginWrite(*target);
+    EXPECT_EQ(wg.page(), g.page());
+  }
+  EXPECT_EQ(stats.Get(StatId::kStoreReads), reads_before);
+  pm.Unlock(*target);
+}
+
+// The sweep is a CLOCK: a page read between two passes of the hand
+// keeps its frame however many colder pages stream through the pool
+// (a FIFO hand would evict it once per lap), and the frame arena stays
+// within the documented bound.
+TEST_F(BufferPoolTest, PageReadBetweenSweepsIsNeverEvicted) {
+  auto store = FileStore::Open(dir_);
+  ASSERT_TRUE(store.ok());
+  EpochManager epoch;
+  StatsCollector stats;
+  constexpr uint32_t kPool = 64;
+  PageManager pm(&epoch, &stats, store->get(), kPool);
+
+  auto hot = pm.Allocate();
+  ASSERT_TRUE(hot.ok());
+  pm.Put(*hot, MakePage(0x77));
+  std::vector<PageId> cold;
+  for (uint32_t i = 0; i < 4 * kPool; ++i) {
+    auto id = pm.Allocate();
+    ASSERT_TRUE(id.ok());
+    pm.Put(*id, MakePage(static_cast<uint8_t>(i)));
+    cold.push_back(*id);
+  }
+  Random rng(3);
+  Page r;
+  uint64_t hot_faults = 0;
+  // The first lap warms up: `hot` went cold while the pool filled, and
+  // pages stay equally referenced until the hand has passed them once.
+  for (uint32_t i = 0; i < 22 * kPool; ++i) {
+    ASSERT_TRUE(pm.Get(cold[rng.Uniform(cold.size())], &r).ok());
+    const uint64_t reads = stats.Get(StatId::kStoreReads);
+    ASSERT_TRUE(pm.Get(*hot, &r).ok());
+    ASSERT_EQ(r.bytes[0], 0x77);
+    if (i >= 2 * kPool) hot_faults += stats.Get(StatId::kStoreReads) - reads;
+  }
+  EXPECT_GE(stats.Get(StatId::kPagesEvicted), 10u * kPool);
+  EXPECT_EQ(hot_faults, 0u);
+  EXPECT_LE(pm.resident_pages(), kPool);
+  EXPECT_LE(pm.frame_count(), kPool + PageManager::kFrameSlack);
 }
 
 TEST_F(BufferPoolTest, CheckpointFlushesDirtyPagesAndCounts) {

@@ -153,6 +153,25 @@ TEST_F(PageManagerTest, ReusedPageIsZeroed) {
   for (size_t i = 0; i < kPageSize; ++i) ASSERT_EQ(r.bytes[i], 0u) << i;
 }
 
+// Without a buffer pool (MemStore here) every page takes one frame at
+// its first allocation and keeps it through retirement and reuse.
+TEST_F(PageManagerTest, EveryPageKeepsItsFrameWithoutAPool) {
+  constexpr uint32_t kPages = 3000;  // spans three arena chunks
+  std::vector<PageId> ids;
+  for (uint32_t i = 0; i < kPages; ++i) {
+    auto id = pm_.Allocate();
+    ASSERT_TRUE(id.ok());
+    ids.push_back(*id);
+  }
+  EXPECT_EQ(pm_.frame_count(), kPages);
+  for (uint32_t i = 0; i < kPages; i += 3) pm_.Retire(ids[i]);
+  ASSERT_EQ(pm_.Reclaim(), kPages / 3);
+  for (uint32_t i = 0; i < kPages / 3; ++i) ASSERT_TRUE(pm_.Allocate().ok());
+  EXPECT_EQ(pm_.allocated_pages(), kPages);
+  EXPECT_EQ(pm_.frame_count(), kPages);
+  EXPECT_EQ(pm_.resident_pages(), kPages);
+}
+
 TEST_F(PageManagerTest, AllocateHarvestsRetiredWithoutExplicitReclaim) {
   auto id = pm_.Allocate();
   pm_.Retire(*id);
