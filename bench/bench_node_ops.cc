@@ -4,7 +4,16 @@
 // reads/writes; these measure what one such operation costs on the
 // in-memory page substrate: in-node binary search, leaf insert/remove,
 // split, merge, redistribution, and the seqlock get/put page copies; plus
-// the checksum FileStore computes on every page it reads or writes.
+// the checksum FileStore computes on every page it reads or writes, and
+// the store half of a page fault.
+
+#include <unistd.h>
+
+#include <cstdlib>
+#include <cstring>
+#include <filesystem>
+#include <memory>
+#include <string>
 
 #include <benchmark/benchmark.h>
 
@@ -141,6 +150,67 @@ void BM_FileStoreCrc32Page(benchmark::State& state) {
                           static_cast<int64_t>(kPageSize));
 }
 BENCHMARK(BM_FileStoreCrc32Page);
+
+// A committed FileStore of `kPages` random pages in a fresh temporary
+// directory, built once per process and removed at exit.
+class CommittedStore {
+ public:
+  static constexpr PageId kPages = 25'000;  // about cold-read's page count
+
+  static FileStore* Get() {
+    static CommittedStore instance;
+    return instance.store_.get();
+  }
+
+ private:
+  CommittedStore()
+      : dir_((std::filesystem::temp_directory_path() /
+              ("obtree_bench_store_" + std::to_string(::getpid())))
+                 .string()) {
+    std::filesystem::remove_all(dir_);
+    auto opened = FileStore::Open(dir_);
+    if (!opened.ok()) std::abort();
+    store_ = std::move(*opened);
+    Random rng(6);
+    Page p;
+    for (PageId id = 0; id < kPages; ++id) {
+      for (size_t i = 0; i < kPageSize; i += 8) {
+        const uint64_t v = rng.Next();
+        std::memcpy(p.bytes + i, &v, sizeof(v));
+      }
+      if (!store_->WritePage(id, p.bytes).ok()) std::abort();
+    }
+    StoreMeta meta;
+    meta.next_fresh = kPages;
+    if (!store_->Commit(&meta).ok()) std::abort();
+  }
+  ~CommittedStore() {
+    store_.reset();
+    std::filesystem::remove_all(dir_);
+  }
+
+  std::string dir_;
+  std::unique_ptr<FileStore> store_;
+};
+
+// The store half of a page fault (PageManager::FaultIn minus the frame
+// copy and the sweep): one ReadPage of a random committed page, which is
+// the slot lookup, a pread served from the OS page cache (the file was
+// just written) and the checksum.
+void BM_FileStoreReadPage(benchmark::State& state) {
+  FileStore* store = CommittedStore::Get();
+  Random rng(7);
+  Page p;
+  for (auto _ : state) {
+    const auto id = static_cast<PageId>(rng.Uniform(CommittedStore::kPages));
+    if (!store->ReadPage(id, p.bytes).ok()) state.SkipWithError("ReadPage");
+    benchmark::DoNotOptimize(p.bytes);
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(kPageSize));
+}
+BENCHMARK(BM_FileStoreReadPage);
 
 // The tentpole comparison at node granularity: one copy-read (BM_PageGet
 // moves 4 KB) vs one optimistic in-place probe (header + binary search +

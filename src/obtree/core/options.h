@@ -91,7 +91,9 @@ struct TreeOptions {
   /// that failed (an injected fault, or a store read error) before giving
   /// up and surfacing Status::Unavailable to the operation. Each retry
   /// backs off exponentially from fetch_retry_backoff_us. Retries are
-  /// counted as StatId::kFetchRetries, exhaustions as kFetchGiveups.
+  /// counted as StatId::kFetchRetries, exhaustions as kFetchGiveups. A
+  /// page whose stored image fails its checksum is not retried: the
+  /// operation returns Status::DataLoss at once.
   int fetch_retry_limit = 4;
 
   /// Base backoff between fetch retries, in microseconds (doubles per

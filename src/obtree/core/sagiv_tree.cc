@@ -280,7 +280,10 @@ void SagivTree::RetryFaultedFetch(PageId id,
                                   PageManager::ReadGuard* g) const {
   // Transient fetch failure (injected, or a store read error): bounded
   // retry with exponential backoff before the operation surfaces
-  // Unavailable. A torn read is not a fault; the caller just re-reads.
+  // Unavailable. A corrupt image reads back the same on every try, so
+  // DataLoss surfaces at once. A torn read is not a fault; the caller
+  // just re-reads.
+  if (g->fault().IsDataLoss()) return;
   for (int attempt = 0; attempt < options_.fetch_retry_limit; ++attempt) {
     stats_->Add(StatId::kFetchRetries);
     const uint32_t base = options_.fetch_retry_backoff_us;
@@ -341,7 +344,7 @@ Result<PageId> SagivTree::internal_FindNodeAtLevel(
         return Status::Internal("descent did not terminate");
       }
       const PageManager::ReadGuard g = FetchPage(current);
-      if (g.faulted()) return Status::Unavailable("page fetch failed");
+      if (g.faulted()) return g.fault();
       Route route;  // defaults to kTorn for the unstable-guard case
       if (g.stable()) {
         route = RouteForKey(NodeView(g.page()->As<Node>()), key, level);
@@ -414,7 +417,7 @@ Result<Value> SagivTree::SearchPinned(Key key,
         return Status::Internal("descent did not terminate");
       }
       const PageManager::ReadGuard g = FetchPage(current);
-      if (g.faulted()) return Status::Unavailable("page fetch failed");
+      if (g.faulted()) return g.fault();
       Route route;  // defaults to kTorn for the unstable-guard case
       std::optional<Value> value;
       if (g.stable()) {
@@ -1272,7 +1275,8 @@ void SagivTree::PipelineDescents(BatchCont* ops, size_t n, bool collect_stacks,
       const PageManager::ReadGuard g = pager_->OptimisticRead(page_id);
       if (g.faulted()) {
         // The fetch failed: hand just these ops to the single-op path,
-        // whose FetchPage retries with backoff. Ops on other pages are
+        // whose FetchPage retries a transient fault with backoff and
+        // surfaces a corrupt page as DataLoss. Ops on other pages are
         // unaffected.
         stats_->Add(StatId::kOptimisticFallbacks, group);
         for (size_t k = gi; k < ge; ++k) {
@@ -1467,7 +1471,7 @@ void SagivTree::MultiMutate(const Key* keys, const Value* values, size_t n,
       }
       if (op.state == BatchCont::kFallback) {
         // The pipelined read faulted: redo this op's descent on the
-        // single-op path, which retries the fetch with backoff.
+        // single-op path, which retries a transient fault with backoff.
         Result<PageId> found = internal_FindNodeAtLevel(
             op.key, 0, want_stack ? &op.stack : nullptr);
         if (!found.ok()) {

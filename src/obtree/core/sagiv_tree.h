@@ -326,11 +326,11 @@ class SagivTree {
   // Fault-tolerant optimistic page read for the lock-free descents: the
   // one place a faulted read (ReadGuard::faulted) is retried, up to
   // options().fetch_retry_limit times with exponential backoff
-  // (kFetchRetries per retry, kFetchGiveups on exhaustion). A guard that
-  // is still faulted on return means the caller surfaces Unavailable; an
-  // unfaulted one may still be torn (unstable or failing Validate), and
-  // the caller re-reads. The fast path stays inline: it runs once per
-  // node visited.
+  // (kFetchRetries per retry, kFetchGiveups on exhaustion); a corrupt
+  // page (DataLoss) is not retried. A guard that is still faulted on
+  // return means the caller surfaces its fault(); an unfaulted one may
+  // still be torn (unstable or failing Validate), and the caller
+  // re-reads. The fast path stays inline: it runs once per node visited.
   PageManager::ReadGuard FetchPage(PageId id) const {
     PageManager::ReadGuard g = pager_->OptimisticRead(id);
     if (g.faulted()) RetryFaultedFetch(id, &g);

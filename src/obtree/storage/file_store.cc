@@ -13,6 +13,10 @@
 #include <cstring>
 #include <vector>
 
+#if defined(__x86_64__)
+#include <immintrin.h>
+#endif
+
 #include "obtree/util/fault_injector.h"
 
 namespace obtree {
@@ -100,6 +104,94 @@ constexpr Crc32Tables MakeCrc32Tables() {
 
 constexpr Crc32Tables kCrc32Tables = MakeCrc32Tables();
 
+// Advances the CRC register `crc` (pre-inverted, not yet finalized) over
+// `n` bytes with the slicing-by-8 tables.
+uint32_t TableFold(uint32_t crc, const unsigned char* p, size_t n) {
+  const auto& t = kCrc32Tables.t;
+  for (; n >= 8; n -= 8, p += 8) {
+    // Bytes combined little-endian: no alignment or host-order assumption.
+    const uint32_t lo = crc ^ (uint32_t{p[0]} | uint32_t{p[1]} << 8 |
+                               uint32_t{p[2]} << 16 | uint32_t{p[3]} << 24);
+    const uint32_t hi = uint32_t{p[4]} | uint32_t{p[5]} << 8 |
+                        uint32_t{p[6]} << 16 | uint32_t{p[7]} << 24;
+    crc = t[7][lo & 0xffu] ^ t[6][(lo >> 8) & 0xffu] ^
+          t[5][(lo >> 16) & 0xffu] ^ t[4][lo >> 24] ^ t[3][hi & 0xffu] ^
+          t[2][(hi >> 8) & 0xffu] ^ t[1][(hi >> 16) & 0xffu] ^ t[0][hi >> 24];
+  }
+  for (; n > 0; --n, ++p) {
+    crc = t[0][(crc ^ *p) & 0xffu] ^ (crc >> 8);
+  }
+  return crc;
+}
+
+#if defined(__x86_64__)
+#define OBTREE_CLMUL_TARGET __attribute__((target("pclmul,sse4.1")))
+
+OBTREE_CLMUL_TARGET inline __m128i Load128(const unsigned char* p) {
+  return _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
+}
+
+// Lane `x` carried forward by the fold constants `k` (low qword times
+// k's low, high qword times k's high) and added to input block `in`.
+OBTREE_CLMUL_TARGET inline __m128i Fold128(__m128i x, __m128i k, __m128i in) {
+  return _mm_xor_si128(_mm_xor_si128(_mm_clmulepi64_si128(x, k, 0x00),
+                                     _mm_clmulepi64_si128(x, k, 0x11)),
+                       in);
+}
+
+// Advances the CRC register like TableFold, with carry-less multiplies
+// (Gopal et al., "Fast CRC Computation for Generic Polynomials Using
+// PCLMULQDQ Instruction", Intel, 2009). Four 128-bit lanes absorb 64
+// bytes per step, fold into one lane, which then absorbs 16 bytes per
+// step; a Barrett reduction takes the remainder to 32 bits. `n` must be
+// a multiple of 16 and at least 64. The constants are x^e mod P for the
+// IEEE polynomial P, bit-reflected and shifted left one: e = 544 and 480
+// fold a lane 512 bits on, 160 and 96 fold it 128 bits, 64 folds 64.
+// The last pair is P itself and floor(x^64 / P), reflected.
+OBTREE_CLMUL_TARGET uint32_t ClmulFold(uint32_t crc, const unsigned char* p,
+                                       size_t n) {
+  const __m128i k544_480 = _mm_set_epi64x(0x01c6e41596, 0x0154442bd4);
+  const __m128i k160_96 = _mm_set_epi64x(0x00ccaa009e, 0x01751997d0);
+  const __m128i k64 = _mm_set_epi64x(0, 0x0163cd6124);
+  const __m128i poly_mu = _mm_set_epi64x(0x01f7011641, 0x01db710641);
+  const __m128i low32 = _mm_setr_epi32(-1, 0, -1, 0);
+
+  __m128i x1 =
+      _mm_xor_si128(Load128(p), _mm_cvtsi32_si128(static_cast<int>(crc)));
+  __m128i x2 = Load128(p + 16);
+  __m128i x3 = Load128(p + 32);
+  __m128i x4 = Load128(p + 48);
+  p += 64;
+  n -= 64;
+  for (; n >= 64; n -= 64, p += 64) {
+    x1 = Fold128(x1, k544_480, Load128(p));
+    x2 = Fold128(x2, k544_480, Load128(p + 16));
+    x3 = Fold128(x3, k544_480, Load128(p + 32));
+    x4 = Fold128(x4, k544_480, Load128(p + 48));
+  }
+  x1 = Fold128(x1, k160_96, x2);
+  x1 = Fold128(x1, k160_96, x3);
+  x1 = Fold128(x1, k160_96, x4);
+  for (; n >= 16; n -= 16, p += 16) x1 = Fold128(x1, k160_96, Load128(p));
+
+  // 128 -> 64 bits, then 64 -> 32 by Barrett reduction.
+  x1 = _mm_xor_si128(_mm_srli_si128(x1, 8),
+                     _mm_clmulepi64_si128(x1, k160_96, 0x10));
+  x1 = _mm_xor_si128(_mm_srli_si128(x1, 4),
+                     _mm_clmulepi64_si128(_mm_and_si128(x1, low32), k64, 0x00));
+  __m128i t = _mm_clmulepi64_si128(_mm_and_si128(x1, low32), poly_mu, 0x10);
+  t = _mm_clmulepi64_si128(_mm_and_si128(t, low32), poly_mu, 0x00);
+  return static_cast<uint32_t>(_mm_extract_epi32(_mm_xor_si128(x1, t), 1));
+}
+
+#undef OBTREE_CLMUL_TARGET
+
+bool CpuHasClmul() {
+  __builtin_cpu_init();
+  return __builtin_cpu_supports("pclmul") && __builtin_cpu_supports("sse4.1");
+}
+#endif  // defined(__x86_64__)
+
 // "0x" + 8 hex digits, the form checksum errors print CRCs in.
 std::string Hex32(uint32_t v) {
   char buf[11];
@@ -152,23 +244,23 @@ class Parser {
 }  // namespace
 
 uint32_t FileStore::Crc32(const void* data, size_t n) {
-  const auto& t = kCrc32Tables.t;
   const auto* p = static_cast<const unsigned char*>(data);
   uint32_t crc = 0xffffffffu;
-  for (; n >= 8; n -= 8, p += 8) {
-    // Bytes combined little-endian: no alignment or host-order assumption.
-    const uint32_t lo = crc ^ (uint32_t{p[0]} | uint32_t{p[1]} << 8 |
-                               uint32_t{p[2]} << 16 | uint32_t{p[3]} << 24);
-    const uint32_t hi = uint32_t{p[4]} | uint32_t{p[5]} << 8 |
-                        uint32_t{p[6]} << 16 | uint32_t{p[7]} << 24;
-    crc = t[7][lo & 0xffu] ^ t[6][(lo >> 8) & 0xffu] ^
-          t[5][(lo >> 16) & 0xffu] ^ t[4][lo >> 24] ^ t[3][hi & 0xffu] ^
-          t[2][(hi >> 8) & 0xffu] ^ t[1][(hi >> 16) & 0xffu] ^ t[0][hi >> 24];
+#if defined(__x86_64__)
+  static const bool has_clmul = CpuHasClmul();
+  if (has_clmul && n >= 64) {
+    const size_t folded = n & ~size_t{15};
+    crc = ClmulFold(crc, p, folded);
+    p += folded;
+    n -= folded;
   }
-  for (; n > 0; --n, ++p) {
-    crc = t[0][(crc ^ *p) & 0xffu] ^ (crc >> 8);
-  }
-  return crc ^ 0xffffffffu;
+#endif
+  return TableFold(crc, p, n) ^ 0xffffffffu;
+}
+
+uint32_t FileStore::Crc32Portable(const void* data, size_t n) {
+  return TableFold(0xffffffffu, static_cast<const unsigned char*>(data), n) ^
+         0xffffffffu;
 }
 
 FileStore::FileStore(std::string dir, int data_fd, int dir_fd)
@@ -276,19 +368,33 @@ Status FileStore::LoadManifest() {
   if (!p.ok() || page_count > meta.next_fresh) {
     return Status::DataLoss("manifest page table");
   }
-  std::unordered_map<PageId, SlotInfo> table;
-  table.reserve(page_count);
+  // Entries may come in any order. Each id indexes the slot table, so
+  // one the allocator never handed out, or a repeat, is corruption.
+  std::vector<SlotEntry> table;
   for (uint32_t i = 0; i < page_count; ++i) {
     const PageId id = p.U32();
     const uint32_t slot = p.U32();
     const uint32_t crc = p.U32();
+    if (!p.ok()) break;
     if (slot > 1) return Status::DataLoss("manifest slot bit");
-    table[id] = SlotInfo{static_cast<uint8_t>(slot), crc};
+    if (id >= meta.next_fresh) {
+      return Status::DataLoss("manifest page id " + std::to_string(id) +
+                              " >= next_fresh " +
+                              std::to_string(meta.next_fresh));
+    }
+    if (id >= table.size()) table.resize(id + size_t{1});
+    SlotEntry& e = table[id];
+    if (e.committed != kNoSlot) {
+      return Status::DataLoss("manifest names page " + std::to_string(id) +
+                              " twice");
+    }
+    e.committed = static_cast<uint8_t>(slot);
+    e.crc[slot] = crc;
   }
   if (!p.ok()) return Status::DataLoss("manifest truncated");
 
   std::lock_guard<std::mutex> lk(mu_);
-  committed_ = std::move(table);
+  slots_ = std::move(table);
   committed_epoch_ = meta.checkpoint_epoch;
   recovered_meta_ = std::move(meta);
   has_checkpoint_ = true;
@@ -296,40 +402,32 @@ Status FileStore::LoadManifest() {
 }
 
 Status FileStore::ReadPage(PageId id, void* buf) {
-  SlotInfo info{0, 0};
-  bool known = false;
+  uint8_t slot = kNoSlot;
+  uint32_t crc = 0;
   {
     std::lock_guard<std::mutex> lk(mu_);
-    auto pend = pending_.find(id);
-    if (pend != pending_.end()) {
-      info = pend->second;
-      known = true;
-    } else {
-      auto com = committed_.find(id);
-      if (com != committed_.end()) {
-        info = com->second;
-        known = true;
-      }
+    if (id < slots_.size()) {
+      slot = slots_[id].live();
+      if (slot != kNoSlot) crc = slots_[id].crc[slot];
     }
   }
-  if (!known) {
+  if (slot == kNoSlot) {
     // Never written: an inert all-zero image (decodes as an empty node).
     std::memset(buf, 0, kPageSize);
     return Status::OK();
   }
   size_t got = 0;
-  Status s = PreadAll(data_fd_, buf, kPageSize, SlotOffset(id, info.slot),
-                      &got);
+  Status s = PreadAll(data_fd_, buf, kPageSize, SlotOffset(id, slot), &got);
   if (!s.ok()) return s;
   if (got < kPageSize) {
     return Status::DataLoss("page image truncated");
   }
   const uint32_t computed = Crc32(buf, kPageSize);
-  if (computed != info.crc) {
+  if (computed != crc) {
     return Status::DataLoss(
         "page checksum mismatch: page " + std::to_string(id) + " slot " +
-        std::to_string(info.slot) + ", stored " + Hex32(info.crc) +
-        ", computed " + Hex32(computed));
+        std::to_string(slot) + ", stored " + Hex32(crc) + ", computed " +
+        Hex32(computed));
   }
   return Status::OK();
 }
@@ -338,14 +436,12 @@ Status FileStore::WritePage(PageId id, const void* buf) {
   uint8_t slot;
   {
     std::lock_guard<std::mutex> lk(mu_);
-    auto pend = pending_.find(id);
-    if (pend != pending_.end()) {
-      slot = pend->second.slot;  // re-stage into the same shadow slot
+    if (id >= slots_.size()) slots_.resize(id + size_t{1});
+    const SlotEntry& e = slots_[id];
+    if (e.pending != kNoSlot) {
+      slot = e.pending;  // re-stage into the same shadow slot
     } else {
-      auto com = committed_.find(id);
-      slot = com == committed_.end()
-                 ? 0
-                 : static_cast<uint8_t>(1 - com->second.slot);
+      slot = e.committed == kNoSlot ? 0 : static_cast<uint8_t>(1 - e.committed);
     }
   }
   const FaultOutcome f = FaultInjector::TrapsArmed()
@@ -365,15 +461,16 @@ Status FileStore::WritePage(PageId id, const void* buf) {
   if (!s.ok()) return s;
   const uint32_t crc = Crc32(buf, kPageSize);
   std::lock_guard<std::mutex> lk(mu_);
-  pending_[id] = SlotInfo{slot, crc};
+  SlotEntry& e = slots_[id];
+  if (e.pending == kNoSlot) pending_ids_.push_back(id);
+  e.pending = slot;
+  e.crc[slot] = crc;
   return Status::OK();
 }
 
-Status FileStore::PublishManifestLocked(
-    const StoreMeta& meta,
-    const std::unordered_map<PageId, SlotInfo>& table) {
+Status FileStore::PublishManifestLocked(const StoreMeta& meta) {
   std::string blob;
-  blob.reserve(64 + 12 * table.size() + 4 * meta.free_pages.size());
+  blob.reserve(64 + 12 * slots_.size() + 4 * meta.free_pages.size());
   Put64(&blob, kManifestMagic);
   Put32(&blob, kManifestVersion);
   Put64(&blob, meta.checkpoint_epoch);
@@ -385,11 +482,15 @@ Status FileStore::PublishManifestLocked(
   for (PageId id : meta.leftmost) Put32(&blob, id);
   Put32(&blob, static_cast<uint32_t>(meta.free_pages.size()));
   for (PageId id : meta.free_pages) Put32(&blob, id);
-  Put32(&blob, static_cast<uint32_t>(table.size()));
-  for (const auto& kv : table) {
-    Put32(&blob, kv.first);
-    Put32(&blob, kv.second.slot);
-    Put32(&blob, kv.second.crc);
+  uint32_t count = 0;
+  for (const SlotEntry& e : slots_) count += e.live() != kNoSlot;
+  Put32(&blob, count);
+  for (PageId id = 0; id < slots_.size(); ++id) {
+    const uint8_t slot = slots_[id].live();
+    if (slot == kNoSlot) continue;
+    Put32(&blob, id);
+    Put32(&blob, slot);
+    Put32(&blob, slots_[id].crc[slot]);
   }
   Put32(&blob, Crc32(blob.data(), blob.size()));
 
@@ -443,16 +544,17 @@ Status FileStore::Commit(StoreMeta* meta) {
                                std::strerror(errno));
   }
 
-  std::unordered_map<PageId, SlotInfo> merged = committed_;
-  for (const auto& kv : pending_) merged[kv.first] = kv.second;
   meta->checkpoint_epoch = committed_epoch_ + 1;
-
-  Status s = PublishManifestLocked(*meta, merged);
+  Status s = PublishManifestLocked(*meta);
   if (!s.ok()) return s;
 
-  committed_ = std::move(merged);
+  for (PageId id : pending_ids_) {
+    SlotEntry& e = slots_[id];
+    e.committed = e.pending;
+    e.pending = kNoSlot;
+  }
+  pending_ids_.clear();
   committed_epoch_ = meta->checkpoint_epoch;
-  pending_.clear();
   has_checkpoint_ = true;
 
   // The checkpoint is durable from here; this site exists so the crash

@@ -277,13 +277,15 @@ Status PageManager::Get(PageId id, Page* out) const {
 
 PageManager::ReadGuard PageManager::OptimisticRead(PageId id) const {
   if (MaybeTrap("get", id, /*error_eligible=*/tl_locks_held == 0)) {
-    return ReadGuard::Faulted();  // injected fetch failure
+    // Injected fetch failure.
+    return ReadGuard::Faulted(Status::Code::kUnavailable);
   }
   MaybeSimulateIo();
   Meta* m = MetaFor(id);
   for (;;) {
-    if (paged_ && !EnsureResident(id, m).ok()) {
-      return ReadGuard::Faulted();  // store read error
+    if (paged_) {
+      Status s = EnsureResident(id, m);
+      if (!s.ok()) return ReadGuard::Faulted(s.code());  // store read error
     }
     // Version, then state, then (in the caller) the frame: a sweep that
     // evicts the page after the fault-in above shows up here as a

@@ -142,9 +142,25 @@ class PageManager {
 
     /// True if the fetch itself failed (an injected fault on site "get",
     /// or a store read error faulting the page in). Never stable. Unlike
-    /// a torn read, re-reading at once rarely helps: callers retry with
-    /// backoff (SagivTree::FetchPage) or surface the error.
-    bool faulted() const { return faulted_; }
+    /// a torn read, re-reading at once rarely helps: callers retry a
+    /// transient fault with backoff (SagivTree::FetchPage) or surface
+    /// fault().
+    bool faulted() const { return fault_ != Status::Code::kOk; }
+
+    /// Why the fetch failed: DataLoss when the stored image is corrupt
+    /// (it failed its checksum, or is truncated; every re-read returns
+    /// the same bytes, so it is never worth retrying), Unavailable for an
+    /// injected fault or any other store error. OK when not faulted.
+    Status fault() const {
+      switch (fault_) {
+        case Status::Code::kOk:
+          return Status::OK();
+        case Status::Code::kDataLoss:
+          return Status::DataLoss("page fetch failed: corrupt page image");
+        default:
+          return Status::Unavailable("page fetch failed");
+      }
+    }
 
     /// True iff no put has started or finished on the page since
     /// acquisition — everything read from page() in between is a
@@ -161,16 +177,16 @@ class PageManager {
     ReadGuard(const std::atomic<uint64_t>* seq, const Page* page,
               uint64_t version)
         : seq_(seq), page_(page), version_(version) {}
-    static ReadGuard Faulted() {
+    static ReadGuard Faulted(Status::Code code) {
       ReadGuard g;
-      g.faulted_ = true;
+      g.fault_ = code;
       return g;
     }
 
     const std::atomic<uint64_t>* seq_ = nullptr;
     const Page* page_ = nullptr;
     uint64_t version_ = 1;  // odd: never validates
-    bool faulted_ = false;
+    Status::Code fault_ = Status::Code::kOk;
   };
 
   /// Begin an optimistic in-place read (the fast-path alternative to Get

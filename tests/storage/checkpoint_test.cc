@@ -9,6 +9,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdio>
 #include <filesystem>
 #include <map>
 #include <string>
@@ -194,6 +195,51 @@ TEST_F(CheckpointTest, BufferPoolBoundedTreeRoundTrips) {
   }
   Status s = map.ValidateStructure();
   EXPECT_TRUE(s.ok()) << s.ToString();
+}
+
+// A page whose stored image fails its checksum reads back the same bytes
+// on every try, so the descents surface DataLoss at once instead of
+// retrying it with backoff as if it were a transient fault.
+TEST_F(CheckpointTest, CorruptPageSurfacesAsDataLossWithoutRetries) {
+  constexpr Key kN = 20'000;
+  MapOptions opt;
+  opt.tree.storage_dir = dir_;
+  opt.compression = CompressionMode::kNone;
+  {
+    ConcurrentMap map(opt);
+    ASSERT_TRUE(map.init_status().ok());
+    for (Key k = 1; k <= kN; ++k) ASSERT_TRUE(map.Insert(k, k).ok());
+    ASSERT_TRUE(map.Checkpoint().ok());
+  }
+  {
+    // Flip one byte in every slot of pages.dat: whichever slot the
+    // manifest names, every page's image is now corrupt.
+    const std::string path = dir_ + "/pages.dat";
+    const auto size = std::filesystem::file_size(path);
+    std::FILE* f = std::fopen(path.c_str(), "r+b");
+    ASSERT_NE(f, nullptr);
+    for (uint64_t off = 100; off < size; off += kPageSize) {
+      ASSERT_EQ(std::fseek(f, static_cast<long>(off), SEEK_SET), 0);
+      const int c = std::fgetc(f);
+      ASSERT_NE(c, EOF);
+      ASSERT_EQ(std::fseek(f, static_cast<long>(off), SEEK_SET), 0);
+      ASSERT_NE(std::fputc(c ^ 0xff, f), EOF);
+    }
+    std::fclose(f);
+  }
+  auto r = ConcurrentMap::Recover(opt);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  ConcurrentMap& map = **r;
+
+  const Result<Value> got = map.Get(kN / 2);
+  EXPECT_TRUE(got.status().IsDataLoss()) << got.status().ToString();
+  const BatchResult multi = map.MultiGet({1, kN / 3, kN / 2, kN});
+  for (const Result<Value>& v : multi.values) {
+    EXPECT_TRUE(v.status().IsDataLoss()) << v.status().ToString();
+  }
+  const Status up = map.Upsert(kN / 2, 7);
+  EXPECT_TRUE(up.IsDataLoss()) << up.ToString();
+  EXPECT_EQ(map.Stats().Get(StatId::kFetchRetries), 0u);
 }
 
 // Optimistic readers racing eviction and frame reuse through a pool far

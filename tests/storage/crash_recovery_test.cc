@@ -21,6 +21,12 @@
 // The workload is single-threaded, so the k-th eligible hit of a site
 // lands at the same operation in every run — the count run's ordinals
 // and the child's kill points line up by construction.
+//
+// The harness runs twice: over an unbounded buffer pool, where only
+// checkpoints write pages, and over a 64-page pool with 2-entry nodes,
+// where eviction stages dirty pages between checkpoints, the next
+// checkpoint commits them, and faults read staged slots back — so kill
+// points also land mid-eviction.
 
 #include <sys/types.h>
 #include <sys/wait.h>
@@ -101,11 +107,18 @@ Op OpAt(uint64_t* rng, size_t i) {
   return op;
 }
 
-MapOptions PersistentOptions(const std::string& dir) {
+// The harness's one input besides the seed: how the tree is paged.
+struct PoolShape {
+  uint32_t buffer_pool_pages;  // 0 = unbounded
+  uint32_t min_entries;
+};
+
+MapOptions PersistentOptions(const std::string& dir, const PoolShape& pool) {
   MapOptions options;
   options.compression = CompressionMode::kNone;  // keep the child 1-threaded
   options.tree.storage_dir = dir;
-  options.tree.min_entries = 8;
+  options.tree.min_entries = pool.min_entries;
+  options.tree.buffer_pool_pages = pool.buffer_pool_pages;
   return options;
 }
 
@@ -146,7 +159,8 @@ std::map<Key, Value> ModelAfter(uint64_t seed, uint64_t epoch) {
 // Child body for one kill point. Never returns into gtest: the armed
 // crash _Exit(kCrashExitCode)s mid-workload, or — if the ordinal lies
 // beyond the site's last hit — the workload completes and exits 0.
-[[noreturn]] void RunCrashChild(const std::string& dir, uint64_t seed,
+[[noreturn]] void RunCrashChild(const std::string& dir,
+                                const PoolShape& pool, uint64_t seed,
                                 const char* site, uint64_t ordinal) {
   FaultInjector::Instance().DisarmAll();
   FaultSpec spec;
@@ -156,7 +170,7 @@ std::map<Key, Value> ModelAfter(uint64_t seed, uint64_t epoch) {
   spec.max_fires = 1;
   FaultInjector::Instance().Arm(site, spec);
   {
-    ConcurrentMap map(PersistentOptions(dir));
+    ConcurrentMap map(PersistentOptions(dir, pool));
     RunWorkload(&map, seed);
   }
   std::_Exit(0);
@@ -178,14 +192,20 @@ std::vector<uint64_t> SampleOrdinals(uint64_t total, uint64_t cap) {
   return out;
 }
 
-class CrashRecoveryTest : public ::testing::Test {
+class CrashRecoveryTest : public ::testing::TestWithParam<PoolShape> {
  protected:
   void SetUp() override {
     FaultInjector::Instance().DisarmAll();
     seed_ = SeedFromEnv();
     std::cout << "[crash-recovery] OBTREE_FAULT_SEED=" << seed_ << std::endl;
+    // The parameterized name carries a '/', so take only its last part
+    // and add the pool size to keep the directory unique.
+    const ::testing::TestInfo* info =
+        ::testing::UnitTest::GetInstance()->current_test_info();
+    const std::string name = info->name();
     base_ = ::testing::TempDir() + "obtree_crash_" +
-            ::testing::UnitTest::GetInstance()->current_test_info()->name();
+            name.substr(name.rfind('/') + 1) + "_pool" +
+            std::to_string(GetParam().buffer_pool_pages);
     std::filesystem::remove_all(base_);
   }
 
@@ -202,16 +222,16 @@ class CrashRecoveryTest : public ::testing::Test {
   void AuditRecovered(const std::string& dir, const std::string& what) {
     if (!std::filesystem::exists(dir + "/MANIFEST")) {
       Result<std::unique_ptr<ConcurrentMap>> r =
-          ConcurrentMap::Recover(PersistentOptions(dir));
+          ConcurrentMap::Recover(PersistentOptions(dir, GetParam()));
       EXPECT_FALSE(r.ok()) << what << ": recovered without a manifest";
-      ConcurrentMap fresh(PersistentOptions(dir));
+      ConcurrentMap fresh(PersistentOptions(dir, GetParam()));
       EXPECT_TRUE(fresh.init_status().ok()) << what;
       EXPECT_EQ(fresh.Size(), 0u) << what << ": epoch-0 store not empty";
       return;
     }
 
     Result<std::unique_ptr<ConcurrentMap>> r =
-        ConcurrentMap::Recover(PersistentOptions(dir));
+        ConcurrentMap::Recover(PersistentOptions(dir, GetParam()));
     ASSERT_TRUE(r.ok()) << what << ": " << r.status().ToString();
     ConcurrentMap& map = **r;
     const uint64_t epoch = map.checkpoint_epoch();
@@ -244,7 +264,7 @@ class CrashRecoveryTest : public ::testing::Test {
     const std::string dir =
         base_ + "/" + site + "-" + std::to_string(ordinal);
     const pid_t pid = fork();
-    if (pid == 0) RunCrashChild(dir, seed_, site, ordinal);
+    if (pid == 0) RunCrashChild(dir, GetParam(), seed_, site, ordinal);
     EXPECT_GT(pid, 0) << "fork failed";
     if (pid <= 0) return -1;
     int status = 0;
@@ -263,7 +283,7 @@ class CrashRecoveryTest : public ::testing::Test {
   std::string base_;
 };
 
-TEST_F(CrashRecoveryTest, EveryCrashSiteRecoversToCommittedPrefix) {
+TEST_P(CrashRecoveryTest, EveryCrashSiteRecoversToCommittedPrefix) {
   // Phase 1: fault-free count run. Probability-0 arms never fire but
   // count every eligible hit, enumerating the kill points per site.
   for (const char* site : kCrashSites) {
@@ -273,8 +293,12 @@ TEST_F(CrashRecoveryTest, EveryCrashSiteRecoversToCommittedPrefix) {
     FaultInjector::Instance().Arm(site, counter);
   }
   {
-    ConcurrentMap map(PersistentOptions(base_ + "/count"));
+    ConcurrentMap map(PersistentOptions(base_ + "/count", GetParam()));
     RunWorkload(&map, seed_);
+    // A bounded pool must really evict, or it tests nothing new.
+    if (GetParam().buffer_pool_pages != 0) {
+      ASSERT_GT(map.Stats().Get(StatId::kPagesEvicted), 0u);
+    }
   }
   std::map<std::string, uint64_t> hits;
   for (const char* site : kCrashSites) {
@@ -314,17 +338,25 @@ TEST_F(CrashRecoveryTest, EveryCrashSiteRecoversToCommittedPrefix) {
             << std::endl;
 }
 
-TEST_F(CrashRecoveryTest, OrdinalPastLastHitCompletesAndRecoversFully) {
+TEST_P(CrashRecoveryTest, OrdinalPastLastHitCompletesAndRecoversFully) {
   // A kill point that is never reached must leave a complete workload:
   // the child exits 0 and the store recovers to the final epoch.
   const int code = RunKillPoint("store-fsync", 1u << 20);
   ASSERT_EQ(code, 0);
   Result<std::unique_ptr<ConcurrentMap>> r =
       ConcurrentMap::Recover(PersistentOptions(
-          base_ + "/store-fsync-" + std::to_string(1u << 20)));
+          base_ + "/store-fsync-" + std::to_string(1u << 20), GetParam()));
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_EQ((*r)->checkpoint_epoch(), kTotalEpochs);
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    Pools, CrashRecoveryTest,
+    ::testing::Values(PoolShape{0, 8}, PoolShape{64, 2}),
+    [](const ::testing::TestParamInfo<PoolShape>& info) {
+      return info.param.buffer_pool_pages == 0 ? std::string("Unbounded")
+                                               : std::string("Evicting");
+    });
 
 }  // namespace
 }  // namespace obtree

@@ -55,7 +55,7 @@ Page MakePage(uint8_t fill) {
 // value for a given input must never change.
 
 // One bit at a time, straight from the definition of the reflected IEEE
-// CRC-32: the reference the table-driven Crc32 must agree with.
+// CRC-32: the reference both Crc32 paths must agree with.
 uint32_t BitwiseCrc32(const unsigned char* p, size_t n) {
   uint32_t crc = 0xffffffffu;
   for (size_t i = 0; i < n; ++i) {
@@ -74,24 +74,33 @@ TEST(Crc32Test, StandardCheckValue) {
 
 // Golden value of a full page, fixed from the byte-at-a-time
 // implementation that wrote every existing store.
+// Crc32Portable is the table loop alone, so hosts whose Crc32 folds
+// with carry-less multiplies still check it at page length.
 TEST(Crc32Test, PageChecksumIsUnchanged) {
   Page p;
   for (size_t i = 0; i < kPageSize; ++i) {
     p.bytes[i] = static_cast<uint8_t>(i * 131 + 7);
   }
   EXPECT_EQ(FileStore::Crc32(p.bytes, kPageSize), 0xA3F5519Cu);
+  EXPECT_EQ(FileStore::Crc32Portable(p.bytes, kPageSize), 0xA3F5519Cu);
 }
 
-// Every tail length and every misalignment of the 8-byte steps.
+// Every tail length and misalignment of the 8-byte table steps and the
+// 16-byte folds, below, at and well past the 64-byte fold minimum.
 TEST(Crc32Test, MatchesBitwiseReferenceAtEveryLengthAndOffset) {
-  std::vector<unsigned char> buf(64 + 8);
+  constexpr size_t kMaxLen = 1100;
+  constexpr size_t kOffsets = 16;
+  std::vector<unsigned char> buf(kMaxLen + kOffsets);
   for (size_t i = 0; i < buf.size(); ++i) {
     buf[i] = static_cast<unsigned char>(i * 37 + 11);
   }
-  for (size_t offset = 0; offset < 8; ++offset) {
-    for (size_t len = 0; len <= 64; ++len) {
-      EXPECT_EQ(FileStore::Crc32(buf.data() + offset, len),
-                BitwiseCrc32(buf.data() + offset, len))
+  for (size_t offset = 0; offset < kOffsets; ++offset) {
+    for (size_t len = 0; len <= kMaxLen; ++len) {
+      const unsigned char* p = buf.data() + offset;
+      const uint32_t want = BitwiseCrc32(p, len);
+      ASSERT_EQ(FileStore::Crc32(p, len), want)
+          << "offset " << offset << " len " << len;
+      ASSERT_EQ(FileStore::Crc32Portable(p, len), want)
           << "offset " << offset << " len " << len;
     }
   }
@@ -239,6 +248,105 @@ TEST_F(FileStoreTest, CorruptedPageImageReadsAsDataLoss) {
   EXPECT_TRUE(s.IsDataLoss()) << s.ToString();
   EXPECT_NE(s.message().find("page 0 slot"), std::string::npos)
       << s.ToString();
+}
+
+// Staging a page twice before a Commit reuses its shadow slot; reads,
+// the commit and a reopen all see the newest image.
+TEST_F(FileStoreTest, PageStagedTwiceReadsBackNewestImage) {
+  const Page v1 = MakePage(0x11);
+  const Page v2 = MakePage(0x22);
+  const Page v3 = MakePage(0x33);
+  {
+    auto store = FileStore::Open(dir_);
+    ASSERT_TRUE(store.ok());
+    // Page 4 never committed, page 6 committed once before its restages.
+    ASSERT_TRUE((*store)->WritePage(6, v1.bytes).ok());
+    StoreMeta meta;
+    meta.next_fresh = 7;
+    ASSERT_TRUE((*store)->Commit(&meta).ok());
+    for (PageId id : {PageId{4}, PageId{6}}) {
+      ASSERT_TRUE((*store)->WritePage(id, v2.bytes).ok());
+      ASSERT_TRUE((*store)->WritePage(id, v3.bytes).ok());
+      Page r;
+      ASSERT_TRUE((*store)->ReadPage(id, r.bytes).ok());
+      EXPECT_EQ(std::memcmp(v3.bytes, r.bytes, kPageSize), 0) << id;
+    }
+    ASSERT_TRUE((*store)->Commit(&meta).ok());
+  }
+  auto store = FileStore::Open(dir_);
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  for (PageId id : {PageId{4}, PageId{6}}) {
+    Page r;
+    ASSERT_TRUE((*store)->ReadPage(id, r.bytes).ok());
+    EXPECT_EQ(std::memcmp(v3.bytes, r.bytes, kPageSize), 0) << id;
+  }
+}
+
+// The manifest's page table indexes the store's slot table, so the
+// loader checks each id even when the trailer checksum is valid: an id
+// at or past next_fresh, or one named twice, is DataLoss. Entry order
+// is free (the writer sorts by id; a reversed table still opens).
+TEST_F(FileStoreTest, ManifestPageTableIsCheckedOnOpen) {
+  // Layout with no levels and no free pages: a 56-byte header, then
+  // 12-byte {id, slot, crc} entries, then the 4-byte trailer CRC.
+  constexpr size_t kEntriesAt = 56;
+  const Page w0 = MakePage(0x0a);
+  const Page w1 = MakePage(0x1b);
+  {
+    auto store = FileStore::Open(dir_);
+    ASSERT_TRUE(store.ok());
+    ASSERT_TRUE((*store)->WritePage(0, w0.bytes).ok());
+    ASSERT_TRUE((*store)->WritePage(1, w1.bytes).ok());
+    StoreMeta meta;
+    meta.next_fresh = 2;
+    ASSERT_TRUE((*store)->Commit(&meta).ok());
+  }
+  const std::string path = dir_ + "/MANIFEST";
+  std::string good;
+  {
+    std::FILE* f = std::fopen(path.c_str(), "rb");
+    ASSERT_NE(f, nullptr);
+    char buf[256];
+    const size_t n = std::fread(buf, 1, sizeof(buf), f);
+    std::fclose(f);
+    good.assign(buf, n);
+  }
+  ASSERT_EQ(good.size(), kEntriesAt + 2 * 12 + 4);
+  auto put32 = [](std::string* m, size_t at, uint32_t v) {
+    for (int i = 0; i < 4; ++i) (*m)[at + i] = static_cast<char>(v >> (8 * i));
+  };
+  // Rewrite the manifest with a valid trailer over the edited bytes.
+  auto install = [&](std::string m) {
+    put32(&m, m.size() - 4, FileStore::Crc32(m.data(), m.size() - 4));
+    std::FILE* f = std::fopen(path.c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    ASSERT_EQ(std::fwrite(m.data(), 1, m.size(), f), m.size());
+    std::fclose(f);
+  };
+
+  std::string past_end = good;
+  put32(&past_end, kEntriesAt + 12, 2);  // the second entry names page 2
+  install(past_end);
+  auto store = FileStore::Open(dir_);
+  EXPECT_TRUE(store.status().IsDataLoss()) << store.status().ToString();
+
+  std::string duplicate = good;
+  put32(&duplicate, kEntriesAt + 12, 0);  // the second entry names page 0
+  install(duplicate);
+  store = FileStore::Open(dir_);
+  EXPECT_TRUE(store.status().IsDataLoss()) << store.status().ToString();
+
+  std::string reversed = good;
+  reversed.replace(kEntriesAt, 12, good, kEntriesAt + 12, 12);
+  reversed.replace(kEntriesAt + 12, 12, good, kEntriesAt, 12);
+  install(reversed);
+  store = FileStore::Open(dir_);
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  Page r;
+  ASSERT_TRUE((*store)->ReadPage(0, r.bytes).ok());
+  EXPECT_EQ(std::memcmp(w0.bytes, r.bytes, kPageSize), 0);
+  ASSERT_TRUE((*store)->ReadPage(1, r.bytes).ok());
+  EXPECT_EQ(std::memcmp(w1.bytes, r.bytes, kPageSize), 0);
 }
 
 // A torn manifest (trailing checksum broken) must fail Open loudly.
