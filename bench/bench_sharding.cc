@@ -9,15 +9,6 @@
 // shard's range) collapses the gain, and the global-lock baseline trails
 // everything.
 //
-// E11d — shared BackgroundPool vs per-shard compression workers. The old
-// topology spawns num_shards x compression_threads_per_shard background
-// threads (16 shards => 16+ threads oversubscribing the machine); the
-// shared pool serves every shard with a fixed machine-sized worker set.
-// The claim, gated by CI's pool-scaling job via BENCH_sharding.json: the
-// pool keeps the background-thread count at pool_threads regardless of
-// shard count while giving up < 10% read-mostly throughput (usually
-// nothing — fewer threads means less scheduler pressure).
-//
 // E11e — online rebalancing vs the shard-hot-spot adversary. E11c shows
 // range partitioning's known weakness: aim 90% of traffic at one shard's
 // range and the static layout degenerates to a single tree. The
@@ -38,7 +29,6 @@
 
 #include "obtree/api/sharded_map.h"
 #include "obtree/baseline/coarse_tree.h"
-#include "obtree/core/background_pool.h"
 #include "obtree/core/sagiv_tree.h"
 #include "obtree/workload/driver.h"
 #include "obtree/workload/report.h"
@@ -63,15 +53,6 @@ void Record(const std::string& config, int threads, double kops) {
   Samples().push_back(JsonSample{config, threads, kops});
 }
 
-/// The pool-scaling gate numbers (E11d), consumed by CI.
-struct PoolGate {
-  int pool_threads = 0;
-  int shared_bg_threads_16_shards = 0;
-  int per_shard_bg_threads_16_shards = 0;
-  double shared_read_mostly_8s_kops = 0;
-  double per_shard_read_mostly_8s_kops = 0;
-};
-
 /// The rebalancing gate numbers (E11e), consumed by CI.
 struct RebalanceGate {
   double off_kops = 0;        ///< static 4-shard layout, hotspot adversary
@@ -79,30 +60,16 @@ struct RebalanceGate {
   uint32_t final_shards = 0;  ///< shard count after the rebalanced run
 };
 
-void WriteJson(const char* path, bool quick, const PoolGate& gate,
+void WriteJson(const char* path, bool quick,
                const RebalanceGate& rebalance) {
   std::FILE* f = std::fopen(path, "w");
   if (f == nullptr) {
     std::fprintf(stderr, "cannot write %s\n", path);
     return;
   }
-  const double ratio = gate.per_shard_read_mostly_8s_kops > 0
-                           ? gate.shared_read_mostly_8s_kops /
-                                 gate.per_shard_read_mostly_8s_kops
-                           : 0.0;
   std::fprintf(f, "{\n");
   std::fprintf(f, "  \"bench\": \"sharding\",\n");
   std::fprintf(f, "  \"quick\": %s,\n", quick ? "true" : "false");
-  std::fprintf(f, "  \"pool_threads\": %d,\n", gate.pool_threads);
-  std::fprintf(f, "  \"shared_pool_bg_threads_16_shards\": %d,\n",
-               gate.shared_bg_threads_16_shards);
-  std::fprintf(f, "  \"per_shard_bg_threads_16_shards\": %d,\n",
-               gate.per_shard_bg_threads_16_shards);
-  std::fprintf(f, "  \"read_mostly_8_shards_shared_pool_kops\": %.1f,\n",
-               gate.shared_read_mostly_8s_kops);
-  std::fprintf(f, "  \"read_mostly_8_shards_per_shard_kops\": %.1f,\n",
-               gate.per_shard_read_mostly_8s_kops);
-  std::fprintf(f, "  \"shared_pool_throughput_ratio\": %.3f,\n", ratio);
   const double speedup = rebalance.off_kops > 0
                              ? rebalance.on_kops / rebalance.off_kops
                              : 0.0;
@@ -205,90 +172,6 @@ void RunMix(WorkloadSpec spec, const std::vector<int>& thread_counts,
   }
   table.Print();
   std::printf("(cells are Kops/s; higher is better)\n\n");
-}
-
-// ------------------------------------------------------------------- E11d
-
-struct MaintainedRun {
-  double kops = 0;
-  int bg_threads = 0;
-  uint64_t pool_drained = 0;  ///< shared-pool mode only
-};
-
-/// Run a compression-active workload (kQueueWorkers) against a ShardedMap
-/// in either background topology. `repeats` takes the best throughput of
-/// several runs (the gated cells must not flap on CI-host noise).
-MaintainedRun MaintainedKops(const WorkloadSpec& spec, uint32_t shards,
-                             int threads, uint64_t ops_per_thread,
-                             bool shared_pool, int pool_threads,
-                             int repeats = 1) {
-  MaintainedRun best;
-  for (int r = 0; r < repeats; ++r) {
-    ShardOptions options;
-    options.tree = BenchTreeOptions();
-    options.num_shards = shards;
-    options.key_space_hint = spec.key_space;
-    options.compression = CompressionMode::kQueueWorkers;
-    options.per_shard_workers = !shared_pool;
-    options.pool_threads = pool_threads;
-    options.compression_threads_per_shard = 1;
-    ShardedMap map(options);
-    PreloadTree(&map, spec, 4);
-    const DriverResult result =
-        RunWorkload(&map, spec, threads, ops_per_thread, /*seed=*/7 + r);
-    const double kops = result.MopsPerSec() * 1000.0;
-    if (kops > best.kops) {
-      best.kops = kops;
-      best.bg_threads = map.background_thread_count();
-      best.pool_drained = map.PoolStats().tasks_drained;
-    }
-  }
-  return best;
-}
-
-PoolGate RunPoolComparison(uint64_t ops_per_thread, Key key_space,
-                           int repeats) {
-  PoolGate gate;
-  gate.pool_threads = 4;
-  WorkloadSpec spec = WorkloadSpec::ReadMostly();
-  spec.name = "read-mostly(95/2.5/2.5)";
-  spec.key_space = key_space;
-  spec.preload = key_space / 2;
-  const int fg_threads = 8;
-
-  Table table({"shards", "topology", "bg threads", "Kops/s", "drained"});
-  for (uint32_t shards : {8u, 16u}) {
-    const MaintainedRun per_shard =
-        MaintainedKops(spec, shards, fg_threads, ops_per_thread,
-                       /*shared_pool=*/false, gate.pool_threads, repeats);
-    const MaintainedRun pooled =
-        MaintainedKops(spec, shards, fg_threads, ops_per_thread,
-                       /*shared_pool=*/true, gate.pool_threads, repeats);
-    table.AddRow({Fmt(static_cast<uint64_t>(shards)), "per-shard",
-                  Fmt(static_cast<uint64_t>(per_shard.bg_threads)),
-                  Fmt(per_shard.kops), "-"});
-    table.AddRow({Fmt(static_cast<uint64_t>(shards)), "shared-pool",
-                  Fmt(static_cast<uint64_t>(pooled.bg_threads)),
-                  Fmt(pooled.kops), Fmt(pooled.pool_drained)});
-    Record("e11d/per_shard_x" + std::to_string(shards), fg_threads,
-           per_shard.kops);
-    Record("e11d/shared_pool_x" + std::to_string(shards), fg_threads,
-           pooled.kops);
-    if (shards == 8) {
-      gate.per_shard_read_mostly_8s_kops = per_shard.kops;
-      gate.shared_read_mostly_8s_kops = pooled.kops;
-    } else {
-      gate.per_shard_bg_threads_16_shards = per_shard.bg_threads;
-      gate.shared_bg_threads_16_shards = pooled.bg_threads;
-    }
-  }
-  table.Print();
-  std::printf(
-      "(bg threads: background maintenance threads the process runs; the "
-      "shared pool stays at pool_threads=%d while per-shard grows with the "
-      "shard count)\n\n",
-      gate.pool_threads);
-  return gate;
 }
 
 // ------------------------------------------------------------------- E11e
@@ -413,15 +296,6 @@ int main(int argc, char** argv) {
   RunMix(WorkloadSpec::ShardHotSpot(4), threads, 0, mem_ops, key_space);
 
   PrintBanner(
-      "E11d: shared background pool vs per-shard compression workers",
-      "one machine-sized BackgroundPool drains every shard's compression "
-      "queue with round-robin fairness and a depth boost, so background "
-      "threads stay at pool_threads no matter the shard count; the old "
-      "topology spawns num_shards x threads and oversubscribes cores");
-  const PoolGate gate = RunPoolComparison(mem_ops, key_space,
-                                          /*repeats=*/quick ? 3 : 1);
-
-  PrintBanner(
       "E11e: online rebalancing vs the shard-hot-spot adversary",
       "the rebalancer reads pool telemetry and per-shard op/contention "
       "deltas, splits the hot shard at its median stored key, and repeats "
@@ -430,6 +304,6 @@ int main(int argc, char** argv) {
   const RebalanceGate rebalance =
       RunRebalanceComparison(mem_ops, key_space, /*repeats=*/3);
 
-  WriteJson("BENCH_sharding.json", quick, gate, rebalance);
+  WriteJson("BENCH_sharding.json", quick, rebalance);
   return 0;
 }

@@ -18,70 +18,43 @@ ConcurrentMap::ConcurrentMap(const MapOptions& options, BackgroundPool* pool)
     tree_options.enqueue_underfull_on_delete = true;
   }
   tree_ = std::make_unique<SagivTree>(tree_options);
+  if (options_.compression == CompressionMode::kNone) return;
 
-  const int workers = std::max(1, options_.compression_threads);
-  switch (options_.compression) {
-    case CompressionMode::kNone:
-      break;
-    case CompressionMode::kBackgroundScan:
-      if (pool != nullptr) {
-        pool_ = pool;
-        pool_handle_ = pool->Attach(tree_.get(), /*queue=*/nullptr);
-        break;
-      }
-      scan_compressor_ = std::make_unique<ScanCompressor>(tree_.get());
-      for (int i = 0; i < workers; ++i) {
-        workers_.emplace_back([this]() {
-          scan_compressor_->RunUntil(&stop_, std::chrono::milliseconds(2));
-        });
-      }
-      break;
-    case CompressionMode::kQueueWorkers:
-      queue_ = std::make_unique<CompressionQueue>();
-      queue_->RegisterWith(tree_->epoch());
-      tree_->AttachCompressionQueue(queue_.get());
-      if (pool != nullptr) {
-        pool_ = pool;
-        pool_handle_ = pool->Attach(tree_.get(), queue_.get());
-        break;
-      }
-      // Populate the compressor vector fully BEFORE spawning any thread:
-      // a worker indexing queue_compressors_ while a later push_back
-      // reallocates it is a data race.
-      queue_compressors_.reserve(static_cast<size_t>(workers));
-      for (int i = 0; i < workers; ++i) {
-        queue_compressors_.push_back(
-            std::make_unique<QueueCompressor>(tree_.get(), queue_.get()));
-      }
-      for (int i = 0; i < workers; ++i) {
-        QueueCompressor* compressor =
-            queue_compressors_[static_cast<size_t>(i)].get();
-        workers_.emplace_back([this, compressor]() {
-          compressor->RunUntil(&stop_, std::chrono::milliseconds(1));
-        });
-      }
-      break;
+  if (options_.compression == CompressionMode::kQueueWorkers) {
+    queue_ = std::make_unique<CompressionQueue>();
+    queue_->RegisterWith(tree_->epoch());
+    tree_->AttachCompressionQueue(queue_.get());
   }
+  if (pool == nullptr) {
+    BackgroundPool::Options pool_options;
+    pool_options.threads = std::max(1, options_.compression_threads);
+    owned_pool_ = std::make_unique<BackgroundPool>(pool_options);
+    pool = owned_pool_.get();
+  }
+  pool_ = pool;
+  pool_handle_ = pool->Attach(tree_.get(), queue_.get());
 }
 
 ConcurrentMap::~ConcurrentMap() { ShutdownMaintenance(); }
+
+int ConcurrentMap::background_thread_count() const {
+  return owned_pool_ != nullptr ? owned_pool_->thread_count() : 0;
+}
 
 void ConcurrentMap::ShutdownMaintenance() noexcept {
   // Order matters: background maintenance must be fully quiesced BEFORE
   // the tree or queue begins tearing down — a pool worker mid-CompressOne
   // dereferences both. Detach blocks until no worker touches this map and
   // is idempotent, so calling this twice (or after a partial construction)
-  // is safe.
+  // is safe. The owned pool goes after the detach: destroying it joins its
+  // workers and its supervisor.
+  std::lock_guard<std::mutex> lk(maintenance_mu_);
   if (pool_ != nullptr) {
     pool_->Detach(pool_handle_);
     pool_ = nullptr;
     pool_handle_ = 0;
   }
-  stop_.store(true, std::memory_order_release);
-  for (auto& w : workers_) {
-    if (w.joinable()) w.join();
-  }
-  workers_.clear();
+  owned_pool_.reset();
   // Detach before the queue dies (the tree outlives it in this class, but
   // be explicit about the dependency).
   if (tree_ != nullptr) tree_->AttachCompressionQueue(nullptr);
@@ -179,28 +152,20 @@ Result<std::unique_ptr<ConcurrentMap>> ConcurrentMap::Recover(
 }
 
 void ConcurrentMap::CompressNow() {
-  switch (options_.compression) {
-    case CompressionMode::kNone:
-    case CompressionMode::kBackgroundScan: {
-      ScanCompressor compressor(tree_.get());
-      for (int pass = 0; pass < 128; ++pass) {
-        if (compressor.FullPass() == 0) break;
-      }
-      break;
-    }
-    case CompressionMode::kQueueWorkers: {
-      QueueCompressor compressor(tree_.get(), queue_.get());
-      compressor.Drain();
-      // Queue mode only revisits enqueued nodes; a final sweep picks up
-      // nodes whose neighbors were never enqueued.
-      ScanCompressor sweeper(tree_.get());
-      for (int pass = 0; pass < 128; ++pass) {
-        if (sweeper.FullPass() == 0) break;
-      }
-      break;
-    }
+  // Pause this map's pool service for the whole call, so no background
+  // pass is half done when the last foreground pass reports no work. The
+  // lock keeps a concurrent Quiesce from detaching mid-call.
+  std::lock_guard<std::mutex> lk(maintenance_mu_);
+  if (pool_ != nullptr) pool_->Pause(pool_handle_);
+  // Queue mode only revisits enqueued nodes; the sweep after the drain
+  // picks up nodes whose neighbors were never enqueued.
+  if (queue_ != nullptr) QueueCompressor(tree_.get(), queue_.get()).Drain();
+  ScanCompressor sweeper(tree_.get());
+  for (int pass = 0; pass < 128; ++pass) {
+    if (sweeper.FullPass() == 0) break;
   }
   tree_->internal_pager()->Reclaim();
+  if (pool_ != nullptr) pool_->Resume(pool_handle_);
 }
 
 ConcurrentMap::Cursor::Cursor(const ConcurrentMap* map, Key start)

@@ -1,8 +1,8 @@
 // Copyright 2026 The obtree Authors.
 //
 // ConcurrentMap: the library's primary public entry point. It bundles a
-// SagivTree with a compression deployment (Section 5's three options) and
-// manages the background threads, so applications get an ordered
+// SagivTree with a compression deployment (Section 5's three options)
+// served by a BackgroundPool, so applications get an ordered
 // key-value map with lock-free reads, single-lock writes, and automatic
 // space compaction.
 //
@@ -16,10 +16,9 @@
 #ifndef OBTREE_API_CONCURRENT_MAP_H_
 #define OBTREE_API_CONCURRENT_MAP_H_
 
-#include <atomic>
 #include <functional>
 #include <memory>
-#include <thread>
+#include <mutex>
 #include <vector>
 
 #include "obtree/api/batch.h"
@@ -33,8 +32,6 @@
 namespace obtree {
 
 class BackgroundPool;
-class QueueCompressor;
-class ScanCompressor;
 struct TreeShape;
 
 // CompressionMode lives in core/options.h (pulled in above) so that
@@ -46,25 +43,25 @@ struct MapOptions {
   TreeOptions tree;
   /// Compression deployment.
   CompressionMode compression = CompressionMode::kQueueWorkers;
-  /// Background workers (>= 1) for the chosen compression mode.
+  /// Workers (>= 1) of the map's own pool, unused with a shared one: one
+  /// is Section 5.4's deployment (1), several are deployment (2).
   int compression_threads = 1;
 };
 
 /// Thread-safe ordered map from Key to Value.
 class ConcurrentMap {
  public:
-  /// With `pool == nullptr` (the default) the map spawns its own
-  /// options.compression_threads background workers. With a pool, the map
-  /// spawns NO threads of its own: it attaches its compression work
-  /// (queue or scan, per options.compression) to the shared
-  /// BackgroundPool, which must outlive the map. ShardedMap uses this to
-  /// serve any number of shards with one machine-sized worker set.
+  /// Unless compression is kNone, the map attaches its compression work
+  /// (queue or scan) to a BackgroundPool. With `pool == nullptr` (the
+  /// default) it owns one of options.compression_threads workers. With a
+  /// pool it spawns NO threads and the pool must outlive it (ShardedMap's
+  /// one machine-sized pool serves all its shards this way).
   explicit ConcurrentMap(const MapOptions& options = MapOptions(),
                          BackgroundPool* pool = nullptr);
 
-  /// Detaches from the shared pool (blocking until no pool worker touches
-  /// this map) or stops and joins the owned workers — in either case
-  /// before the tree or queue begins tearing down.
+  /// Detaches from the pool (blocking until no pool worker touches this
+  /// map) and then destroys an owned pool, joining its threads — before
+  /// the tree or queue begins tearing down.
   ~ConcurrentMap();
   OBTREE_DISALLOW_COPY_AND_ASSIGN(ConcurrentMap);
 
@@ -141,7 +138,8 @@ class ConcurrentMap {
   uint32_t Height() const { return tree_->Height(); }
 
   /// Run compression synchronously until a fixpoint (blocks the caller,
-  /// not concurrent operations). Useful before measuring space.
+  /// not concurrent operations). Useful before measuring space. The pool
+  /// is paused for this map meanwhile, so no background pass races it.
   void CompressNow();
 
   // --- persistence (options.tree.storage_dir) -----------------------------
@@ -228,25 +226,24 @@ class ConcurrentMap {
   const SagivTree* tree() const { return tree_.get(); }
   CompressionQueue* queue() { return queue_.get(); }
 
-  /// Background threads THIS map owns (0 when served by a shared pool or
-  /// compression is off).
-  int background_thread_count() const {
-    return static_cast<int>(workers_.size());
-  }
+  /// Workers of the pool THIS map owns; the pool's supervisor is one more
+  /// thread (0 with a shared pool, compression off, or after Quiesce).
+  int background_thread_count() const;
 
-  /// The shared pool serving this map, or nullptr when it owns workers.
+  /// The pool serving this map (owned or shared), or nullptr.
   BackgroundPool* attached_pool() const { return pool_; }
 
   /// The handle attached_pool()'s Attach returned for this map (0 when
-  /// not pool-served). Join key for the per-shard rows of
+  /// no pool serves it). Join key for the per-shard rows of
   /// BackgroundPool::Stats()/StatsFor — snapshot rows are in attach
   /// order, not shard order.
   uint64_t pool_handle() const { return pool_handle_; }
 
   /// Permanently stop background maintenance for this map: detach from
-  /// the shared pool (blocking until no worker touches it) or join owned
-  /// workers, and detach the compression queue. The map stays fully
-  /// usable — under-full nodes just stop being compacted. Idempotent.
+  /// the pool (blocking until no worker touches it), destroy an owned
+  /// pool, and detach the compression queue; waits out a CompressNow. The
+  /// map stays fully usable — under-full nodes just stop being compacted.
+  /// Idempotent.
   /// The shard rebalancer calls this on a donor tree once its last key
   /// has migrated out, so retired (empty) trees cost the pool no
   /// round-robin turns.
@@ -254,18 +251,16 @@ class ConcurrentMap {
 
  private:
   /// Idempotent, exception-safe teardown of background maintenance:
-  /// detach from the shared pool / stop and join owned workers, then
-  /// detach the queue from the tree. Safe to call repeatedly.
+  /// detach from the pool, destroy an owned one, then detach the queue
+  /// from the tree. Safe to call repeatedly.
   void ShutdownMaintenance() noexcept;
 
   MapOptions options_;
   std::unique_ptr<SagivTree> tree_;
   std::unique_ptr<CompressionQueue> queue_;
-  std::unique_ptr<ScanCompressor> scan_compressor_;
-  std::vector<std::unique_ptr<QueueCompressor>> queue_compressors_;
-  std::atomic<bool> stop_{false};
-  std::vector<std::thread> workers_;
-  BackgroundPool* pool_ = nullptr;  ///< not owned; null => own workers_
+  std::unique_ptr<BackgroundPool> owned_pool_;  ///< null when shared/none
+  std::mutex maintenance_mu_;  ///< CompressNow vs ShutdownMaintenance
+  BackgroundPool* pool_ = nullptr;  ///< owned_pool_ or a shared pool
   uint64_t pool_handle_ = 0;
 };
 

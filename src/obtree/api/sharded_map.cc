@@ -30,10 +30,8 @@ ShardedMap::ShardedMap(const ShardOptions& options) : options_(options) {
   if (shard_width_ == 0) shard_width_ = 1;
   dynamic_ = options_.rebalance.enabled;
 
-  // One machine-sized maintenance pool serves every shard (the default);
-  // per_shard_workers restores the old N-shards-times-threads topology.
-  if (!options_.per_shard_workers &&
-      options_.compression != CompressionMode::kNone) {
+  // One machine-sized maintenance pool serves every shard.
+  if (options_.compression != CompressionMode::kNone) {
     BackgroundPool::Options pool_options;
     pool_options.threads = options_.pool_threads;
     pool_ = std::make_unique<BackgroundPool>(pool_options);
@@ -74,7 +72,6 @@ std::unique_ptr<ConcurrentMap> ShardedMap::MakeTree() {
   MapOptions shard_options;
   shard_options.tree = options_.tree;
   shard_options.compression = options_.compression;
-  shard_options.compression_threads = options_.compression_threads_per_shard;
   if (!shard_options.tree.storage_dir.empty()) {
     // Each shard persists into its own subdirectory, numbered by creation
     // order — stable across restarts because a persistent topology is
@@ -559,11 +556,7 @@ PoolStatsSnapshot ShardedMap::PoolStats() const {
 }
 
 int ShardedMap::background_thread_count() const {
-  if (pool_ != nullptr) return pool_->thread_count();
-  int total = 0;
-  std::lock_guard<std::mutex> lk(trees_mu_);
-  for (const auto& m : trees_) total += m->background_thread_count();
-  return total;
+  return pool_ != nullptr ? pool_->thread_count() : 0;
 }
 
 StatsSnapshot ShardedMap::Stats() const {

@@ -168,8 +168,8 @@ class ShardedMap : private ShardRebalancer::Host {
   StatsSnapshot Stats() const;
 
   /// Counters of the shared background-maintenance pool: tasks drained
-  /// per shard, boost/steal counts, idle ratio. Empty (threads == 0) in
-  /// per-shard-workers mode or with compression off.
+  /// per shard, boost/steal counts, idle ratio. Empty (threads == 0) with
+  /// compression off.
   PoolStatsSnapshot PoolStats() const;
 
   /// Structural statistics aggregated across shards: heights max,
@@ -207,8 +207,7 @@ class ShardedMap : private ShardRebalancer::Host {
     return table()->entries[i].tree;
   }
 
-  /// The shared maintenance pool, or nullptr in per-shard-workers mode /
-  /// with compression off.
+  /// The shared maintenance pool, or nullptr with compression off.
   BackgroundPool* pool() const { return pool_.get(); }
 
   /// The rebalancing controller, or nullptr unless
@@ -224,9 +223,9 @@ class ShardedMap : private ShardRebalancer::Host {
     return last_rebalance_error_;
   }
 
-  /// Total background maintenance threads serving this map: the pool's
-  /// fixed size in shared-pool mode (independent of num_shards), or the
-  /// sum of per-shard workers in fallback mode (grows with num_shards).
+  /// Background maintenance workers serving this map: the shared pool's
+  /// fixed size, independent of num_shards (0 with compression off). The
+  /// pool's supervisor is one more thread.
   int background_thread_count() const;
 
   const ShardOptions& options() const { return options_; }

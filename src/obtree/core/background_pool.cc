@@ -70,13 +70,8 @@ uint64_t BackgroundPool::Attach(SagivTree* tree, CompressionQueue* queue) {
     src->handle = handle;
     sources_.push_back(std::move(src));
   }
-  // Wake idle workers so a busy queue gets service promptly (the bump
-  // invalidates the generation captured before their idle wait).
-  {
-    std::lock_guard<std::mutex> lk(wake_mu_);
-    wake_gen_.fetch_add(1, std::memory_order_relaxed);
-  }
-  wake_cv_.notify_all();
+  // Wake idle workers so a busy queue gets service promptly.
+  WakeWorkers();
   return handle;
 }
 
@@ -93,19 +88,55 @@ void BackgroundPool::Detach(uint64_t handle) {
     }
   }
   if (src == nullptr) return;  // unknown or already detached: idempotent
-  // seq_cst store/load pairs with BeginWork's fetch_add/load: either the
-  // worker sees `detached` and backs out, or Detach sees its increment of
-  // `active` and waits for the matching EndWork.
   src->detached.store(true);
+  WaitIdle(src.get());
+}
+
+void BackgroundPool::Pause(uint64_t handle) {
+  std::shared_ptr<Source> src = Find(handle);
+  if (src == nullptr) return;
+  src->paused.store(true);
+  WaitIdle(src.get());
+}
+
+void BackgroundPool::Resume(uint64_t handle) {
+  std::shared_ptr<Source> src = Find(handle);
+  if (src == nullptr) return;
+  src->paused.store(false);
+  WakeWorkers();
+}
+
+std::shared_ptr<BackgroundPool::Source> BackgroundPool::Find(
+    uint64_t handle) const {
+  std::lock_guard<std::mutex> lk(mu_);
+  for (const auto& s : sources_) {
+    if (s->handle == handle) return s;
+  }
+  return nullptr;
+}
+
+void BackgroundPool::WaitIdle(Source* src) {
+  // The caller's seq_cst store to `detached`/`paused` pairs with
+  // BeginWork's fetch_add/load: either the worker sees the flag and backs
+  // out, or this wait sees its increment of `active` and waits for the
+  // matching EndWork.
   // Re-polling wait (not a plain wait): `active` is maintained by RAII
   // scopes so a killed worker always releases its claim, but a bounded
-  // wait keeps Detach live even across a lost wakeup or a worker torn
+  // wait keeps the caller live even across a lost wakeup or a worker torn
   // down between its decrement and its notify.
   std::unique_lock<std::mutex> lk(wake_mu_);
   while (src->active.load() != 0) {
     wake_cv_.wait_for(lk, std::chrono::milliseconds(1),
                       [&]() { return src->active.load() == 0; });
   }
+}
+
+void BackgroundPool::WakeWorkers() {
+  {
+    std::lock_guard<std::mutex> lk(wake_mu_);
+    wake_gen_.fetch_add(1, std::memory_order_relaxed);
+  }
+  wake_cv_.notify_all();
 }
 
 void BackgroundPool::Stop() {
@@ -140,15 +171,7 @@ PoolStatsSnapshot BackgroundPool::Stats() const {
   {
     std::lock_guard<std::mutex> lk(mu_);
     snap.shards.reserve(sources_.size());
-    for (const auto& s : sources_) {
-      PoolShardStats ps;
-      ps.handle = s->handle;
-      ps.tasks_drained = s->tasks_drained.load(std::memory_order_acquire);
-      ps.restructures = s->restructures.load(std::memory_order_acquire);
-      ps.requeues = s->requeues.load(std::memory_order_relaxed);
-      ps.boosts = s->boosts.load(std::memory_order_relaxed);
-      snap.shards.push_back(ps);
-    }
+    for (const auto& s : sources_) snap.shards.push_back(SliceOf(*s));
   }
   snap.rounds = rounds_.load(std::memory_order_relaxed);
   snap.tasks_drained = tasks_drained_.load(std::memory_order_relaxed);
@@ -162,23 +185,23 @@ PoolStatsSnapshot BackgroundPool::Stats() const {
 }
 
 PoolShardStats BackgroundPool::StatsFor(uint64_t handle) const {
+  const std::shared_ptr<Source> s = Find(handle);
+  return s != nullptr ? SliceOf(*s) : PoolShardStats();
+}
+
+PoolShardStats BackgroundPool::SliceOf(const Source& s) {
   PoolShardStats ps;
-  std::lock_guard<std::mutex> lk(mu_);
-  for (const auto& s : sources_) {
-    if (s->handle != handle) continue;
-    ps.handle = s->handle;
-    ps.tasks_drained = s->tasks_drained.load(std::memory_order_acquire);
-    ps.restructures = s->restructures.load(std::memory_order_acquire);
-    ps.requeues = s->requeues.load(std::memory_order_relaxed);
-    ps.boosts = s->boosts.load(std::memory_order_relaxed);
-    break;
-  }
+  ps.handle = s.handle;
+  ps.tasks_drained = s.tasks_drained.load(std::memory_order_acquire);
+  ps.restructures = s.restructures.load(std::memory_order_acquire);
+  ps.requeues = s.requeues.load(std::memory_order_relaxed);
+  ps.boosts = s.boosts.load(std::memory_order_relaxed);
   return ps;
 }
 
 bool BackgroundPool::BeginWork(Source* src) {
-  src->active.fetch_add(1);  // seq_cst: see Detach
-  if (src->detached.load()) {
+  src->active.fetch_add(1);  // seq_cst: see WaitIdle
+  if (src->detached.load() || src->paused.load()) {
     EndWork(src);
     return false;
   }
@@ -186,7 +209,8 @@ bool BackgroundPool::BeginWork(Source* src) {
 }
 
 void BackgroundPool::EndWork(Source* src) {
-  if (src->active.fetch_sub(1) == 1 && src->detached.load()) {
+  if (src->active.fetch_sub(1) == 1 &&
+      (src->detached.load() || src->paused.load())) {
     std::lock_guard<std::mutex> lk(wake_mu_);
     wake_cv_.notify_all();
   }
@@ -254,7 +278,12 @@ BackgroundPool::RoundResult BackgroundPool::RunOneRound() {
   }
 
   Source* src = local[pick].get();
-  if (!BeginWork(src)) return RoundResult::kYield;  // detached in flight
+  if (!BeginWork(src)) {
+    // Detached in flight, or paused. A paused source stays registered, so
+    // yielding would spin on it for as long as the pause lasts: sleep
+    // unless backlog waits elsewhere (Resume wakes the sleepers).
+    return max_depth > 0 ? RoundResult::kYield : RoundResult::kIdle;
+  }
   // RAII release of the Detach claim: EVERY exit from here on — normal
   // return, injected mid-drain kill, escaped exception — runs EndWork, so
   // a dying worker can never wedge Detach() behind a leaked `active`.

@@ -1,13 +1,12 @@
 // Copyright 2026 The obtree Authors.
 //
-// BackgroundPool: a fixed-size, machine-sized worker pool that performs
-// compression for many trees at once. Section 5.4's point is that
-// compression is decoupled from the operation path, so "a small number of
-// background processes" can serve an arbitrarily large structure; this
-// class realizes that for the sharded deployment. Instead of every
-// ConcurrentMap spawning its own compression_threads workers (N shards =>
-// N x threads, oversubscribing cores exactly when shard counts grow), one
-// pool sized to the machine drains every shard's CompressionQueue.
+// BackgroundPool: a fixed-size worker pool that performs compression for
+// one or many trees, and the only way a map gets background maintenance.
+// Section 5.4's point is that compression is decoupled from the operation
+// path, so "a small number of background processes" can serve an
+// arbitrarily large structure. A ShardedMap shares one machine-sized pool
+// across every shard; a standalone ConcurrentMap owns a pool of its
+// compression_threads workers (deployment (1) or (2)).
 //
 //   shard 0 queue ---+
 //   shard 1 queue ---+--> [ worker ] [ worker ] ... (pool_threads total)
@@ -26,9 +25,10 @@
 // Cold shards keep their round-robin turns in both cases, so a hot shard
 // can never starve them. Workers sleep when every queue is empty.
 //
-// Attach/Detach are thread-safe and callable while the pool runs. Detach
-// is idempotent and blocks until no worker is touching the shard, which
-// makes it safe to call from a map destructor before the tree dies.
+// Attach/Detach/Pause/Resume are thread-safe and callable while the pool
+// runs. Detach is idempotent and blocks until no worker is touching the
+// shard, which makes it safe to call from a map destructor before the
+// tree dies. Pause blocks the same way but keeps the shard attached.
 
 #ifndef OBTREE_CORE_BACKGROUND_POOL_H_
 #define OBTREE_CORE_BACKGROUND_POOL_H_
@@ -104,6 +104,13 @@ class BackgroundPool {
   /// unknown or already-detached handles are ignored. Thread-safe.
   void Detach(uint64_t handle);
 
+  /// Hold off service of a shard without detaching it: blocks like Detach,
+  /// then workers skip the shard until the matching Resume(handle). It
+  /// keeps its handle and counters. Unknown or detached handles are
+  /// ignored. Thread-safe.
+  void Pause(uint64_t handle);
+  void Resume(uint64_t handle);
+
   /// Stop and join all workers. Idempotent. Attached shards stay
   /// registered (Detach still works) but receive no further service.
   void Stop();
@@ -124,9 +131,9 @@ class BackgroundPool {
 
  private:
   /// One attached shard. Kept alive by shared_ptr until the last worker
-  /// snapshot drops it; `active`/`detached` implement the Detach handshake
-  /// (the pointers in here are only dereferenced between a successful
-  /// BeginWork and the matching EndWork).
+  /// snapshot drops it; `active` against `detached`/`paused` implements
+  /// the Detach and Pause handshake (the pointers in here are only
+  /// dereferenced between a successful BeginWork and the matching EndWork).
   struct Source {
     uint64_t handle = 0;
     SagivTree* tree = nullptr;
@@ -135,6 +142,7 @@ class BackgroundPool {
     std::unique_ptr<ScanCompressor> scanner;    // stateless; shared by workers
     std::atomic<int> active{0};
     std::atomic<bool> detached{false};
+    std::atomic<bool> paused{false};
     std::atomic<uint64_t> tasks_drained{0};
     std::atomic<uint64_t> restructures{0};
     std::atomic<uint64_t> requeues{0};
@@ -162,10 +170,17 @@ class BackgroundPool {
   void SupervisorLoop();
   RoundResult RunOneRound();
 
-  /// active++ unless the source is detached; returns false without side
-  /// effects visible to Detach if it is.
+  /// active++ unless the source is detached or paused; returns false
+  /// without side effects visible to Detach/Pause if it is.
   bool BeginWork(Source* src);
   void EndWork(Source* src);
+
+  std::shared_ptr<Source> Find(uint64_t handle) const;  // null if absent
+  static PoolShardStats SliceOf(const Source& s);
+  /// Block until no worker holds a BeginWork claim on `src` (the caller
+  /// has already set `detached` or `paused`).
+  void WaitIdle(Source* src);
+  void WakeWorkers();  // bumps wake_gen_ and notifies
 
   Options options_;
   int threads_started_ = 0;
@@ -174,12 +189,13 @@ class BackgroundPool {
   std::vector<std::shared_ptr<Source>> sources_;
   uint64_t next_handle_ = 1;
 
-  std::mutex wake_mu_;                           // idle sleep + detach waits
+  std::mutex wake_mu_;                           // idle sleeps + handshakes
   std::condition_variable wake_cv_;
   std::atomic<bool> stop_{false};
-  /// Bumped by Attach so idle workers wake for the new shard instead of
-  /// sleeping out their timeout (each worker captures the generation
-  /// before its scheduling round; the idle wait aborts on a change).
+  /// Bumped by Attach and Resume so idle workers wake for the shard
+  /// instead of sleeping out their timeout (each worker captures the
+  /// generation before its scheduling round; the idle wait aborts on a
+  /// change).
   std::atomic<uint64_t> wake_gen_{0};
   /// Round-robin cursor: advances only on NON-boost turns, so boost turns
   /// never consume (and thus can never starve) a shard's rotation slot.

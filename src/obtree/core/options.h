@@ -300,24 +300,13 @@ struct ShardOptions {
   /// Compression deployment replicated per shard.
   CompressionMode compression = CompressionMode::kQueueWorkers;
 
-  /// Background compression workers per shard (>= 1; ignored for kNone).
-  /// Only consulted when per_shard_workers is true: the default topology
-  /// shares one BackgroundPool across every shard instead.
-  int compression_threads_per_shard = 1;
-
-  /// Size of the shared background-maintenance pool that drains every
-  /// shard's compression queue (core/background_pool.h). 0 (the default)
-  /// derives the size from the machine: the OBTREE_POOL_THREADS
-  /// environment variable if set, else a hardware_concurrency-based
-  /// share. The pool keeps the process's background-thread count fixed no
-  /// matter how many shards exist.
+  /// Size of the one background-maintenance pool that drains every
+  /// shard's compression queue (core/background_pool.h); ignored for
+  /// kNone. 0 (the default) derives the size from the machine: the
+  /// OBTREE_POOL_THREADS environment variable if set, else a
+  /// hardware_concurrency-based share. The pool keeps the process's
+  /// background-thread count fixed no matter how many shards exist.
   int pool_threads = 0;
-
-  /// Fallback to the pre-pool topology: every shard spawns its own
-  /// compression_threads_per_shard workers, so background threads grow
-  /// linearly with num_shards. Kept for comparison benchmarks (E11d) and
-  /// as an escape hatch; the shared pool is the default.
-  bool per_shard_workers = false;
 
   /// Online shard rebalancing (default off). When enabled, num_shards is
   /// only the INITIAL partition: the rebalancer splits hot shards and
@@ -337,10 +326,6 @@ struct ShardOptions {
     }
     if (key_space_hint < num_shards) {
       return Status::InvalidArgument("key_space_hint smaller than shards");
-    }
-    if (compression_threads_per_shard < 1) {
-      return Status::InvalidArgument(
-          "compression_threads_per_shard must be positive");
     }
     if (pool_threads < 0) {
       return Status::InvalidArgument("pool_threads must be >= 0 (0 = auto)");

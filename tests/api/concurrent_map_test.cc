@@ -2,14 +2,17 @@
 
 #include "obtree/api/concurrent_map.h"
 
+#include <chrono>
 #include <memory>
 #include <set>
 #include <thread>
 
 #include <gtest/gtest.h>
 
+#include "../test_util.h"
 #include "obtree/core/background_pool.h"
 #include "obtree/core/tree_checker.h"
+#include "obtree/util/fault_injector.h"
 #include "obtree/util/random.h"
 
 namespace obtree {
@@ -234,6 +237,76 @@ TEST(ConcurrentMapTest, AttachesToExternalBackgroundPool) {
   EXPECT_EQ(scanned.background_thread_count(), 0);
   for (Key k = 1; k <= 500; ++k) ASSERT_TRUE(scanned.Insert(k, k).ok());
   EXPECT_TRUE(scanned.ValidateStructure().ok());
+}
+
+TEST(ConcurrentMapTest, StandaloneMapRunsItsOwnPool) {
+  // Without a shared pool the map builds its own: compression_threads
+  // workers plus the pool's supervisor, all gone after Quiesce or
+  // destruction.
+  MapOptions opt = SmallNodes(CompressionMode::kQueueWorkers);
+  opt.compression_threads = 2;
+  const int baseline = testutil::SettledThreadCount();
+  {
+    ConcurrentMap map(opt);
+    EXPECT_EQ(map.background_thread_count(), 2);
+    ASSERT_NE(map.attached_pool(), nullptr);
+    EXPECT_EQ(map.attached_pool()->num_sources(), 1u);
+    if (baseline > 0) {
+      EXPECT_EQ(testutil::LiveThreadCount(), baseline + 3);
+    }
+    map.Quiesce();
+    EXPECT_EQ(map.background_thread_count(), 0);
+    EXPECT_EQ(map.attached_pool(), nullptr);
+    if (baseline > 0) {
+      EXPECT_EQ(testutil::WaitForThreadCount(baseline), baseline);
+    }
+    // Still a working map; under-full nodes just stop being compacted.
+    ASSERT_TRUE(map.Insert(1, 1).ok());
+    ASSERT_TRUE(map.Erase(1).ok());
+  }
+  {
+    ConcurrentMap map(opt);
+    if (baseline > 0) {
+      EXPECT_EQ(testutil::LiveThreadCount(), baseline + 3);
+    }
+  }
+  if (baseline > 0) {
+    EXPECT_EQ(testutil::WaitForThreadCount(baseline), baseline);
+  }
+}
+
+TEST(ConcurrentMapTest, StandalonePoolRespawnsKilledWorkers) {
+  MapOptions opt = SmallNodes(CompressionMode::kQueueWorkers);
+  opt.compression_threads = 2;
+  ConcurrentMap map(opt);
+  BackgroundPool* pool = map.attached_pool();
+  ASSERT_NE(pool, nullptr);
+
+  FaultSpec kill;
+  kill.action = FaultAction::kError;
+  kill.max_fires = 2;
+  FaultInjector::Instance().Arm("pool-worker", kill);
+  const auto until =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (pool->Stats().worker_respawns < 2 &&
+         std::chrono::steady_clock::now() < until) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  FaultInjector::Instance().DisarmAll();
+  EXPECT_EQ(pool->Stats().worker_deaths, 2u);
+  EXPECT_EQ(pool->Stats().worker_respawns, 2u);
+
+  // The respawned workers drain the queue the deletions fill.
+  for (Key k = 1; k <= 2000; ++k) ASSERT_TRUE(map.Insert(k, k).ok());
+  for (Key k = 1; k <= 2000; ++k) ASSERT_TRUE(map.Erase(k).ok());
+  while (!map.queue()->Empty() && std::chrono::steady_clock::now() < until) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_TRUE(map.queue()->Empty());
+  EXPECT_GT(pool->Stats().tasks_drained, 0u);
+  map.CompressNow();
+  EXPECT_LE(map.Height(), 2u);
+  EXPECT_TRUE(map.ValidateStructure().ok());
 }
 
 TEST(ConcurrentMapTest, StatsExposed) {

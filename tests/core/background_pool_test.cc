@@ -93,7 +93,7 @@ TEST(BackgroundPoolTest, DefaultThreadCountRespectsEnv) {
 }
 
 TEST(BackgroundPoolTest, DrainsManyShardsWithFewThreads) {
-  const int baseline = LiveThreadCount();
+  const int baseline = testutil::SettledThreadCount();
   {
     std::vector<std::unique_ptr<Shard>> shards;
     for (int i = 0; i < 6; ++i) shards.push_back(std::make_unique<Shard>());
@@ -140,8 +140,35 @@ TEST(BackgroundPoolTest, DrainsManyShardsWithFewThreads) {
   }
   // Every pool worker joined when the pool died.
   if (baseline > 0) {
-    EXPECT_EQ(LiveThreadCount(), baseline);
+    EXPECT_EQ(testutil::WaitForThreadCount(baseline), baseline);
   }
+}
+
+TEST(BackgroundPoolTest, PauseHoldsServiceUntilResume) {
+  Shard shard;
+  BackgroundPool::Options options;
+  options.threads = 2;
+  BackgroundPool pool(options);
+  const uint64_t handle = pool.Attach(shard.tree.get(), shard.queue.get());
+
+  // A paused shard stays attached and keeps its handle, but no worker
+  // drains the work its deletions queue up.
+  pool.Pause(handle);
+  Churn(&shard, 1, 400);
+  ASSERT_FALSE(shard.queue->Empty());
+  EXPECT_EQ(pool.num_sources(), 1u);
+  EXPECT_EQ(pool.StatsFor(handle).handle, handle);
+  std::this_thread::sleep_for(milliseconds(20));
+  EXPECT_FALSE(shard.queue->Empty());
+  EXPECT_EQ(pool.StatsFor(handle).tasks_drained, 0u);
+
+  pool.Resume(handle);
+  EXPECT_TRUE(WaitForEmpty(shard.queue.get(), milliseconds(10'000)));
+  EXPECT_GT(pool.StatsFor(handle).tasks_drained, 0u);
+  pool.Detach(handle);
+  pool.Pause(handle);  // detached handles are ignored
+  pool.Resume(handle);
+  EXPECT_TRUE(TreeChecker(shard.tree.get()).CheckStructure().ok());
 }
 
 TEST(BackgroundPoolTest, HotShardCannotStarveColdShards) {
@@ -206,7 +233,7 @@ TEST(BackgroundPoolTest, HotShardCannotStarveColdShards) {
 }
 
 TEST(BackgroundPoolTest, StopWhileBusyJoinsPromptly) {
-  const int baseline = LiveThreadCount();
+  const int baseline = testutil::SettledThreadCount();
   Shard shard;
   Churn(&shard, 1, 3000);  // plenty of queued work
   ASSERT_FALSE(shard.queue->Empty());
@@ -222,7 +249,7 @@ TEST(BackgroundPoolTest, StopWhileBusyJoinsPromptly) {
   const auto elapsed = steady_clock::now() - begin;
   EXPECT_LT(elapsed, milliseconds(5'000));
   if (baseline > 0) {
-    EXPECT_EQ(LiveThreadCount(), baseline);
+    EXPECT_EQ(testutil::WaitForThreadCount(baseline), baseline);
   }
   pool.Stop();  // idempotent
   // Detach after Stop still works (shards outlive a stopped pool).

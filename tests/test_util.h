@@ -48,6 +48,33 @@ inline int LiveThreadCount() {
   return -1;
 }
 
+/// The lowest LiveThreadCount() reading over ~10 ms of polling. Tests
+/// take their baseline through this, so a thread an earlier test joined
+/// but the kernel still counts cannot inflate it.
+inline int SettledThreadCount() {
+  int low = LiveThreadCount();
+  for (int i = 0; i < 10; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    const int live = LiveThreadCount();
+    if (live < low) low = live;
+  }
+  return low;
+}
+
+/// Polls LiveThreadCount() once per millisecond until it equals
+/// `expected`, for at most ~1 s, and returns the last reading. The kernel
+/// can still count a thread for a moment after pthread_join has returned,
+/// so "back to baseline" checks read through this; a leaked thread stays
+/// counted and still fails the comparison.
+inline int WaitForThreadCount(int expected) {
+  int live = LiveThreadCount();
+  for (int i = 0; i < 1000 && live != expected; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    live = LiveThreadCount();
+  }
+  return live;
+}
+
 }  // namespace testutil
 }  // namespace obtree
 
