@@ -363,14 +363,58 @@ void BM_PaperLockUncontended(benchmark::State& state) {
 }
 BENCHMARK(BM_PaperLockUncontended);
 
-void BM_EpochGuard(benchmark::State& state) {
-  EpochManager epoch;
+// Admitting an operation, on one manager shared by every benchmark
+// thread: an epoch pin (Guard, which every Get, Scan, MultiGet and write
+// takes) and a checkpoint-gate entry (MutatorScope, which every write on a
+// FileStore tree takes). Both touch only the calling thread's own slot, so
+// the per-op cost should not grow with the thread count.
+void BM_EpochPin(benchmark::State& state) {
+  static EpochManager* epoch = nullptr;
+  if (state.thread_index() == 0) epoch = new EpochManager();
   for (auto _ : state) {
-    EpochManager::Guard guard(&epoch);
+    EpochManager::Guard guard(epoch);
     benchmark::DoNotOptimize(guard.start_time());
   }
+  if (state.thread_index() == 0) {
+    delete epoch;
+    epoch = nullptr;
+  }
 }
-BENCHMARK(BM_EpochGuard);
+BENCHMARK(BM_EpochPin)->Threads(1)->Threads(3);
+
+void BM_MutatorGate(benchmark::State& state) {
+  struct Gate {
+    std::string dir;
+    std::unique_ptr<FileStore> store;
+    EpochManager epoch;
+    StatsCollector stats;
+    std::unique_ptr<PageManager> pm;
+  };
+  static Gate* gate = nullptr;
+  if (state.thread_index() == 0) {
+    gate = new Gate();
+    gate->dir = (std::filesystem::temp_directory_path() /
+                 ("obtree_bench_gate_" + std::to_string(::getpid())))
+                    .string();
+    std::filesystem::remove_all(gate->dir);
+    auto opened = FileStore::Open(gate->dir);
+    if (!opened.ok()) std::abort();
+    gate->store = std::move(*opened);
+    gate->pm = std::make_unique<PageManager>(&gate->epoch, &gate->stats,
+                                             gate->store.get());
+  }
+  for (auto _ : state) {
+    PageManager::MutatorScope scope(gate->pm.get());
+    benchmark::ClobberMemory();
+  }
+  if (state.thread_index() == 0) {
+    const std::string dir = gate->dir;
+    delete gate;
+    gate = nullptr;
+    std::filesystem::remove_all(dir);
+  }
+}
+BENCHMARK(BM_MutatorGate)->Threads(1)->Threads(3);
 
 }  // namespace
 }  // namespace obtree

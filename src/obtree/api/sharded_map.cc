@@ -664,14 +664,18 @@ void ShardedMap::PublishTable(std::unique_ptr<RoutingTable> next,
   table_.store(raw, std::memory_order_seq_cst);
   FireHook("table-swap", static_cast<Key>(raw->entries.size()));
   if (!wait_grace) return;
-  // Grace period: any operation that routed through an older table pinned
-  // a Guard (and thus a clock value) BEFORE loading the table pointer.
-  // Advancing the clock now and waiting until every pin is newer therefore
-  // waits out every such operation; ops pinning after our Advance read the
-  // clock through the RMW chain and are guaranteed to observe the store
-  // above — they route through the new table and need no waiting.
+  // Grace period: an operation on the dynamic route pins a Guard (publish
+  // its slot, then read the clock c and pin c + 1) BEFORE loading the
+  // table pointer. Ticking the fence f = Advance() after the swap and
+  // waiting while MinActive() <= f therefore waits out every pin whose
+  // clock read preceded the tick, i.e. every operation that may have
+  // loaded an older table. A pin > f read the clock at or after the tick,
+  // which the swap happened before, so it routes through the new table
+  // and needs no waiting. A pin equal to f read the clock just before the
+  // tick: `<` instead of `<=` would let such an operation run on with the
+  // old table.
   const Timestamp fence = table_epoch_.Advance();
-  while (table_epoch_.MinActive() < fence) {
+  while (table_epoch_.MinActive() <= fence) {
     std::this_thread::yield();
   }
 }

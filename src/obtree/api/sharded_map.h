@@ -304,8 +304,11 @@ class ShardedMap : private ShardRebalancer::Host {
   ActionResult SplitShard(size_t index) override;
   ActionResult MergeShards(size_t left) override;
 
+  /// seq_cst: on the dynamic route this load follows the Guard's pin, the
+  /// load half of the pin's store-then-load pair that PublishTable's grace
+  /// period relies on. On x86 it is a plain load, as acquire would be.
   const RoutingTable* table() const {
-    return table_.load(std::memory_order_acquire);
+    return table_.load(std::memory_order_seq_cst);
   }
 
   /// Last entry with entry.lo <= key (always exists: entries[0].lo == 1).

@@ -13,6 +13,7 @@
 #include <sys/mman.h>
 
 #include "obtree/storage/mem_store.h"
+#include "obtree/util/thread_index.h"
 
 #ifndef MAP_POPULATE  // Linux-only; elsewhere frames fault in on first use
 #define MAP_POPULATE 0
@@ -76,6 +77,7 @@ PageManager::PageManager(EpochManager* epoch, StatsCollector* stats,
       paged_(store_ != nullptr && store_->persistent()),
       pool_cap_(paged_ ? buffer_pool_pages : 0),
       frame_chunks_(kMaxChunks),
+      gate_slots_(paged_ ? std::make_unique<GateSlot[]>(kGateSlots) : nullptr),
       meta_chunks_(kMaxChunks),
       next_fresh_(0) {
   assert(epoch != nullptr && stats != nullptr);
@@ -665,20 +667,46 @@ bool PageManager::TryEvict(PageId id) const {
 // --- checkpoint gate --------------------------------------------------------
 
 namespace {
-// Per-thread gate hold depth. Only the 0->1 transition waits on a pending
-// checkpoint and joins active_mutators_; nested entries (a paper-lock
-// acquisition inside an open MutatorScope) just bump the depth, so a
-// checkpoint barrier can never cut between the lock-holding steps of one
-// logical operation, and a scope holder can never deadlock by re-waiting
-// on the gate it already holds.
+// Per-thread gate hold depth. Only the 0->1 transition enters the gate
+// (bumps the thread's gate slot, waiting out a pending checkpoint); nested
+// entries (a paper-lock acquisition inside an open MutatorScope) just bump
+// the depth, so a checkpoint barrier can never cut between the
+// lock-holding steps of one logical operation, and a scope holder can
+// never deadlock by re-waiting on the gate it already holds.
 thread_local int tl_gate_depth = 0;
 }  // namespace
 
+PageManager::GateSlot& PageManager::MyGateSlot() {
+  return gate_slots_[ThisThreadIndex() % kGateSlots];
+}
+
+bool PageManager::TryJoinGate(GateSlot& slot) {
+  // Store-then-load: publish this mutator, then look for a checkpoint.
+  slot.mutators.fetch_add(1, std::memory_order_seq_cst);
+  if (!checkpoint_blocking_.load(std::memory_order_seq_cst)) return true;
+  LeaveGate(slot);  // back out: the checkpointer may be waiting on us
+  return false;
+}
+
+void PageManager::LeaveGate(GateSlot& slot) {
+  // Store-then-load again: a checkpointer that saw our count before this
+  // decrement raised its flag first, so we see the flag and wake it.
+  slot.mutators.fetch_sub(1, std::memory_order_seq_cst);
+  if (checkpoint_blocking_.load(std::memory_order_seq_cst)) {
+    std::lock_guard<std::mutex> lk(gate_mu_);
+    gate_cv_.notify_all();
+  }
+}
+
 void PageManager::EnterMutatorGate() {
   if (tl_gate_depth++ > 0) return;
-  std::unique_lock<std::mutex> lk(gate_mu_);
-  gate_cv_.wait(lk, [this] { return !checkpoint_blocking_; });
-  ++active_mutators_;
+  GateSlot& slot = MyGateSlot();
+  while (!TryJoinGate(slot)) {
+    std::unique_lock<std::mutex> lk(gate_mu_);
+    gate_cv_.wait(lk, [this] {
+      return !checkpoint_blocking_.load(std::memory_order_seq_cst);
+    });
+  }
 }
 
 bool PageManager::TryEnterMutatorGate() {
@@ -686,9 +714,7 @@ bool PageManager::TryEnterMutatorGate() {
     ++tl_gate_depth;
     return true;
   }
-  std::lock_guard<std::mutex> lk(gate_mu_);
-  if (checkpoint_blocking_) return false;
-  ++active_mutators_;
+  if (!TryJoinGate(MyGateSlot())) return false;
   tl_gate_depth = 1;
   return true;
 }
@@ -696,10 +722,16 @@ bool PageManager::TryEnterMutatorGate() {
 void PageManager::ExitMutatorGate() {
   assert(tl_gate_depth > 0);
   if (--tl_gate_depth > 0) return;
-  std::lock_guard<std::mutex> lk(gate_mu_);
-  if (--active_mutators_ == 0 && checkpoint_blocking_) {
-    gate_cv_.notify_all();
+  LeaveGate(MyGateSlot());
+}
+
+bool PageManager::GateDrained() const {
+  for (uint32_t i = 0; i < kGateSlots; ++i) {
+    if (gate_slots_[i].mutators.load(std::memory_order_seq_cst) != 0) {
+      return false;
+    }
   }
+  return true;
 }
 
 Status PageManager::Checkpoint(
@@ -715,9 +747,11 @@ Status PageManager::Checkpoint(
   // never touch the gate and keep running throughout.
   {
     std::unique_lock<std::mutex> lk(gate_mu_);
-    gate_cv_.wait(lk, [this] { return !checkpoint_blocking_; });
-    checkpoint_blocking_ = true;
-    gate_cv_.wait(lk, [this] { return active_mutators_ == 0; });
+    gate_cv_.wait(lk, [this] {
+      return !checkpoint_blocking_.load(std::memory_order_seq_cst);
+    });
+    checkpoint_blocking_.store(true, std::memory_order_seq_cst);
+    gate_cv_.wait(lk, [this] { return GateDrained(); });
   }
   Status result = Status::OK();
   {
@@ -763,7 +797,7 @@ Status PageManager::Checkpoint(
   }
   {
     std::lock_guard<std::mutex> lk(gate_mu_);
-    checkpoint_blocking_ = false;
+    checkpoint_blocking_.store(false, std::memory_order_seq_cst);
   }
   gate_cv_.notify_all();
   return result;

@@ -463,8 +463,9 @@ class PageManager {
   /// before the separator reached the parent) — such half-states are
   /// valid B-link states but are not fixpoints the checker or a
   /// recovered tree should ever start from. No-op over a non-persistent
-  /// manager. Cheap: one thread-local increment when no checkpoint is
-  /// pending.
+  /// manager. Cheap when no checkpoint is pending: entering and leaving
+  /// each write only the calling thread's own gate slot and read the
+  /// checkpoint flag.
   class MutatorScope {
    public:
     explicit MutatorScope(PageManager* pm)
@@ -577,15 +578,28 @@ class PageManager {
   // paper-lock span (first lock acquired -> last released) as a
   // defense-in-depth fallback for unwrapped paths — and Checkpoint
   // holds it exclusive. Reentrant per thread (a thread-local depth
-  // counter): only the 0->1 transition waits and counts, only 1->0
-  // releases, so a scope holder acquiring paper locks never re-waits
-  // and cannot deadlock against a pending checkpoint. Readers never
-  // touch the gate. A dedicated writer-count + flag instead of a
-  // shared_mutex so the checkpointer cannot be starved by
-  // reader-preferring implementations.
+  // counter): only the 0->1 transition enters, only 1->0 leaves, so a
+  // scope holder acquiring paper locks never re-waits and cannot
+  // deadlock against a pending checkpoint. Readers never touch the gate.
+  // Entering bumps the thread's own gate slot (its ThisThreadIndex()
+  // modulo kGateSlots, a counter on its own cache line, since threads
+  // past the first kGateSlots share slots) and then checks
+  // checkpoint_blocking_; Checkpoint sets the flag, then waits until
+  // every slot reads zero. Those two store-then-load pairs are seq_cst,
+  // so either the mutator sees the flag and backs out, or the
+  // checkpointer sees the slot and waits for it. gate_mu_ and gate_cv_
+  // serve only the slow paths: a mutator waiting out a checkpoint, and
+  // the last mutator to leave waking the drainer. A flag the
+  // checkpointer raises, rather than a shared_mutex, so it cannot be
+  // starved by a reader-preferring implementation.
   void EnterMutatorGate();
   bool TryEnterMutatorGate();
   void ExitMutatorGate();
+  struct GateSlot;
+  GateSlot& MyGateSlot();
+  bool TryJoinGate(GateSlot& slot);  // false: a checkpoint is pending
+  void LeaveGate(GateSlot& slot);
+  bool GateDrained() const;  // every gate slot reads zero
 
   // Slow-path helper for Lock/TryLockSpin: runs once an acquisition has
   // found the lock held. Returns true with the lock held (recording the
@@ -611,11 +625,15 @@ class PageManager {
   mutable std::atomic<uint32_t> frame_count_{0};
   mutable std::vector<uint32_t> free_frames_;
 
-  // Checkpoint gate.
+  // Checkpoint gate; gate_slots_ is allocated only when paged_.
+  static constexpr uint32_t kGateSlots = 64;
+  struct alignas(64) GateSlot {
+    std::atomic<uint32_t> mutators{0};
+  };
+  std::unique_ptr<GateSlot[]> gate_slots_;
+  std::atomic<bool> checkpoint_blocking_{false};
   std::mutex gate_mu_;
   std::condition_variable gate_cv_;
-  int active_mutators_ = 0;
-  bool checkpoint_blocking_ = false;
 
   std::atomic<uint64_t> simulated_io_ns_{0};
   std::atomic<uint32_t> lock_spin_budget_{64};

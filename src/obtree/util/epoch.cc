@@ -2,74 +2,58 @@
 
 #include "obtree/util/epoch.h"
 
-#include <cassert>
 #include <thread>
+
+#include "obtree/util/thread_index.h"
 
 namespace obtree {
 
-EpochManager::EpochManager() : clock_(1), slots_(kMaxSlots) {
-  // Thread the slots into a Treiber free list.
-  for (int i = 0; i < kMaxSlots - 1; ++i) {
-    slots_[static_cast<size_t>(i)].next_free.store(i + 1, std::memory_order_relaxed);
-  }
-  slots_[kMaxSlots - 1].next_free.store(-1, std::memory_order_relaxed);
-  free_head_.store(0, std::memory_order_release);
-}
-
-int EpochManager::AcquireSlot() {
-  for (;;) {
-    int head = free_head_.load(std::memory_order_acquire);
-    while (head >= 0) {
-      int next = slots_[static_cast<size_t>(head)].next_free.load(std::memory_order_relaxed);
-      if (free_head_.compare_exchange_weak(head, next,
-                                           std::memory_order_acq_rel)) {
-        return head;
-      }
-    }
-    // All slots busy: extremely unlikely (kMaxSlots concurrent operations).
-    // Yield and retry rather than aborting.
-    std::this_thread::yield();
-  }
-}
-
-void EpochManager::ReleaseSlot(int slot) {
-  Slot& s = slots_[static_cast<size_t>(slot)];
-  s.start.store(kMaxTimestamp, std::memory_order_release);
-  int head = free_head_.load(std::memory_order_acquire);
-  for (;;) {
-    s.next_free.store(head, std::memory_order_relaxed);
-    if (free_head_.compare_exchange_weak(head, slot,
-                                         std::memory_order_acq_rel)) {
-      return;
-    }
-  }
-}
+EpochManager::EpochManager() : clock_(1), slots_(kMaxSlots) {}
 
 EpochManager::Guard::Guard(EpochManager* mgr) : mgr_(mgr) {
-  slot_ = mgr_->AcquireSlot();
-  // Publish a conservative (old) value first so that the window between
-  // reading the clock and publishing it cannot let a concurrent reclaimer
-  // miss us, then refine to the unique start time. The slot value only
-  // moves forward, so the refinement is safe.
-  Slot& s = mgr_->slots_[static_cast<size_t>(slot_)];
-  s.start.store(mgr_->Now(), std::memory_order_seq_cst);
-  start_ = mgr_->Advance();
-  s.start.store(start_, std::memory_order_seq_cst);
+  // Claim the first free slot from this thread's home slot on, publishing
+  // a conservative start (the clock as seen before the claim, plus one)
+  // in the same CAS. The CAS is the store half of the pin's
+  // store-then-load pair; the seq_cst clock load below is the load half.
+  // A reclaimer or grace fence that ticks the clock after our load sees
+  // our slot, and one whose tick our load observed happened before us.
+  const uint32_t home = ThisThreadIndex();
+  const Timestamp before = mgr_->clock_.load(std::memory_order_relaxed);
+  for (uint32_t i = 0;; ++i) {
+    std::atomic<Timestamp>& s = mgr_->slots_[(home + i) % kMaxSlots].start;
+    Timestamp expected = kMaxTimestamp;
+    if (s.load(std::memory_order_relaxed) == kMaxTimestamp &&
+        s.compare_exchange_strong(expected, before + 1,
+                                  std::memory_order_seq_cst)) {
+      slot_ = &s;
+      break;
+    }
+    // Every slot busy (kMaxSlots concurrent operations): yield and retry
+    // rather than abort.
+    if ((i + 1) % kMaxSlots == 0) std::this_thread::yield();
+  }
+  start_ = mgr_->clock_.load(std::memory_order_seq_cst) + 1;
+  // The slot only moves forward (before <= the clock we just read), so
+  // refining it needs no ordering beyond the release of the final store.
+  if (start_ != before + 1) slot_->store(start_, std::memory_order_release);
 }
 
-EpochManager::Guard::~Guard() { mgr_->ReleaseSlot(slot_); }
+EpochManager::Guard::~Guard() {
+  slot_->store(kMaxTimestamp, std::memory_order_release);
+}
 
 void EpochManager::Guard::Refresh() {
-  Slot& s = mgr_->slots_[static_cast<size_t>(slot_)];
-  s.start.store(mgr_->Now(), std::memory_order_seq_cst);
-  start_ = mgr_->Advance();
-  s.start.store(start_, std::memory_order_seq_cst);
+  // The old pin stays published until the new one replaces it, and the
+  // new one is no older, so the slot is conservative throughout.
+  start_ = mgr_->clock_.load(std::memory_order_seq_cst) + 1;
+  slot_->store(start_, std::memory_order_release);
 }
 
 Timestamp EpochManager::MinActive() const {
   Timestamp min = kMaxTimestamp;
   for (const Slot& s : slots_) {
-    Timestamp t = s.start.load(std::memory_order_acquire);
+    // seq_cst: the load half of the reclaimer's tick-then-scan pair.
+    Timestamp t = s.start.load(std::memory_order_seq_cst);
     if (t < min) min = t;
   }
   std::lock_guard<std::mutex> l(providers_mu_);

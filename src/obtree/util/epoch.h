@@ -9,11 +9,20 @@
 //    are on the queue (or queues) have only time stamps that are younger
 //    than t."
 //
-// EpochManager maintains a logical clock. Every logical operation pins its
-// start time in a slot for its duration (Guard). Deleted pages are retired
-// with the clock value at deletion time and may be reused only once
-// MinActive() exceeds that value. Compression queues register an external
+// EpochManager maintains a logical clock that only Retire (stamping a
+// deletion) and grace fences advance. Every logical operation pins a start
+// time in a slot for its duration (Guard): it publishes a conservative
+// value, reads the clock c and stores c + 1, so a pin p means "began after
+// every tick < p". Pins need not be unique; several operations may share
+// one. Deleted pages are retired with the clock value at deletion time t
+// and may be reused only once MinActive() > t: every live pin is then
+// younger than the deletion. Compression queues register an external
 // min-timestamp provider so their stored stacks also hold back reclamation.
+//
+// Each thread has a home slot (its ThisThreadIndex() modulo kMaxSlots) on
+// its own cache line, so a pin is one CAS on that line plus a load of the
+// read-mostly clock, and a release is one store. A nested pin, or a thread
+// whose home slot another thread holds, probes the following slots.
 
 #ifndef OBTREE_UTIL_EPOCH_H_
 #define OBTREE_UTIL_EPOCH_H_
@@ -39,21 +48,27 @@ class EpochManager {
   /// Current logical time.
   Timestamp Now() const { return clock_.load(std::memory_order_acquire); }
 
-  /// Advance the clock and return the new (unique, increasing) time. Used
-  /// to stamp deletions and operation starts.
+  /// Advance the clock and return the new (unique, increasing) time. Only
+  /// deletions (PageManager::Retire) and grace fences
+  /// (ShardedMap::PublishTable) tick: a pin reads the clock, it never
+  /// writes it. seq_cst: it is the store half of the reclaimer's
+  /// store-then-load pair (tick, then MinActive()), matched by the pin's
+  /// publish-then-read-clock pair.
   Timestamp Advance() {
-    return clock_.fetch_add(1, std::memory_order_acq_rel) + 1;
+    return clock_.fetch_add(1, std::memory_order_seq_cst) + 1;
   }
 
   /// RAII pin of an operation's start time. While a Guard lives, no page
-  /// retired at or after its start time is reclaimed.
+  /// retired at or after its start time is reclaimed, and a grace fence
+  /// ticked at or after it waits for it.
   class Guard {
    public:
     explicit Guard(EpochManager* mgr);
     ~Guard();
     OBTREE_DISALLOW_COPY_AND_ASSIGN(Guard);
 
-    /// The pinned start time of this operation.
+    /// The pinned start time p of this operation: the operation began
+    /// after every tick < p. Not unique across operations.
     Timestamp start_time() const { return start_; }
 
     /// Re-pin at the current time. Used when an operation restarts from
@@ -62,13 +77,14 @@ class EpochManager {
 
    private:
     EpochManager* mgr_;
-    int slot_;
+    std::atomic<Timestamp>* slot_;  // the claimed slot's start
     Timestamp start_;
   };
 
   /// Smallest start time among active operations and external providers;
   /// kMaxTimestamp when nothing is active. Pages retired strictly before
-  /// this value are safe to reuse.
+  /// this value are safe to reuse: after `t = Advance()`, MinActive() > t
+  /// means every operation pinned now began after that tick.
   Timestamp MinActive() const;
 
   /// Register a callback that reports the minimum timestamp still live in
@@ -82,17 +98,12 @@ class EpochManager {
  private:
   friend class Guard;
 
-  int AcquireSlot();
-  void ReleaseSlot(int slot);
-
   struct alignas(64) Slot {
-    std::atomic<Timestamp> start{kMaxTimestamp};
-    std::atomic<int> next_free{-1};
+    std::atomic<Timestamp> start{kMaxTimestamp};  // kMaxTimestamp = free
   };
 
   std::atomic<Timestamp> clock_;
   std::vector<Slot> slots_;
-  std::atomic<int> free_head_;
 
   mutable std::mutex providers_mu_;
   std::vector<std::function<Timestamp()>> providers_;

@@ -3,7 +3,8 @@
 #include "obtree/util/stats.h"
 
 #include <cstdio>
-#include <thread>
+
+#include "obtree/util/thread_index.h"
 
 namespace obtree {
 
@@ -134,12 +135,9 @@ std::string PoolStatsSnapshot::ToString() const {
 StatsCollector::StatsCollector() : max_locks_held_(0) {}
 
 int StatsCollector::ShardIndex() {
-  // Cheap thread-id hash; stable within a thread.
-  static thread_local const int shard = []() {
-    const size_t h = std::hash<std::thread::id>()(std::this_thread::get_id());
-    return static_cast<int>(h % kShards);
-  }();
-  return shard;
+  // The thread's sequential index: the first kShards threads never share
+  // a shard, where a thread-id hash collides for a few threads already.
+  return static_cast<int>(ThisThreadIndex() % kShards);
 }
 
 void StatsCollector::Add(StatId id, uint64_t n) {

@@ -263,8 +263,9 @@ struct PoolStatsSnapshot {
   std::string ToString() const;
 };
 
-/// Thread-safe sharded counter set. Increments are relaxed atomics on a
-/// shard chosen by thread id; reads sum all shards.
+/// Thread-safe sharded counter set. Increments are relaxed atomics on the
+/// calling thread's shard (its ThisThreadIndex() modulo kShards, so the
+/// first kShards threads each own one); reads sum all shards.
 class StatsCollector {
  public:
   StatsCollector();

@@ -22,6 +22,8 @@
 #include "obtree/api/sharded_map.h"
 #include "obtree/core/sagiv_tree.h"
 #include "obtree/core/tree_checker.h"
+#include "obtree/storage/file_store.h"
+#include "obtree/storage/page_manager.h"
 #include "obtree/util/fault_injector.h"
 #include "obtree/util/random.h"
 
@@ -499,6 +501,84 @@ TEST_F(CheckpointTest, TinyBufferPoolIsRejected) {
   TreeOptions opt;
   opt.buffer_pool_pages = 8;
   EXPECT_TRUE(opt.Validate().IsInvalidArgument());
+}
+
+// --- the checkpoint gate itself -------------------------------------------
+
+// Mutators churn MutatorScopes (each with a nested paper lock and a page
+// write inside) while another thread loops Checkpoint(): the barrier must
+// hold every scope out while fill_tree_meta runs, and no thread may hang.
+TEST_F(CheckpointTest, GateExcludesMutatorScopesDuringCheckpoint) {
+  auto store = FileStore::Open(dir_);
+  ASSERT_TRUE(store.ok());
+  EpochManager epoch;
+  StatsCollector stats;
+  PageManager pm(&epoch, &stats, store->get(), /*buffer_pool_pages=*/0);
+  constexpr int kMutators = 8;
+  std::vector<PageId> pages;
+  for (int i = 0; i < kMutators; ++i) pages.push_back(*pm.Allocate());
+
+  std::atomic<int> open_scopes{0};
+  std::atomic<bool> stop{false};
+  std::atomic<uint64_t> scopes{0};
+  std::vector<std::thread> mutators;
+  for (int t = 0; t < kMutators; ++t) {
+    mutators.emplace_back([&, t]() {
+      const PageId id = pages[static_cast<size_t>(t)];
+      Page p{};
+      for (uint8_t i = 0; !stop.load(std::memory_order_relaxed); ++i) {
+        PageManager::MutatorScope scope(&pm);
+        open_scopes.fetch_add(1);
+        pm.Lock(id);  // nested: must not re-enter the gate
+        p.bytes[0] = i;
+        pm.Put(id, p);
+        pm.Unlock(id);
+        open_scopes.fetch_sub(1);
+        scopes.fetch_add(1, std::memory_order_relaxed);
+      }
+    });
+  }
+  int checkpoints = 0;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::milliseconds(300);
+  while (std::chrono::steady_clock::now() < deadline || checkpoints < 20) {
+    const Status s = pm.Checkpoint(
+        [&](StoreMeta*) { EXPECT_EQ(open_scopes.load(), 0); });
+    ASSERT_TRUE(s.ok()) << s.ToString();
+    ++checkpoints;
+  }
+  stop.store(true);
+  for (auto& th : mutators) th.join();
+  EXPECT_GT(scopes.load(), 0u);
+  EXPECT_EQ(stats.Get(StatId::kCheckpoints),
+            static_cast<uint64_t>(checkpoints));
+}
+
+// While a checkpoint holds the barrier, a gated TryLock (the first paper
+// lock of a thread outside any scope) must fail instead of entering.
+TEST_F(CheckpointTest, GatedTryLockFailsWhileCheckpointHoldsBarrier) {
+  auto store = FileStore::Open(dir_);
+  ASSERT_TRUE(store.ok());
+  EpochManager epoch;
+  StatsCollector stats;
+  PageManager pm(&epoch, &stats, store->get(), /*buffer_pool_pages=*/0);
+  const PageId id = *pm.Allocate();
+
+  auto try_lock_from_other_thread = [&]() {
+    bool got = false;
+    std::thread([&]() {
+      got = pm.TryLock(id);
+      if (got) pm.Unlock(id);
+    }).join();
+    return got;
+  };
+  bool during = true;
+  ASSERT_TRUE(
+      pm.Checkpoint([&](StoreMeta*) { during = try_lock_from_other_thread(); })
+          .ok());
+  EXPECT_FALSE(during);
+  // The barrier is gone: the same TryLock enters and succeeds.
+  EXPECT_TRUE(try_lock_from_other_thread());
 }
 
 }  // namespace

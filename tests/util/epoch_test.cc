@@ -7,10 +7,13 @@
 #include "obtree/util/epoch.h"
 
 #include <atomic>
+#include <memory>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
+
+#include "obtree/util/thread_index.h"
 
 namespace obtree {
 namespace {
@@ -57,8 +60,11 @@ TEST(EpochTest, RefreshMovesPinForward) {
 
 TEST(EpochTest, MinOfSeveralGuards) {
   EpochManager mgr;
+  // Pins are not unique: tick between them so each starts later.
   auto g1 = std::make_unique<EpochManager::Guard>(&mgr);
+  mgr.Advance();
   auto g2 = std::make_unique<EpochManager::Guard>(&mgr);
+  mgr.Advance();
   auto g3 = std::make_unique<EpochManager::Guard>(&mgr);
   EXPECT_EQ(mgr.ActiveCount(), 3);
   const Timestamp oldest = g1->start_time();
@@ -68,6 +74,64 @@ TEST(EpochTest, MinOfSeveralGuards) {
   g2.reset();
   g3.reset();
   EXPECT_EQ(mgr.MinActive(), kMaxTimestamp);
+}
+
+TEST(EpochTest, NestedPinsTakeDistinctSlots) {
+  EpochManager mgr;
+  EpochManager::Guard outer(&mgr);
+  {
+    EpochManager::Guard inner(&mgr);
+    EXPECT_EQ(mgr.ActiveCount(), 2);
+  }
+  EXPECT_EQ(mgr.ActiveCount(), 1);  // releasing one pin kept the other
+  EXPECT_LE(mgr.MinActive(), outer.start_time());
+}
+
+// A pin means "began after every tick < pin", so a tick taken while a
+// pin is live is never below the floor: MinActive() <= t. Reclaim's
+// `retired < MinActive()` and PublishTable's `MinActive() <= fence` wait
+// both rely on it.
+TEST(EpochTest, TickDuringPinIsNotBelowFloor) {
+  EpochManager mgr;
+  EpochManager::Guard g(&mgr);
+  const Timestamp t = mgr.Advance();
+  EXPECT_LE(mgr.MinActive(), t);
+  EXPECT_LE(g.start_time(), t);
+}
+
+// Two live threads whose indices wrap onto the same home slot must both
+// pin at once: the second probes past the slot the first one holds.
+TEST(EpochTest, ThreadsSharingAHomeSlotBothPin) {
+  constexpr uint32_t kSlots = EpochManager::kMaxSlots;
+  EpochManager mgr;
+  std::atomic<int> pinned{0};
+  std::atomic<bool> release{false};
+  auto pin_and_hold = [&](uint32_t* index) {
+    *index = ThisThreadIndex();
+    EpochManager::Guard g(&mgr);
+    pinned.fetch_add(1);
+    while (!release.load()) std::this_thread::yield();
+  };
+  uint32_t a = 0;
+  std::thread first(pin_and_hold, &a);
+  while (pinned.load() < 1) std::this_thread::yield();
+  // Indices are never reused: burn short-lived threads (up to kSlots of
+  // them) until the next index wraps onto the first thread's home slot.
+  for (;;) {
+    uint32_t index = 0;
+    std::thread([&index] { index = ThisThreadIndex(); }).join();
+    if ((index + 1) % kSlots == a % kSlots) break;
+  }
+  uint32_t b = 0;
+  std::thread second(pin_and_hold, &b);
+  while (pinned.load() < 2) std::this_thread::yield();
+  EXPECT_EQ(mgr.ActiveCount(), 2);
+  release.store(true);
+  first.join();
+  second.join();
+  EXPECT_NE(a, b);
+  EXPECT_EQ(a % kSlots, b % kSlots);
+  EXPECT_EQ(mgr.ActiveCount(), 0);
 }
 
 TEST(EpochTest, ExternalProviderHoldsFloor) {

@@ -2,10 +2,15 @@
 
 #include "obtree/util/stats.h"
 
+#include <atomic>
+#include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
+
+#include "obtree/util/thread_index.h"
 
 namespace obtree {
 namespace {
@@ -68,6 +73,31 @@ TEST(StatsTest, ConcurrentIncrementsLoseNothing) {
   }
   for (auto& th : threads) th.join();
   EXPECT_EQ(stats.Get(StatId::kInserts), kThreads * kPerThread);
+}
+
+// Counter shards are picked by ThisThreadIndex(): live threads get
+// distinct indices, and threads that take theirs together land on
+// distinct shards of the 64.
+TEST(StatsTest, LiveThreadsGetDistinctIndices) {
+  constexpr int kThreads = 8;
+  std::vector<uint32_t> index(kThreads);
+  std::atomic<int> arrived{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t]() {
+      index[static_cast<size_t>(t)] = ThisThreadIndex();
+      // Stay alive until every thread has its index.
+      arrived.fetch_add(1);
+      while (arrived.load() < kThreads) std::this_thread::yield();
+      EXPECT_EQ(ThisThreadIndex(), index[static_cast<size_t>(t)]);
+    });
+  }
+  for (auto& th : threads) th.join();
+  std::set<uint32_t> distinct(index.begin(), index.end());
+  EXPECT_EQ(distinct.size(), static_cast<size_t>(kThreads));
+  std::set<uint32_t> shards;
+  for (uint32_t i : index) shards.insert(i % 64);
+  EXPECT_EQ(shards.size(), static_cast<size_t>(kThreads));
 }
 
 TEST(StatsTest, NamesAreUnique) {
