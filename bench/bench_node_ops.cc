@@ -14,6 +14,7 @@
 #include <filesystem>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include <benchmark/benchmark.h>
 
@@ -56,6 +57,37 @@ void BM_NodeFindLeafValue(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_NodeFindLeafValue)->Arg(64)->Arg(254);
+
+// The optimistic read path's leaf search on COLD nodes: a pool of 16k
+// leaves (65 MiB, beyond the last-level cache) holding 82 entries each,
+// the mean fill of a k = 60 tree, laid out PageManager's frame stride
+// apart. Every value names a random node, and each search's result picks
+// the next node, as a descent's does; the key is random too. So nearly
+// every search starts with its node out of cache, and one search's
+// misses cannot overlap the next one's.
+void BM_NodeSearchCold(benchmark::State& state) {
+  constexpr uint32_t kNodes = 16384;
+  constexpr uint32_t kCount = 82;
+  struct alignas(64) Frame {
+    Node node;
+    uint8_t pad[64];
+  };
+  std::vector<Frame> frames(kNodes);
+  Random rng(3);
+  for (Frame& f : frames) {
+    f.node = MakeFullLeaf(kCount);
+    for (uint32_t i = 0; i < kCount; ++i) {
+      f.node.entries[i].value = rng.Uniform(kNodes);
+    }
+  }
+  uint64_t at = 0;
+  for (auto _ : state) {
+    const Key k = rng.Uniform(kCount) * 10 + 10;
+    at = *NodeView(&frames[at].node).FindLeafValue(k);
+    benchmark::DoNotOptimize(at);
+  }
+}
+BENCHMARK(BM_NodeSearchCold);
 
 void BM_NodeInsertRemoveCycle(benchmark::State& state) {
   Node n = MakeFullLeaf(static_cast<uint32_t>(state.range(0)));

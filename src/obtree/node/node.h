@@ -90,7 +90,10 @@ struct Node {
 
   // --- searching ----------------------------------------------------------
 
-  /// Index of the first entry with key >= k; count if none.
+  /// Index of the first entry with key >= k; count if none. Prefetches
+  /// the live entries first (PrefetchEntries), then searches them with
+  /// conditional moves: a cold node costs about one memory round trip
+  /// rather than one miss per probe, and a hot one mispredicts no branch.
   uint32_t LowerBound(Key k) const;
 
   /// Leaf only: the value stored for key k, if present.
@@ -263,8 +266,10 @@ class NodeView {
     return Load64(&node_->entries[i].value);
   }
 
-  /// Index of the first entry with key >= k; count() if none. Bounded on
-  /// torn images (at most log2(kMaxEntries) probes).
+  /// Index of the first entry with key >= k; count() if none. The same
+  /// prefetch-then-search as Node::LowerBound, over the clamped count(),
+  /// so on a torn image neither the prefetch nor the probes (at most
+  /// 1 + log2(kMaxEntries), rounded up) leave the page.
   uint32_t LowerBound(Key k) const;
 
   /// The value stored for key k in a leaf image, if present.
@@ -291,6 +296,21 @@ class NodeView {
 
   const Node* node_;
 };
+
+/// Prefetch every cache line holding entries[0, count), so the binary
+/// search that follows overlaps its cache misses instead of taking them
+/// one probe at a time (a node of 82 entries spans ~21 lines; its search
+/// probes ~7 of them, each a dependent miss when the node is cold). The
+/// caller bounds count by kMaxEntries. A prefetch never faults and
+/// changes no node-access count.
+inline void PrefetchEntries(const Entry* entries, uint32_t count) {
+  constexpr uintptr_t kLine = 64;
+  const uintptr_t end = reinterpret_cast<uintptr_t>(entries + count);
+  for (uintptr_t line = reinterpret_cast<uintptr_t>(entries) & ~(kLine - 1);
+       line < end; line += kLine) {
+    __builtin_prefetch(reinterpret_cast<const void*>(line));
+  }
+}
 
 /// Bytes of a page image that are meaningful for a node with `count`
 /// entries (header + entries). Used to bound copy sizes.

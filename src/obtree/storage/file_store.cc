@@ -354,6 +354,11 @@ Status FileStore::LoadManifest() {
   meta.tree_size = p.U64();
   meta.max_key = p.U64();
   meta.rightmost_leaf = p.U32();
+  if (meta.next_fresh > kMaxPageIds) {
+    return Status::DataLoss("manifest next_fresh " +
+                            std::to_string(meta.next_fresh) + " > " +
+                            std::to_string(kMaxPageIds));
+  }
   const uint32_t num_levels = p.U32();
   if (!p.ok() || num_levels > 64) return Status::DataLoss("manifest levels");
   meta.leftmost.resize(num_levels);
@@ -363,7 +368,14 @@ Status FileStore::LoadManifest() {
     return Status::DataLoss("manifest free list");
   }
   meta.free_pages.resize(free_count);
-  for (uint32_t i = 0; i < free_count; ++i) meta.free_pages[i] = p.U32();
+  for (uint32_t i = 0; i < free_count; ++i) {
+    meta.free_pages[i] = p.U32();
+    if (p.ok() && meta.free_pages[i] >= meta.next_fresh) {
+      return Status::DataLoss("manifest free page " +
+                              std::to_string(meta.free_pages[i]) +
+                              " >= next_fresh");
+    }
+  }
   const uint32_t page_count = p.U32();
   if (!p.ok() || page_count > meta.next_fresh) {
     return Status::DataLoss("manifest page table");

@@ -2,6 +2,7 @@
 
 #include "obtree/storage/page_manager.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cassert>
 #include <chrono>
@@ -170,16 +171,8 @@ Result<PageId> PageManager::Allocate() {
   PageId id;
   {
     std::lock_guard<std::mutex> l(alloc_mu_);
-    if (free_list_.empty()) {
-      // Opportunistically harvest retired pages before growing the arena.
-      Timestamp min_active = epoch_->MinActive();
-      std::lock_guard<std::mutex> r(retired_mu_);
-      while (!retired_.empty() && retired_.front().time < min_active) {
-        free_list_.push_back(retired_.front().id);
-        retired_.pop_front();
-        stats_->Add(StatId::kNodesReclaimed);
-      }
-    }
+    // Opportunistically harvest retired pages before growing the arena.
+    if (free_list_.empty()) HarvestRetiredLocked();
     if (!free_list_.empty()) {
       id = free_list_.back();
       free_list_.pop_back();
@@ -439,11 +432,23 @@ void PageManager::Retire(PageId id) {
 }
 
 size_t PageManager::Reclaim() {
-  const Timestamp min_active = epoch_->MinActive();
-  size_t n = 0;
   std::lock_guard<std::mutex> a(alloc_mu_);
+  return HarvestRetiredLocked();
+}
+
+size_t PageManager::HarvestRetiredLocked() {
+  // The floor is MinActive() capped by the clock read before it. A page
+  // retired after that read ticked the clock past the cap, so it waits
+  // for a later harvest. Uncapped, a page retired between the slot scan
+  // and the list lock would be judged by a floor that predates its tick,
+  // and freed while an operation that pinned after the scan still holds
+  // its id. A page retired at or before the read ticked before the scan,
+  // so the scan sees every operation that may hold it.
+  const Timestamp now = epoch_->Now();
+  const Timestamp floor = std::min(now + 1, epoch_->MinActive());
+  size_t n = 0;
   std::lock_guard<std::mutex> l(retired_mu_);
-  while (!retired_.empty() && retired_.front().time < min_active) {
+  while (!retired_.empty() && retired_.front().time < floor) {
     free_list_.push_back(retired_.front().id);
     retired_.pop_front();
     ++n;
@@ -805,7 +810,8 @@ Status PageManager::Checkpoint(
 
 void PageManager::RestoreFromMeta(const StoreMeta& meta) {
   // Metadata only: every page starts non-resident and takes a frame on
-  // its first fault-in.
+  // its first fault-in. The store rejects a manifest past kMaxPageIds.
+  assert(meta.next_fresh <= kMaxPageIds);
   std::lock_guard<std::mutex> a(alloc_mu_);
   for (size_t c = 0; (c << kChunkBits) < meta.next_fresh; ++c) {
     EnsureMetaChunk(c);

@@ -507,7 +507,8 @@ class PageManager {
   // 16 KiB of metadata, or ~4 MiB of frames mmap'd as one region.
   static constexpr int kChunkBits = 10;
   static constexpr size_t kChunkSize = 1ull << kChunkBits;
-  static constexpr size_t kMaxChunks = 1ull << 14;  // up to 16M pages
+  static constexpr size_t kMaxChunks = kMaxPageIds >> kChunkBits;
+  static_assert(kMaxChunks * kChunkSize == kMaxPageIds);
 
   struct MetaChunk {
     Meta meta[kChunkSize];
@@ -652,6 +653,10 @@ class PageManager {
   }
   bool TrapSlow(const char* op, PageId id, bool error_eligible) const;
 
+  // Moves to the free list every retired page the §5.3 rule releases;
+  // returns how many. Caller holds alloc_mu_.
+  size_t HarvestRetiredLocked();
+
   // Metadata directory: atomic pointers so readers can index while the
   // allocator grows it. A chunk is in place before next_fresh_ covers it.
   std::vector<std::atomic<MetaChunk*>> meta_chunks_;
@@ -665,7 +670,9 @@ class PageManager {
     Timestamp time;
   };
   mutable std::mutex retired_mu_;
-  std::deque<Retired> retired_;  // FIFO: timestamps are non-decreasing
+  // FIFO. Retire ticks before it locks, so timestamps are only nearly
+  // sorted; a harvest stops at the first page too young to free.
+  std::deque<Retired> retired_;
 };
 
 }  // namespace obtree

@@ -34,6 +34,10 @@
 
 namespace obtree {
 
+/// Page ids are below this bound: PageManager's page directory holds at
+/// most 16M pages, so a manifest that claims more is corrupt.
+inline constexpr uint32_t kMaxPageIds = 1u << 24;
+
 /// Everything beyond raw page bytes that a checkpoint must capture for a
 /// later Recover to rebuild the tree: the allocator frontier and free
 /// list (PageManager state) plus the prime block, logical size, and
@@ -47,7 +51,8 @@ struct StoreMeta {
   uint64_t checkpoint_epoch = 0;
 
   // --- PageManager state (filled by PageManager::Checkpoint) ------------
-  uint32_t next_fresh = 0;            ///< allocator high-water mark
+  uint32_t next_fresh = 0;            ///< allocator high-water mark,
+                                      ///< at most kMaxPageIds
   std::vector<PageId> free_pages;     ///< free + retired (recovery has no
                                       ///< in-flight readers, so retired
                                       ///< pages are plain free pages)

@@ -108,7 +108,9 @@ TEST(AppendLeafTest, ModesAgreeOnMonotonicLoad) {
     auto vo = on.Search(k);
     auto vf = off.Search(k);
     ASSERT_EQ(vo.ok(), vf.ok()) << k;
-    if (vo.ok()) EXPECT_EQ(*vo, k + 1);
+    if (vo.ok()) {
+      EXPECT_EQ(*vo, k + 1);
+    }
   }
   Status s = TreeChecker(&on).CheckStructure();
   EXPECT_TRUE(s.ok()) << s.ToString();
@@ -144,7 +146,9 @@ TEST(AppendLeafTest, ModesAgreeOnMixedLoad) {
     auto vo = on.Search(k);
     auto vf = off.Search(k);
     ASSERT_EQ(vo.ok(), vf.ok()) << k;
-    if (vo.ok()) EXPECT_EQ(*vo, *vf);
+    if (vo.ok()) {
+      EXPECT_EQ(*vo, *vf);
+    }
   }
   Status s = TreeChecker(&on).CheckStructure();
   EXPECT_TRUE(s.ok()) << s.ToString();

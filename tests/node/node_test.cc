@@ -2,11 +2,16 @@
 //
 // Unit tests of the on-page node layout and the restructuring primitives:
 // leaf insert/remove, child-split posting (including the overtaking case),
-// splits, merges, and redistributions.
+// splits, merges, and redistributions; and NodeView's search, which must
+// agree with Node's on consistent images and stay in the page on torn ones.
 
 #include "obtree/node/node.h"
 
+#include <memory>
+
 #include <gtest/gtest.h>
+
+#include "obtree/util/random.h"
 
 namespace obtree {
 namespace {
@@ -284,6 +289,101 @@ TEST(NodeRedistributeTest, InternalEntriesCarryChildren) {
   EXPECT_EQ(all.size(), 5u);
   EXPECT_EQ(all[10], 1u);
   EXPECT_EQ(all[50], 5u);
+}
+
+// --- NodeView: the optimistic read path's search ---------------------------
+//
+// Each node lives in its own heap allocation of exactly one page, so a
+// search (or prefetch of a page it should not touch) that strays past
+// the entry array is an out-of-bounds read under ASan.
+
+// A leaf (level 0) or internal (level 1) node whose entry i is
+// (10 * i + 10, 1000 + i). An internal node's high is its last key.
+std::unique_ptr<Node> MakeSearchNode(uint16_t level, uint32_t count) {
+  auto n = std::make_unique<Node>();
+  n->Init(level, 0, kPlusInfinity, kInvalidPageId);
+  for (uint32_t i = 0; i < count; ++i) {
+    n->entries[i] = Entry{static_cast<Key>(i) * 10 + 10, 1000u + i};
+  }
+  n->count = count;
+  if (level > 0 && count > 0) n->high = n->entries[count - 1].key;
+  return n;
+}
+
+TEST(NodeViewTest, LeafSearchAgreesWithNode) {
+  for (uint32_t count : {0u, 1u, 120u, 254u}) {
+    auto n = MakeSearchNode(0, count);
+    const NodeView view(n.get());
+    ASSERT_EQ(view.count(), count);
+    for (Key k = 0; k <= Key{count} * 10 + 20; ++k) {
+      ASSERT_EQ(view.LowerBound(k), n->LowerBound(k)) << count << " " << k;
+      ASSERT_EQ(view.FindLeafValue(k), n->FindLeafValue(k))
+          << count << " " << k;
+    }
+  }
+}
+
+TEST(NodeViewTest, ChildForAgreesWithNode) {
+  for (uint32_t count : {1u, 120u, 254u}) {
+    auto n = MakeSearchNode(1, count);
+    const NodeView view(n.get());
+    for (Key k = 0; k <= n->high; ++k) {
+      ASSERT_EQ(view.LowerBound(k), n->LowerBound(k)) << count << " " << k;
+      ASSERT_EQ(view.ChildFor(k), n->ChildFor(k)) << count << " " << k;
+    }
+    // Past the last separator the image is inconsistent for k: the view
+    // reports it rather than reading past the live entries.
+    EXPECT_EQ(view.ChildFor(n->high + 1), kInvalidPageId);
+  }
+}
+
+TEST(NodeViewTest, ChildForOnEmptyInternalImageIsInvalid) {
+  auto n = MakeSearchNode(1, 0);
+  const NodeView view(n.get());
+  EXPECT_EQ(view.LowerBound(5), 0u);
+  EXPECT_EQ(view.ChildFor(5), kInvalidPageId);
+}
+
+// A torn count clamps to kMaxEntries, and every search stays inside the
+// page whatever the key.
+TEST(NodeViewTest, TornCountClampsToThePage) {
+  for (uint16_t level : {uint16_t{0}, uint16_t{1}}) {
+    auto n = MakeSearchNode(level, Node::kMaxEntries);
+    n->count = 0xFFFFFFFFu;
+    const NodeView view(n.get());
+    EXPECT_EQ(view.count(), Node::kMaxEntries);
+    const Key last = n->entries[Node::kMaxEntries - 1].key;
+    EXPECT_EQ(view.LowerBound(last), Node::kMaxEntries - 1);
+    EXPECT_EQ(view.LowerBound(last + 1), Node::kMaxEntries);
+    EXPECT_EQ(view.LowerBound(kPlusInfinity), Node::kMaxEntries);
+    if (level == 0) {
+      EXPECT_EQ(view.FindLeafValue(last).value_or(0),
+                1000u + Node::kMaxEntries - 1);
+      EXPECT_FALSE(view.FindLeafValue(last + 1).has_value());
+    } else {
+      EXPECT_EQ(view.ChildFor(last), 1000u + Node::kMaxEntries - 1);
+      EXPECT_EQ(view.ChildFor(last + 1), kInvalidPageId);
+    }
+  }
+}
+
+// Garbage images (unsorted keys, any count) give bounded answers.
+TEST(NodeViewTest, GarbageImagesStayInBounds) {
+  Random rng(19);
+  auto n = std::make_unique<Node>();
+  auto* words = reinterpret_cast<uint64_t*>(n.get());
+  for (int round = 0; round < 200; ++round) {
+    for (size_t i = 0; i < sizeof(Node) / sizeof(uint64_t); ++i) {
+      words[i] = rng.Next();
+    }
+    if (round % 2 == 0) n->count = static_cast<uint32_t>(rng.Uniform(300));
+    const NodeView view(n.get());
+    ASSERT_LE(view.count(), Node::kMaxEntries);
+    const Key k = rng.Next();
+    ASSERT_LE(view.LowerBound(k), view.count());
+    (void)view.FindLeafValue(k);
+    (void)view.ChildFor(k);
+  }
 }
 
 TEST(NodeDebugTest, DebugStringMentionsState) {

@@ -349,6 +349,34 @@ TEST_F(FileStoreTest, ManifestPageTableIsCheckedOnOpen) {
   EXPECT_EQ(std::memcmp(w1.bytes, r.bytes, kPageSize), 0);
 }
 
+// next_fresh sizes PageManager's page directory on recovery, and every
+// free page id is handed out by the allocator, so Open rejects a
+// checksummed manifest whose next_fresh exceeds kMaxPageIds or whose free
+// list names a page at or past next_fresh.
+TEST_F(FileStoreTest, ManifestAllocatorStateIsBoundedOnOpen) {
+  auto commit = [&](uint32_t next_fresh, std::vector<PageId> free_pages) {
+    std::filesystem::remove_all(dir_);
+    auto store = FileStore::Open(dir_);
+    ASSERT_TRUE(store.ok());
+    StoreMeta meta;
+    meta.next_fresh = next_fresh;
+    meta.free_pages = std::move(free_pages);
+    ASSERT_TRUE((*store)->Commit(&meta).ok());
+  };
+  commit(kMaxPageIds, {kMaxPageIds - 1});
+  auto store = FileStore::Open(dir_);
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  EXPECT_EQ((*store)->recovered_meta().next_fresh, kMaxPageIds);
+
+  commit(kMaxPageIds + 1, {});
+  store = FileStore::Open(dir_);
+  EXPECT_TRUE(store.status().IsDataLoss()) << store.status().ToString();
+
+  commit(4, {1, 4});
+  store = FileStore::Open(dir_);
+  EXPECT_TRUE(store.status().IsDataLoss()) << store.status().ToString();
+}
+
 // A torn manifest (trailing checksum broken) must fail Open loudly.
 TEST_F(FileStoreTest, CorruptedManifestFailsOpen) {
   {

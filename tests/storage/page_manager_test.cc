@@ -8,6 +8,8 @@
 
 #include <atomic>
 #include <cstring>
+#include <functional>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -136,6 +138,58 @@ TEST_F(PageManagerTest, RetireBeforeGuardIsReclaimable) {
   pm_.Retire(*id);
   EpochManager::Guard guard(&epoch_);  // started after the retirement
   EXPECT_EQ(pm_.Reclaim(), 1u);
+}
+
+// Runs `race` once, from inside the next MinActive() call: after its
+// slot scan, before a harvest locks the retired list. A page retired
+// there under a fresh pin is what the harvest's floor must still cover.
+void RaceInsideNextMinActive(EpochManager* epoch,
+                             std::function<void()> race) {
+  auto pending = std::make_shared<std::function<void()>>(std::move(race));
+  epoch->RegisterExternalMinProvider([pending]() {
+    if (*pending) {
+      auto f = std::move(*pending);
+      *pending = nullptr;
+      f();
+    }
+    return kMaxTimestamp;
+  });
+}
+
+// An operation pins, then a page it may hold is retired, both after
+// Reclaim's slot scan found no one active. The page must stay retired
+// while that operation lives.
+TEST_F(PageManagerTest, PageRetiredDuringReclaimScanIsKept) {
+  auto id = pm_.Allocate();
+  ASSERT_TRUE(id.ok());
+  std::unique_ptr<EpochManager::Guard> guard;
+  RaceInsideNextMinActive(&epoch_, [&] {
+    guard = std::make_unique<EpochManager::Guard>(&epoch_);
+    pm_.Retire(*id);
+  });
+  EXPECT_EQ(pm_.Reclaim(), 0u);
+  EXPECT_EQ(pm_.retired_pages(), 1u);
+  ASSERT_NE(guard, nullptr);
+  EXPECT_LE(guard->start_time(), epoch_.Now());  // it may hold the page
+  guard.reset();
+  EXPECT_EQ(pm_.Reclaim(), 1u);
+}
+
+// The same race against Allocate's own harvest: the page must not be
+// handed out again while the racing operation lives.
+TEST_F(PageManagerTest, PageRetiredDuringAllocateHarvestIsNotReused) {
+  auto id = pm_.Allocate();
+  ASSERT_TRUE(id.ok());
+  std::unique_ptr<EpochManager::Guard> guard;
+  RaceInsideNextMinActive(&epoch_, [&] {
+    guard = std::make_unique<EpochManager::Guard>(&epoch_);
+    pm_.Retire(*id);
+  });
+  auto id2 = pm_.Allocate();
+  ASSERT_TRUE(id2.ok());
+  EXPECT_NE(*id2, *id);
+  EXPECT_EQ(pm_.retired_pages(), 1u);
+  guard.reset();
 }
 
 TEST_F(PageManagerTest, ReusedPageIsZeroed) {
