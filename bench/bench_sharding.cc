@@ -97,69 +97,61 @@ void WriteJson(const char* path, bool quick,
 TreeOptions BenchTreeOptions() {
   TreeOptions options;
   options.min_entries = 32;
-  options.simulated_io_ns = 0;  // preload at memory speed
   return options;
 }
 
+// Preload at memory speed, then run the timed phase with every node
+// access stalled `io_us` (0 = in-memory).
+template <typename Target>
+double TimedKops(Target* target, const WorkloadSpec& spec, int threads,
+                 uint64_t ops_per_thread, uint64_t io_us) {
+  PreloadTree(target, spec, 4);
+  const ScopedIoStall io(io_us);
+  const DriverResult result =
+      RunWorkload(target, spec, threads, ops_per_thread, /*seed=*/7);
+  return result.MopsPerSec() * 1000.0;
+}
+
 double ShardedKops(const WorkloadSpec& spec, uint32_t shards, int threads,
-                   uint64_t ops_per_thread, uint64_t io_ns) {
+                   uint64_t ops_per_thread, uint64_t io_us) {
   ShardOptions options;
   options.tree = BenchTreeOptions();
   options.num_shards = shards;
   options.key_space_hint = spec.key_space;
   options.compression = CompressionMode::kNone;  // isolate routing cost
   ShardedMap map(options);
-  PreloadTree(&map, spec, 4);
-  for (uint32_t s = 0; s < map.num_shards(); ++s) {
-    map.shard(s)->tree()->internal_pager()->set_simulated_io_ns(io_ns);
-  }
-  const DriverResult result =
-      RunWorkload(&map, spec, threads, ops_per_thread, /*seed=*/7);
-  for (uint32_t s = 0; s < map.num_shards(); ++s) {
-    map.shard(s)->tree()->internal_pager()->set_simulated_io_ns(0);
-  }
-  return result.MopsPerSec() * 1000.0;
+  return TimedKops(&map, spec, threads, ops_per_thread, io_us);
 }
 
 double SingleTreeKops(const WorkloadSpec& spec, int threads,
-                      uint64_t ops_per_thread, uint64_t io_ns) {
+                      uint64_t ops_per_thread, uint64_t io_us) {
   SagivTree tree(BenchTreeOptions());
-  PreloadTree(&tree, spec, 4);
-  tree.internal_pager()->set_simulated_io_ns(io_ns);
-  const DriverResult result =
-      RunWorkload(&tree, spec, threads, ops_per_thread, /*seed=*/7);
-  tree.internal_pager()->set_simulated_io_ns(0);
-  return result.MopsPerSec() * 1000.0;
+  return TimedKops(&tree, spec, threads, ops_per_thread, io_us);
 }
 
 double CoarseKops(const WorkloadSpec& spec, int threads,
-                  uint64_t ops_per_thread, uint64_t io_ns) {
+                  uint64_t ops_per_thread, uint64_t io_us) {
   CoarseTree tree(BenchTreeOptions());
-  PreloadTree(&tree, spec, 4);
-  tree.inner()->internal_pager()->set_simulated_io_ns(io_ns);
-  const DriverResult result =
-      RunWorkload(&tree, spec, threads, ops_per_thread, /*seed=*/7);
-  tree.inner()->internal_pager()->set_simulated_io_ns(0);
-  return result.MopsPerSec() * 1000.0;
+  return TimedKops(&tree, spec, threads, ops_per_thread, io_us);
 }
 
 void RunMix(WorkloadSpec spec, const std::vector<int>& thread_counts,
-            uint64_t io_ns, uint64_t ops_per_thread, Key key_space) {
+            uint64_t io_us, uint64_t ops_per_thread, Key key_space) {
   spec.key_space = key_space;
   spec.preload = spec.insert_pct >= 0.999 ? 0 : key_space / 2;
   std::printf("workload: %s, %llu ops/thread, io=%lluus/page\n",
               spec.Describe().c_str(),
               static_cast<unsigned long long>(ops_per_thread),
-              static_cast<unsigned long long>(io_ns / 1000));
+              static_cast<unsigned long long>(io_us));
   Table table({"threads", "tree", "global-lock", "shard x1", "shard x2",
                "shard x4", "shard x8", "x4/x1"});
   for (int threads : thread_counts) {
-    const double tree = SingleTreeKops(spec, threads, ops_per_thread, io_ns);
-    const double coarse = CoarseKops(spec, threads, ops_per_thread, io_ns);
-    const double s1 = ShardedKops(spec, 1, threads, ops_per_thread, io_ns);
-    const double s2 = ShardedKops(spec, 2, threads, ops_per_thread, io_ns);
-    const double s4 = ShardedKops(spec, 4, threads, ops_per_thread, io_ns);
-    const double s8 = ShardedKops(spec, 8, threads, ops_per_thread, io_ns);
+    const double tree = SingleTreeKops(spec, threads, ops_per_thread, io_us);
+    const double coarse = CoarseKops(spec, threads, ops_per_thread, io_us);
+    const double s1 = ShardedKops(spec, 1, threads, ops_per_thread, io_us);
+    const double s2 = ShardedKops(spec, 2, threads, ops_per_thread, io_us);
+    const double s4 = ShardedKops(spec, 4, threads, ops_per_thread, io_us);
+    const double s8 = ShardedKops(spec, 8, threads, ops_per_thread, io_us);
     table.AddRow({Fmt(static_cast<uint64_t>(threads)), Fmt(tree),
                   Fmt(coarse), Fmt(s1), Fmt(s2), Fmt(s4), Fmt(s8),
                   FmtRatio(s4, s1)});
@@ -278,9 +270,9 @@ int main(int argc, char** argv) {
 
   PrintBanner(
       "E11b: shard scaling, disk-resident regime (20us/page)",
-      "with simulated page I/O every protocol overlaps I/O, so sharding's "
-      "benefit is contention relief, not I/O parallelism");
-  RunMix(mix, threads, 20'000, io_ops, key_space);
+      "with every get and put stalled 20us, every protocol overlaps I/O, "
+      "so sharding's benefit is contention relief, not I/O parallelism");
+  RunMix(mix, threads, /*io_us=*/20, io_ops, key_space);
 
   PrintBanner(
       "E11c: skewed traffic",

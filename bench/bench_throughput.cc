@@ -13,10 +13,14 @@
 //
 // Rows: thread counts. Columns: Kops/s per tree. One table per mix.
 //
+// E2b and the E12 twin model the paper's disk-resident nodes by stalling
+// every counted get and put 20us (ScopedIoStall, workload/driver.h).
+//
 // E12 — durability cells on the FileStore backend: load/checkpoint/
 // recover wall-clock plus io_real_vs_sim, the cold-read throughput
 // through a capped buffer pool (real pread faults) over the same
-// workload on the simulated-I/O MemStore pager. All record-only.
+// workload on an in-RAM tree whose node accesses stall 20us. All
+// record-only.
 //
 // Flags: --quick shrinks every cell ~10x (CI smoke). Every cell is also
 // recorded to BENCH_throughput.json (ops/s per config) so CI can archive
@@ -62,7 +66,7 @@ void Record(const std::string& config, int threads, double kops) {
 }
 
 void WriteJson(const char* path, bool quick, double mixed_scaling_4t_over_1t,
-               double batch_io_speedup_1t, double append_path_speedup_1t,
+               double append_path_speedup_1t,
                double monotonic_scaling_4t_over_1t, double io_real_vs_sim) {
   std::FILE* f = std::fopen(path, "w");
   if (f == nullptr) {
@@ -84,11 +88,6 @@ void WriteJson(const char* path, bool quick, double mixed_scaling_4t_over_1t,
   // multi-core runners; < 1.0 means 4 threads are SLOWER than 1.
   std::fprintf(f, "  \"mixed_scaling_4t_over_1t\": %.3f,\n",
                mixed_scaling_4t_over_1t);
-  // One thread, simulated I/O, batch width 32: MultiGet's pipelined
-  // descents issue one latency wait per round instead of one per page, so
-  // the ratio over a serial Get loop measures pure I/O overlap — it needs
-  // no extra cores and is CI-gated >= 3x even on a 1-CPU runner.
-  std::fprintf(f, "  \"batch_io_speedup_1t\": %.3f,\n", batch_io_speedup_1t);
   // Monotonic insert-only, 1 thread: append-optimized leaves (rightmost
   // fast path + tail-biased splits) over the same workload with
   // append_leaves off. Needs no extra cores, so CI's perf-smoke gates it
@@ -102,7 +101,7 @@ void WriteJson(const char* path, bool quick, double mixed_scaling_4t_over_1t,
   std::fprintf(f, "  \"monotonic_scaling_4t_over_1t\": %.3f,\n",
                monotonic_scaling_4t_over_1t);
   // Record-only (never gated): real FileStore cold-read throughput over
-  // the simulated-20us/page MemStore equivalent. Disk speed varies too
+  // the same lookups stalled 20us per node access. Disk speed varies too
   // much across runners to gate on, but the trajectory file must always
   // carry the number so the real-vs-simulated gap stays visible.
   std::fprintf(f, "  \"io_real_vs_sim\": %.3f,\n", io_real_vs_sim);
@@ -125,54 +124,37 @@ void WriteJson(const char* path, bool quick, double mixed_scaling_4t_over_1t,
 
 template <typename Tree>
 double Kops(const WorkloadSpec& spec, int threads, uint64_t ops_per_thread,
-            uint64_t io_ns) {
+            uint64_t io_us) {
   TreeOptions options;
   options.min_entries = 32;
-  options.simulated_io_ns = 0;  // preload at memory speed
   Tree tree(options);
-  PreloadTree(&tree, spec, 4);
-  tree.internal_pager()->set_simulated_io_ns(io_ns);
+  PreloadTree(&tree, spec, 4);  // at memory speed
+  const ScopedIoStall io(io_us);
   const DriverResult result =
       RunWorkload(&tree, spec, threads, ops_per_thread, /*seed=*/7);
-  tree.internal_pager()->set_simulated_io_ns(0);
-  return result.MopsPerSec() * 1000.0;
-}
-
-// CoarseTree wraps its pager; specialize the access.
-template <>
-double Kops<CoarseTree>(const WorkloadSpec& spec, int threads,
-                        uint64_t ops_per_thread, uint64_t io_ns) {
-  TreeOptions options;
-  options.min_entries = 32;
-  CoarseTree tree(options);
-  PreloadTree(&tree, spec, 4);
-  tree.inner()->internal_pager()->set_simulated_io_ns(io_ns);
-  const DriverResult result =
-      RunWorkload(&tree, spec, threads, ops_per_thread, /*seed=*/7);
-  tree.inner()->internal_pager()->set_simulated_io_ns(0);
   return result.MopsPerSec() * 1000.0;
 }
 
 void RunMix(WorkloadSpec spec, const std::vector<int>& thread_counts,
-            uint64_t io_ns, uint64_t ops_per_thread, Key key_space) {
+            uint64_t io_us, uint64_t ops_per_thread, Key key_space) {
   spec.key_space = key_space;
   spec.preload = spec.insert_pct >= 0.999 ? 0 : key_space / 2;
   std::printf("workload: %s, %llu ops/thread, io=%lluus/page\n",
               spec.Describe().c_str(),
               static_cast<unsigned long long>(ops_per_thread),
-              static_cast<unsigned long long>(io_ns / 1000));
-  const std::string io_tag = io_ns > 0 ? "+io" : "";
+              static_cast<unsigned long long>(io_us));
+  const std::string io_tag = io_us > 0 ? "+io" : "";
   Table table({"threads", "sagiv", "lehman-yao", "lock-coupling",
                "global-lock", "sagiv/global"});
   for (int threads : thread_counts) {
     const double sagiv =
-        Kops<SagivTree>(spec, threads, ops_per_thread, io_ns);
+        Kops<SagivTree>(spec, threads, ops_per_thread, io_us);
     const double ly =
-        Kops<LehmanYaoTree>(spec, threads, ops_per_thread, io_ns);
+        Kops<LehmanYaoTree>(spec, threads, ops_per_thread, io_us);
     const double coupling =
-        Kops<LockCouplingTree>(spec, threads, ops_per_thread, io_ns);
+        Kops<LockCouplingTree>(spec, threads, ops_per_thread, io_us);
     const double coarse =
-        Kops<CoarseTree>(spec, threads, ops_per_thread, io_ns);
+        Kops<CoarseTree>(spec, threads, ops_per_thread, io_us);
     Record(spec.name + io_tag + "/sagiv", threads, sagiv);
     Record(spec.name + io_tag + "/lehman-yao", threads, ly);
     Record(spec.name + io_tag + "/lock-coupling", threads, coupling);
@@ -199,80 +181,49 @@ WorkloadSpec GetOnlySpec(Key key_space) {
 }
 
 DriverResult BatchPathRun(bool batched, int threads, uint64_t ops_per_thread,
-                          Key key_space, uint64_t io_ns) {
+                          Key key_space) {
   TreeOptions options;
   options.min_entries = 32;
-  options.simulated_io_ns = 0;  // preload at memory speed
   SagivTree tree(options);
   const WorkloadSpec spec = GetOnlySpec(key_space);
   PreloadTree(&tree, spec, 4);
-  tree.internal_pager()->set_simulated_io_ns(io_ns);
-  const DriverResult result =
-      batched ? RunWorkloadBatched(&tree, spec, threads, ops_per_thread,
-                                   /*batch=*/32, /*seed=*/17)
-              : RunWorkload(&tree, spec, threads, ops_per_thread, /*seed=*/17);
-  tree.internal_pager()->set_simulated_io_ns(0);
-  return result;
+  return batched ? RunWorkloadBatched(&tree, spec, threads, ops_per_thread,
+                                      /*batch=*/32, /*seed=*/17)
+                 : RunWorkload(&tree, spec, threads, ops_per_thread,
+                               /*seed=*/17);
 }
 
-double RunBatchComparison(bool quick) {
+void RunBatchComparison(bool quick) {
   PrintBanner(
       "E2e: batched vs serial point lookups (pipelined descent engine)",
-      "MultiGet interleaves up to batch_max_inflight descents on one "
-      "thread, groups them by target page per level, and issues each "
-      "round's simulated-I/O waits together — one latency per round "
-      "instead of one per page. The +io rows are the paper's "
-      "disk-resident regime, where the overlap (not extra cores) is the "
-      "win; the in-memory rows bound the engine's CPU overhead. "
-      "coalesced/op counts fetches saved by page-sharing ops");
+      "MultiGet interleaves up to SagivTree::kBatchWidth descents on one "
+      "thread and groups them by target page per level, so ops routed "
+      "through the same page share one validated read. The rows bound "
+      "the engine's CPU overhead at memory speed; coalesced/op counts "
+      "fetches saved by page-sharing ops");
   const Key key_space = 200'000;
-  double gated_speedup = 0.0;
-  for (uint64_t io_ns : {uint64_t{0}, uint64_t{20'000}}) {
-    const bool io = io_ns > 0;
-    const uint64_t ops = io ? (quick ? 2'000 : 20'000)
-                            : (quick ? 30'000 : 200'000);
-    const std::string tag = GetOnlySpec(key_space).name + (io ? "+io" : "");
-    std::printf("workload: %s, %llu ops/thread, io=%lluus/page\n",
-                tag.c_str(), static_cast<unsigned long long>(ops),
-                static_cast<unsigned long long>(io_ns / 1000));
-    Table table({"threads", "serial", "batched(32)", "batched/serial",
-                 "coalesced/op", "overlapped/op"});
-    for (int threads : {1, 4}) {
-      // Best-of-3: the 1-thread +io cell is CI-gated, so a miss must mean
-      // a real regression, not scheduler noise.
-      const int attempts = (io && threads == 1) ? 3 : 1;
-      double serial_kops = 0.0;
-      double batched_kops = 0.0;
-      DriverResult batched_result;
-      for (int a = 0; a < attempts; ++a) {
-        const DriverResult serial =
-            BatchPathRun(false, threads, ops, key_space, io_ns);
-        const DriverResult batched =
-            BatchPathRun(true, threads, ops, key_space, io_ns);
-        serial_kops = std::max(serial_kops, serial.MopsPerSec() * 1000.0);
-        if (batched.MopsPerSec() * 1000.0 > batched_kops) {
-          batched_kops = batched.MopsPerSec() * 1000.0;
-          batched_result = batched;
-        }
-      }
-      Record(tag + "/serial", threads, serial_kops);
-      Record(tag + "/batched(32)", threads, batched_kops);
-      if (io && threads == 1 && serial_kops > 0) {
-        gated_speedup = batched_kops / serial_kops;
-      }
-      const double per_op = static_cast<double>(batched_result.total_ops);
-      table.AddRow(
-          {Fmt(static_cast<uint64_t>(threads)), Fmt(serial_kops),
-           Fmt(batched_kops), FmtRatio(batched_kops, serial_kops),
-           Fmt(static_cast<double>(batched_result.stats.Get(
-                   StatId::kBatchPagesCoalesced)) / per_op, 4),
-           Fmt(static_cast<double>(batched_result.stats.Get(
-                   StatId::kBatchIoOverlapped)) / per_op, 4)});
-    }
-    table.Print();
-    std::printf("(cells are Kops/s; higher is better)\n\n");
+  const uint64_t ops = quick ? 30'000 : 200'000;
+  const std::string tag = GetOnlySpec(key_space).name;
+  std::printf("workload: %s, %llu ops/thread\n", tag.c_str(),
+              static_cast<unsigned long long>(ops));
+  Table table({"threads", "serial", "batched(32)", "batched/serial",
+               "coalesced/op"});
+  for (int threads : {1, 4}) {
+    const DriverResult serial = BatchPathRun(false, threads, ops, key_space);
+    const DriverResult batched = BatchPathRun(true, threads, ops, key_space);
+    const double serial_kops = serial.MopsPerSec() * 1000.0;
+    const double batched_kops = batched.MopsPerSec() * 1000.0;
+    const double coalesced_per_op =
+        static_cast<double>(batched.stats.Get(StatId::kBatchPagesCoalesced)) /
+        static_cast<double>(batched.total_ops);
+    Record(tag + "/serial", threads, serial_kops);
+    Record(tag + "/batched(32)", threads, batched_kops);
+    table.AddRow({Fmt(static_cast<uint64_t>(threads)), Fmt(serial_kops),
+                  Fmt(batched_kops), FmtRatio(batched_kops, serial_kops),
+                  Fmt(coalesced_per_op, 4)});
   }
-  return gated_speedup;
+  table.Print();
+  std::printf("(cells are Kops/s; higher is better)\n\n");
 }
 
 // ------------------------------------------------------------------- E2f
@@ -392,7 +343,7 @@ double MeasureMixedScaling(uint64_t ops_per_thread, Key key_space) {
 //   cold-read  — point lookups through a 256-page buffer pool, so most
 //                descents fault pages from disk with real pread
 // Returns io_real_vs_sim: cold-read Kops/s over the same lookup loop on
-// an in-RAM MemStore pager with 20us/page simulated I/O — i.e. how the
+// an in-RAM tree whose every node access stalls 20us — i.e. how the
 // host's real storage stack compares to the model E2b assumes. Record-
 // only: real disks vary too much across runners to gate.
 double RunPersistenceCells(bool quick) {
@@ -461,8 +412,8 @@ double RunPersistenceCells(bool quick) {
   }
   fs::remove_all(dir);
 
-  // The simulated-I/O twin: same keys in RAM, every page touch charged
-  // the flat 20us/page latency E2b models.
+  // The stalled twin: same keys in RAM, every node access charged the
+  // flat 20us latency E2b models.
   double sim_kops = 0.0;
   {
     TreeOptions topt;
@@ -471,14 +422,13 @@ double RunPersistenceCells(bool quick) {
     for (Key k = 1; k <= n; ++k) {
       (void)tree.Upsert(k, k * 3);
     }
-    tree.internal_pager()->set_simulated_io_ns(20'000);
+    const ScopedIoStall io(/*stall_us=*/20);
     Random rng(17);
     const auto t0 = Clock::now();
     for (uint64_t i = 0; i < reads; ++i) {
       (void)tree.Search(rng.UniformRange(1, n));
     }
     const auto t1 = Clock::now();
-    tree.internal_pager()->set_simulated_io_ns(0);
     sim_kops = static_cast<double>(reads) / secs(t0, t1) / 1000.0;
   }
 
@@ -512,7 +462,7 @@ int main(int argc, char** argv) {
   const uint64_t io_ops = quick ? 200 : 2'000;
   const Key key_space = quick ? 40'000 : 400'000;
 
-  const double batch_io_speedup = RunBatchComparison(quick);
+  RunBatchComparison(quick);
   double append_speedup_1t = 0.0;
   double monotonic_scaling = 0.0;
   RunMonotonicComparison(quick, &append_speedup_1t, &monotonic_scaling);
@@ -531,34 +481,35 @@ int main(int argc, char** argv) {
   RunMix(WorkloadSpec::InsertOnly(), threads, 0, mem_ops, key_space);
 
   PrintBanner(
-      "E2b: throughput, disk-resident regime (simulated 20us/page I/O)",
-      "the paper's model: nodes live on secondary storage. Non-blocking "
+      "E2b: throughput, disk-resident regime (every get and put stalls 20us)",
+      "the paper's model: nodes live on secondary storage, and each get "
+      "and each put is one I/O. Non-blocking "
       "protocols overlap I/O across processes, so throughput scales with "
       "concurrency; a global lock serializes every I/O; lock-coupling "
       "stalls whole paths behind writers. The gap widens with threads and "
       "write share.");
 
-  const uint64_t io_ns = 20'000;
+  const uint64_t io_us = 20;
   const std::vector<int> io_threads{1, 2, 4, 8, 16};
-  RunMix(WorkloadSpec::ReadMostly(), io_threads, io_ns, io_ops, key_space);
-  RunMix(WorkloadSpec::Mixed5050(), io_threads, io_ns, io_ops, key_space);
-  RunMix(WorkloadSpec::InsertOnly(), io_threads, io_ns, io_ops, key_space);
+  RunMix(WorkloadSpec::ReadMostly(), io_threads, io_us, io_ops, key_space);
+  RunMix(WorkloadSpec::Mixed5050(), io_threads, io_us, io_ops, key_space);
+  RunMix(WorkloadSpec::InsertOnly(), io_threads, io_us, io_ops, key_space);
 
   WorkloadSpec zipf = WorkloadSpec::Mixed5050();
   zipf.distribution = KeyDistribution::kZipfian;
   zipf.zipf_theta = 0.99;
   zipf.name = "mixed-zipf(50/25/25,theta=.99)";
-  RunMix(zipf, io_threads, io_ns, io_ops, key_space);
+  RunMix(zipf, io_threads, io_us, io_ops, key_space);
 
   PrintBanner(
       "E12: durability cells (FileStore backend, 1 thread)",
       "load/checkpoint/recover wall-clock plus cold reads through a "
       "256-page buffer pool with real pread faults, against the same "
-      "lookup loop on the 20us/page simulated-I/O pager E2b models. "
+      "lookup loop stalled 20us per node access, as E2b models it. "
       "Record-only: disk speed varies too much across runners to gate.");
   const double io_real_vs_sim = RunPersistenceCells(quick);
 
-  WriteJson("BENCH_throughput.json", quick, mixed_scaling, batch_io_speedup,
-            append_speedup_1t, monotonic_scaling, io_real_vs_sim);
+  WriteJson("BENCH_throughput.json", quick, mixed_scaling, append_speedup_1t,
+            monotonic_scaling, io_real_vs_sim);
   return 0;
 }

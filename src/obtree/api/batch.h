@@ -4,8 +4,8 @@
 // MultiInsert / MultiErase / MultiUpsert and the ShardedMap
 // counterparts). One BatchResult describes one batch: a per-op outcome
 // in submission order, plus the batch-level slice of the pipelined
-// descent engine's counters (how many page fetches were coalesced, how
-// many simulated-I/O waits were overlapped). See SagivTree's batched
+// descent engine's counters (how many ops ran, how many page fetches
+// were coalesced). See SagivTree's batched
 // operations for the engine itself and ARCHITECTURE.md "Batched
 // operation engine" for the cost-model accounting.
 

@@ -98,10 +98,10 @@ class ConcurrentMap {
   // --- batched operations ---------------------------------------------------
   //
   // Each Multi* call submits its ops to the tree's pipelined descent
-  // engine: up to options.tree.batch_max_inflight descents run
-  // interleaved on the calling thread, grouped by target page per level
-  // so their simulated-I/O waits are issued together (see ARCHITECTURE.md
-  // "Batched operation engine"). Per-op semantics are identical to the
+  // engine: up to SagivTree::kBatchWidth descents run interleaved on the
+  // calling thread, grouped by target page per level so ops sharing a
+  // page share one validated read (see ARCHITECTURE.md "Batched
+  // operation engine"). Per-op semantics are identical to the
   // single-op calls; ops are independent and fail independently. Batches
   // of one take the single-op path.
 

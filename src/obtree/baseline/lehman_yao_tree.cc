@@ -15,7 +15,6 @@ LehmanYaoTree::LehmanYaoTree(const TreeOptions& options)
       size_(0) {
   if (!init_status_.ok()) options_ = TreeOptions();
   pager_ = std::make_unique<PageManager>(epoch_.get(), stats_.get());
-  pager_->set_simulated_io_ns(options_.simulated_io_ns);
   Result<PageId> root = pager_->Allocate();
   assert(root.ok());
   Page page;

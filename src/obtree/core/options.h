@@ -100,23 +100,6 @@ struct TreeOptions {
   /// attempt, capped at 64x). 0 retries immediately.
   uint32_t fetch_retry_backoff_us = 2;
 
-  /// Pipeline width of the batched operation engine (SagivTree::Multi*):
-  /// how many descents one thread keeps in flight at once. Each round the
-  /// engine groups the in-flight ops by current page, issues the group's
-  /// simulated-I/O waits together (PageManager::PrefetchPages), then
-  /// advances every continuation one level. Larger widths overlap more
-  /// I/O per round but touch more pages between validations; with
-  /// simulated I/O off the width only affects coalescing. Batches larger
-  /// than the width are processed in width-sized windows; batch size 1
-  /// falls back to the single-op path.
-  uint32_t batch_max_inflight = 32;
-
-  /// Simulated block-device latency per page get/put, in nanoseconds
-  /// (0 = pure in-memory). The paper's nodes live on secondary storage;
-  /// enabling this reproduces the I/O-bound regime its concurrency
-  /// arguments target (see PageManager::set_simulated_io_ns).
-  uint64_t simulated_io_ns = 0;
-
   /// Persistence: when non-empty, the tree's pages are backed by a
   /// FileStore rooted at this directory (created if absent) instead of
   /// the default in-memory MemStore. Construction recovers the newest
@@ -158,9 +141,6 @@ struct TreeOptions {
     }
     if (fetch_retry_limit < 0) {
       return Status::InvalidArgument("fetch_retry_limit must be >= 0");
-    }
-    if (batch_max_inflight < 1) {
-      return Status::InvalidArgument("batch_max_inflight must be positive");
     }
     if (buffer_pool_pages != 0 && buffer_pool_pages < 64) {
       return Status::InvalidArgument(

@@ -186,7 +186,6 @@ SagivTree::SagivTree(const TreeOptions& options)
   pager_ = std::make_unique<PageManager>(epoch_.get(), stats_.get(),
                                          file_store_.get(),
                                          options_.buffer_pool_pages);
-  pager_->set_simulated_io_ns(options_.simulated_io_ns);
   pager_->set_lock_spin_budget(options_.lock_spin_budget);
   pager_->set_lock_backoff_max(options_.lock_backoff_max);
 
@@ -1215,16 +1214,10 @@ Status SagivTree::DeleteCommit(Key key, PageId start,
 
 void SagivTree::PipelineDescents(BatchCont* ops, size_t n, bool collect_stacks,
                                  bool probe_values, BatchStats* bs) const {
-  // Forfeits unconsumed prepaid-I/O credits at scope exit (a faulted read
-  // returns before its MaybeSimulateIo and never consumes its credit).
-  PageManager::IoBatchScope io_scope;
-
   std::vector<uint32_t> active;   // kRunning indices, regrouped per round
-  std::vector<PageId> distinct;   // the round's distinct target pages
   std::vector<Route> routes;      // per-group scratch
   std::vector<std::optional<Value>> values;
   active.reserve(n);
-  distinct.reserve(n);
 
   for (;;) {
     active.clear();
@@ -1250,19 +1243,10 @@ void SagivTree::PipelineDescents(BatchCont* ops, size_t n, bool collect_stacks,
       }
     }
 
-    // Group the round's reads by target page and issue their simulated-I/O
-    // waits together: one latency covers the whole round.
+    // Group the round's reads by target page.
     std::sort(active.begin(), active.end(), [&](uint32_t a, uint32_t b) {
       return ops[a].current < ops[b].current;
     });
-    distinct.clear();
-    for (uint32_t i : active) {
-      if (distinct.empty() || distinct.back() != ops[i].current) {
-        distinct.push_back(ops[i].current);
-      }
-    }
-    bs->io_overlapped += pager_->PrefetchPages(distinct.data(),
-                                               distinct.size());
 
     // One validated read per distinct page serves every op routed
     // through it; the sharers beyond the first are coalesced fetches.
@@ -1376,7 +1360,7 @@ void SagivTree::MultiSearch(const Key* keys, size_t n, Result<Value>* out,
   BatchStats bs;
   EpochManager::Guard guard(epoch_.get());
 
-  const size_t width = options_.batch_max_inflight;
+  const size_t width = kBatchWidth;
   std::vector<BatchCont> conts(std::min(n, width));
   for (size_t w0 = 0; w0 < n; w0 += width) {
     const size_t w = std::min(width, n - w0);
@@ -1440,7 +1424,7 @@ void SagivTree::MultiMutate(const Key* keys, const Value* values, size_t n,
       (options_.enqueue_underfull_on_delete &&
        queue_.load(std::memory_order_acquire) != nullptr);
 
-  const size_t width = options_.batch_max_inflight;
+  const size_t width = kBatchWidth;
   std::vector<BatchCont> conts(std::min(n, width));
   for (size_t w0 = 0; w0 < n; w0 += width) {
     const size_t w = std::min(width, n - w0);

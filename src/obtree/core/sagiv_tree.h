@@ -86,20 +86,22 @@ class SagivTree {
 
   // --- batched operations ---------------------------------------------------
   //
-  // The pipelined descent engine: one thread keeps up to
-  // options().batch_max_inflight descents in flight as resumable
-  // continuations, each round grouping them by current page, issuing the
-  // group's simulated-I/O waits together (PageManager::PrefetchPages) and
-  // sharing one validated read per distinct page, then advancing every
-  // continuation one step. Results land in out[i] for keys[i]; per-op
-  // semantics (including restart budgets and fetch retries: an op whose
-  // read faults finishes on the single-op path) are identical to the
-  // single-op calls. For the write forms
-  // only the lock-free descent is pipelined — each op's locked mutation
-  // then runs serially from its descent's leaf, so the locking protocol
-  // (one lock per process) is untouched. `batch_stats`, when non-null,
-  // receives this batch's slice of the kBatch* counters. Batches of one
-  // take the single-op path.
+  // The pipelined descent engine: one thread keeps up to kBatchWidth
+  // descents in flight as resumable continuations, each round grouping
+  // them by current page and sharing one validated read per distinct
+  // page, then advancing every continuation one step. Batches wider than
+  // kBatchWidth run in kBatchWidth-sized windows. Results land in out[i]
+  // for keys[i]; per-op semantics (including restart budgets and fetch
+  // retries: an op whose read faults finishes on the single-op path) are
+  // identical to the single-op calls. For the write forms only the
+  // lock-free descent is pipelined — each op's locked mutation then runs
+  // serially from its descent's leaf, so the locking protocol (one lock
+  // per process) is untouched. `batch_stats`, when non-null, receives
+  // this batch's slice of the kBatch* counters. Batches of one take the
+  // single-op path.
+
+  /// Descents the batch engine keeps in flight per window.
+  static constexpr size_t kBatchWidth = 32;
 
   /// Batched Search: out[i] is the value for keys[i] or NotFound.
   void MultiSearch(const Key* keys, size_t n, Result<Value>* out,
@@ -261,10 +263,9 @@ class SagivTree {
 
   // Advance every kRunning continuation in ops[0..n) to a terminal state
   // (level-0 arrival, fallback, or error). Each round: group the active
-  // continuations by current page, issue the group's simulated-I/O waits
-  // together (PageManager::PrefetchPages), perform ONE validated
-  // OptimisticRead per distinct page shared by every op routed through
-  // it (the sharers beyond the first count kBatchPagesCoalesced), then
+  // continuations by current page, perform ONE validated OptimisticRead
+  // per distinct page shared by every op routed through it (the sharers
+  // beyond the first count kBatchPagesCoalesced), then
   // advance each continuation by one routing step; a torn read is re-read
   // next round, a faulted one sends its ops to kFallback
   // (kOptimisticFallbacks). The caller holds the epoch guard. `bs`

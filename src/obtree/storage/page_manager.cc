@@ -29,13 +29,6 @@ namespace {
 // to validate the "locks held simultaneously" claims.
 thread_local int tl_locks_held = 0;
 
-// Prepaid simulated-I/O credits deposited by PrefetchPages and consumed
-// by the next MaybeSimulateIo calls on this thread (one credit = one
-// skipped sleep, because the group's waits were already issued together).
-// Scoped by PageManager::IoBatchScope so credits never outlive the batch
-// that paid for them.
-thread_local uint64_t tl_io_credits = 0;
-
 // Word-granular copy. The seqlock retry loop discards torn reads; copying
 // through relaxed word-sized atomic accesses (PageLoadWord/PageStoreWord,
 // shared with Node's in-place mutation primitives) keeps the concurrent
@@ -198,38 +191,6 @@ Result<PageId> PageManager::Allocate() {
   return id;
 }
 
-void PageManager::MaybeSimulateIo() const {
-  const uint64_t ns = simulated_io_ns_.load(std::memory_order_relaxed);
-  if (ns == 0) return;
-  if (tl_io_credits > 0) {
-    // This access's wait was already issued with its group's leader
-    // (PrefetchPages); consuming the credit is the "completion" side.
-    --tl_io_credits;
-    return;
-  }
-  // A real sleep (not a spin) so other threads overlap their "I/O" —
-  // the property the 1985 disk-resident model gives concurrent protocols.
-  std::this_thread::sleep_for(std::chrono::nanoseconds(ns));
-}
-
-uint64_t PageManager::PrefetchPages(const PageId* ids, size_t n) const {
-  (void)ids;  // a real PageStore backend would post the reads here
-  if (n == 0) return 0;
-  const uint64_t ns = simulated_io_ns_.load(std::memory_order_relaxed);
-  if (ns == 0) return 0;
-  // One latency covers the whole group: n reads posted in parallel
-  // complete after max(latency_i) ~= one device latency, not the sum.
-  std::this_thread::sleep_for(std::chrono::nanoseconds(ns));
-  tl_io_credits += n;
-  const uint64_t overlapped = static_cast<uint64_t>(n) - 1;
-  if (overlapped > 0) stats_->Add(StatId::kBatchIoOverlapped, overlapped);
-  return overlapped;
-}
-
-PageManager::IoBatchScope::IoBatchScope() : saved_(tl_io_credits) {}
-
-PageManager::IoBatchScope::~IoBatchScope() { tl_io_credits = saved_; }
-
 Status PageManager::Get(PageId id, Page* out) const {
   if (MaybeTrap("get", id, /*error_eligible=*/tl_locks_held == 0)) {
     // Injected fetch failure: hand back an inert zeroed image so a caller
@@ -238,7 +199,6 @@ Status PageManager::Get(PageId id, Page* out) const {
     std::memset(out->bytes, 0, kPageSize);
     return Status::Unavailable("injected page-fetch failure");
   }
-  MaybeSimulateIo();
   Meta* m = MetaFor(id);
   for (;;) {
     if (paged_) {
@@ -275,7 +235,6 @@ PageManager::ReadGuard PageManager::OptimisticRead(PageId id) const {
     // Injected fetch failure.
     return ReadGuard::Faulted(Status::Code::kUnavailable);
   }
-  MaybeSimulateIo();
   Meta* m = MetaFor(id);
   for (;;) {
     if (paged_) {
@@ -328,7 +287,6 @@ PageManager::WriteGuard PageManager::BeginWrite(PageId id) {
 
 void PageManager::Put(PageId id, const Page& in) {
   MaybeTrap("put", id, /*error_eligible=*/false);
-  MaybeSimulateIo();
   Meta* m = MetaFor(id);
   // Serialize concurrent puts on the same page via the seqlock's odd state.
   // Protocol-level locks already prevent concurrent writers in practice.

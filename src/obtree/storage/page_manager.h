@@ -104,14 +104,21 @@ class PageManager {
     allocation_budget_.store(n, std::memory_order_relaxed);
   }
 
-  /// Indivisible read of a page into *out (the paper's get(x)).
+  /// Indivisible read of a page into *out (the paper's get(x)). Every
+  /// node access (Get, OptimisticRead, PeekLocked) evaluates the "get"
+  /// failpoint once and counts one StatId::kGets; every Put and BeginWrite
+  /// does the same with "put" and kPuts. Outside a ScopedExemption, a
+  /// FaultAction::kStall armed on both sites therefore charges a latency
+  /// per §2.2 cost unit, which is how the benches model nodes on
+  /// secondary storage.
   ///
-  /// Fallible: with a fault armed on site "get" this can return
-  /// Status::Unavailable — the future PageStore backend's transient I/O
-  /// error, simulated. On failure *out is zeroed, which a page-format
-  /// reader decodes as an inert empty node: a caller that ignores the
-  /// status (maintenance code runs exempt; legacy baselines are not
-  /// fault-hardened) restarts or no-ops instead of acting on garbage.
+  /// Fallible: a failed fault-in of an evicted page returns the store's
+  /// error (DataLoss for a corrupt image), and a fault armed on site
+  /// "get" can inject Status::Unavailable. On failure *out is zeroed,
+  /// which a page-format reader decodes as an inert empty node: a caller
+  /// that ignores the status (maintenance code runs exempt; legacy
+  /// baselines are not fault-hardened) restarts or no-ops instead of
+  /// acting on garbage.
   /// Errors are only injected into lock-free readers (threads holding a
   /// paper lock are immune — their reads sit between mutation steps where
   /// "retry later" is not an option); stalls can hit anyone.
@@ -190,49 +197,19 @@ class PageManager {
   };
 
   /// Begin an optimistic in-place read (the fast-path alternative to Get
-  /// that moves no page bytes). Counts as a node access: it pays the
-  /// simulated I/O latency and the kGets counter exactly like Get, so the
-  /// paper's cost model still holds; Validate() is free. A failed fetch
+  /// that moves no page bytes). Counts as a node access: it evaluates the
+  /// "get" site and counts kGets exactly like Get, so the paper's cost
+  /// model still holds; Validate() is free. A failed fetch
   /// returns a faulted() guard; like Get, injected errors only reach
   /// threads holding no paper lock.
   ReadGuard OptimisticRead(PageId id) const;
 
-  /// Batched-I/O overlap hook for the pipelined descent engine
-  /// (SagivTree::Multi*): announce that the calling thread is about to
-  /// read the `n` distinct pages in `ids` as one group. The group's
-  /// simulated-I/O waits are issued TOGETHER — one latency sleep covers
-  /// all n fetches, modeling n async reads posted in parallel — and the
-  /// thread is granted n prepaid-I/O credits that the following
-  /// Get/OptimisticRead calls consume instead of sleeping. Everything
-  /// else about those reads (seqlock acquisition, kGets accounting,
-  /// fault traps) is unchanged, so the cost model still counts n node
-  /// accesses; only the WAITS coalesce. Returns the number of waits
-  /// overlapped (n - 1 when simulated I/O is on, else 0), which is also
-  /// added to StatId::kBatchIoOverlapped. Credits are thread-local and
-  /// must be bracketed by an IoBatchScope so unconsumed credits (a
-  /// faulted read that never slept) cannot leak into unrelated ops.
-  uint64_t PrefetchPages(const PageId* ids, size_t n) const;
-
-  /// RAII bracket for PrefetchPages credit accounting: records the
-  /// calling thread's prepaid-I/O credit level at construction and
-  /// restores it at destruction, forfeiting any credits deposited but
-  /// not consumed inside the scope.
-  class IoBatchScope {
-   public:
-    IoBatchScope();
-    ~IoBatchScope();
-    OBTREE_DISALLOW_COPY_AND_ASSIGN(IoBatchScope);
-
-   private:
-    uint64_t saved_;
-  };
-
   /// In-place inspection for a paper-lock holder. Counts as a node
-  /// access exactly like Get/OptimisticRead (one kGets + the simulated
-  /// I/O), so the paper's cost model holds on the locked moveright too;
-  /// it is also the read half of an in-place read-modify-write — the
-  /// BeginWrite that follows charges nothing further, making the whole
-  /// RMW one node access instead of the copy path's get + put. The guard
+  /// access exactly like Get/OptimisticRead (one "get" evaluation + one
+  /// kGets), so the paper's cost model holds on the locked moveright too;
+  /// it is also the read half of an in-place read-modify-write, whose
+  /// BeginWrite pays the put: the RMW costs a get + put like the copy
+  /// path, without moving the page bytes. The guard
   /// still needs validation: page reuse (Retire -> Allocate zeroing ->
   /// initializing Put) runs WITHOUT the paper lock, so a stale page can
   /// move underneath even a lock holder — but once an image validates as
@@ -309,11 +286,9 @@ class PageManager {
   /// alternative to the Get + Put copy cycle, which moves >= 8 KB to
   /// change one slot). The caller MUST hold the paper lock on `id` and
   /// have validated the page as a live node under that lock (see
-  /// PeekLocked) — the lock is what makes it the sole mutator. Counts
-  /// one kPuts but charges NO additional simulated I/O: the PeekLocked
-  /// that preceded it already paid for this node access, so the combined
-  /// read-modify-write costs one access instead of the two (get + put)
-  /// the copy path pays.
+  /// PeekLocked) — the lock is what makes it the sole mutator. Counts as
+  /// the paper's put(A, x) exactly like Put: one "put" evaluation and one
+  /// kPuts.
   WriteGuard BeginWrite(PageId id);
 
   /// Indivisible write of a page (the paper's put(A, x)).
@@ -365,18 +340,6 @@ class PageManager {
   /// PageManager). Exposed for tests asserting the "one lock at a time"
   /// property.
   static int LocksHeldByThisThread();
-
-  /// Simulate block-device latency: every Get/Put sleeps this long before
-  /// returning (0 = in-memory). The paper's model maps nodes to secondary
-  /// storage where a node access IS an I/O; on few-core hosts this is what
-  /// lets concurrency benefits surface — non-blocking protocols overlap
-  /// their I/O waits, lock-holding protocols stall everyone behind them.
-  void set_simulated_io_ns(uint64_t ns) {
-    simulated_io_ns_.store(ns, std::memory_order_relaxed);
-  }
-  uint64_t simulated_io_ns() const {
-    return simulated_io_ns_.load(std::memory_order_relaxed);
-  }
 
   /// Mark a page deleted at the current logical time. The page stays
   /// readable until reclaimed.
@@ -526,7 +489,6 @@ class PageManager {
   Meta* MetaFor(PageId id) const;
   void EnsureMetaChunk(size_t chunk_index);  // alloc_mu_ held or no races
   Page* Frame(uint32_t state) const;
-  void MaybeSimulateIo() const;
 
   // Take `m`'s seqlock odd, waiting out any put in flight; returns the
   // even version it replaced (store version + 2 to publish, or version
@@ -636,7 +598,6 @@ class PageManager {
   std::mutex gate_mu_;
   std::condition_variable gate_cv_;
 
-  std::atomic<uint64_t> simulated_io_ns_{0};
   std::atomic<uint32_t> lock_spin_budget_{64};
   std::atomic<uint32_t> lock_backoff_max_{256};
   std::atomic<int64_t> allocation_budget_{-1};  // <0 = unlimited

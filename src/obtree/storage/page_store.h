@@ -9,8 +9,7 @@
 //
 //   * MemStore (mem_store.h) — the default: pages live only in the
 //     manager's RAM arena and the store is a no-op. Behavior is
-//     bit-for-bit what it was before the interface existed; the
-//     simulated-I/O cost model stays in PageManager.
+//     bit-for-bit what it was before the interface existed.
 //   * FileStore (file_store.h) — real persistence: 4 KB-aligned slots in
 //     a data file via pread/pwrite, checksummed images, and a crash-safe
 //     checkpoint protocol (shadow-slot writes + fsync + atomic manifest

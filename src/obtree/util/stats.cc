@@ -61,7 +61,6 @@ const char* StatName(StatId id) {
     case StatId::kDeletes: return "deletes";
     case StatId::kBatchOps: return "batch_ops";
     case StatId::kBatchPagesCoalesced: return "batch_pages_coalesced";
-    case StatId::kBatchIoOverlapped: return "batch_io_overlapped";
     case StatId::kStoreReads: return "store_reads";
     case StatId::kStoreWrites: return "store_writes";
     case StatId::kPagesEvicted: return "pages_evicted";

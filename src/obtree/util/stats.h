@@ -142,9 +142,6 @@ enum class StatId : int {
                          ///< avoided because several in-flight ops routed
                          ///< through the same page in the same round and
                          ///< shared one validated read
-  kBatchIoOverlapped,    ///< simulated-I/O waits the engine issued
-                         ///< together with a round's group leader instead
-                         ///< of serially (PageManager::PrefetchPages)
   kStoreReads,           ///< page images faulted into the arena from the
                          ///< PageStore backend (FileStore pread + verify)
   kStoreWrites,          ///< page images staged to the backend: dirty
@@ -165,21 +162,17 @@ const char* StatName(StatId id);
 
 /// Per-batch slice of the batch counters: what one Multi* call did. The
 /// same quantities are accumulated process-wide on the owning tree's
-/// StatsCollector under kBatchOps / kBatchPagesCoalesced /
-/// kBatchIoOverlapped; this struct lets a caller attribute them to a
-/// single batch without diffing snapshots.
+/// StatsCollector under kBatchOps / kBatchPagesCoalesced; this struct
+/// lets a caller attribute them to a single batch without diffing
+/// snapshots.
 struct BatchStats {
   uint64_t ops = 0;              ///< operations in the batch
   uint64_t pages_coalesced = 0;  ///< fetches avoided by sharing a page
                                  ///< read between in-flight ops
-  uint64_t io_overlapped = 0;    ///< simulated-I/O waits issued together
-                                 ///< with a round leader instead of
-                                 ///< serially
 
   BatchStats& operator+=(const BatchStats& o) {
     ops += o.ops;
     pages_coalesced += o.pages_coalesced;
-    io_overlapped += o.io_overlapped;
     return *this;
   }
 };

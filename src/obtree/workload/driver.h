@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "obtree/api/batch.h"
+#include "obtree/util/fault_injector.h"
 #include "obtree/util/histogram.h"
 #include "obtree/util/stats.h"
 #include "obtree/util/status.h"
@@ -66,6 +67,34 @@ struct DriverResult {
                : 0.0;
   }
   std::string Summary() const;
+};
+
+/// The disk-resident regime of the paper's model (§2.2): while in scope,
+/// every node access — each counted get and each counted put, on every
+/// tree in the process, outside a FaultInjector::ScopedExemption — sleeps
+/// `stall_us` microseconds, through a FaultAction::kStall armed on the
+/// PageManager "get" and "put" sites.
+/// Construct it after the preload; it disarms both sites on exit. A
+/// stall of 0 arms nothing (the in-memory regime).
+class ScopedIoStall {
+ public:
+  explicit ScopedIoStall(uint64_t stall_us) : armed_(stall_us > 0) {
+    if (!armed_) return;
+    FaultSpec spec;
+    spec.action = FaultAction::kStall;
+    spec.stall_us = stall_us;
+    FaultInjector::Instance().Arm("get", spec);
+    FaultInjector::Instance().Arm("put", spec);
+  }
+  ~ScopedIoStall() {
+    if (!armed_) return;
+    FaultInjector::Instance().Disarm("get");
+    FaultInjector::Instance().Disarm("put");
+  }
+  OBTREE_DISALLOW_COPY_AND_ASSIGN(ScopedIoStall);
+
+ private:
+  const bool armed_;
 };
 
 /// Insert `spec.preload` distinct keys (deterministic enumeration) using

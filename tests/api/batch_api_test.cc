@@ -26,11 +26,10 @@
 namespace obtree {
 namespace {
 
-MapOptions PlainMap(uint32_t batch_width = 32) {
+MapOptions PlainMap() {
   MapOptions opt;
   opt.compression = CompressionMode::kNone;
   opt.tree.min_entries = 32;
-  opt.tree.batch_max_inflight = batch_width;
   return opt;
 }
 
@@ -42,11 +41,11 @@ void PreloadEven(ConcurrentMap* map, Key n) {
 }
 
 TEST(BatchApiTest, MultiGetAgreesWithSingleOpLoop) {
-  ConcurrentMap map(PlainMap(/*batch_width=*/8));
+  ConcurrentMap map(PlainMap());
   PreloadEven(&map, 5'000);  // height >= 2 with 32-entry minimum nodes
 
-  // Mixed present/absent keys, batch far wider than the pipeline width so
-  // the window loop is exercised too.
+  // Mixed present/absent keys; 200 keys span several
+  // SagivTree::kBatchWidth windows, so the window loop is exercised too.
   std::vector<Key> keys;
   Random rng(123);
   for (int i = 0; i < 200; ++i) keys.push_back(1 + rng.Next() % 10'000);
@@ -157,30 +156,6 @@ TEST(BatchApiTest, EmptySingleAndMismatchedBatches) {
     EXPECT_TRUE(s.IsInvalidArgument());
   }
   EXPECT_FALSE(map.Get(1).ok());  // nothing was applied
-}
-
-TEST(BatchApiTest, SimulatedIoWaitsAreOverlapped) {
-  ConcurrentMap map(PlainMap());
-  PreloadEven(&map, 5'000);
-
-  std::vector<Key> keys;
-  Random rng(7);
-  for (int i = 0; i < 32; ++i) keys.push_back(2 * (1 + rng.Next() % 5'000));
-
-  // At memory speed no waits exist, so none can be overlapped.
-  const BatchResult mem = map.MultiGet(keys);
-  EXPECT_EQ(mem.stats.io_overlapped, 0u);
-
-  // With simulated I/O armed, the leaf rounds fan out over many distinct
-  // pages and the engine must issue their waits together.
-  map.tree()->internal_pager()->set_simulated_io_ns(1);
-  const BatchResult io = map.MultiGet(keys);
-  map.tree()->internal_pager()->set_simulated_io_ns(0);
-  EXPECT_TRUE(io.all_ok());
-  EXPECT_GT(io.stats.io_overlapped, 0u);
-  EXPECT_GT(io.stats.pages_coalesced, 0u);
-  EXPECT_EQ(io.stats.ops, keys.size());
-  EXPECT_GT(map.Stats().Get(StatId::kBatchIoOverlapped), 0u);
 }
 
 TEST(BatchApiTest, PartialFailureUnderFaultInjection) {

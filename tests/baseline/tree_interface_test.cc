@@ -2,11 +2,14 @@
 //
 // One generic behavioral test suite applied to every tree implementation
 // (SagivTree and the three baselines): whatever the locking protocol, the
-// logical Insert/Search/Delete/Scan semantics must be identical.
+// logical Insert/Search/Delete/Scan semantics must be identical. A second
+// typed suite pins the paper's cost units (§2.2) to the "get"/"put"
+// failpoints the benches stall to model disk-resident nodes.
 
 #include <map>
 #include <set>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -15,6 +18,7 @@
 #include "obtree/baseline/lehman_yao_tree.h"
 #include "obtree/baseline/lock_coupling_tree.h"
 #include "obtree/core/sagiv_tree.h"
+#include "obtree/util/fault_injector.h"
 #include "obtree/util/random.h"
 
 namespace obtree {
@@ -177,6 +181,86 @@ TYPED_TEST(TreeInterfaceTest, ConcurrentMixedOps) {
     return true;
   });
   EXPECT_EQ(counted, tree.Size());
+}
+
+// --- cost units (§2.2): every counted get and put evaluates its failpoint
+// once, so a kStall armed on "get" and "put" (ScopedIoStall, the benches'
+// disk-resident model) charges exactly the paper's node accesses --------
+
+template <typename Tree>
+class CostUnitTest : public ::testing::Test {
+ protected:
+  void TearDown() override { FaultInjector::Instance().DisarmAll(); }
+};
+
+using CostUnitTreeTypes =
+    ::testing::Types<SagivTree, LehmanYaoTree, LockCouplingTree>;
+TYPED_TEST_SUITE(CostUnitTest, CostUnitTreeTypes);
+
+TYPED_TEST(CostUnitTest, StallSitesSeeEveryCountedGetAndPut) {
+  TreeOptions opt;
+  opt.min_entries = 3;  // small nodes: splits and multi-level descents
+  TypeParam tree(opt);
+  for (Key k = 2; k <= 600; k += 2) ASSERT_TRUE(tree.Insert(k, k).ok());
+
+  FaultSpec stall;
+  stall.action = FaultAction::kStall;
+  stall.stall_us = 0;  // count the hits, sleep never
+  FaultInjector& fi = FaultInjector::Instance();
+  fi.Arm("get", stall);
+  fi.Arm("put", stall);
+  const uint64_t gets0 = tree.stats()->Get(StatId::kGets);
+  const uint64_t puts0 = tree.stats()->Get(StatId::kPuts);
+
+  Random rng(20);
+  for (int i = 0; i < 3000; ++i) {
+    const Key k = rng.UniformRange(1, 800);
+    switch (rng.Uniform(5)) {
+      case 0:
+        (void)tree.Insert(k, k + 1);
+        break;
+      case 1:
+        (void)tree.Delete(k);
+        break;
+      case 2:
+        (void)tree.Search(k);
+        break;
+      case 3: {
+        int left = 20;
+        tree.Scan(k, kMaxUserKey, [&left](Key, Value) { return --left > 0; });
+        break;
+      }
+      case 4:
+        if constexpr (std::is_same_v<TypeParam, SagivTree>) {
+          (void)tree.Upsert(k, k + 2);  // in place when present
+        } else {
+          (void)tree.Insert(k, k + 2);
+        }
+        break;
+    }
+  }
+  if constexpr (std::is_same_v<TypeParam, SagivTree>) {
+    // The batch engine's shared reads and its serial locked commits.
+    std::vector<Key> keys;
+    std::vector<Value> values;
+    for (int i = 0; i < 100; ++i) {
+      keys.push_back(rng.UniformRange(1, 800));
+      values.push_back(i);
+    }
+    std::vector<Result<Value>> found(keys.size(), Status::NotFound());
+    std::vector<Status> out(keys.size());
+    tree.MultiSearch(keys.data(), keys.size(), found.data());
+    tree.MultiInsert(keys.data(), values.data(), keys.size(), out.data());
+    tree.MultiUpsert(keys.data(), values.data(), keys.size(), out.data());
+    tree.MultiDelete(keys.data(), keys.size(), out.data());
+  }
+
+  const uint64_t gets = tree.stats()->Get(StatId::kGets) - gets0;
+  const uint64_t puts = tree.stats()->Get(StatId::kPuts) - puts0;
+  EXPECT_GT(gets, 0u);
+  EXPECT_GT(puts, 0u);
+  EXPECT_EQ(fi.SiteStats("get").hits, gets);
+  EXPECT_EQ(fi.SiteStats("put").hits, puts);
 }
 
 // --- protocol-specific lock-profile assertions (the E1 experiment in test

@@ -199,6 +199,10 @@ TEST(BackgroundPoolTest, HotShardCannotStarveColdShards) {
       base += 200;
     }
   });
+  // The hot queue must be loaded before the pool starts: on a busy host
+  // the cold queues can drain before the mutator first runs, leaving the
+  // hot shard nothing to be served with.
+  while (hot.queue->Empty()) std::this_thread::yield();
 
   {
     // ONE worker: if scheduling were purely depth-driven, the hot queue

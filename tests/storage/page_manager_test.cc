@@ -425,9 +425,8 @@ TEST_F(PageManagerTest, ReadModifyWriteChargesOneGetOnePut) {
   pm_.Lock(*id);
   const uint64_t gets = stats_.Get(StatId::kGets);
   const uint64_t puts = stats_.Get(StatId::kPuts);
-  // The locked peek is the node access (counts a get, pays the simulated
-  // I/O); the BeginWrite completing the read-modify-write charges only
-  // the put COUNTER — the whole RMW is one access, not get + put.
+  // The locked peek is the RMW's get and the BeginWrite completing it is
+  // its put: the whole RMW costs a get + put, like the copy path.
   PageManager::ReadGuard peek = pm_.PeekLocked(*id);
   EXPECT_TRUE(peek.Validate());
   EXPECT_EQ(stats_.Get(StatId::kGets), gets + 1);
