@@ -4,8 +4,8 @@
 // reads/writes; these measure what one such operation costs on the
 // in-memory page substrate: in-node binary search, leaf insert/remove,
 // split, merge, redistribution, and the seqlock get/put page copies; plus
-// the checksum FileStore computes on every page it reads or writes, and
-// the store half of a page fault.
+// the checksum FileStore computes on every page it reads or writes, the
+// store half of a page fault, and a short range scan over a whole tree.
 
 #include <unistd.h>
 
@@ -18,6 +18,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include "obtree/core/sagiv_tree.h"
 #include "obtree/node/node.h"
 #include "obtree/storage/file_store.h"
 #include "obtree/storage/page_manager.h"
@@ -57,6 +58,26 @@ void BM_NodeFindLeafValue(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_NodeFindLeafValue)->Arg(64)->Arg(254);
+
+// A scan's harvest: one chunk of SagivTree::kScanChunk pairs (Arg 32) or a
+// whole full leaf (Arg 254) copied out of an L1-resident node through
+// NodeView, from a random start so the chunk is not always aligned.
+void BM_NodeCopyEntries(benchmark::State& state) {
+  const uint32_t length = static_cast<uint32_t>(state.range(0));
+  const Node n = MakeFullLeaf(Node::kMaxEntries);
+  const NodeView view(&n);
+  Entry out[Node::kMaxEntries];
+  Random rng(5);
+  for (auto _ : state) {
+    const uint32_t from =
+        static_cast<uint32_t>(rng.Uniform(Node::kMaxEntries - length + 1));
+    benchmark::DoNotOptimize(
+        view.CopyEntries(from, from + length, kMaxUserKey, out));
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * length);
+}
+BENCHMARK(BM_NodeCopyEntries)->Arg(32)->Arg(254);
 
 // The optimistic read path's leaf search on COLD nodes: a pool of 16k
 // leaves (65 MiB, beyond the last-level cache) holding 82 entries each,
@@ -165,6 +186,33 @@ void BM_PageGet(benchmark::State& state) {
                           static_cast<int64_t>(kPageSize));
 }
 BENCHMARK(BM_PageGet);
+
+// A range scan over an in-memory tree of 1.1M ascending keys (full
+// append-path leaves), starting at a random key among the newest 100k,
+// as ingest-checkpoint's scans do. Arg = pairs delivered before the
+// visitor stops. The tree is built once and shared by every Arg.
+void BM_TreeScan(benchmark::State& state) {
+  constexpr Key kKeys = 1100000;
+  constexpr Key kNewest = 100000;
+  static const SagivTree* tree = [] {
+    auto* t = new SagivTree();
+    for (Key k = 1; k <= kKeys; ++k) {
+      if (!t->Insert(k, k).ok()) std::abort();
+    }
+    return t;
+  }();
+  const size_t length = static_cast<size_t>(state.range(0));
+  Random rng(4);
+  for (auto _ : state) {
+    const Key start = kKeys - kNewest + 1 + rng.Uniform(kNewest);
+    size_t seen = 0;
+    tree->Scan(start, kMaxUserKey, [&](Key, Value v) {
+      benchmark::DoNotOptimize(v);
+      return ++seen < length;
+    });
+  }
+}
+BENCHMARK(BM_TreeScan)->Arg(1)->Arg(32)->Arg(100);
 
 // The CRC-32 FileStore verifies on every page fault and computes on every
 // eviction write-back and checkpointed page: the per-page checksum cost,

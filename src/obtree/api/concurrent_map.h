@@ -123,7 +123,11 @@ class ConcurrentMap {
                           const std::vector<Value>& values);
 
   /// Visit pairs with lo <= key <= hi in ascending order; the visitor
-  /// returns false to stop. Returns pairs visited.
+  /// returns false to stop. Returns pairs visited. Concurrent updates may
+  /// or may not be observed: each delivered chunk of up to
+  /// SagivTree::kScanChunk pairs is a validated snapshot of its leaf, and
+  /// a leaf torn between chunks resumes after the last delivered key, so
+  /// no pair is repeated. The visitor may call back into this map.
   size_t Scan(Key lo, Key hi,
               const std::function<bool(Key, Value)>& visitor) const;
 

@@ -479,13 +479,7 @@ size_t ShardedMap::ScanTable(
       stopped = !ScanMergedRange(e.mig, seg_lo, seg_hi, visitor, &visited);
       continue;
     }
-    visited += e.tree->Scan(seg_lo, seg_hi, [&](Key k, Value v) {
-      if (!visitor(k, v)) {
-        stopped = true;
-        return false;
-      }
-      return true;
-    });
+    visited += e.tree->tree()->Scan(seg_lo, seg_hi, visitor, &stopped);
   }
   return visited;
 }

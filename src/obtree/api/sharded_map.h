@@ -123,10 +123,13 @@ class ShardedMap : private ShardRebalancer::Host {
 
   /// Visit pairs with lo <= key <= hi in globally ascending order,
   /// traversing only the shards whose ranges intersect [lo, hi]. The
-  /// visitor returns false to stop. Returns pairs visited. During a
-  /// migration the moving range is served by a chunked two-way merge of
-  /// donor and receiver (see docs/REBALANCING.md for the consistency
-  /// contract of scans that overlap an in-flight batch).
+  /// visitor returns false to stop; no later shard is then touched.
+  /// Returns pairs visited. Within a shard the contract is
+  /// ConcurrentMap::Scan's: each delivered chunk is a validated snapshot
+  /// of its leaf, and a torn leaf resumes after the last delivered key.
+  /// During a migration the moving range is served by a chunked two-way
+  /// merge of donor and receiver (see docs/REBALANCING.md for the
+  /// consistency contract of scans that overlap an in-flight batch).
   size_t Scan(Key lo, Key hi,
               const std::function<bool(Key, Value)>& visitor) const;
 

@@ -185,9 +185,12 @@ struct RebalanceOptions {
 
   /// Bounds on the number of key-range partitions the controller may
   /// create or coalesce. Splits stop at max_shards, merges at
-  /// min_shards. max_shards also bounds the memory retired donor trees
-  /// can pin (a merged-away tree's page arena is reclaimed only at map
-  /// destruction).
+  /// min_shards. max_shards does NOT bound memory: every tree a split
+  /// creates or a merge retires, and every superseded routing table and
+  /// migration, lives until the map is destroyed, so a controller that
+  /// keeps splitting and merging grows the map's memory without bound
+  /// (ROADMAP.md, "A rebalancing map's memory is bounded by its live
+  /// shards").
   uint32_t min_shards = 1;
   uint32_t max_shards = 64;
 

@@ -104,35 +104,10 @@ SagivTree::RestartCause CauseFor(Route::Kind kind) {
   }
 }
 
-// Per-thread scratch of the scan: the harvest buffer one leaf's entries
-// are validated in before delivery. One instance per thread instead of per
-// call; the in_use flag hands reentrant calls (a visitor that scans the
-// same tree) a local buffer instead.
-struct TlReadBuffers {
-  std::vector<Entry> entries;
-  bool in_use = false;
-};
-thread_local TlReadBuffers tl_read_buffers;
-
-// Claims the thread-local buffers for the current call if free.
-class TlReadBuffersLease {
- public:
-  TlReadBuffersLease() : claimed_(!tl_read_buffers.in_use) {
-    if (claimed_) tl_read_buffers.in_use = true;
-  }
-  ~TlReadBuffersLease() {
-    if (claimed_) tl_read_buffers.in_use = false;
-  }
-  bool claimed() const { return claimed_; }
-
- private:
-  bool claimed_;
-};
-
 // Per-thread descent stack shared by Insert/Delete: the movedown stack
-// was a heap allocation on every mutation otherwise. Same reentrancy
-// discipline as TlReadBuffers — a nested mutation (e.g. an Insert issued
-// from a Scan visitor) gets a plain local vector instead.
+// was a heap allocation on every mutation otherwise. The in_use flag
+// hands a nested mutation (e.g. an Insert issued from a Scan visitor) a
+// plain local vector instead.
 struct TlWriteBuffers {
   std::vector<PageId> stack;
   bool in_use = false;
@@ -470,7 +445,9 @@ Result<Value> SagivTree::SearchPinned(Key key,
 }
 
 size_t SagivTree::Scan(Key lo, Key hi,
-                       const std::function<bool(Key, Value)>& visitor) const {
+                       const std::function<bool(Key, Value)>& visitor,
+                       bool* stopped) const {
+  if (stopped != nullptr) *stopped = false;
   if (lo < 1) lo = 1;
   if (hi > kMaxUserKey) hi = kMaxUserKey;
   if (lo > hi) return 0;
@@ -482,14 +459,14 @@ size_t SagivTree::Scan(Key lo, Key hi,
   Key next_key = lo;
   PageId current = kInvalidPageId;  // invalid: descend to locate the leaf
 
-  // Entries of one leaf are harvested under a single version, validated,
-  // and only then delivered — the visitor never sees an unvalidated pair.
-  // A failed descent or fetch ends the scan with what was delivered.
-  TlReadBuffersLease lease;
-  std::vector<Entry> local_entries;
-  std::vector<Entry>& buf =
-      lease.claimed() ? tl_read_buffers.entries : local_entries;
-  buf.reserve(Node::kMaxEntries);
+  // A leaf's pairs in [next_key, hi] are harvested kScanChunk at a time,
+  // each chunk validated against the one version the guard took and only
+  // then delivered — the visitor never sees an unvalidated pair. When a
+  // later chunk tears (the visitor itself may have written the leaf), the
+  // page is re-read from the last delivered key + 1, so delivery stays
+  // ascending and never repeats a pair. A failed descent or fetch ends the
+  // scan with what was delivered.
+  Entry chunk[kScanChunk];
 
   int steps = 0;
   for (;;) {
@@ -503,13 +480,12 @@ size_t SagivTree::Scan(Key lo, Key hi,
     if (++steps > kMaxStepsPerAttempt) return visited;
     const PageManager::ReadGuard g = FetchPage(current);
     if (g.faulted()) return visited;
-    enum { kRetry, kMove, kRestart, kDeliver } action = kRetry;
+    enum { kRetry, kMove, kRestart, kNextLeaf } action = kRetry;
     PageId move_to = kInvalidPageId;
     StatId move_stat = StatId::kLinkFollows;
     RestartCause cause = RestartCause::kNone;
     Key leaf_high = 0;
     PageId leaf_link = kInvalidPageId;
-    buf.clear();
     if (g.stable()) {
       const NodeView view(g.page()->As<Node>());
       if (view.is_deleted()) {
@@ -543,16 +519,34 @@ size_t SagivTree::Scan(Key lo, Key hi,
           }
         }
       } else {
-        // Harvest this leaf's pairs in [next_key, hi] plus its high/link.
+        // Deliver this leaf's pairs in [next_key, hi] chunk by chunk; its
+        // high and link are trusted once the first chunk validates.
         leaf_high = view.high();
         leaf_link = view.link();
         const uint32_t n = view.count();
-        for (uint32_t i = view.LowerBound(next_key); i < n; ++i) {
-          const Key k = view.entry_key(i);
-          if (k > hi) break;
-          buf.push_back(Entry{k, view.entry_value(i)});
+        for (uint32_t from = view.LowerBound(next_key);;) {
+          const uint32_t to = std::min<uint32_t>(from + kScanChunk, n);
+          const uint32_t got = view.CopyEntries(from, to, hi, chunk);
+          if (!g.Validate()) break;  // torn: re-read from next_key
+          stats_->Add(StatId::kOptimisticValidations);
+          for (uint32_t i = 0; i < got; ++i) {
+            ++visited;
+            if (!visitor(chunk[i].key, chunk[i].value)) {
+              if (stopped != nullptr) *stopped = true;
+              return visited;
+            }
+          }
+          if (got < to - from) return visited;  // the next key is past hi
+          if (got > 0) {
+            next_key = chunk[got - 1].key + 1;
+            steps = 0;  // the steps bound is per positioning attempt
+          }
+          if (to == n) {
+            action = kNextLeaf;
+            break;
+          }
+          from = to;
         }
-        if (g.Validate()) action = kDeliver;
       }
     }
     switch (action) {
@@ -571,17 +565,12 @@ size_t SagivTree::Scan(Key lo, Key hi,
         guard.Refresh();
         current = kInvalidPageId;
         continue;
-      case kDeliver:
+      case kNextLeaf:
         break;
     }
-    stats_->Add(StatId::kOptimisticValidations);
-    for (const Entry& e : buf) {
-      ++visited;
-      if (!visitor(e.key, e.value)) return visited;
-    }
-    if (leaf_high >= hi || leaf_high == kPlusInfinity) return visited;
+    if (leaf_high >= hi) return visited;
     next_key = leaf_high + 1;
-    steps = 0;  // the steps bound is per positioning attempt, not per scan
+    steps = 0;
     // Fast path: follow the leaf link (the probe above re-checks that it
     // still covers next_key); a nil link forces a fresh descent.
     current = leaf_link;

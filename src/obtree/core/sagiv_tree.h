@@ -119,12 +119,18 @@ class SagivTree {
   void MultiUpsert(const Key* keys, const Value* values, size_t n,
                    Status* out, BatchStats* batch_stats = nullptr);
 
+  /// Pairs a scan copies out of a leaf, validates and delivers at a time.
+  static constexpr uint32_t kScanChunk = 32;
+
   /// Visit live (key, value) pairs with lo <= key <= hi in ascending key
-  /// order, following leaf links. The visitor returns false to stop early.
-  /// Returns the number of pairs visited. Concurrent updates may or may
-  /// not be observed (each leaf is read atomically).
-  size_t Scan(Key lo, Key hi,
-              const std::function<bool(Key, Value)>& visitor) const;
+  /// order, following leaf links. The visitor returns false to stop early;
+  /// *stopped (when given) reports whether it did. Returns the number of
+  /// pairs visited. Concurrent updates may or may not be observed: each
+  /// delivered chunk of up to kScanChunk pairs is a validated snapshot of
+  /// its leaf, and a leaf torn between chunks resumes after the last
+  /// delivered key, so no pair is repeated or delivered out of order.
+  size_t Scan(Key lo, Key hi, const std::function<bool(Key, Value)>& visitor,
+              bool* stopped = nullptr) const;
 
   /// Number of keys currently stored (exact when quiescent).
   uint64_t Size() const { return size_.load(std::memory_order_relaxed); }

@@ -272,6 +272,19 @@ std::optional<Value> NodeView::FindLeafValue(Key k) const {
   return std::nullopt;
 }
 
+uint32_t NodeView::CopyEntries(uint32_t from, uint32_t to, Key hi,
+                               Entry* out) const {
+  uint32_t n = 0;
+  for (uint32_t i = from; i < to; ++i) {
+    const Key k = entry_key(i);
+    if (k > hi) break;
+    out[n].key = k;
+    out[n].value = entry_value(i);
+    ++n;
+  }
+  return n;
+}
+
 PageId NodeView::ChildFor(Key k) const {
   const uint32_t i = LowerBound(k);
   // On a consistent internal image k <= high == entries[count-1].key

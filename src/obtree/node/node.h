@@ -275,6 +275,12 @@ class NodeView {
   /// The value stored for key k in a leaf image, if present.
   std::optional<Value> FindLeafValue(Key k) const;
 
+  /// Copy entries [from, to) into out[0, to - from), stopping before the
+  /// first key > hi; returns how many were copied. The caller bounds
+  /// from <= to <= count() (so <= kMaxEntries) and sizes out for to - from.
+  /// Like every read here, the copy is garbage until the guard validates.
+  uint32_t CopyEntries(uint32_t from, uint32_t to, Key hi, Entry* out) const;
+
   /// The child covering key k in an internal image, or kInvalidPageId
   /// when the image is inconsistent (empty node or k past the last
   /// entry). Callers must treat kInvalidPageId as a validation failure —

@@ -3,8 +3,12 @@
 #include "obtree/api/sharded_map.h"
 
 #include <atomic>
+#include <condition_variable>
+#include <cstring>
+#include <mutex>
 #include <set>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -154,6 +158,108 @@ TEST(ShardedMapTest, CrossShardScanIsGloballyOrdered) {
     return ++stopped_after < 10;
   });
   EXPECT_EQ(early, 10u);
+}
+
+// A visitor that stops on the last key of shard s ends the walk there:
+// shard s+1's tree is never even searched, and Scan's return value is the
+// number of pairs delivered.
+TEST(ShardedMapTest, ScanStopAtShardEndDoesNotTouchNextShard) {
+  ShardedMap map(SmallShards(4, 400, CompressionMode::kNone, /*k=*/60));
+  for (Key k = 1; k <= 400; ++k) ASSERT_TRUE(map.Insert(k, k + 1).ok());
+  for (uint32_t s = 0; s + 1 < map.num_shards(); ++s) {
+    const Key last = map.ShardLowerBound(s + 1) - 1;
+    const uint64_t next_searches =
+        map.shard(s + 1)->tree()->stats()->Get(StatId::kSearches);
+    size_t seen = 0;
+    Key prev = 0;
+    const size_t visited = map.Scan(1, kMaxUserKey, [&](Key k, Value v) {
+      EXPECT_EQ(k, prev + 1);
+      EXPECT_EQ(v, k + 1);
+      prev = k;
+      ++seen;
+      return k != last;
+    });
+    EXPECT_EQ(prev, last) << "shard " << s;
+    EXPECT_EQ(visited, seen) << "shard " << s;
+    EXPECT_EQ(visited, static_cast<size_t>(last)) << "shard " << s;
+    EXPECT_EQ(map.shard(s + 1)->tree()->stats()->Get(StatId::kSearches),
+              next_searches)
+        << "shard " << s + 1 << " was searched after the visitor stopped";
+  }
+  // A scan that runs to its end reports every pair, across all shards.
+  size_t seen = 0;
+  EXPECT_EQ(map.Scan(50, 350,
+                     [&](Key, Value) {
+                       ++seen;
+                       return true;
+                     }),
+            301u);
+  EXPECT_EQ(seen, 301u);
+}
+
+// Scans over a range whose migration is frozen between two batches read
+// the donor and the receiver merged (ScanMergedRange) and stay exact.
+TEST(ShardedMapTest, ScanDuringMigrationIsExact) {
+  ShardOptions opt = SmallShards(2, 4000);
+  opt.rebalance.enabled = true;
+  opt.rebalance.period_ms = 3'600'000;  // the controller never acts
+  opt.rebalance.max_shards = 4;
+  opt.rebalance.migration_batch = 8;
+  ShardedMap map(opt);
+  ASSERT_TRUE(map.init_status().ok());
+  for (Key k = 1; k <= 4000; ++k) ASSERT_TRUE(map.Insert(k, k * 10).ok());
+
+  std::mutex mu;
+  std::condition_variable cv;
+  bool frozen = false;
+  bool released = false;
+  int batches = 0;
+  map.SetMigrationHookForTest([&](const char* point, Key) {
+    if (std::strcmp(point, "batch-end") != 0) return;
+    std::unique_lock<std::mutex> lk(mu);
+    if (++batches != 5) return;  // 40 keys moved, the rest still in donor
+    frozen = true;
+    cv.notify_all();
+    cv.wait(lk, [&]() { return released; });
+  });
+  std::thread splitter([&]() { EXPECT_TRUE(map.DebugSplitShard(0)); });
+  {
+    std::unique_lock<std::mutex> lk(mu);
+    cv.wait(lk, [&]() { return frozen; });
+  }
+
+  auto scan = [&](Key lo, Key hi, size_t stop_after) {
+    std::vector<std::pair<Key, Value>> out;
+    const size_t visited = map.Scan(lo, hi, [&](Key k, Value v) {
+      out.emplace_back(k, v);
+      return out.size() < stop_after;
+    });
+    EXPECT_EQ(visited, out.size());
+    return out;
+  };
+  auto expect = [](Key lo, Key hi, size_t stop_after) {
+    std::vector<std::pair<Key, Value>> out;
+    for (Key k = lo; k <= hi && out.size() < stop_after; ++k) {
+      out.emplace_back(k, k * 10);
+    }
+    return out;
+  };
+  constexpr size_t kAll = static_cast<size_t>(-1);
+  EXPECT_EQ(scan(1, kMaxUserKey, kAll), expect(1, 4000, kAll));
+  // Across the moved/unmoved edge of the migrating range and past it.
+  EXPECT_EQ(scan(990, 1100, kAll), expect(990, 1100, kAll));
+  EXPECT_EQ(scan(1020, kMaxUserKey, 50), expect(1020, 4000, 50));
+  EXPECT_EQ(scan(1900, 2100, kAll), expect(1900, 2100, kAll));
+  EXPECT_EQ(scan(1001, 1040, 7), expect(1001, 1040, 7));
+
+  {
+    std::lock_guard<std::mutex> lk(mu);
+    released = true;
+  }
+  cv.notify_all();
+  splitter.join();
+  map.SetMigrationHookForTest(nullptr);
+  EXPECT_EQ(scan(1, kMaxUserKey, kAll), expect(1, 4000, kAll));
 }
 
 TEST(ShardedMapTest, ScanLimitPaginatesAcrossShards) {

@@ -344,6 +344,54 @@ TEST(NodeViewTest, ChildForOnEmptyInternalImageIsInvalid) {
   EXPECT_EQ(view.ChildFor(5), kInvalidPageId);
 }
 
+// CopyEntries copies [from, to) in order and stops before the first key
+// past hi. Entry i's key is 10 * i + 10.
+TEST(NodeViewTest, CopyEntriesCutsAtHi) {
+  auto n = MakeSearchNode(0, 120);
+  const NodeView view(n.get());
+  Entry out[Node::kMaxEntries];
+  // The whole range, hi beyond every key.
+  ASSERT_EQ(view.CopyEntries(0, 32, kMaxUserKey, out), 32u);
+  for (uint32_t i = 0; i < 32; ++i) {
+    EXPECT_EQ(out[i].key, n->entries[i].key);
+    EXPECT_EQ(out[i].value, n->entries[i].value);
+  }
+  // From the middle: entries 40..71.
+  ASSERT_EQ(view.CopyEntries(40, 72, kMaxUserKey, out), 32u);
+  EXPECT_EQ(out[0].key, 410u);
+  EXPECT_EQ(out[31].value, 1071u);
+  // hi on a key keeps it; hi just below a key drops it and everything after.
+  EXPECT_EQ(view.CopyEntries(40, 72, 500, out), 10u);  // keys 410..500
+  EXPECT_EQ(out[9].key, 500u);
+  EXPECT_EQ(view.CopyEntries(40, 72, 499, out), 9u);
+  // hi below the first key copies nothing.
+  EXPECT_EQ(view.CopyEntries(40, 72, 409, out), 0u);
+  // Empty range.
+  EXPECT_EQ(view.CopyEntries(72, 72, kMaxUserKey, out), 0u);
+  EXPECT_EQ(view.CopyEntries(120, 120, kMaxUserKey, out), 0u);
+}
+
+TEST(NodeViewTest, CopyEntriesFullNode) {
+  auto n = MakeSearchNode(0, Node::kMaxEntries);
+  const NodeView view(n.get());
+  ASSERT_EQ(view.count(), Node::kMaxEntries);
+  Entry out[Node::kMaxEntries];
+  ASSERT_EQ(view.CopyEntries(0, Node::kMaxEntries, kMaxUserKey, out),
+            Node::kMaxEntries);
+  for (uint32_t i = 0; i < Node::kMaxEntries; ++i) {
+    ASSERT_EQ(out[i].key, n->entries[i].key) << i;
+    ASSERT_EQ(out[i].value, n->entries[i].value) << i;
+  }
+  // The last entry alone, and a cut just before it.
+  const Key last = n->entries[Node::kMaxEntries - 1].key;
+  EXPECT_EQ(view.CopyEntries(Node::kMaxEntries - 1, Node::kMaxEntries, last,
+                             out),
+            1u);
+  EXPECT_EQ(out[0].key, last);
+  EXPECT_EQ(view.CopyEntries(0, Node::kMaxEntries, last - 1, out),
+            Node::kMaxEntries - 1);
+}
+
 // A torn count clamps to kMaxEntries, and every search stays inside the
 // page whatever the key.
 TEST(NodeViewTest, TornCountClampsToThePage) {

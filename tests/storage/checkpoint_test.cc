@@ -258,6 +258,9 @@ TEST_F(CheckpointTest, ReadersRaceEvictionAndFrameReuse) {
   MapOptions opt;
   opt.tree.storage_dir = dir_;
   opt.tree.buffer_pool_pages = kPool;
+  // kN ascending keys in leaves of up to 2k = 120 pairs make ~170 pages,
+  // well over the 2 * kPool the pool must be smaller than.
+  opt.tree.min_entries = 60;
   opt.compression = CompressionMode::kNone;
   ConcurrentMap map(opt);
   ASSERT_TRUE(map.init_status().ok());
