@@ -110,6 +110,50 @@ void BM_NodeSearchCold(benchmark::State& state) {
 }
 BENCHMARK(BM_NodeSearchCold);
 
+// BM_NodeSearchCold through the page layer: 32768 leaf pages (136 MB of
+// frames) in a MemStore PageManager, each visit an OptimisticRead, a
+// FindLeafValue and a Validate, with the found value naming the next page.
+// The frames are PageManager's own, so the visit pays whatever TLB misses
+// the arena's page size costs; a std::vector pool cannot show that. The
+// pool is built once (~0.3 s) and kept.
+void BM_PageReadCold(benchmark::State& state) {
+  constexpr uint32_t kPages = 32768;
+  constexpr uint32_t kCount = 82;
+  struct Pool {
+    EpochManager epoch;
+    StatsCollector stats;
+    PageManager pm{&epoch, &stats};
+    std::vector<PageId> ids;
+  };
+  static Pool* pool = [] {
+    auto* p = new Pool();
+    for (uint32_t i = 0; i < kPages; ++i) p->ids.push_back(*p->pm.Allocate());
+    Random rng(3);
+    Page w{};
+    for (const PageId id : p->ids) {
+      Node* n = w.As<Node>();
+      *n = MakeFullLeaf(kCount);
+      for (uint32_t i = 0; i < kCount; ++i) {
+        n->entries[i].value = rng.Uniform(kPages);
+      }
+      p->pm.Put(id, w);
+    }
+    return p;
+  }();
+  Random rng(5);
+  uint64_t at = 0;
+  for (auto _ : state) {
+    const Key k = rng.Uniform(kCount) * 10 + 10;
+    const PageManager::ReadGuard g = pool->pm.OptimisticRead(pool->ids[at]);
+    const std::optional<Value> v =
+        NodeView(g.page()->As<Node>()).FindLeafValue(k);
+    if (!g.Validate() || !v.has_value()) std::abort();
+    at = *v;
+  }
+  benchmark::DoNotOptimize(at);
+}
+BENCHMARK(BM_PageReadCold);
+
 void BM_NodeInsertRemoveCycle(benchmark::State& state) {
   Node n = MakeFullLeaf(static_cast<uint32_t>(state.range(0)));
   Random rng(3);

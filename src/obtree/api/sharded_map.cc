@@ -407,16 +407,35 @@ bool ShardedMap::ScanMergedRange(
   // number of times; after the budget the chunk is accepted as-is, which
   // is the documented relaxation for scans under active migration
   // (docs/REBALANCING.md §5).
-  static constexpr size_t kChunk = 128;
+  //
+  // Each side's fetch stops at `hi`, and the chunk starts at kFirstChunk
+  // pairs per side and doubles up to kMaxChunk, so a scan whose visitor
+  // stops after n pairs reads O(n) pairs. The donor holds no key below
+  // drained_below (the receiver is authoritative there, as for point
+  // operations), so its fetch starts past that prefix instead of walking
+  // the leaves the migration emptied.
+  static constexpr size_t kFirstChunk = 8;
+  static constexpr size_t kMaxChunk = 128;
   static constexpr int kChunkRetries = 3;
+  std::vector<std::pair<Key, Value>> from_donor;
+  std::vector<std::pair<Key, Value>> from_recv;
+  size_t chunk = kFirstChunk;
+  auto fetch = [&](const ConcurrentMap* side, Key from,
+                   std::vector<std::pair<Key, Value>>* out) {
+    out->clear();
+    if (from > hi) return;
+    side->Scan(from, hi, [&](Key k, Value v) {
+      out->emplace_back(k, v);
+      return out->size() < chunk;
+    });
+  };
   Key pos = lo;
   while (pos <= hi) {
-    std::vector<std::pair<Key, Value>> from_donor;
-    std::vector<std::pair<Key, Value>> from_recv;
     for (int attempt = 0;; ++attempt) {
       const uint64_t before = mig->batch_seq.load(std::memory_order_acquire);
-      from_donor = mig->donor->ScanLimit(pos, kChunk);
-      from_recv = mig->receiver->ScanLimit(pos, kChunk);
+      const Key drained = mig->drained_below.load(std::memory_order_acquire);
+      fetch(mig->donor, std::max(pos, drained), &from_donor);
+      fetch(mig->receiver, pos, &from_recv);
       const uint64_t after = mig->batch_seq.load(std::memory_order_acquire);
       if (((before & 1) == 0 && after == before) || attempt >= kChunkRetries) {
         break;
@@ -426,10 +445,11 @@ bool ShardedMap::ScanMergedRange(
     // A full chunk only vouches for keys up to its own last key; a short
     // chunk saw everything to the end of the range.
     const Key donor_bound =
-        from_donor.size() == kChunk ? from_donor.back().first : hi;
+        from_donor.size() == chunk ? from_donor.back().first : hi;
     const Key recv_bound =
-        from_recv.size() == kChunk ? from_recv.back().first : hi;
-    const Key bound = std::min(hi, std::min(donor_bound, recv_bound));
+        from_recv.size() == chunk ? from_recv.back().first : hi;
+    const Key bound = std::min(donor_bound, recv_bound);
+    chunk = std::min(2 * chunk, kMaxChunk);
 
     size_t di = 0;
     size_t ri = 0;

@@ -467,7 +467,12 @@ class PageManager {
   static_assert(sizeof(Meta) == 16, "per-page metadata must stay compact");
 
   // Both the metadata and the frame arena grow in chunks of 1024 entries:
-  // 16 KiB of metadata, or ~4 MiB of frames mmap'd as one region.
+  // 16 KiB of metadata, or 1024 frames (4 MiB + 64 KiB) mmap'd as one
+  // region. A chunk the pool will fill starts on a 2 MiB boundary and is
+  // advised onto transparent huge pages before it is populated: two huge
+  // pages plus a 4 KiB-paged tail, so a frame visit rarely misses the TLB.
+  // A bounded pool's partial last chunk stays on lazily faulted 4 KiB
+  // pages; without THP every chunk does (see CarveFrameLocked).
   static constexpr int kChunkBits = 10;
   static constexpr size_t kChunkSize = 1ull << kChunkBits;
   static constexpr size_t kMaxChunks = kMaxPageIds >> kChunkBits;

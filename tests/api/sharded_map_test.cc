@@ -250,7 +250,14 @@ TEST(ShardedMapTest, ScanDuringMigrationIsExact) {
   EXPECT_EQ(scan(990, 1100, kAll), expect(990, 1100, kAll));
   EXPECT_EQ(scan(1020, kMaxUserKey, 50), expect(1020, 4000, 50));
   EXPECT_EQ(scan(1900, 2100, kAll), expect(1900, 2100, kAll));
+  // A scan that stops early reads about what it delivers, bounded by hi,
+  // even while its range is merged from the donor and the receiver.
+  auto validations = [&]() {
+    return map.Stats().Get(StatId::kOptimisticValidations);
+  };
+  uint64_t before = validations();
   EXPECT_EQ(scan(1001, 1040, 7), expect(1001, 1040, 7));
+  const uint64_t frozen_cost = validations() - before;
 
   {
     std::lock_guard<std::mutex> lk(mu);
@@ -260,6 +267,12 @@ TEST(ShardedMapTest, ScanDuringMigrationIsExact) {
   splitter.join();
   map.SetMigrationHookForTest(nullptr);
   EXPECT_EQ(scan(1, kMaxUserKey, kAll), expect(1, 4000, kAll));
+
+  before = validations();
+  EXPECT_EQ(scan(1001, 1040, 7), expect(1001, 1040, 7));
+  const uint64_t settled_cost = validations() - before;
+  EXPECT_GT(settled_cost, 0u);
+  EXPECT_LE(frozen_cost, 2 * settled_cost);
 }
 
 TEST(ShardedMapTest, ScanLimitPaginatesAcrossShards) {

@@ -6,14 +6,24 @@
 
 #include "obtree/storage/page_manager.h"
 
+#include <algorithm>
 #include <atomic>
+#include <cinttypes>
+#include <cstdio>
 #include <cstring>
+#include <filesystem>
+#include <fstream>
 #include <functional>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include <sys/prctl.h>
+
 #include <gtest/gtest.h>
+
+#include "obtree/storage/file_store.h"
 
 namespace obtree {
 namespace {
@@ -499,6 +509,127 @@ TEST_F(PageManagerTest, ReadersNeverSeeTornPages) {
   stop.store(true);
   for (auto& th : readers) th.join();
   EXPECT_FALSE(torn.load());
+}
+
+// --- the frame arena -------------------------------------------------------
+
+constexpr uintptr_t kHugePage = uintptr_t{2} << 20;
+constexpr uintptr_t kFrameStride = kPageSize + 64;  // PageManager's stride
+
+// The frame a resident page lives in.
+uintptr_t FrameAddress(const PageManager& pm, PageId id) {
+  return reinterpret_cast<uintptr_t>(pm.OptimisticRead(id).page());
+}
+
+// The system-wide THP mode ("always", "madvise" or "never"), or "" when
+// the kernel does not report one.
+std::string ThpMode() {
+  std::ifstream f("/sys/kernel/mm/transparent_hugepage/enabled");
+  std::string line;
+  std::getline(f, line);
+  const size_t open = line.find('[');
+  const size_t close = line.find(']');
+  if (open == std::string::npos || close == std::string::npos) return "";
+  return line.substr(open + 1, close - open - 1);
+}
+
+// The THPeligible field (1 or 0) of the /proc/self/smaps mapping that
+// holds `addr`, or -1 when the kernel does not report it.
+int ThpEligible(uintptr_t addr) {
+  std::ifstream smaps("/proc/self/smaps");
+  std::string line;
+  bool inside = false;
+  while (std::getline(smaps, line)) {
+    uintptr_t lo = 0;
+    uintptr_t hi = 0;
+    if (std::sscanf(line.c_str(), "%" SCNxPTR "-%" SCNxPTR, &lo, &hi) == 2) {
+      inside = lo <= addr && addr < hi;
+      continue;
+    }
+    int eligible = 0;
+    if (inside &&
+        std::sscanf(line.c_str(), "THPeligible: %d", &eligible) == 1) {
+      return eligible;
+    }
+  }
+  return -1;
+}
+
+// Every chunk of an unbounded pool is filled, so each one's first frame
+// sits on a 2 MiB boundary; frames stay 64-byte aligned, kFrameStride
+// apart within a chunk.
+TEST(PageManagerArenaTest, FilledChunksStartOnHugePageBoundaries) {
+  EpochManager epoch;
+  StatsCollector stats;
+  PageManager pm(&epoch, &stats);
+  constexpr size_t kChunk = 1024;
+  constexpr size_t kPages = 3 * kChunk + 5;
+  std::vector<uintptr_t> frames;
+  for (size_t i = 0; i < kPages; ++i) {
+    auto id = pm.Allocate();
+    ASSERT_TRUE(id.ok());
+    frames.push_back(FrameAddress(pm, *id));
+  }
+  EXPECT_EQ(pm.frame_count(), kPages);
+  std::sort(frames.begin(), frames.end());
+  // Split the sorted frames into runs kFrameStride apart: one per chunk.
+  std::vector<size_t> run_lengths;
+  for (size_t i = 0; i < frames.size(); ++i) {
+    EXPECT_EQ(frames[i] % 64, 0u) << i;
+    if (i > 0 && frames[i] - frames[i - 1] == kFrameStride) {
+      ++run_lengths.back();
+      continue;
+    }
+    EXPECT_EQ(frames[i] % kHugePage, 0u) << "chunk starting at frame " << i;
+    run_lengths.push_back(1);
+  }
+  std::sort(run_lengths.begin(), run_lengths.end());
+  EXPECT_EQ(run_lengths, (std::vector<size_t>{5, kChunk, kChunk, kChunk}));
+}
+
+// A filled chunk is advised onto transparent huge pages; a bounded pool's
+// partial last chunk is not, so its unused tail is never faulted in.
+TEST(PageManagerArenaTest, OnlyFilledChunksAreHugePageEligible) {
+  const std::string mode = ThpMode();
+  if (mode.empty() || mode == "never") GTEST_SKIP() << "THP is off";
+  if (prctl(PR_GET_THP_DISABLE, 0, 0, 0, 0) == 1) {
+    GTEST_SKIP() << "THP is disabled for this process";
+  }
+  EpochManager epoch;
+  StatsCollector stats;
+
+  PageManager unbounded(&epoch, &stats);
+  auto id = unbounded.Allocate();
+  ASSERT_TRUE(id.ok());
+  const int filled = ThpEligible(FrameAddress(unbounded, *id));
+  if (filled < 0) GTEST_SKIP() << "smaps reports no THPeligible field";
+  EXPECT_EQ(filled, 1);
+
+  // Pool of 1100 frames: chunk 0 (frames 0-1023) is filled, chunk 1 is
+  // the partial last one.
+  const std::string dir = ::testing::TempDir() + "obtree_pm_arena";
+  std::filesystem::remove_all(dir);
+  {
+    auto store = FileStore::Open(dir);
+    ASSERT_TRUE(store.ok());
+    PageManager bounded(&epoch, &stats, store->get(),
+                        /*buffer_pool_pages=*/1100);
+    std::vector<PageId> ids;
+    for (int i = 0; i < 1030; ++i) {
+      auto page = bounded.Allocate();
+      ASSERT_TRUE(page.ok());
+      ids.push_back(*page);
+    }
+    ASSERT_EQ(bounded.frame_count(), ids.size());
+    const uintptr_t first = FrameAddress(bounded, ids.front());
+    EXPECT_EQ(first % kHugePage, 0u);
+    EXPECT_EQ(ThpEligible(first), 1);
+    // In "always" mode every large enough mapping is eligible.
+    if (mode == "madvise") {
+      EXPECT_EQ(ThpEligible(FrameAddress(bounded, ids.back())), 0);
+    }
+  }
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace
