@@ -166,66 +166,6 @@ void RunMix(WorkloadSpec spec, const std::vector<int>& thread_counts,
   std::printf("(cells are Kops/s; higher is better)\n\n");
 }
 
-// ------------------------------------------------------------------- E2e
-
-WorkloadSpec GetOnlySpec(Key key_space) {
-  WorkloadSpec spec;
-  spec.search_pct = 1.0;
-  spec.insert_pct = 0.0;
-  spec.delete_pct = 0.0;
-  spec.scan_pct = 0.0;
-  spec.name = "get-only(100/0/0)";
-  spec.key_space = key_space;
-  spec.preload = key_space / 2;
-  return spec;
-}
-
-DriverResult BatchPathRun(bool batched, int threads, uint64_t ops_per_thread,
-                          Key key_space) {
-  TreeOptions options;
-  options.min_entries = 32;
-  SagivTree tree(options);
-  const WorkloadSpec spec = GetOnlySpec(key_space);
-  PreloadTree(&tree, spec, 4);
-  return batched ? RunWorkloadBatched(&tree, spec, threads, ops_per_thread,
-                                      /*batch=*/32, /*seed=*/17)
-                 : RunWorkload(&tree, spec, threads, ops_per_thread,
-                               /*seed=*/17);
-}
-
-void RunBatchComparison(bool quick) {
-  PrintBanner(
-      "E2e: batched vs serial point lookups (pipelined descent engine)",
-      "MultiGet interleaves up to SagivTree::kBatchWidth descents on one "
-      "thread and groups them by target page per level, so ops routed "
-      "through the same page share one validated read. The rows bound "
-      "the engine's CPU overhead at memory speed; coalesced/op counts "
-      "fetches saved by page-sharing ops");
-  const Key key_space = 200'000;
-  const uint64_t ops = quick ? 30'000 : 200'000;
-  const std::string tag = GetOnlySpec(key_space).name;
-  std::printf("workload: %s, %llu ops/thread\n", tag.c_str(),
-              static_cast<unsigned long long>(ops));
-  Table table({"threads", "serial", "batched(32)", "batched/serial",
-               "coalesced/op"});
-  for (int threads : {1, 4}) {
-    const DriverResult serial = BatchPathRun(false, threads, ops, key_space);
-    const DriverResult batched = BatchPathRun(true, threads, ops, key_space);
-    const double serial_kops = serial.MopsPerSec() * 1000.0;
-    const double batched_kops = batched.MopsPerSec() * 1000.0;
-    const double coalesced_per_op =
-        static_cast<double>(batched.stats.Get(StatId::kBatchPagesCoalesced)) /
-        static_cast<double>(batched.total_ops);
-    Record(tag + "/serial", threads, serial_kops);
-    Record(tag + "/batched(32)", threads, batched_kops);
-    table.AddRow({Fmt(static_cast<uint64_t>(threads)), Fmt(serial_kops),
-                  Fmt(batched_kops), FmtRatio(batched_kops, serial_kops),
-                  Fmt(coalesced_per_op, 4)});
-  }
-  table.Print();
-  std::printf("(cells are Kops/s; higher is better)\n\n");
-}
-
 // ------------------------------------------------------------------- E2f
 
 DriverResult MonotonicRun(bool append, int threads, uint64_t ops_per_thread) {
@@ -462,7 +402,6 @@ int main(int argc, char** argv) {
   const uint64_t io_ops = quick ? 200 : 2'000;
   const Key key_space = quick ? 40'000 : 400'000;
 
-  RunBatchComparison(quick);
   double append_speedup_1t = 0.0;
   double monotonic_scaling = 0.0;
   RunMonotonicComparison(quick, &append_speedup_1t, &monotonic_scaling);

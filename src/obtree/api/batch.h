@@ -3,11 +3,8 @@
 // Result carrier of the batched operation API (ConcurrentMap::MultiGet /
 // MultiInsert / MultiErase / MultiUpsert and the ShardedMap
 // counterparts). One BatchResult describes one batch: a per-op outcome
-// in submission order, plus the batch-level slice of the pipelined
-// descent engine's counters (how many ops ran, how many page fetches
-// were coalesced). See SagivTree's batched
-// operations for the engine itself and ARCHITECTURE.md "Batched
-// operation engine" for the cost-model accounting.
+// in submission order, plus how many ops ran. A batch is a loop over the
+// single-op calls; see ARCHITECTURE.md "Batched operations".
 
 #ifndef OBTREE_API_BATCH_H_
 #define OBTREE_API_BATCH_H_
@@ -32,7 +29,7 @@ namespace obtree {
 struct BatchResult {
   std::vector<Result<Value>> values;  ///< per-op results (MultiGet)
   std::vector<Status> statuses;       ///< per-op statuses (write batches)
-  BatchStats stats;                   ///< this batch's kBatch* slice
+  BatchStats stats;                   ///< this batch's kBatchOps slice
 
   /// Number of ops in the batch.
   size_t size() const {

@@ -76,8 +76,9 @@ Status ConcurrentMap::Upsert(Key key, Value value) {
 
 BatchResult ConcurrentMap::MultiGet(const std::vector<Key>& keys) const {
   BatchResult r;
-  r.values.assign(keys.size(), Result<Value>(Status::Internal("unset")));
-  tree_->MultiSearch(keys.data(), keys.size(), r.values.data(), &r.stats);
+  r.values.reserve(keys.size());
+  for (Key k : keys) r.values.push_back(tree_->Search(k));
+  CountBatch(&r);
   return r;
 }
 
@@ -89,16 +90,19 @@ BatchResult ConcurrentMap::MultiInsert(const std::vector<Key>& keys,
                       Status::InvalidArgument("keys/values size mismatch"));
     return r;
   }
-  r.statuses.assign(keys.size(), Status::OK());
-  tree_->MultiInsert(keys.data(), values.data(), keys.size(),
-                     r.statuses.data(), &r.stats);
+  r.statuses.reserve(keys.size());
+  for (size_t i = 0; i < keys.size(); ++i) {
+    r.statuses.push_back(tree_->Insert(keys[i], values[i]));
+  }
+  CountBatch(&r);
   return r;
 }
 
 BatchResult ConcurrentMap::MultiErase(const std::vector<Key>& keys) {
   BatchResult r;
-  r.statuses.assign(keys.size(), Status::OK());
-  tree_->MultiDelete(keys.data(), keys.size(), r.statuses.data(), &r.stats);
+  r.statuses.reserve(keys.size());
+  for (Key k : keys) r.statuses.push_back(tree_->Delete(k));
+  CountBatch(&r);
   return r;
 }
 
@@ -110,10 +114,17 @@ BatchResult ConcurrentMap::MultiUpsert(const std::vector<Key>& keys,
                       Status::InvalidArgument("keys/values size mismatch"));
     return r;
   }
-  r.statuses.assign(keys.size(), Status::OK());
-  tree_->MultiUpsert(keys.data(), values.data(), keys.size(),
-                     r.statuses.data(), &r.stats);
+  r.statuses.reserve(keys.size());
+  for (size_t i = 0; i < keys.size(); ++i) {
+    r.statuses.push_back(tree_->Upsert(keys[i], values[i]));
+  }
+  CountBatch(&r);
   return r;
+}
+
+void ConcurrentMap::CountBatch(BatchResult* r) const {
+  r->stats.ops = r->size();
+  tree_->stats()->Add(StatId::kBatchOps, r->stats.ops);
 }
 
 size_t ConcurrentMap::Scan(

@@ -97,13 +97,12 @@ class ConcurrentMap {
 
   // --- batched operations ---------------------------------------------------
   //
-  // Each Multi* call submits its ops to the tree's pipelined descent
-  // engine: up to SagivTree::kBatchWidth descents run interleaved on the
-  // calling thread, grouped by target page per level so ops sharing a
-  // page share one validated read (see ARCHITECTURE.md "Batched
-  // operation engine"). Per-op semantics are identical to the
-  // single-op calls; ops are independent and fail independently. Batches
-  // of one take the single-op path.
+  // Each Multi* call is a loop over the single-op calls, in submission
+  // order. Every op takes its own epoch pin and checkpoint-gate hold, so
+  // a pending checkpoint waits for at most one op. Results, costs and
+  // counters are those of the same calls made one by one, plus one
+  // kBatchOps per op; ops fail independently. See ARCHITECTURE.md
+  // "Batched operations".
 
   /// Batched Get: result.values[i] corresponds to keys[i].
   BatchResult MultiGet(const std::vector<Key>& keys) const;
@@ -258,6 +257,9 @@ class ConcurrentMap {
   /// detach from the pool, destroy an owned one, then detach the queue
   /// from the tree. Safe to call repeatedly.
   void ShutdownMaintenance() noexcept;
+
+  /// Set r->stats.ops to the batch's size and add it to kBatchOps.
+  void CountBatch(BatchResult* r) const;
 
   MapOptions options_;
   std::unique_ptr<SagivTree> tree_;

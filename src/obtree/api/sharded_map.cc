@@ -304,7 +304,7 @@ BatchResult ShardedMap::MultiGet(const std::vector<Key>& keys) const {
   }
   for (const auto& [i, e] : dual) {
     r.values[i] = DualGet(e, keys[i]);
-    r.stats.ops += 1;  // served outside the engine; coalesces nothing
+    r.stats.ops += 1;  // served outside the shard's batch
   }
   return r;
 }

@@ -95,14 +95,14 @@ class ShardedMap : private ShardRebalancer::Host {
   // --- batched operations ---------------------------------------------------
   //
   // Each Multi* call routes its ops once, groups them per target shard,
-  // and submits each group as one sub-batch to that shard's pipelined
-  // descent engine (ConcurrentMap::Multi*), merging the per-group
-  // BatchStats. In dynamic mode the whole batch runs under ONE routing
-  // epoch guard, so a concurrent table swap waits for the entire batch.
-  // Ops on keys in a migration's unsettled zone bypass the engine and run
-  // the single-op dual-lookup protocol (they still count in
-  // BatchResult::stats.ops, but coalesce nothing). Per-op semantics are
-  // identical to the single-op calls.
+  // and submits each group as one sub-batch to that shard's
+  // ConcurrentMap::Multi* (a loop over the single-op calls), merging the
+  // per-group BatchStats. In dynamic mode the whole batch runs under ONE
+  // routing epoch guard, so a concurrent table swap waits for the entire
+  // batch. Ops on keys in a migration's unsettled zone run the single-op
+  // dual-lookup protocol instead (they still count in
+  // BatchResult::stats.ops). Per-op semantics are identical to the
+  // single-op calls.
 
   /// Batched Get: result.values[i] corresponds to keys[i].
   BatchResult MultiGet(const std::vector<Key>& keys) const;

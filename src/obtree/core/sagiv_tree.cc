@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cassert>
 #include <chrono>
+#include <optional>
 #include <thread>
 
 #include "obtree/core/compression_queue.h"
@@ -375,11 +376,6 @@ Result<Value> SagivTree::Search(Key key) const {
   }
   stats_->Add(StatId::kSearches);
   EpochManager::Guard guard(epoch_.get());
-  return SearchPinned(key, &guard);
-}
-
-Result<Value> SagivTree::SearchPinned(Key key,
-                                      EpochManager::Guard* guard) const {
   int restarts = 0;
   for (;;) {
     const PrimeBlockData pb = prime_.Read();
@@ -440,7 +436,7 @@ Result<Value> SagivTree::SearchPinned(Key key,
     }
     // Re-pin: a restarted search may legally observe a fresher tree, and
     // releasing the old pin lets reclamation advance (Section 5.3).
-    guard->Refresh();
+    guard.Refresh();
   }
 }
 
@@ -963,9 +959,19 @@ Status SagivTree::TryAppendFast(Key key, Value value, bool* done) {
 }
 
 Status SagivTree::Insert(Key key, Value value) {
+  return InsertOrOverwrite(key, value, /*overwrite=*/false);
+}
+
+Status SagivTree::Upsert(Key key, Value value) {
+  return InsertOrOverwrite(key, value, /*overwrite=*/true);
+}
+
+Status SagivTree::InsertOrOverwrite(Key key, Value value, bool overwrite) {
   if (key < 1 || key > kMaxUserKey) {
     return Status::InvalidArgument("key out of range");
   }
+  // An upsert is an insert that may degenerate to a value overwrite; it
+  // counts as one logical insert either way.
   stats_->Add(StatId::kInserts);
   EpochManager::Guard guard(epoch_.get());
   // One checkpoint-gate hold for the WHOLE insert (descent, splits,
@@ -973,9 +979,10 @@ Status SagivTree::Insert(Key key, Value value) {
   PageManager::MutatorScope mutator_scope(pager_.get());
 
   // Rightmost fast path: a key beyond every key ever inserted can only
-  // belong at the end of the rightmost leaf — try to append there without
-  // descending. A miss (stale hint) falls through to the normal descent,
-  // which refreshes the hint below.
+  // belong at the end of the rightmost leaf (so an upsert of it is a
+  // plain insert) — try to append there without descending. A miss
+  // (stale hint) falls through to the normal descent, which refreshes
+  // the hint below.
   const bool max_extending =
       options_.append_leaves &&
       key > max_key_hint_.load(std::memory_order_relaxed);
@@ -992,49 +999,14 @@ Status SagivTree::Insert(Key key, Value value) {
   if (!found.ok()) return found.status();
   if (max_extending) {
     // Best effort: a max-extending key's descent normally lands on the
-    // current rightmost leaf (every commit path — including MultiMutate —
-    // raises the watermark, so keys above it sort past everything
-    // stored). A racing larger insert that has committed but not yet
-    // noted itself can still make this cache a non-rightmost leaf; the
-    // locked validation rejects such a hint, costing only a miss.
+    // current rightmost leaf (every max-extending commit raises the
+    // watermark, so keys above it sort past everything stored). A racing
+    // larger insert that has committed but not yet noted itself can
+    // still make this cache a non-rightmost leaf; the locked validation
+    // rejects such a hint, costing only a miss.
     rightmost_hint_.store(*found, std::memory_order_release);
   }
-  Status s = InsertCommit(key, value, *found, &stack, /*overwrite=*/false);
-  if (s.ok() && max_extending) NoteMaxKey(key);
-  return s;
-}
-
-Status SagivTree::Upsert(Key key, Value value) {
-  if (key < 1 || key > kMaxUserKey) {
-    return Status::InvalidArgument("key out of range");
-  }
-  // An upsert is an insert that may degenerate to a value overwrite; it
-  // counts as one logical insert either way.
-  stats_->Add(StatId::kInserts);
-  EpochManager::Guard guard(epoch_.get());
-  PageManager::MutatorScope mutator_scope(pager_.get());
-
-  // A key beyond the tree's max is necessarily absent, so the upsert is a
-  // plain insert and the rightmost fast path applies unchanged.
-  const bool max_extending =
-      options_.append_leaves &&
-      key > max_key_hint_.load(std::memory_order_relaxed);
-  if (max_extending) {
-    bool done = false;
-    Status s = TryAppendFast(key, value, &done);
-    if (done) return s;
-  }
-
-  std::vector<PageId> local_stack;
-  TlStackLease stack_lease(&local_stack);
-  std::vector<PageId>& stack = *stack_lease.stack();
-  Result<PageId> found = internal_FindNodeAtLevel(key, 0, &stack);
-  if (!found.ok()) return found.status();
-  if (max_extending) {
-    // Best effort, exactly as in Insert above.
-    rightmost_hint_.store(*found, std::memory_order_release);
-  }
-  Status s = InsertCommit(key, value, *found, &stack, /*overwrite=*/true);
+  Status s = InsertCommit(key, value, *found, &stack, overwrite);
   if (s.ok() && max_extending) NoteMaxKey(key);
   return s;
 }
@@ -1135,34 +1107,23 @@ Status SagivTree::Delete(Key key) {
   EpochManager::Guard guard(epoch_.get());
   PageManager::MutatorScope mutator_scope(pager_.get());
 
+  // The movedown stack only feeds the §5.4 under-full enqueue.
   CompressionQueue* queue = queue_.load(std::memory_order_acquire);
   const bool want_stack =
       options_.enqueue_underfull_on_delete && queue != nullptr;
 
   std::vector<PageId> local_stack;
   TlStackLease stack_lease(&local_stack);
-  std::vector<PageId>& stack = *stack_lease.stack();
-  Result<PageId> found =
-      internal_FindNodeAtLevel(key, 0, want_stack ? &stack : nullptr);
+  std::vector<PageId>* stack = want_stack ? stack_lease.stack() : nullptr;
+  Result<PageId> found = internal_FindNodeAtLevel(key, 0, stack);
   if (!found.ok()) return found.status();
-  return DeleteCommit(key, *found, want_stack ? &stack : nullptr, guard);
-}
-
-Status SagivTree::DeleteCommit(Key key, PageId start,
-                               std::vector<PageId>* stack_in,
-                               const EpochManager::Guard& guard) {
-  CompressionQueue* queue = queue_.load(std::memory_order_acquire);
-  const bool want_stack = options_.enqueue_underfull_on_delete &&
-                          queue != nullptr && stack_in != nullptr;
-  std::vector<PageId> unused_stack;
-  std::vector<PageId>& stack = want_stack ? *stack_in : unused_stack;
 
   int restarts = 0;
   // `view` is the locked live leaf; after the removal it reflects the new
   // count/high.
   const Node* view = nullptr;
-  Result<PageId> target = AcquireTargetInPlace(
-      key, 0, start, want_stack ? &stack : nullptr, &restarts, &view);
+  Result<PageId> target =
+      AcquireTargetInPlace(key, 0, *found, stack, &restarts, &view);
   if (!target.ok()) return target.status();
   const PageId leaf = *target;
 
@@ -1189,315 +1150,12 @@ Status SagivTree::DeleteCommit(Key key, PageId start,
     task.high = view->high;
     task.stamp = guard.start_time();
     // Copy, not move: the stack may be the shared thread-local buffer.
-    task.stack = stack;
+    task.stack = *stack;
     queue->Push(std::move(task), /*update_if_present=*/true);
     stats_->Add(StatId::kQueueEnqueues);
   }
   pager_->Unlock(leaf);
   return Status::OK();
-}
-
-// ---------------------------------------------------------------------------
-// Batched operations: the pipelined descent engine
-// ---------------------------------------------------------------------------
-
-void SagivTree::PipelineDescents(BatchCont* ops, size_t n, bool collect_stacks,
-                                 bool probe_values, BatchStats* bs) const {
-  std::vector<uint32_t> active;   // kRunning indices, regrouped per round
-  std::vector<Route> routes;      // per-group scratch
-  std::vector<std::optional<Value>> values;
-  active.reserve(n);
-
-  for (;;) {
-    active.clear();
-    for (size_t i = 0; i < n; ++i) {
-      if (ops[i].state == BatchCont::kRunning) {
-        active.push_back(static_cast<uint32_t>(i));
-      }
-    }
-    if (active.empty()) return;
-
-    // (Re)seed restarted continuations; one prime read serves the round.
-    // Level 0 always exists, so there is no wait-for-level case here.
-    bool need_root = false;
-    for (uint32_t i : active) need_root |= ops[i].need_root;
-    if (need_root) {
-      const PrimeBlockData pb = prime_.Read();
-      for (uint32_t i : active) {
-        BatchCont& op = ops[i];
-        if (!op.need_root) continue;
-        op.need_root = false;
-        op.current = pb.root();
-        op.stack.clear();
-      }
-    }
-
-    // Group the round's reads by target page.
-    std::sort(active.begin(), active.end(), [&](uint32_t a, uint32_t b) {
-      return ops[a].current < ops[b].current;
-    });
-
-    // One validated read per distinct page serves every op routed
-    // through it; the sharers beyond the first are coalesced fetches.
-    for (size_t gi = 0; gi < active.size();) {
-      const PageId page_id = ops[active[gi]].current;
-      size_t ge = gi;
-      while (ge < active.size() && ops[active[ge]].current == page_id) ++ge;
-      const uint64_t group = static_cast<uint64_t>(ge - gi);
-
-      const PageManager::ReadGuard g = pager_->OptimisticRead(page_id);
-      if (g.faulted()) {
-        // The fetch failed: hand just these ops to the single-op path,
-        // whose FetchPage retries a transient fault with backoff and
-        // surfaces a corrupt page as DataLoss. Ops on other pages are
-        // unaffected.
-        stats_->Add(StatId::kOptimisticFallbacks, group);
-        for (size_t k = gi; k < ge; ++k) {
-          ops[active[k]].state = BatchCont::kFallback;
-        }
-        gi = ge;
-        continue;
-      }
-      routes.clear();
-      values.clear();
-      bool valid = false;
-      if (g.stable()) {
-        const NodeView view(g.page()->As<Node>());
-        for (size_t k = gi; k < ge; ++k) {
-          const BatchCont& op = ops[active[k]];
-          Route r = RouteForKey(view, op.key, /*target_level=*/0);
-          // Probe the leaf slot under the same version as the routing
-          // decision: the one validation below covers both.
-          values.push_back(probe_values && r.kind == Route::kArrived
-                               ? view.FindLeafValue(op.key)
-                               : std::nullopt);
-          routes.push_back(r);
-        }
-        valid = g.Validate();
-      }
-      if (!valid) {
-        // Torn read: every sharer would have discarded this image had it
-        // read the page itself; all of them re-read it next round.
-        stats_->Add(StatId::kOptimisticRetries, group);
-      } else {
-        stats_->Add(StatId::kOptimisticValidations, group);
-        if (group > 1) {
-          stats_->Add(StatId::kBatchPagesCoalesced, group - 1);
-          bs->pages_coalesced += group - 1;
-        }
-      }
-      for (size_t k = gi; k < ge; ++k) {
-        BatchCont& op = ops[active[k]];
-        if (++op.steps > kMaxStepsPerAttempt) {
-          op.state = BatchCont::kError;
-          op.status = Status::Internal("descent did not terminate");
-          continue;
-        }
-        if (!valid) continue;  // stay on the same page
-        const Route& route = routes[k - gi];
-        switch (route.kind) {
-          case Route::kArrived:
-            op.state = BatchCont::kArrived;
-            op.value = values[k - gi];
-            break;
-          case Route::kChild:
-            if (collect_stacks) op.stack.push_back(op.current);
-            op.current = route.next;
-            break;
-          case Route::kLink:
-            stats_->Add(StatId::kLinkFollows);
-            op.current = route.next;
-            break;
-          case Route::kMerge:
-            stats_->Add(StatId::kMergePointerFollows);
-            op.current = route.next;
-            break;
-          case Route::kRestartStale:
-          case Route::kRestartRightmost:
-          case Route::kRestartNoMergeTarget:
-            CountRestart(CauseFor(route.kind));
-            if (++op.restarts > options_.max_restarts) {
-              op.state = BatchCont::kError;
-              op.status = Status::Internal("too many restarts in batch");
-            } else {
-              op.need_root = true;
-            }
-            break;
-          case Route::kTorn:
-            // Inconsistent-but-validated image (defensive ChildFor
-            // miss): treat like a discarded read and re-read next round.
-            stats_->Add(StatId::kOptimisticRetries);
-            break;
-        }
-      }
-      gi = ge;
-    }
-  }
-}
-
-void SagivTree::MultiSearch(const Key* keys, size_t n, Result<Value>* out,
-                            BatchStats* batch_stats) const {
-  if (batch_stats) *batch_stats = BatchStats{};
-  if (n == 0) return;
-  stats_->Add(StatId::kBatchOps, n);
-  if (batch_stats) batch_stats->ops = n;
-  if (n == 1) {  // nothing to pipeline: the single-op path
-    out[0] = Search(keys[0]);
-    return;
-  }
-  stats_->Add(StatId::kSearches, n);
-  BatchStats bs;
-  EpochManager::Guard guard(epoch_.get());
-
-  const size_t width = kBatchWidth;
-  std::vector<BatchCont> conts(std::min(n, width));
-  for (size_t w0 = 0; w0 < n; w0 += width) {
-    const size_t w = std::min(width, n - w0);
-    for (size_t j = 0; j < w; ++j) {
-      conts[j] = BatchCont{};
-      conts[j].key = keys[w0 + j];
-      if (conts[j].key < 1 || conts[j].key > kMaxUserKey) {
-        conts[j].state = BatchCont::kError;
-        conts[j].status = Status::InvalidArgument("key out of range");
-      }
-    }
-    PipelineDescents(conts.data(), w, /*collect_stacks=*/false,
-                     /*probe_values=*/true, &bs);
-    for (size_t j = 0; j < w; ++j) {
-      BatchCont& op = conts[j];
-      switch (op.state) {
-        case BatchCont::kArrived:
-          out[w0 + j] = op.value.has_value() ? Result<Value>(*op.value)
-                                             : Result<Value>(Status::NotFound());
-          break;
-        case BatchCont::kError:
-          out[w0 + j] = op.status;
-          break;
-        case BatchCont::kFallback:
-          out[w0 + j] = SearchPinned(op.key, &guard);
-          break;
-        case BatchCont::kRunning:
-          assert(false);  // PipelineDescents only returns terminal states
-          out[w0 + j] = Status::Internal("batch descent did not terminate");
-          break;
-      }
-    }
-  }
-  if (batch_stats) *batch_stats += bs;
-}
-
-void SagivTree::MultiMutate(const Key* keys, const Value* values, size_t n,
-                            Status* out, MutateKind kind,
-                            BatchStats* batch_stats) {
-  if (batch_stats) *batch_stats = BatchStats{};
-  if (n == 0) return;
-  stats_->Add(StatId::kBatchOps, n);
-  if (batch_stats) batch_stats->ops = n;
-  if (n == 1) {  // nothing to pipeline: the single-op path
-    switch (kind) {
-      case MutateKind::kInsert: out[0] = Insert(keys[0], values[0]); break;
-      case MutateKind::kUpsert: out[0] = Upsert(keys[0], values[0]); break;
-      case MutateKind::kDelete: out[0] = Delete(keys[0]); break;
-    }
-    return;
-  }
-  stats_->Add(kind == MutateKind::kDelete ? StatId::kDeletes
-                                          : StatId::kInserts, n);
-  BatchStats bs;
-  EpochManager::Guard guard(epoch_.get());
-
-  // Inserts ascend through their movedown stack; deletes only need it to
-  // feed the §5.4 under-full enqueue.
-  const bool want_stack =
-      kind != MutateKind::kDelete ||
-      (options_.enqueue_underfull_on_delete &&
-       queue_.load(std::memory_order_acquire) != nullptr);
-
-  const size_t width = kBatchWidth;
-  std::vector<BatchCont> conts(std::min(n, width));
-  for (size_t w0 = 0; w0 < n; w0 += width) {
-    const size_t w = std::min(width, n - w0);
-    for (size_t j = 0; j < w; ++j) {
-      conts[j] = BatchCont{};
-      conts[j].key = keys[w0 + j];
-      if (conts[j].key < 1 || conts[j].key > kMaxUserKey) {
-        conts[j].state = BatchCont::kError;
-        conts[j].status = Status::InvalidArgument("key out of range");
-      }
-    }
-    // Phase 1: pipeline the lock-free descents of the whole window.
-    PipelineDescents(conts.data(), w, /*collect_stacks=*/want_stack,
-                     /*probe_values=*/false, &bs);
-    // Phase 2: run each op's locked commit serially from its descent's
-    // leaf — the locking protocol (one lock per process at a time) is
-    // exactly the single-op one. The checkpoint gate is held per WINDOW
-    // (not per batch) so a pending checkpoint waits at most one window
-    // of commits, never the whole batch.
-    PageManager::MutatorScope mutator_scope(pager_.get());
-    Key window_max = 0;  // largest committed insert/upsert key this window
-    for (size_t j = 0; j < w; ++j) {
-      BatchCont& op = conts[j];
-      PageId start = op.current;
-      if (op.state == BatchCont::kError) {
-        out[w0 + j] = op.status;
-        continue;
-      }
-      if (op.state == BatchCont::kFallback) {
-        // The pipelined read faulted: redo this op's descent on the
-        // single-op path, which retries a transient fault with backoff.
-        Result<PageId> found = internal_FindNodeAtLevel(
-            op.key, 0, want_stack ? &op.stack : nullptr);
-        if (!found.ok()) {
-          out[w0 + j] = found.status();
-          continue;
-        }
-        start = *found;
-      }
-      switch (kind) {
-        case MutateKind::kInsert:
-          out[w0 + j] = InsertCommit(op.key, values[w0 + j], start,
-                                     &op.stack, /*overwrite=*/false);
-          break;
-        case MutateKind::kUpsert:
-          out[w0 + j] = InsertCommit(op.key, values[w0 + j], start,
-                                     &op.stack, /*overwrite=*/true);
-          break;
-        case MutateKind::kDelete:
-          out[w0 + j] = DeleteCommit(op.key, start,
-                                     want_stack ? &op.stack : nullptr, guard);
-          break;
-      }
-      if (kind != MutateKind::kDelete && out[w0 + j].ok() &&
-          op.key > window_max) {
-        window_max = op.key;
-      }
-    }
-    // Batched inserts must feed the append fast path's watermark like the
-    // single-op commits do: a batch that silently raised the tree max
-    // would leave max_key_hint_ stale-low, so later single inserts
-    // between the stale watermark and the true max would wrongly arm the
-    // fast path and cache a non-rightmost leaf in rightmost_hint_
-    // (harmless, but every attempt wastes a locked miss until the hints
-    // recover).
-    if (options_.append_leaves && window_max != 0) NoteMaxKey(window_max);
-  }
-  if (batch_stats) *batch_stats += bs;
-}
-
-void SagivTree::MultiInsert(const Key* keys, const Value* values, size_t n,
-                            Status* out, BatchStats* batch_stats) {
-  MultiMutate(keys, values, n, out, MutateKind::kInsert, batch_stats);
-}
-
-void SagivTree::MultiUpsert(const Key* keys, const Value* values, size_t n,
-                            Status* out, BatchStats* batch_stats) {
-  MultiMutate(keys, values, n, out, MutateKind::kUpsert, batch_stats);
-}
-
-void SagivTree::MultiDelete(const Key* keys, size_t n, Status* out,
-                            BatchStats* batch_stats) {
-  MultiMutate(keys, /*values=*/nullptr, n, out, MutateKind::kDelete,
-              batch_stats);
 }
 
 }  // namespace obtree

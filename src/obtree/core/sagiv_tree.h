@@ -32,7 +32,6 @@
 #include <atomic>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "obtree/core/options.h"
@@ -83,41 +82,6 @@ class SagivTree {
   /// Delete a key. Returns NotFound if absent. No restructuring happens
   /// here (Section 4); compression is a separate concurrent process.
   Status Delete(Key key);
-
-  // --- batched operations ---------------------------------------------------
-  //
-  // The pipelined descent engine: one thread keeps up to kBatchWidth
-  // descents in flight as resumable continuations, each round grouping
-  // them by current page and sharing one validated read per distinct
-  // page, then advancing every continuation one step. Batches wider than
-  // kBatchWidth run in kBatchWidth-sized windows. Results land in out[i]
-  // for keys[i]; per-op semantics (including restart budgets and fetch
-  // retries: an op whose read faults finishes on the single-op path) are
-  // identical to the single-op calls. For the write forms only the
-  // lock-free descent is pipelined — each op's locked mutation then runs
-  // serially from its descent's leaf, so the locking protocol (one lock
-  // per process) is untouched. `batch_stats`, when non-null, receives
-  // this batch's slice of the kBatch* counters. Batches of one take the
-  // single-op path.
-
-  /// Descents the batch engine keeps in flight per window.
-  static constexpr size_t kBatchWidth = 32;
-
-  /// Batched Search: out[i] is the value for keys[i] or NotFound.
-  void MultiSearch(const Key* keys, size_t n, Result<Value>* out,
-                   BatchStats* batch_stats = nullptr) const;
-
-  /// Batched Insert: out[i] as Insert(keys[i], values[i]).
-  void MultiInsert(const Key* keys, const Value* values, size_t n,
-                   Status* out, BatchStats* batch_stats = nullptr);
-
-  /// Batched Delete: out[i] as Delete(keys[i]).
-  void MultiDelete(const Key* keys, size_t n, Status* out,
-                   BatchStats* batch_stats = nullptr);
-
-  /// Batched Upsert: out[i] as Upsert(keys[i], values[i]).
-  void MultiUpsert(const Key* keys, const Value* values, size_t n,
-                   Status* out, BatchStats* batch_stats = nullptr);
 
   /// Pairs a scan copies out of a leaf, validates and delivers at a time.
   static constexpr uint32_t kScanChunk = 32;
@@ -242,49 +206,6 @@ class SagivTree {
  private:
   void CountRestart(RestartCause cause) const;
 
-  // --- pipelined batch descent engine ---------------------------------------
-
-  // Resumable continuation of one in-flight batch descent: the explicit
-  // per-op state the single-op descent loops keep in locals (current
-  // page, movedown stack, restart/step budgets), plus the op's
-  // final outcome. The engine advances a window of these in lockstep
-  // rounds; see PipelineDescents.
-  struct BatchCont {
-    Key key = 0;
-    PageId current = kInvalidPageId;
-    std::vector<PageId> stack;    // movedown stack (collect_stacks mode)
-    std::optional<Value> value;   // leaf probe result (probe_values mode)
-    Status status;                // outcome when state == kError
-    int restarts = 0;             // restarts from the root so far
-    int steps = 0;                // pointer-chasing bound (kMaxSteps...)
-    bool need_root = true;        // (re)seed from the prime block
-    enum State {
-      kRunning,   // still descending
-      kArrived,   // at the live level-0 target (current = leaf)
-      kFallback,  // a read faulted: the caller finishes this op on the
-                  // single-op path (which retries the fetch)
-      kError,     // terminal failure in `status`
-    } state = kRunning;
-  };
-
-  // Advance every kRunning continuation in ops[0..n) to a terminal state
-  // (level-0 arrival, fallback, or error). Each round: group the active
-  // continuations by current page, perform ONE validated OptimisticRead
-  // per distinct page shared by every op routed through it (the sharers
-  // beyond the first count kBatchPagesCoalesced), then
-  // advance each continuation by one routing step; a torn read is re-read
-  // next round, a faulted one sends its ops to kFallback
-  // (kOptimisticFallbacks). The caller holds the epoch guard. `bs`
-  // accumulates the batch-level counters.
-  void PipelineDescents(BatchCont* ops, size_t n, bool collect_stacks,
-                        bool probe_values, BatchStats* bs) const;
-
-  // Shared implementation of MultiInsert/MultiUpsert/MultiDelete:
-  // pipelined descents, then per-op serial locked commits.
-  enum class MutateKind { kInsert, kUpsert, kDelete };
-  void MultiMutate(const Key* keys, const Value* values, size_t n,
-                   Status* out, MutateKind kind, BatchStats* batch_stats);
-
   // --- append-optimized rightmost fast path (options().append_leaves) ----
   //
   // The hint pair below is pure optimization state: correctness never
@@ -294,8 +215,8 @@ class SagivTree {
   // the new node link-reachable (see InsertIntoUnsafe). max_key_hint_ is
   // a key that WAS >= every stored key at some point (monotone under
   // inserts, possibly stale-high after deletes — which only disarms the
-  // fast path, never misroutes it; every insert-commit path, including
-  // MultiMutate and BulkLoad, raises it). TryAppendFast re-establishes
+  // fast path, never misroutes it; every max-extending insert, and
+  // BulkLoad, raises it). TryAppendFast re-establishes
   // the truth under the paper lock before touching anything — and, for
   // the one hazard the lock cannot see (a half-published frontier split
   // whose fresh right node looks live before it is link-reachable),
@@ -314,6 +235,11 @@ class SagivTree {
   // Raise max_key_hint_ to at least `key` (relaxed CAS-max).
   void NoteMaxKey(Key key);
 
+  // Insert (overwrite = false) and Upsert (overwrite = true): the
+  // rightmost fast path when `key` is max-extending, else the lock-free
+  // descent and then InsertCommit.
+  Status InsertOrOverwrite(Key key, Value value, bool overwrite);
+
   // The locked second half of Insert/Upsert (the Fig. 5 "repeat until
   // completed" loop), starting from a descent's level-0 result `start`
   // with its movedown stack. With `overwrite`, a key found present in
@@ -322,13 +248,6 @@ class SagivTree {
   // caller holds an epoch guard and has counted the logical op.
   Status InsertCommit(Key key, Value value, PageId start,
                       std::vector<PageId>* stack, bool overwrite);
-
-  // The locked second half of Delete, starting from a descent's level-0
-  // result `start`. `stack` (nullable) enables the §5.4 under-full
-  // enqueue; `guard` supplies the compression task's timestamp. The
-  // caller holds `guard` and has counted the logical op.
-  Status DeleteCommit(Key key, PageId start, std::vector<PageId>* stack,
-                      const EpochManager::Guard& guard);
 
   // Fault-tolerant optimistic page read for the lock-free descents: the
   // one place a faulted read (ReadGuard::faulted) is retried, up to
@@ -344,11 +263,6 @@ class SagivTree {
     return g;
   }
   void RetryFaultedFetch(PageId id, PageManager::ReadGuard* g) const;
-
-  // Point lookup under the caller's epoch pin: in-place descent to the
-  // leaf, in-place value probe, single validation covering the probe.
-  // Restarts refresh *guard.
-  Result<Value> SearchPinned(Key key, EpochManager::Guard* guard) const;
 
   // Lock the live node at `level` in whose range `key` falls, starting
   // the moveright from `start`, WITHOUT copying its page. Contention-aware

@@ -65,8 +65,8 @@ enum class StatId : int {
   kOptimisticValidations,  ///< optimistic in-place reads validated clean
   kOptimisticRetries,    ///< optimistic reads discarded (version moved or
                          ///< a put was in flight) and re-attempted
-  kOptimisticFallbacks,  ///< batch ops sent to the single-op path after
-                         ///< their pipelined read faulted
+  kOptimisticFallbacks,  ///< always 0: nothing counts it; kept because
+                         ///< perfbench/src/common.cc reads it
   kInplaceWrites,        ///< no-split mutations applied to the live page
                          ///< under the seqlock (PageManager::BeginWrite)
                          ///< instead of a Get + Put copy cycle
@@ -138,10 +138,10 @@ enum class StatId : int {
   kBatchOps,             ///< logical operations submitted through the
                          ///< Multi* batch API (each op in a batch counts
                          ///< once, on top of its kSearches/kInserts/...)
-  kBatchPagesCoalesced,  ///< page fetches the pipelined descent engine
-                         ///< avoided because several in-flight ops routed
-                         ///< through the same page in the same round and
-                         ///< shared one validated read
+  kBatchPagesCoalesced,  ///< always 0: nothing counts it (a batch is a
+                         ///< loop of single ops and shares no page
+                         ///< reads); kept because perfbench/src/common.cc
+                         ///< reads it
   kStoreReads,           ///< page images faulted into the arena from the
                          ///< PageStore backend (FileStore pread + verify)
   kStoreWrites,          ///< page images staged to the backend: dirty
@@ -161,18 +161,14 @@ inline constexpr int kNumStatIds = static_cast<int>(StatId::kNumStats);
 const char* StatName(StatId id);
 
 /// Per-batch slice of the batch counters: what one Multi* call did. The
-/// same quantities are accumulated process-wide on the owning tree's
-/// StatsCollector under kBatchOps / kBatchPagesCoalesced; this struct
-/// lets a caller attribute them to a single batch without diffing
-/// snapshots.
+/// same count is accumulated on the owning tree's StatsCollector under
+/// kBatchOps; this struct lets a caller attribute it to a single batch
+/// without diffing snapshots.
 struct BatchStats {
-  uint64_t ops = 0;              ///< operations in the batch
-  uint64_t pages_coalesced = 0;  ///< fetches avoided by sharing a page
-                                 ///< read between in-flight ops
+  uint64_t ops = 0;  ///< operations in the batch
 
   BatchStats& operator+=(const BatchStats& o) {
     ops += o.ops;
-    pages_coalesced += o.pages_coalesced;
     return *this;
   }
 };

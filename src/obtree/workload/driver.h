@@ -20,7 +20,6 @@
 #include <type_traits>
 #include <vector>
 
-#include "obtree/api/batch.h"
 #include "obtree/util/fault_injector.h"
 #include "obtree/util/histogram.h"
 #include "obtree/util/stats.h"
@@ -117,63 +116,6 @@ void PreloadTree(Tree* tree, const WorkloadSpec& spec, int threads = 4) {
   for (auto& w : workers) w.join();
 }
 
-/// Batch submission shim over the two Multi* surfaces:
-///   * tree-style pointer APIs (SagivTree::MultiSearch/MultiInsert/
-///     MultiDelete writing into caller arrays) — the default;
-///   * map-style vector APIs (ConcurrentMap / ShardedMap MultiGet/
-///     MultiInsert/MultiErase returning a BatchResult) — selected when
-///     the target has MultiGet.
-/// Each call returns how many ops in the batch succeeded (OK / found).
-template <typename Tree, typename = void>
-struct DriverBatchAccess {
-  static uint64_t MultiSearch(Tree* tree, const std::vector<Key>& keys) {
-    std::vector<Result<Value>> out(keys.size(),
-                                   Result<Value>(Status::NotFound()));
-    tree->MultiSearch(keys.data(), keys.size(), out.data(), nullptr);
-    uint64_t ok = 0;
-    for (const auto& r : out) ok += r.ok() ? 1 : 0;
-    return ok;
-  }
-  static uint64_t MultiInsert(Tree* tree, const std::vector<Key>& keys,
-                              const std::vector<Value>& values) {
-    std::vector<Status> out(keys.size());
-    tree->MultiInsert(keys.data(), values.data(), keys.size(), out.data(),
-                      nullptr);
-    uint64_t ok = 0;
-    for (const Status& s : out) ok += s.ok() ? 1 : 0;
-    return ok;
-  }
-  static uint64_t MultiDelete(Tree* tree, const std::vector<Key>& keys) {
-    std::vector<Status> out(keys.size());
-    tree->MultiDelete(keys.data(), keys.size(), out.data(), nullptr);
-    uint64_t ok = 0;
-    for (const Status& s : out) ok += s.ok() ? 1 : 0;
-    return ok;
-  }
-};
-
-template <typename Tree>
-struct DriverBatchAccess<
-    Tree, std::void_t<decltype(std::declval<Tree&>().MultiGet(
-              std::declval<const std::vector<Key>&>()))>> {
-  static uint64_t CountOk(const BatchResult& r) {
-    uint64_t ok = 0;
-    for (const auto& v : r.values) ok += v.ok() ? 1 : 0;
-    for (const Status& s : r.statuses) ok += s.ok() ? 1 : 0;
-    return ok;
-  }
-  static uint64_t MultiSearch(Tree* tree, const std::vector<Key>& keys) {
-    return CountOk(tree->MultiGet(keys));
-  }
-  static uint64_t MultiInsert(Tree* tree, const std::vector<Key>& keys,
-                              const std::vector<Value>& values) {
-    return CountOk(tree->MultiInsert(keys, values));
-  }
-  static uint64_t MultiDelete(Tree* tree, const std::vector<Key>& keys) {
-    return CountOk(tree->MultiErase(keys));
-  }
-};
-
 /// Run `ops_per_thread` operations on each of `threads` workers drawing
 /// from `spec`. When collect_latency is set, each op is timed into a
 /// histogram (adds ~20ns/op of clock overhead).
@@ -238,100 +180,6 @@ DriverResult RunWorkload(Tree* tree, const WorkloadSpec& spec, int threads,
           .count();
   for (int t = 0; t < threads; ++t) {
     result.latency_ns.Merge(histograms[static_cast<size_t>(t)]);
-    result.succeeded += succeeded[static_cast<size_t>(t)];
-  }
-  result.stats = DriverStatsAccess<Tree>::Snapshot(tree).Delta(before);
-  result.stats.max_locks_held = DriverStatsAccess<Tree>::MaxLocksHeld(tree);
-  return result;
-}
-
-/// Batched-submission variant of RunWorkload: each worker accumulates up
-/// to `batch` generated ops, then flushes them type-grouped through the
-/// target's Multi* API (pipelined descents on a SagivTree-backed target).
-/// Ops within a window may execute out of generation order — the batch
-/// API's contract is per-op independence, so the workloads' random
-/// streams are unaffected. Scans are executed inline (they have no
-/// batched form). With batch <= 1 this degrades to per-op Multi* calls,
-/// which the tree serves on its single-op path.
-template <typename Tree>
-DriverResult RunWorkloadBatched(Tree* tree, const WorkloadSpec& spec,
-                                int threads, uint64_t ops_per_thread,
-                                size_t batch, uint64_t seed = 1) {
-  using Clock = std::chrono::steady_clock;
-  DriverResult result;
-  result.threads = threads;
-  result.label = spec.name;
-  const StatsSnapshot before = DriverStatsAccess<Tree>::Snapshot(tree);
-  if (batch == 0) batch = 1;
-
-  std::vector<uint64_t> succeeded(static_cast<size_t>(threads), 0);
-  std::vector<std::thread> workers;
-  const auto start = Clock::now();
-  for (int t = 0; t < threads; ++t) {
-    workers.emplace_back([&, t, batch]() {
-      OpGenerator gen(spec, seed, t, threads);
-      uint64_t ok = 0;
-      std::vector<Key> get_keys;
-      std::vector<Key> ins_keys;
-      std::vector<Value> ins_vals;
-      std::vector<Key> del_keys;
-      get_keys.reserve(batch);
-      ins_keys.reserve(batch);
-      ins_vals.reserve(batch);
-      del_keys.reserve(batch);
-      auto flush = [&]() {
-        if (!get_keys.empty()) {
-          ok += DriverBatchAccess<Tree>::MultiSearch(tree, get_keys);
-          get_keys.clear();
-        }
-        if (!ins_keys.empty()) {
-          ok += DriverBatchAccess<Tree>::MultiInsert(tree, ins_keys, ins_vals);
-          ins_keys.clear();
-          ins_vals.clear();
-        }
-        if (!del_keys.empty()) {
-          ok += DriverBatchAccess<Tree>::MultiDelete(tree, del_keys);
-          del_keys.clear();
-        }
-      };
-      for (uint64_t i = 0; i < ops_per_thread; ++i) {
-        const OpGenerator::Op op = gen.Next();
-        switch (op.type) {
-          case OpType::kSearch:
-            get_keys.push_back(op.key);
-            break;
-          case OpType::kInsert:
-            ins_keys.push_back(op.key);
-            ins_vals.push_back(op.key + 1);
-            break;
-          case OpType::kDelete:
-            del_keys.push_back(op.key);
-            break;
-          case OpType::kScan: {
-            size_t left = spec.scan_length;
-            tree->Scan(op.key, kMaxUserKey, [&left](Key, Value) {
-              return --left > 0;
-            });
-            ++ok;
-            break;
-          }
-        }
-        if (get_keys.size() + ins_keys.size() + del_keys.size() >= batch) {
-          flush();
-        }
-      }
-      flush();
-      succeeded[static_cast<size_t>(t)] = ok;
-    });
-  }
-  for (auto& w : workers) w.join();
-  const auto end = Clock::now();
-
-  result.total_ops = ops_per_thread * static_cast<uint64_t>(threads);
-  result.seconds =
-      std::chrono::duration_cast<std::chrono::duration<double>>(end - start)
-          .count();
-  for (int t = 0; t < threads; ++t) {
     result.succeeded += succeeded[static_cast<size_t>(t)];
   }
   result.stats = DriverStatsAccess<Tree>::Snapshot(tree).Delta(before);

@@ -1,12 +1,12 @@
 // Copyright 2026 The obtree Authors.
 //
-// The batched operation API (PR 8): MultiGet/MultiInsert/MultiErase/
-// MultiUpsert on both map front-ends, backed by SagivTree's pipelined
-// descent engine. Covers mode agreement (batched results must equal a
-// single-op loop, including per-op error slots), the batch stats
-// counters, partial-failure batches under fault injection, the
-// single-descent atomicity of Upsert, batches crossing a live shard
-// migration, and a writer/reader/migration stress for TSan.
+// The batched operation API: MultiGet/MultiInsert/MultiErase/
+// MultiUpsert on both map front-ends, each a loop over the single-op
+// calls. Covers mode agreement (batched results must equal a single-op
+// loop, including per-op error slots), a batch's counters (exactly its
+// single ops' plus kBatchOps), partial-failure batches under fault
+// injection, the single-descent atomicity of Upsert, batches crossing a
+// live shard migration, and a writer/reader/migration stress for TSan.
 
 #include <algorithm>
 #include <atomic>
@@ -44,8 +44,7 @@ TEST(BatchApiTest, MultiGetAgreesWithSingleOpLoop) {
   ConcurrentMap map(PlainMap());
   PreloadEven(&map, 5'000);  // height >= 2 with 32-entry minimum nodes
 
-  // Mixed present/absent keys; 200 keys span several
-  // SagivTree::kBatchWidth windows, so the window loop is exercised too.
+  // Mixed present/absent keys.
   std::vector<Key> keys;
   Random rng(123);
   for (int i = 0; i < 200; ++i) keys.push_back(1 + rng.Next() % 10'000);
@@ -65,10 +64,49 @@ TEST(BatchApiTest, MultiGetAgreesWithSingleOpLoop) {
     EXPECT_EQ(map.Search(keys[i]).ok(), single.ok());
   }
 
-  // Batches of many ops through the same root must coalesce fetches.
-  EXPECT_GT(r.stats.pages_coalesced, 0u);
-  EXPECT_GT(map.Stats().Get(StatId::kBatchPagesCoalesced), 0u);
   EXPECT_EQ(map.Stats().Get(StatId::kBatchOps), keys.size());
+}
+
+TEST(BatchApiTest, BatchCostsExactlyItsSingleOps) {
+  // Two identical maps: a MultiGet on one and a Get loop over the same
+  // keys on the other must read the same pages and count the same
+  // logical ops, out-of-range keys included (they count no search).
+  ConcurrentMap batched(PlainMap());
+  ConcurrentMap serial(PlainMap());
+  PreloadEven(&batched, 5'000);
+  PreloadEven(&serial, 5'000);
+
+  std::vector<Key> keys;
+  Random rng(321);
+  for (int i = 0; i < 100; ++i) keys.push_back(1 + rng.Next() % 10'000);
+  keys.push_back(0);
+  keys.push_back(kMaxUserKey + 1);
+
+  const StatsSnapshot b0 = batched.Stats();
+  const StatsSnapshot s0 = serial.Stats();
+  const BatchResult r = batched.MultiGet(keys);
+  std::vector<Result<Value>> singles;
+  for (Key k : keys) singles.push_back(serial.Get(k));
+  const StatsSnapshot bd = batched.Stats().Delta(b0);
+  const StatsSnapshot sd = serial.Stats().Delta(s0);
+
+  ASSERT_EQ(r.values.size(), keys.size());
+  for (size_t i = 0; i < keys.size(); ++i) {
+    ASSERT_EQ(r.values[i].ok(), singles[i].ok()) << "key " << keys[i];
+    if (singles[i].ok()) {
+      EXPECT_EQ(*r.values[i], *singles[i]) << "key " << keys[i];
+    } else {
+      EXPECT_EQ(r.values[i].status().code(), singles[i].status().code())
+          << "key " << keys[i];
+    }
+  }
+  for (StatId id : {StatId::kGets, StatId::kSearches,
+                    StatId::kOptimisticValidations}) {
+    EXPECT_EQ(bd.Get(id), sd.Get(id)) << StatName(id);
+  }
+  EXPECT_EQ(sd.Get(StatId::kSearches), keys.size() - 2);
+  EXPECT_EQ(bd.Get(StatId::kBatchOps), keys.size());
+  EXPECT_EQ(sd.Get(StatId::kBatchOps), 0u);
 }
 
 TEST(BatchApiTest, WriteBatchesAgreeWithSingleOpLoop) {
@@ -136,12 +174,11 @@ TEST(BatchApiTest, EmptySingleAndMismatchedBatches) {
   EXPECT_EQ(map.MultiGet({}).size(), 0u);
   EXPECT_TRUE(map.MultiGet({}).all_ok());
 
-  // Batch size 1 takes the single-op path and must agree with it.
+  // A batch of one agrees with the single-op call.
   const BatchResult one = map.MultiGet({10});
   ASSERT_EQ(one.values.size(), 1u);
   EXPECT_EQ(*one.values[0], 11u);
   EXPECT_EQ(one.stats.ops, 1u);
-  EXPECT_EQ(one.stats.pages_coalesced, 0u);
 
   // Out-of-range keys fail per-op, not per-batch.
   const BatchResult bad = map.MultiGet({10, 0, kMaxUserKey + 1});
@@ -165,11 +202,10 @@ TEST(BatchApiTest, PartialFailureUnderFaultInjection) {
   std::vector<Key> keys;
   for (int i = 0; i < 64; ++i) keys.push_back(2 * (i + 1));
 
-  // A bounded burst of page-fetch failures: the pipeline burns its
-  // optimistic budget first, then the earliest fallback descents eat the
-  // remaining fires and report Unavailable — while later batch-mates run
-  // after the injector disarms and succeed. Per-op independence is the
-  // contract under test.
+  // A bounded burst of page-fetch failures: the earliest ops eat the
+  // fires (each through its fetch-retry budget) and report Unavailable,
+  // while later batch-mates run after the injector has stopped firing
+  // and succeed. Per-op independence is the contract under test.
   FaultSpec spec;
   spec.action = FaultAction::kError;
   spec.probability = 1.0;
@@ -281,7 +317,7 @@ TEST(BatchApiTest, ShardedBatchesCrossLiveMigration) {
   // Freeze a split right after its handoff table swap: the upper half of
   // shard 0 routes to the (empty) receiver with nothing drained yet, so
   // every key there is unsettled and batched ops must take the dual-zone
-  // path while settled batch-mates ride the engine.
+  // path while settled batch-mates go to their shard's batch.
   ShardOptions opt;
   opt.num_shards = 2;
   opt.key_space_hint = 400;
@@ -344,9 +380,9 @@ TEST(BatchApiTest, ShardedBatchesCrossLiveMigration) {
 
 TEST(BatchApiTest, BatchedWritersReadersAndRebalancingStress) {
   // TSan target: batched writers, batched + single-op readers, and live
-  // split/merge migrations all at once. Passing means the pipelined
-  // engine's in-place reads, the locked commits, and the migration
-  // protocol stay race-free when driven through the batch API.
+  // split/merge migrations all at once. Passing means the optimistic
+  // reads, the locked commits, and the migration protocol stay race-free
+  // when driven through the batch API.
   ShardOptions opt;
   opt.num_shards = 2;
   opt.key_space_hint = 8'000;

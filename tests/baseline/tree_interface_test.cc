@@ -239,21 +239,6 @@ TYPED_TEST(CostUnitTest, StallSitesSeeEveryCountedGetAndPut) {
         break;
     }
   }
-  if constexpr (std::is_same_v<TypeParam, SagivTree>) {
-    // The batch engine's shared reads and its serial locked commits.
-    std::vector<Key> keys;
-    std::vector<Value> values;
-    for (int i = 0; i < 100; ++i) {
-      keys.push_back(rng.UniformRange(1, 800));
-      values.push_back(i);
-    }
-    std::vector<Result<Value>> found(keys.size(), Status::NotFound());
-    std::vector<Status> out(keys.size());
-    tree.MultiSearch(keys.data(), keys.size(), found.data());
-    tree.MultiInsert(keys.data(), values.data(), keys.size(), out.data());
-    tree.MultiUpsert(keys.data(), values.data(), keys.size(), out.data());
-    tree.MultiDelete(keys.data(), keys.size(), out.data());
-  }
 
   const uint64_t gets = tree.stats()->Get(StatId::kGets) - gets0;
   const uint64_t puts = tree.stats()->Get(StatId::kPuts) - puts0;

@@ -244,38 +244,44 @@ TEST(AppendLeafTest, DeletedMaxKeepsFastPathCorrect) {
   EXPECT_TRUE(s.ok()) << s.ToString();
 }
 
-// Batched inserts must raise the watermark like single-op commits do: a
-// MultiInsert that lifts the tree max used to leave max_key_hint_
-// stale-low, so a later single insert between the stale watermark and
-// the true max would wrongly arm the fast path (a wasted locked miss)
-// and poison rightmost_hint_ with a non-rightmost leaf.
+// Batched inserts are single inserts: a MultiInsert whose keys extend
+// the max takes the rightmost fast path key by key and raises the
+// watermark, so a later single insert between the old max and the
+// batch's max takes the plain descent (no wasted locked miss), and the
+// hint still names the true rightmost leaf.
 TEST(AppendLeafTest, BatchedInsertsRaiseTheWatermark) {
-  SagivTree tree(SmallNodes(true));
-  for (Key k = 1; k <= 20; ++k) ASSERT_TRUE(tree.Insert(k, k + 1).ok());
+  MapOptions options;
+  options.tree = SmallNodes(true);
+  options.compression = CompressionMode::kNone;
+  ConcurrentMap map(options);
+  for (Key k = 1; k <= 20; ++k) ASSERT_TRUE(map.Insert(k, k + 1).ok());
 
-  // The batch lifts the tree max 20 -> 1000 through InsertCommit.
-  const Key keys[] = {500, 1000};
-  const Value values[] = {501, 1001};
-  Status out[2];
-  tree.MultiInsert(keys, values, 2, out);
-  ASSERT_TRUE(out[0].ok() && out[1].ok());
+  // The batch lifts the tree max 20 -> 1000; both keys are
+  // max-extending when their turn comes, so both try the fast path.
+  const StatsSnapshot before_batch = map.Stats();
+  const BatchResult r = map.MultiInsert({500, 1000}, {501, 1001});
+  ASSERT_TRUE(r.all_ok());
+  const StatsSnapshot batch = map.Stats().Delta(before_batch);
+  EXPECT_EQ(batch.Get(StatId::kAppendFastHits) +
+                batch.Get(StatId::kAppendFastMisses),
+            2u);
+  EXPECT_GE(batch.Get(StatId::kAppendFastHits), 1u);
 
   // 50 sits between the single-op max (20) and the batch max (1000):
   // with the watermark raised by the batch it is not max-extending, so
   // it takes the plain descent — no fast-path attempt, no miss.
-  const uint64_t misses_before =
-      tree.stats()->Get(StatId::kAppendFastMisses);
-  ASSERT_TRUE(tree.Insert(50, 51).ok());
-  EXPECT_EQ(tree.stats()->Get(StatId::kAppendFastMisses), misses_before);
+  const uint64_t misses_before = map.Stats().Get(StatId::kAppendFastMisses);
+  ASSERT_TRUE(map.Insert(50, 51).ok());
+  EXPECT_EQ(map.Stats().Get(StatId::kAppendFastMisses), misses_before);
 
   // And the hint still names the true rightmost leaf: the next
   // max-extending insert is a fast-path hit, not a miss-then-recover.
-  const uint64_t hits_before = tree.stats()->Get(StatId::kAppendFastHits);
-  ASSERT_TRUE(tree.Insert(2000, 2001).ok());
-  EXPECT_GT(tree.stats()->Get(StatId::kAppendFastHits), hits_before);
-  EXPECT_EQ(tree.stats()->Get(StatId::kAppendFastMisses), misses_before);
+  const uint64_t hits_before = map.Stats().Get(StatId::kAppendFastHits);
+  ASSERT_TRUE(map.Insert(2000, 2001).ok());
+  EXPECT_GT(map.Stats().Get(StatId::kAppendFastHits), hits_before);
+  EXPECT_EQ(map.Stats().Get(StatId::kAppendFastMisses), misses_before);
 
-  Status s = TreeChecker(&tree).CheckStructure();
+  Status s = map.ValidateStructure();
   EXPECT_TRUE(s.ok()) << s.ToString();
 }
 
@@ -329,12 +335,10 @@ TEST(AppendLeafTest, AppendNeverCompletesInsideSplitPublicationWindow) {
 }
 
 // The ABA variant of the same window: the split's Allocate returns a
-// RETIRED page id that the rightmost hint still names (batched inserts
-// never refresh the hint, so it survives stale across the refill). An
-// appender chasing that stale hint must not be able to validate the
-// reused page's fresh not-yet-linked image. Also covers the batched
-// watermark fix: MultiInsert raises max_key_hint_, so the follow-up
-// single inserts arm the fast path from an accurate watermark.
+// RETIRED page id that the rightmost hint still names (inserts below the
+// watermark never refresh the hint, so it survives stale across the
+// refill). An appender chasing that stale hint must not be able to
+// validate the reused page's fresh not-yet-linked image.
 TEST(AppendLeafTest, StaleHintOnReusedSplitPageCannotSwallowAppend) {
   SagivTree tree(SmallNodes(true));  // capacity 8
   for (Key k = 1; k <= 20; ++k) ASSERT_TRUE(tree.Insert(k, k + 1).ok());
@@ -349,41 +353,29 @@ TEST(AppendLeafTest, StaleHintOnReusedSplitPageCannotSwallowAppend) {
   ASSERT_GT(tree.stats()->Get(StatId::kMerges), 0u);
   ASSERT_EQ(tree.internal_pager()->retired_pages(), 1u);
 
-  // Refill the surviving rightmost leaf {9..12} to capacity through the
-  // BATCHED path, which commits without touching rightmost_hint_: the
-  // hint keeps naming the retired page while the tree max (and, post-
-  // fix, the watermark) rises. Keys must clear the watermark left by
-  // the deleted 13..20 (deletes never lower it), hence 21..24.
-  const Key keys[] = {21, 22, 23, 24};
-  const Value values[] = {22, 23, 24, 25};
-  Status out[4];
-  tree.MultiInsert(keys, values, 4, out);
-  for (const Status& s : out) ASSERT_TRUE(s.ok());
+  // Refill the surviving rightmost leaf L{9..12} to capacity. The keys
+  // 13..16 sit below the watermark of 20 (deletes never lower it), so
+  // they are not max-extending: no fast-path attempt and no descent
+  // refreshes the hint, which keeps naming the retired page.
+  for (Key k = 13; k <= 16; ++k) ASSERT_TRUE(tree.Insert(k, k + 1).ok());
 
-  // The next insert splits L; its Allocate reuses a retired page. The
-  // splitter must be another BATCHED insert: a single Insert's own
-  // descent would refresh the hint to L before committing, hiding the
-  // stale-hint hazard this test exists to pin down. MultiInsert's
-  // commits never touch the hint, so it still names the retired page —
-  // now reborn as the split's unreachable right node B — while the
-  // splitter sits frozen between put(B) and put(A).
+  // The next insert splits L; its Allocate reuses the retired page. 17
+  // is below the watermark too, so the splitter's descent leaves the
+  // hint alone: it still names the retired page — now reborn as the
+  // split's unreachable right node B — while the splitter sits frozen
+  // between put(B) and put(A).
   const size_t fresh_before = tree.internal_pager()->allocated_pages();
   PutWindowGate gate;
   tree.internal_pager()->SetTestHook(
       [&](const char* op, PageId page) { gate.OnHook(op, page); });
   gate.Arm(2);
 
-  std::thread splitter([&]() {
-    const Key skeys[] = {25, 26};
-    const Value svalues[] = {26, 27};
-    Status sout[2];
-    tree.MultiInsert(skeys, svalues, 2, sout);
-    ASSERT_TRUE(sout[0].ok() && sout[1].ok());
-  });
+  std::thread splitter([&]() { ASSERT_TRUE(tree.Insert(17, 18).ok()); });
   gate.AwaitPaused();
   EXPECT_EQ(tree.internal_pager()->allocated_pages(), fresh_before)
       << "expected the split to reuse a retired page, not grow the arena";
 
+  // 27 clears the watermark: the appender tries the stale hint first.
   std::atomic<bool> appended{false};
   std::thread appender([&]() {
     ASSERT_TRUE(tree.Insert(27, 28).ok());
@@ -402,13 +394,14 @@ TEST(AppendLeafTest, StaleHintOnReusedSplitPageCannotSwallowAppend) {
   appender.join();
   tree.internal_pager()->SetTestHook(nullptr);
 
-  for (Key k : {1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12,
-                21, 22, 23, 24, 25, 26, 27}) {
-    Result<Value> v = tree.Search(static_cast<Key>(k));
+  for (Key k = 1; k <= 17; ++k) {
+    Result<Value> v = tree.Search(k);
     ASSERT_TRUE(v.ok()) << k;
-    EXPECT_EQ(*v, static_cast<Value>(k) + 1) << k;
+    EXPECT_EQ(*v, k + 1) << k;
   }
-  for (Key k = 13; k <= 20; ++k) {
+  ASSERT_TRUE(tree.Search(27).ok());
+  EXPECT_EQ(*tree.Search(27), 28u);
+  for (Key k = 18; k <= 20; ++k) {
     EXPECT_TRUE(tree.Search(k).status().IsNotFound()) << k;
   }
   Status s = TreeChecker(&tree).CheckStructure();
