@@ -29,10 +29,9 @@ namespace {
 
 constexpr Key kN = 200'000;
 
-TreeOptions Options(bool enqueue) {
+TreeOptions Options() {
   TreeOptions opt;
   opt.min_entries = 16;
-  opt.enqueue_underfull_on_delete = enqueue;
   return opt;
 }
 
@@ -53,7 +52,7 @@ void ExperimentE3() {
   Table table({"deleted", "nodes before", "nodes after", "fill before",
                "fill after", "height", "passes", "space won"});
   for (int keep_every : {2, 10, 0 /*delete all*/}) {
-    SagivTree tree(Options(false));
+    SagivTree tree(Options());
     BuildAndDecay(&tree, keep_every);
     const TreeShape before = TreeChecker(&tree).ComputeShape();
 
@@ -91,7 +90,7 @@ struct DeploymentResult {
 // Deployment (1)/(2): `workers` compressors share one queue, draining
 // concurrently with the deletions.
 DeploymentResult RunQueueDeployment(int workers) {
-  SagivTree tree(Options(true));
+  SagivTree tree(Options());
   CompressionQueue queue;
   queue.RegisterWith(tree.epoch());
   tree.AttachCompressionQueue(&queue);
@@ -128,7 +127,7 @@ DeploymentResult RunQueueDeployment(int workers) {
 
 // Deployment (3): each deletion burst drains its own private queue.
 DeploymentResult RunPrivateQueueDeployment() {
-  SagivTree tree(Options(true));
+  SagivTree tree(Options());
   const auto start = std::chrono::steady_clock::now();
   for (Key k = 1; k <= kN; ++k) (void)tree.Insert(k, k);
   constexpr Key kBurst = 10'000;

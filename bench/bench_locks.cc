@@ -11,14 +11,12 @@
 // reads per operation. It also shows that Sagiv/LY readers acquire zero
 // locks while lock-coupling readers latch every node on the path.
 //
-// E1b — the lock *implementation* under contention (the PR 5 tentpole
-// measured at the microbench level): N threads hammer Lock/Unlock on one
-// hot page through PageManager, the convoy pattern a hot leaf produces.
-// Park-only (spin budget 0 — the former std::mutex discipline, every
-// contended acquisition sleeps in the kernel) against the spin-then-park
-// PaperLock with the TreeOptions default budgets. Cells: aggregate
-// Mlocks/s, contended acquisitions, parks, and the contended-wait
-// p50/p99 from the lock-wait histogram.
+// E1b — the lock *implementation* under contention, measured at the
+// microbench level: N threads hammer Lock/Unlock on one hot page through
+// PageManager, the convoy pattern a hot leaf produces, on the shipped
+// spin-then-park PaperLock. Cells: aggregate Mlocks/s, contended
+// acquisitions, parks, and the contended-wait p50/p99 from the
+// lock-wait histogram.
 
 #include <chrono>
 #include <cstdio>
@@ -117,13 +115,10 @@ struct LockCell {
   uint64_t wait_p99_ns = 0;
 };
 
-LockCell LockMicrobench(int threads, uint64_t ops_per_thread,
-                        uint32_t spin_budget, uint32_t backoff_max) {
+LockCell LockMicrobench(int threads, uint64_t ops_per_thread) {
   EpochManager epoch;
   StatsCollector stats;
   PageManager pm(&epoch, &stats);
-  pm.set_lock_spin_budget(spin_budget);
-  pm.set_lock_backoff_max(backoff_max);
   Result<PageId> id = pm.Allocate();
   const PageId hot = *id;
 
@@ -169,31 +164,22 @@ LockCell LockMicrobench(int threads, uint64_t ops_per_thread,
 void RunLockMicrobench() {
   PrintBanner(
       "E1b: one hot paper lock, N threads",
-      "park-only (spin budget 0: every contended acquisition sleeps in "
-      "the kernel, the pre-PaperLock discipline) vs spin-then-park "
-      "(TreeOptions defaults). Short critical sections make the park "
-      "round-trip the dominant cost; the spin path keeps the handoff in "
-      "user space");
-  const TreeOptions defaults;
+      "spin-then-park (PaperLock::kSpinBudget probe rounds, then a "
+      "futex park). Short critical sections make a park round-trip the "
+      "dominant cost, so the spin keeps most handoffs in user space");
   const uint64_t ops = 200'000;
-  Table table({"threads", "park-only Ml/s", "spin+park Ml/s", "speedup",
-               "contended", "parks", "wait p50ns", "wait p99ns"});
+  Table table({"threads", "Mlocks/s", "contended", "parks", "wait p50ns",
+               "wait p99ns"});
   for (int threads : {1, 2, 4, 8}) {
-    const LockCell park = LockMicrobench(threads, ops, 0, 1);
-    const LockCell spin = LockMicrobench(threads, ops,
-                                         defaults.lock_spin_budget,
-                                         defaults.lock_backoff_max);
+    const LockCell cell = LockMicrobench(threads, ops);
     table.AddRow({Fmt(static_cast<uint64_t>(threads)),
-                  Fmt(park.mlocks_per_sec), Fmt(spin.mlocks_per_sec),
-                  FmtRatio(spin.mlocks_per_sec, park.mlocks_per_sec),
-                  Fmt(spin.contended), Fmt(spin.parks),
-                  Fmt(spin.wait_p50_ns), Fmt(spin.wait_p99_ns)});
+                  Fmt(cell.mlocks_per_sec), Fmt(cell.contended),
+                  Fmt(cell.parks), Fmt(cell.wait_p50_ns),
+                  Fmt(cell.wait_p99_ns)});
   }
   table.Print();
   std::printf(
-      "(contended/parks/wait columns describe the spin+park run; on a "
-      "single-core host the spin budget degrades to yields, so the two "
-      "configurations converge)\n\n");
+      "(on a single-core host the spin budget degrades to yields)\n\n");
 }
 
 }  // namespace

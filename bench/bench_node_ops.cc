@@ -111,7 +111,7 @@ void BM_NodeSearchCold(benchmark::State& state) {
 BENCHMARK(BM_NodeSearchCold);
 
 // BM_NodeSearchCold through the page layer: 32768 leaf pages (136 MB of
-// frames) in a MemStore PageManager, each visit an OptimisticRead, a
+// frames) in an in-memory PageManager, each visit an OptimisticRead, a
 // FindLeafValue and a Validate, with the found value naming the next page.
 // The frames are PageManager's own, so the visit pays whatever TLB misses
 // the arena's page size costs; a std::vector pool cannot show that. The

@@ -3,8 +3,8 @@
 // Result carrier of the batched operation API (ConcurrentMap::MultiGet /
 // MultiInsert / MultiErase / MultiUpsert and the ShardedMap
 // counterparts). One BatchResult describes one batch: a per-op outcome
-// in submission order, plus how many ops ran. A batch is a loop over the
-// single-op calls; see ARCHITECTURE.md "Batched operations".
+// in submission order. A batch is a loop over the single-op calls; see
+// ARCHITECTURE.md "Batched operations".
 
 #ifndef OBTREE_API_BATCH_H_
 #define OBTREE_API_BATCH_H_
@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "obtree/util/common.h"
-#include "obtree/util/stats.h"
 #include "obtree/util/status.h"
 
 namespace obtree {
@@ -29,7 +28,6 @@ namespace obtree {
 struct BatchResult {
   std::vector<Result<Value>> values;  ///< per-op results (MultiGet)
   std::vector<Status> statuses;       ///< per-op statuses (write batches)
-  BatchStats stats;                   ///< this batch's kBatchOps slice
 
   /// Number of ops in the batch.
   size_t size() const {

@@ -13,11 +13,7 @@ namespace obtree {
 
 ConcurrentMap::ConcurrentMap(const MapOptions& options, BackgroundPool* pool)
     : options_(options) {
-  TreeOptions tree_options = options_.tree;
-  if (options_.compression == CompressionMode::kQueueWorkers) {
-    tree_options.enqueue_underfull_on_delete = true;
-  }
-  tree_ = std::make_unique<SagivTree>(tree_options);
+  tree_ = std::make_unique<SagivTree>(options_.tree);
   if (options_.compression == CompressionMode::kNone) return;
 
   if (options_.compression == CompressionMode::kQueueWorkers) {
@@ -78,7 +74,7 @@ BatchResult ConcurrentMap::MultiGet(const std::vector<Key>& keys) const {
   BatchResult r;
   r.values.reserve(keys.size());
   for (Key k : keys) r.values.push_back(tree_->Search(k));
-  CountBatch(&r);
+  CountBatch(r);
   return r;
 }
 
@@ -94,7 +90,7 @@ BatchResult ConcurrentMap::MultiInsert(const std::vector<Key>& keys,
   for (size_t i = 0; i < keys.size(); ++i) {
     r.statuses.push_back(tree_->Insert(keys[i], values[i]));
   }
-  CountBatch(&r);
+  CountBatch(r);
   return r;
 }
 
@@ -102,7 +98,7 @@ BatchResult ConcurrentMap::MultiErase(const std::vector<Key>& keys) {
   BatchResult r;
   r.statuses.reserve(keys.size());
   for (Key k : keys) r.statuses.push_back(tree_->Delete(k));
-  CountBatch(&r);
+  CountBatch(r);
   return r;
 }
 
@@ -118,13 +114,12 @@ BatchResult ConcurrentMap::MultiUpsert(const std::vector<Key>& keys,
   for (size_t i = 0; i < keys.size(); ++i) {
     r.statuses.push_back(tree_->Upsert(keys[i], values[i]));
   }
-  CountBatch(&r);
+  CountBatch(r);
   return r;
 }
 
-void ConcurrentMap::CountBatch(BatchResult* r) const {
-  r->stats.ops = r->size();
-  tree_->stats()->Add(StatId::kBatchOps, r->stats.ops);
+void ConcurrentMap::CountBatch(const BatchResult& r) const {
+  tree_->stats()->Add(StatId::kBatchOps, r.size());
 }
 
 size_t ConcurrentMap::Scan(

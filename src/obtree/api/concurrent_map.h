@@ -258,8 +258,8 @@ class ConcurrentMap {
   /// from the tree. Safe to call repeatedly.
   void ShutdownMaintenance() noexcept;
 
-  /// Set r->stats.ops to the batch's size and add it to kBatchOps.
-  void CountBatch(BatchResult* r) const;
+  /// Add the batch's size to kBatchOps.
+  void CountBatch(const BatchResult& r) const;
 
   MapOptions options_;
   std::unique_ptr<SagivTree> tree_;

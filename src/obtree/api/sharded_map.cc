@@ -8,7 +8,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <optional>
 #include <string>
 #include <thread>
 
@@ -17,6 +16,15 @@
 #include "obtree/util/fault_injector.h"
 
 namespace obtree {
+
+namespace {
+
+// Watchdog: wall-clock budget for one migration. A migration that cannot
+// finish within it (stalled batches, persistent fetch errors) aborts at
+// the next batch boundary and rolls back.
+constexpr std::chrono::milliseconds kMigrationDeadline{10'000};
+
+}  // namespace
 
 ShardedMap::ShardedMap(const ShardOptions& options) : options_(options) {
   init_status_ = options_.Validate();
@@ -252,60 +260,11 @@ Status ShardedMap::Upsert(Key key, Value value) {
 
 // --- batched operations ----------------------------------------------------
 
-void ShardedMap::GroupBatch(
-    const RoutingTable* t, const Key* keys, const Value* values, size_t n,
-    std::vector<BatchGroup>* groups,
-    std::vector<std::pair<size_t, RouteEntry>>* unsettled) const {
-  for (size_t i = 0; i < n; ++i) {
-    const RouteEntry& e =
-        dynamic_ ? Route(t, keys[i]) : StaticRoute(t, keys[i]);
-    if (dynamic_ && !Settled(e.mig, keys[i])) {
-      unsettled->emplace_back(i, e);
-      continue;
-    }
-    // Linear probe over the groups: a batch touches at most num_shards
-    // distinct trees, which is small by construction.
-    BatchGroup* gr = nullptr;
-    for (BatchGroup& cand : *groups) {
-      if (cand.tree == e.tree) {
-        gr = &cand;
-        break;
-      }
-    }
-    if (gr == nullptr) {
-      groups->emplace_back();
-      gr = &groups->back();
-      gr->tree = e.tree;
-    }
-    gr->idx.push_back(i);
-    gr->keys.push_back(keys[i]);
-    if (values != nullptr) gr->values.push_back(values[i]);
-  }
-}
-
 BatchResult ShardedMap::MultiGet(const std::vector<Key>& keys) const {
   BatchResult r;
-  r.values.assign(keys.size(), Result<Value>(Status::Internal("unset")));
-  if (keys.empty()) return r;
-  // One epoch guard covers the whole batch: a concurrent table swap's
-  // grace period waits for every op in it.
-  std::optional<EpochManager::Guard> g;
-  if (dynamic_) g.emplace(&table_epoch_);
-  const RoutingTable* t = table();
-  std::vector<BatchGroup> groups;
-  std::vector<std::pair<size_t, RouteEntry>> dual;
-  GroupBatch(t, keys.data(), nullptr, keys.size(), &groups, &dual);
-  for (BatchGroup& gr : groups) {
-    BatchResult sub = gr.tree->MultiGet(gr.keys);
-    for (size_t j = 0; j < gr.idx.size(); ++j) {
-      r.values[gr.idx[j]] = sub.values[j];
-    }
-    r.stats += sub.stats;
-  }
-  for (const auto& [i, e] : dual) {
-    r.values[i] = DualGet(e, keys[i]);
-    r.stats.ops += 1;  // served outside the shard's batch
-  }
+  r.values.reserve(keys.size());
+  for (Key k : keys) r.values.push_back(Get(k));
+  batch_ops_.fetch_add(keys.size(), std::memory_order_relaxed);
   return r;
 }
 
@@ -317,49 +276,19 @@ BatchResult ShardedMap::MultiInsert(const std::vector<Key>& keys,
                       Status::InvalidArgument("keys/values size mismatch"));
     return r;
   }
-  r.statuses.assign(keys.size(), Status::OK());
-  if (keys.empty()) return r;
-  std::optional<EpochManager::Guard> g;
-  if (dynamic_) g.emplace(&table_epoch_);
-  const RoutingTable* t = table();
-  std::vector<BatchGroup> groups;
-  std::vector<std::pair<size_t, RouteEntry>> dual;
-  GroupBatch(t, keys.data(), values.data(), keys.size(), &groups, &dual);
-  for (BatchGroup& gr : groups) {
-    BatchResult sub = gr.tree->MultiInsert(gr.keys, gr.values);
-    for (size_t j = 0; j < gr.idx.size(); ++j) {
-      r.statuses[gr.idx[j]] = sub.statuses[j];
-    }
-    r.stats += sub.stats;
+  r.statuses.reserve(keys.size());
+  for (size_t i = 0; i < keys.size(); ++i) {
+    r.statuses.push_back(Insert(keys[i], values[i]));
   }
-  for (const auto& [i, e] : dual) {
-    r.statuses[i] = DualInsert(e, keys[i], values[i]);
-    r.stats.ops += 1;
-  }
+  batch_ops_.fetch_add(keys.size(), std::memory_order_relaxed);
   return r;
 }
 
 BatchResult ShardedMap::MultiErase(const std::vector<Key>& keys) {
   BatchResult r;
-  r.statuses.assign(keys.size(), Status::OK());
-  if (keys.empty()) return r;
-  std::optional<EpochManager::Guard> g;
-  if (dynamic_) g.emplace(&table_epoch_);
-  const RoutingTable* t = table();
-  std::vector<BatchGroup> groups;
-  std::vector<std::pair<size_t, RouteEntry>> dual;
-  GroupBatch(t, keys.data(), nullptr, keys.size(), &groups, &dual);
-  for (BatchGroup& gr : groups) {
-    BatchResult sub = gr.tree->MultiErase(gr.keys);
-    for (size_t j = 0; j < gr.idx.size(); ++j) {
-      r.statuses[gr.idx[j]] = sub.statuses[j];
-    }
-    r.stats += sub.stats;
-  }
-  for (const auto& [i, e] : dual) {
-    r.statuses[i] = DualErase(e, keys[i]);
-    r.stats.ops += 1;
-  }
+  r.statuses.reserve(keys.size());
+  for (Key k : keys) r.statuses.push_back(Erase(k));
+  batch_ops_.fetch_add(keys.size(), std::memory_order_relaxed);
   return r;
 }
 
@@ -371,25 +300,11 @@ BatchResult ShardedMap::MultiUpsert(const std::vector<Key>& keys,
                       Status::InvalidArgument("keys/values size mismatch"));
     return r;
   }
-  r.statuses.assign(keys.size(), Status::OK());
-  if (keys.empty()) return r;
-  std::optional<EpochManager::Guard> g;
-  if (dynamic_) g.emplace(&table_epoch_);
-  const RoutingTable* t = table();
-  std::vector<BatchGroup> groups;
-  std::vector<std::pair<size_t, RouteEntry>> dual;
-  GroupBatch(t, keys.data(), values.data(), keys.size(), &groups, &dual);
-  for (BatchGroup& gr : groups) {
-    BatchResult sub = gr.tree->MultiUpsert(gr.keys, gr.values);
-    for (size_t j = 0; j < gr.idx.size(); ++j) {
-      r.statuses[gr.idx[j]] = sub.statuses[j];
-    }
-    r.stats += sub.stats;
+  r.statuses.reserve(keys.size());
+  for (size_t i = 0; i < keys.size(); ++i) {
+    r.statuses.push_back(Upsert(keys[i], values[i]));
   }
-  for (const auto& [i, e] : dual) {
-    r.statuses[i] = DualUpsert(e, keys[i], values[i]);
-    r.stats.ops += 1;
-  }
+  batch_ops_.fetch_add(keys.size(), std::memory_order_relaxed);
   return r;
 }
 
@@ -588,6 +503,9 @@ StatsSnapshot ShardedMap::Stats() const {
           std::max(total.max_locks_held, snap.max_locks_held);
     }
   }
+  // Batched ops are counted on the map, since a batch spans shards.
+  total.counters[static_cast<size_t>(StatId::kBatchOps)] +=
+      batch_ops_.load(std::memory_order_relaxed);
   // Breaker trips are controller-level, not per-tree; surface them in the
   // same snapshot so operators see degradation in one place.
   if (rebalancer_ != nullptr) {
@@ -716,9 +634,7 @@ bool ShardedMap::RunMigration(ShardMigration* mig) {
   ConcurrentMap* donor = mig->donor;
   const size_t batch =
       std::max<uint32_t>(1, options_.rebalance.migration_batch);
-  const auto deadline =
-      std::chrono::steady_clock::now() +
-      std::chrono::milliseconds(options_.rebalance.migration_deadline_ms);
+  const auto deadline = std::chrono::steady_clock::now() + kMigrationDeadline;
   uint32_t failures = 0;
   Key pos = mig->lo;
   while (true) {

@@ -94,15 +94,13 @@ class ShardedMap : private ShardRebalancer::Host {
 
   // --- batched operations ---------------------------------------------------
   //
-  // Each Multi* call routes its ops once, groups them per target shard,
-  // and submits each group as one sub-batch to that shard's
-  // ConcurrentMap::Multi* (a loop over the single-op calls), merging the
-  // per-group BatchStats. In dynamic mode the whole batch runs under ONE
-  // routing epoch guard, so a concurrent table swap waits for the entire
-  // batch. Ops on keys in a migration's unsettled zone run the single-op
-  // dual-lookup protocol instead (they still count in
-  // BatchResult::stats.ops). Per-op semantics are identical to the
-  // single-op calls.
+  // Each Multi* call is a loop over this map's own single-op calls, in
+  // submission order. Every op routes on its own and, in dynamic mode,
+  // takes its own routing-epoch pin, so a concurrent table swap waits for
+  // at most one op of a batch; a key in a migration's unsettled zone runs
+  // the dual-lookup protocol exactly as a single call does. Results,
+  // costs and counters are those of the same calls made one by one, plus
+  // one kBatchOps per op (counted on the map, not on a shard).
 
   /// Batched Get: result.values[i] corresponds to keys[i].
   BatchResult MultiGet(const std::vector<Key>& keys) const;
@@ -346,24 +344,6 @@ class ShardedMap : private ShardRebalancer::Host {
   Status DualErase(const RouteEntry& e, Key key);
   Status DualUpsert(const RouteEntry& e, Key key, Value value);
 
-  /// One per-shard slice of a batched call: the ops of a batch that
-  /// routed to the same tree, submitted together as one sub-batch.
-  struct BatchGroup {
-    ConcurrentMap* tree = nullptr;
-    std::vector<size_t> idx;    ///< original positions in the batch
-    std::vector<Key> keys;
-    std::vector<Value> values;  ///< parallel to keys (write batches only)
-  };
-
-  /// Split a batch by routed tree. Settled keys append to their tree's
-  /// group; keys in a migration's unsettled zone are returned separately
-  /// with their route so the caller can run the dual-lookup protocol.
-  /// `values` may be null (read batches). Caller holds the table-epoch
-  /// guard in dynamic mode.
-  void GroupBatch(const RoutingTable* t, const Key* keys, const Value* values,
-                  size_t n, std::vector<BatchGroup>* groups,
-                  std::vector<std::pair<size_t, RouteEntry>>* unsettled) const;
-
   /// Chunked ascending merge of donor + receiver over [lo, hi] for scans
   /// crossing a live migration. Returns false if the visitor stopped.
   bool ScanMergedRange(const ShardMigration* mig, Key lo, Key hi,
@@ -435,6 +415,8 @@ class ShardedMap : private ShardRebalancer::Host {
   MigrationHook migration_hook_;
   mutable std::mutex last_error_mu_;
   Status last_rebalance_error_;
+  /// kBatchOps of this map's Multi* calls, summed into Stats().
+  mutable std::atomic<uint64_t> batch_ops_{0};
   /// Declared last so it is destroyed FIRST: its destructor joins the
   /// controller thread before any state it steers goes away.
   std::unique_ptr<ShardRebalancer> rebalancer_;

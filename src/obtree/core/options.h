@@ -1,6 +1,9 @@
 // Copyright 2026 The obtree Authors.
 //
 // Tunables shared by the Sagiv tree, its compressors, and the baselines.
+// Only the choices a caller makes are options: the node order k, the
+// append path, persistence and the buffer pool. Restart, retry and lock
+// bounds are constants of the code that uses them.
 
 #ifndef OBTREE_CORE_OPTIONS_H_
 #define OBTREE_CORE_OPTIONS_H_
@@ -36,21 +39,6 @@ struct TreeOptions {
   /// monotone insertion patterns.
   uint32_t min_entries = 60;
 
-  /// Safety valve: an operation that restarts more than this many times
-  /// reports Status::Internal instead of looping forever. The paper proves
-  /// restarts are finite for finite schedules; this guards against bugs.
-  int max_restarts = 1 << 20;
-
-  /// Bound on the §5.2 case-(1) wait ("wait until two is inserted into F"):
-  /// number of yield-retry rounds a compressor performs before giving up on
-  /// the pair for this pass / requeueing.
-  int compression_wait_retries = 256;
-
-  /// When true, a deletion that leaves a leaf under-full pushes it onto the
-  /// tree's compression queue (Section 5.4). A QueueCompressor must be
-  /// draining the queue for space to be recovered.
-  bool enqueue_underfull_on_delete = false;
-
   /// When true (default), the tree optimizes the monotonic-insert pattern
   /// (auto-increment IDs, timestamps) two ways. (1) Rightmost fast path:
   /// an insert whose key exceeds the tree's current max skips the full
@@ -72,41 +60,12 @@ struct TreeOptions {
   /// for max-extending keys and the split bias only for rightmost nodes.
   bool append_leaves = true;
 
-  /// Spin budget of the paper lock (storage/paper_lock.h): probe rounds a
-  /// contended acquisition performs — test-and-test-and-set with
-  /// exponential backoff — before parking on a futex (Lock) or giving the
-  /// target back to the caller for re-validation (the write descent's
-  /// bounded TryLockSpin). 0 parks immediately, reproducing the
-  /// pre-PaperLock std::mutex behavior. Critical sections here are a few
-  /// hundred ns (an in-place mutation between seqlock bumps), so a short
-  /// spin almost always wins over a ~microseconds park/unpark cycle.
-  uint32_t lock_spin_budget = 64;
-
-  /// Cap on the exponential backoff between lock probes, in pause
-  /// iterations (1, 2, 4, ... up to this cap; once capped, each further
-  /// round also yields so a preempted holder can run on few-core hosts).
-  uint32_t lock_backoff_max = 256;
-
-  /// Fault tolerance: how many times a descent re-issues a page fetch
-  /// that failed (an injected fault, or a store read error) before giving
-  /// up and surfacing Status::Unavailable to the operation. Each retry
-  /// backs off exponentially from fetch_retry_backoff_us. Retries are
-  /// counted as StatId::kFetchRetries, exhaustions as kFetchGiveups. A
-  /// page whose stored image fails its checksum is not retried: the
-  /// operation returns Status::DataLoss at once.
-  int fetch_retry_limit = 4;
-
-  /// Base backoff between fetch retries, in microseconds (doubles per
-  /// attempt, capped at 64x). 0 retries immediately.
-  uint32_t fetch_retry_backoff_us = 2;
-
   /// Persistence: when non-empty, the tree's pages are backed by a
-  /// FileStore rooted at this directory (created if absent) instead of
-  /// the default in-memory MemStore. Construction recovers the newest
-  /// committed checkpoint if the directory holds one; Checkpoint()
-  /// becomes available (see docs/PERSISTENCE.md). Empty (the default)
-  /// keeps the tree purely in memory, bit-for-bit the pre-persistence
-  /// behavior.
+  /// FileStore rooted at this directory (created if absent).
+  /// Construction recovers the newest committed checkpoint if the
+  /// directory holds one; Checkpoint() becomes available (see
+  /// docs/PERSISTENCE.md). Empty (the default) keeps the tree purely in
+  /// memory: pages live only in the PageManager's frame arena.
   std::string storage_dir;
 
   /// Buffer-pool budget for a persistent tree: the number of page images
@@ -132,15 +91,6 @@ struct TreeOptions {
   Status Validate() const {
     if (min_entries < 2 || min_entries > kMaxMinEntries) {
       return Status::InvalidArgument("min_entries out of range");
-    }
-    if (max_restarts < 1) {
-      return Status::InvalidArgument("max_restarts must be positive");
-    }
-    if (lock_backoff_max < 1) {
-      return Status::InvalidArgument("lock_backoff_max must be positive");
-    }
-    if (fetch_retry_limit < 0) {
-      return Status::InvalidArgument("fetch_retry_limit must be >= 0");
     }
     if (buffer_pool_pages != 0 && buffer_pool_pages < 64) {
       return Status::InvalidArgument(
@@ -219,12 +169,6 @@ struct RebalanceOptions {
   /// (each retried with backoff from the same scan position) before the
   /// whole migration aborts and rolls back to the donor.
   uint32_t migration_retry_limit = 3;
-
-  /// Watchdog: wall-clock budget for one migration, in milliseconds.
-  /// A migration that cannot finish within the deadline (stalled batches,
-  /// persistent fetch errors) aborts at the next batch boundary and rolls
-  /// back. 0 disables the deadline.
-  uint32_t migration_deadline_ms = 10000;
 
   /// Circuit breaker: after this many CONSECUTIVE failed split/merge
   /// actions (a failure = migration aborted + rolled back; a skipped

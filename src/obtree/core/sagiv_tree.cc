@@ -20,6 +20,19 @@ namespace {
 // instead of a hang. Torn reads count as steps, so it also bounds re-reads.
 constexpr int kMaxStepsPerAttempt = 1 << 22;
 
+// Safety valve: an operation that restarts (or waits for a level) more
+// than this many times reports Status::Internal instead of looping
+// forever. The paper proves restarts finite for finite schedules; this
+// guards against bugs.
+constexpr int kMaxRestarts = 1 << 20;
+
+// Fault tolerance: a descent re-issues a failed page fetch (an injected
+// fault, or a store read error) this many times before the operation
+// surfaces Status::Unavailable, backing off from kFetchRetryBackoffUs and
+// doubling per attempt (capped at 64x).
+constexpr int kFetchRetryLimit = 4;
+constexpr uint64_t kFetchRetryBackoffUs = 2;
+
 // Torn peeks a paper-lock holder tolerates on one node before it gives the
 // lock back and restarts (or, on the append fast path, misses). Only an
 // in-flight reuse of a stale page can tear a locked page, and that resolves
@@ -162,8 +175,6 @@ SagivTree::SagivTree(const TreeOptions& options)
   pager_ = std::make_unique<PageManager>(epoch_.get(), stats_.get(),
                                          file_store_.get(),
                                          options_.buffer_pool_pages);
-  pager_->set_lock_spin_budget(options_.lock_spin_budget);
-  pager_->set_lock_backoff_max(options_.lock_backoff_max);
 
   if (file_store_ != nullptr && file_store_->has_checkpoint()) {
     // Adopt the committed checkpoint instead of building a fresh root.
@@ -259,14 +270,11 @@ void SagivTree::RetryFaultedFetch(PageId id,
   // DataLoss surfaces at once. A torn read is not a fault; the caller
   // just re-reads.
   if (g->fault().IsDataLoss()) return;
-  for (int attempt = 0; attempt < options_.fetch_retry_limit; ++attempt) {
+  for (int attempt = 0; attempt < kFetchRetryLimit; ++attempt) {
     stats_->Add(StatId::kFetchRetries);
-    const uint32_t base = options_.fetch_retry_backoff_us;
-    if (base > 0) {
-      const int shift = attempt < 6 ? attempt : 6;
-      std::this_thread::sleep_for(
-          std::chrono::microseconds(static_cast<uint64_t>(base) << shift));
-    }
+    const int shift = attempt < 6 ? attempt : 6;
+    std::this_thread::sleep_for(
+        std::chrono::microseconds(kFetchRetryBackoffUs << shift));
     *g = pager_->OptimisticRead(id);
     if (!g->faulted()) return;
   }
@@ -305,7 +313,7 @@ Result<PageId> SagivTree::internal_FindNodeAtLevel(
       // Section 3.3: a split outran the creation of the level it must post
       // to (or the level was collapsed and will be regrown by a pending
       // insertion). Wait for the prime block to show the level.
-      if (++waits > options_.max_restarts) {
+      if (++waits > kMaxRestarts) {
         return Status::Internal("level never appeared");
       }
       std::this_thread::yield();
@@ -360,7 +368,7 @@ Result<PageId> SagivTree::internal_FindNodeAtLevel(
       }
     }
     CountRestart(cause);
-    if (++restarts > options_.max_restarts) {
+    if (++restarts > kMaxRestarts) {
       return Status::Internal("too many restarts in FindNodeAtLevel");
     }
   }
@@ -431,7 +439,7 @@ Result<Value> SagivTree::Search(Key key) const {
       }
     }
     CountRestart(cause);
-    if (++restarts > options_.max_restarts) {
+    if (++restarts > kMaxRestarts) {
       return Status::Internal("too many restarts in search");
     }
     // Re-pin: a restarted search may legally observe a fresher tree, and
@@ -557,7 +565,7 @@ size_t SagivTree::Scan(Key lo, Key hi,
       case kRestart:
         stats_->Add(StatId::kOptimisticValidations);
         CountRestart(cause);
-        if (++restarts > options_.max_restarts) return visited;
+        if (++restarts > kMaxRestarts) return visited;
         guard.Refresh();
         current = kInvalidPageId;
         continue;
@@ -619,7 +627,7 @@ Result<PageId> SagivTree::AcquireTargetInPlace(Key key, uint32_t level,
         case Route::kRestartRightmost:
         case Route::kRestartNoMergeTarget: {
           CountRestart(CauseFor(reroute.kind));
-          if (++(*restarts) > options_.max_restarts) {
+          if (++(*restarts) > kMaxRestarts) {
             return Status::Internal("too many restarts acquiring target node");
           }
           Result<PageId> r =
@@ -684,7 +692,7 @@ Result<PageId> SagivTree::AcquireTargetInPlace(Key key, uint32_t level,
     }
     pager_->Unlock(current);
     CountRestart(CauseFor(route.kind));
-    if (++(*restarts) > options_.max_restarts) {
+    if (++(*restarts) > kMaxRestarts) {
       return Status::Internal("too many restarts acquiring target node");
     }
     Result<PageId> r =
@@ -1086,7 +1094,7 @@ Status SagivTree::InsertCommit(Key key, Value value, PageId start,
           current = pb.leftmost[level];
           break;
         }
-        if (++waits > options_.max_restarts) {
+        if (++waits > kMaxRestarts) {
           return Status::Internal("next level never appeared");
         }
         std::this_thread::yield();
@@ -1107,10 +1115,10 @@ Status SagivTree::Delete(Key key) {
   EpochManager::Guard guard(epoch_.get());
   PageManager::MutatorScope mutator_scope(pager_.get());
 
-  // The movedown stack only feeds the §5.4 under-full enqueue.
+  // The movedown stack only feeds the §5.4 under-full enqueue, which runs
+  // exactly when a compression queue is attached.
   CompressionQueue* queue = queue_.load(std::memory_order_acquire);
-  const bool want_stack =
-      options_.enqueue_underfull_on_delete && queue != nullptr;
+  const bool want_stack = queue != nullptr;
 
   std::vector<PageId> local_stack;
   TlStackLease stack_lease(&local_stack);

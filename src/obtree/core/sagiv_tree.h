@@ -74,7 +74,7 @@ class SagivTree {
   Status Upsert(Key key, Value value);
 
   /// Look up a key. Returns the value or NotFound (Unavailable when a page
-  /// fetch keeps failing past options().fetch_retry_limit). Lock-free and
+  /// fetch keeps failing through its bounded retries). Lock-free and
   /// copy-free: the descent validates page versions instead of copying
   /// 4 KB per node visited.
   Result<Value> Search(Key key) const;
@@ -126,9 +126,10 @@ class SagivTree {
   /// The persistent backend, or nullptr for an in-memory tree.
   FileStore* file_store() const { return file_store_.get(); }
 
-  /// Attach the compression queue that deletions feed when
-  /// options().enqueue_underfull_on_delete is set. The queue must outlive
-  /// all subsequent operations. Pass nullptr to detach.
+  /// Attach the compression queue that deletions feed: while a queue is
+  /// attached, a deletion that leaves a non-root leaf under-full enqueues
+  /// it (Section 5.4). The queue must outlive all subsequent operations.
+  /// Pass nullptr to detach.
   void AttachCompressionQueue(CompressionQueue* queue);
   CompressionQueue* compression_queue() const {
     return queue_.load(std::memory_order_acquire);
@@ -251,7 +252,7 @@ class SagivTree {
 
   // Fault-tolerant optimistic page read for the lock-free descents: the
   // one place a faulted read (ReadGuard::faulted) is retried, up to
-  // options().fetch_retry_limit times with exponential backoff
+  // kFetchRetryLimit times (sagiv_tree.cc) with exponential backoff
   // (kFetchRetries per retry, kFetchGiveups on exhaustion); a corrupt
   // page (DataLoss) is not retried. A guard that is still faulted on
   // return means the caller surfaces its fault(); an unfaulted one may
@@ -328,7 +329,12 @@ class SagivTree {
   bool recovered_ = false;
   PrimeBlock prime_;
 
-  std::atomic<CompressionQueue*> queue_;
+  // From here on, the fields a mutation writes or an append reads: every
+  // insert bumps size_, and every append reads the hints below and may
+  // raise max_key_hint_. They share one cache line of their own, so a
+  // write moves that one line and never invalidates the read-mostly
+  // fields above (prime_ is read by every descent).
+  alignas(64) std::atomic<CompressionQueue*> queue_;
   std::atomic<uint64_t> size_;
 
   // Append fast-path hints (see TryAppendFast). rightmost_hint_ is

@@ -13,6 +13,14 @@
 
 namespace obtree {
 
+namespace {
+
+// Bound on the §5.2 case-(1) wait ("wait until two is inserted into F"):
+// yield-retry rounds a pass spends on one pair before skipping it.
+constexpr int kWaitRetries = 256;
+
+}  // namespace
+
 ScanCompressor::Advance ScanCompressor::ProcessPair(Page* f, PageId f_page,
                                                     uint32_t idx,
                                                     size_t* work) {
@@ -207,7 +215,7 @@ size_t ScanCompressor::CompressLevel(uint32_t level) {
         break;
       }
       case Advance::kRetryPair:
-        if (++retries > tree_->options().compression_wait_retries) {
+        if (++retries > kWaitRetries) {
           // The pending insertion never posted (or keeps splitting A, the
           // paper's "minuscule probability" livelock). Skip the pair for
           // this pass.

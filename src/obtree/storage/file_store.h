@@ -1,7 +1,18 @@
 // Copyright 2026 The obtree Authors.
 //
-// FileStore: file-backed persistent PageStore with crash-safe
-// checkpointing. On-disk layout (one directory per store):
+// FileStore: the file a persistent PageManager keeps its page images on,
+// with crash-safe checkpointing. The paper's storage model (Section 2.2)
+// maps every node to secondary storage; PageManager implements the
+// concurrency half of that model (the seqlock get/put indivisibility and
+// the paper lock) and treats the store as a plain byte-level backing
+// device: it calls ReadPage when a non-resident page must be faulted into
+// its arena, WritePage when a dirty page is evicted or flushed, and
+// Commit at a checkpoint barrier. All durability semantics (which slot a
+// write lands in, when it becomes part of the recoverable image) belong
+// to the store. A tree without storage_dir has no store at all: its
+// pages live only in the manager's RAM arena.
+//
+// On-disk layout (one directory per store):
 //
 //   <dir>/pages.dat   page images in 4 KB-aligned slots (O_DIRECT-ready:
 //                     every slot offset is a kPageSize multiple). Each
@@ -51,17 +62,52 @@
 #ifndef OBTREE_STORAGE_FILE_STORE_H_
 #define OBTREE_STORAGE_FILE_STORE_H_
 
+#include <cstdint>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
 
-#include "obtree/storage/page_store.h"
+#include "obtree/storage/page.h"
+#include "obtree/util/common.h"
+#include "obtree/util/status.h"
 
 namespace obtree {
 
-/// Persistent page backend over a directory (see file comment).
-class FileStore : public PageStore {
+/// Page ids are below this bound: PageManager's page directory holds at
+/// most 16M pages, so a manifest that claims more is corrupt.
+inline constexpr uint32_t kMaxPageIds = 1u << 24;
+
+/// Everything beyond raw page bytes that a checkpoint must capture for a
+/// later Recover to rebuild the tree: the allocator frontier and free
+/// list (PageManager state) plus the prime block, logical size, and
+/// append-path hints (SagivTree state). Serialized into the manifest by
+/// FileStore::Commit.
+struct StoreMeta {
+  /// Monotone checkpoint counter: 0 = never checkpointed; assigned by
+  /// the store at Commit (committed epoch + 1). After recovery it tells
+  /// the crash harness exactly which committed prefix of a deterministic
+  /// workload the image corresponds to.
+  uint64_t checkpoint_epoch = 0;
+
+  // --- PageManager state (filled by PageManager::Checkpoint) ------------
+  uint32_t next_fresh = 0;            ///< allocator high-water mark,
+                                      ///< at most kMaxPageIds
+  std::vector<PageId> free_pages;     ///< free + retired (recovery has no
+                                      ///< in-flight readers, so retired
+                                      ///< pages are plain free pages)
+
+  // --- SagivTree state --------------------------------------------------
+  uint64_t tree_size = 0;             ///< logical key count at the barrier
+  std::vector<PageId> leftmost;       ///< prime block: leftmost[level]
+  Key max_key = 0;                    ///< append fast-path watermark
+  PageId rightmost_leaf = kInvalidPageId;  ///< append fast-path hint
+};
+
+/// Persistent page backend over a directory (see file comment). All
+/// methods are thread-safe; WritePage/Commit callers serialize per page
+/// via the manager's seqlock and checkpoint gate.
+class FileStore {
  public:
   /// Open (creating if needed) the store directory. If a committed
   /// manifest exists it is loaded and verified: has_checkpoint() becomes
@@ -71,13 +117,26 @@ class FileStore : public PageStore {
   /// leftover MANIFEST.tmp (crash before the rename) is discarded.
   static Result<std::unique_ptr<FileStore>> Open(const std::string& dir);
 
-  ~FileStore() override;
+  ~FileStore();
   OBTREE_DISALLOW_COPY_AND_ASSIGN(FileStore);
 
-  bool persistent() const override { return true; }
-  Status ReadPage(PageId id, void* buf) override;
-  Status WritePage(PageId id, const void* buf) override;
-  Status Commit(StoreMeta* meta) override;
+  /// Read page `id` into `buf` (kPageSize bytes). A page that was never
+  /// written is delivered as all-zero bytes (an inert empty node), not an
+  /// error. Returns DataLoss when a stored image fails its checksum.
+  Status ReadPage(PageId id, void* buf);
+
+  /// Stage the image of page `id` (kPageSize bytes). The write lands in
+  /// the page's uncommitted shadow slot: it is NOT part of the
+  /// recoverable image until the next Commit, so a crash mid-write can
+  /// only tear bytes recovery will never read.
+  Status WritePage(PageId id, const void* buf);
+
+  /// Checkpoint barrier: make every image staged since the previous
+  /// Commit — plus `meta` — the recoverable state, atomically. On return
+  /// with OK the new checkpoint is durable; on any failure (or a crash at
+  /// any interior point) recovery sees the PREVIOUS checkpoint intact.
+  /// Sets meta->checkpoint_epoch to the epoch it committed.
+  Status Commit(StoreMeta* meta);
 
   /// True when Open found a committed checkpoint.
   bool has_checkpoint() const { return has_checkpoint_; }

@@ -14,7 +14,6 @@
 
 #include <sys/mman.h>
 
-#include "obtree/storage/mem_store.h"
 #include "obtree/util/thread_index.h"
 
 namespace obtree {
@@ -61,11 +60,11 @@ void AtomicZero(uint8_t* dst) {
 }  // namespace
 
 PageManager::PageManager(EpochManager* epoch, StatsCollector* stats,
-                         PageStore* store, uint32_t buffer_pool_pages)
+                         FileStore* store, uint32_t buffer_pool_pages)
     : epoch_(epoch),
       stats_(stats),
-      store_(store != nullptr ? store : MemStore::Shared()),
-      paged_(store_ != nullptr && store_->persistent()),
+      store_(store),
+      paged_(store != nullptr),
       pool_cap_(paged_ ? buffer_pool_pages : 0),
       frame_chunks_(kMaxChunks),
       gate_slots_(paged_ ? std::make_unique<GateSlot[]>(kGateSlots) : nullptr),
@@ -300,14 +299,12 @@ bool PageManager::LockContended(Meta* m, bool bounded) {
   // fast path (one CAS) never reads a clock or touches these counters.
   stats_->Add(StatId::kLocksContended);
   const auto t0 = std::chrono::steady_clock::now();
-  const uint32_t spin = lock_spin_budget_.load(std::memory_order_relaxed);
-  const uint32_t backoff = lock_backoff_max_.load(std::memory_order_relaxed);
   bool acquired;
   if (bounded) {
-    acquired = m->paper_lock.SpinAcquire(spin, backoff);
+    acquired = m->paper_lock.SpinAcquire();
     if (!acquired) stats_->Add(StatId::kLockSpinGiveups);
   } else {
-    if (m->paper_lock.Lock(spin, backoff)) {
+    if (m->paper_lock.Lock()) {
       stats_->Add(StatId::kLockParks);
     }
     acquired = true;

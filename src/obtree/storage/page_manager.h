@@ -37,7 +37,7 @@
 #include <vector>
 
 #include "obtree/storage/page.h"
-#include "obtree/storage/page_store.h"
+#include "obtree/storage/file_store.h"
 #include "obtree/storage/paper_lock.h"
 #include "obtree/util/common.h"
 #include "obtree/util/epoch.h"
@@ -53,22 +53,21 @@ class PageManager {
   /// @param epoch governs deferred release of retired pages (§5.3); must
   ///              outlive the manager.
   /// @param stats counter sink; must outlive the manager. May not be null.
-  /// @param store backing device for page images (must outlive the
-  ///              manager). nullptr selects the shared MemStore: pages
+  /// @param store backing file store for page images (must outlive the
+  ///              manager), or nullptr for an in-memory manager: pages
   ///              live only in the RAM arena and every store-related
-  ///              path below (residency, eviction, checkpoint gate)
-  ///              is compiled out of the hot paths behind one plain
-  ///              bool, preserving the pre-PageStore behavior exactly.
-  ///              A persistent store (FileStore) turns the frame arena
-  ///              into a buffer pool over the store: non-resident pages
-  ///              fault in on access (kStoreReads), dirty pages stage out
-  ///              on eviction and checkpoint (kStoreWrites).
-  /// @param buffer_pool_pages resident-page budget for a persistent
-  ///              store (0 = unbounded); it also caps the frame arena at
+  ///              path below (residency, eviction, checkpoint gate) is
+  ///              skipped on the hot paths behind one plain bool. A
+  ///              store turns the frame arena into a buffer pool over
+  ///              it: non-resident pages fault in on access
+  ///              (kStoreReads), dirty pages stage out on eviction and
+  ///              checkpoint (kStoreWrites).
+  /// @param buffer_pool_pages resident-page budget over a store (0 =
+  ///              unbounded); it also caps the frame arena at
   ///              buffer_pool_pages + kFrameSlack frames. See
   ///              TreeOptions::buffer_pool_pages.
   PageManager(EpochManager* epoch, StatsCollector* stats,
-              PageStore* store = nullptr, uint32_t buffer_pool_pages = 0);
+              FileStore* store = nullptr, uint32_t buffer_pool_pages = 0);
   ~PageManager();
   OBTREE_DISALLOW_COPY_AND_ASSIGN(PageManager);
 
@@ -296,8 +295,8 @@ class PageManager {
 
   /// Acquire the paper lock on a page. Blocks only other lockers. The
   /// lock is a compact spin-then-park PaperLock (storage/paper_lock.h):
-  /// a contended acquisition spins lock_spin_budget() probe rounds with
-  /// exponential backoff before sleeping. Contended acquisitions count
+  /// a contended acquisition spins PaperLock::kSpinBudget probe rounds
+  /// with exponential backoff before sleeping. Contended acquisitions count
   /// StatId::kLocksContended (plus kLockParks when they slept) and feed
   /// the wait time into StatsCollector's lock-wait histogram.
   void Lock(PageId id);
@@ -308,7 +307,7 @@ class PageManager {
 
   /// Contention-aware bounded acquire for the write descent: fires the
   /// same "lock" test hook as Lock at entry, then spins at most
-  /// lock_spin_budget() probe rounds. Returns true with the lock held.
+  /// PaperLock::kSpinBudget probe rounds. Returns true with the lock held.
   /// Returns false — WITHOUT blocking — when the lock stayed contended
   /// through the budget (StatId::kLockSpinGiveups); the caller
   /// re-validates that the page is still worth waiting for (the holder
@@ -319,21 +318,10 @@ class PageManager {
   /// Release the paper lock.
   void Unlock(PageId id);
 
-  /// Paper-lock tuning (TreeOptions::lock_spin_budget / lock_backoff_max;
-  /// see those knobs for semantics). Safe to change at any time; takes
-  /// effect on subsequent acquisitions.
-  void set_lock_spin_budget(uint32_t rounds) {
-    lock_spin_budget_.store(rounds, std::memory_order_relaxed);
-  }
-  uint32_t lock_spin_budget() const {
-    return lock_spin_budget_.load(std::memory_order_relaxed);
-  }
-  void set_lock_backoff_max(uint32_t pauses) {
-    lock_backoff_max_.store(pauses == 0 ? 1 : pauses,
-                            std::memory_order_relaxed);
-  }
-  uint32_t lock_backoff_max() const {
-    return lock_backoff_max_.load(std::memory_order_relaxed);
+  /// True when a thread waiting for the paper lock on `id` has announced
+  /// that it parks (PaperLock::HasParkedWaiterForTest; test use only).
+  bool LockHasParkedWaiterForTest(PageId id) const {
+    return MetaFor(id)->paper_lock.HasParkedWaiterForTest();
   }
 
   /// Number of paper locks the calling thread currently holds (through any
@@ -368,13 +356,10 @@ class PageManager {
   /// The counter sink every operation reports to (not owned).
   StatsCollector* stats() const { return stats_; }
 
-  // --- persistence (active only over a persistent PageStore) -------------
+  // --- persistence (active only over a FileStore) --------------------------
 
-  /// True when this manager pages against a persistent store.
+  /// True when this manager pages against a FileStore.
   bool persistent() const { return paged_; }
-
-  /// The backing store (never null; the shared MemStore by default).
-  PageStore* store() const { return store_; }
 
   /// Pages currently holding a frame (== live pages when no eviction has
   /// happened; only meaningful when persistent()).
@@ -451,8 +436,8 @@ class PageManager {
   // Residency and frame change only with `seq` held odd, so a reader
   // that loads the version, then the state, then reads the frame, and
   // finally re-checks the version never trusts bytes of a frame that
-  // stopped being this page's. Under MemStore every allocated page is
-  // resident and keeps its frame for good.
+  // stopped being this page's. In memory (no store) every allocated page
+  // is resident and keeps its frame for good.
   static constexpr uint32_t kResident = 1u;
   static constexpr uint32_t kDirty = 2u;       // image newer than the store
   static constexpr uint32_t kReferenced = 4u;  // CLOCK bit: accessed since
@@ -576,8 +561,8 @@ class PageManager {
 
   EpochManager* const epoch_;
   StatsCollector* const stats_;
-  PageStore* const store_;   // never null (MemStore::Shared() by default)
-  const bool paged_;         // store_->persistent(): gates all pool logic
+  FileStore* const store_;   // nullptr: in memory
+  const bool paged_;         // store_ != nullptr: gates all pool logic
   const uint32_t pool_cap_;  // 0 = unbounded (always 0 unless paged_)
   mutable std::atomic<size_t> resident_count_{0};
 
@@ -603,8 +588,6 @@ class PageManager {
   std::mutex gate_mu_;
   std::condition_variable gate_cv_;
 
-  std::atomic<uint32_t> lock_spin_budget_{64};
-  std::atomic<uint32_t> lock_backoff_max_{256};
   std::atomic<int64_t> allocation_budget_{-1};  // <0 = unlimited
   std::atomic<bool> has_test_hook_{false};
   TestHook test_hook_;

@@ -28,9 +28,11 @@
 // spinners may overtake them). The paper's proof obligations only need
 // mutual exclusion and eventual acquisition, both of which hold.
 //
-// The spin budget and backoff cap are per-call parameters (plumbed from
-// TreeOptions via PageManager) rather than members, so the 4-byte state
-// is the lock's entire footprint.
+// The spin budget and backoff cap are constants of the lock, not
+// options: critical sections here are a few hundred ns (an in-place
+// mutation between seqlock bumps), so a short spin almost always wins
+// over a park/unpark cycle of microseconds. The 4-byte state is the
+// lock's entire footprint.
 
 #ifndef OBTREE_STORAGE_PAPER_LOCK_H_
 #define OBTREE_STORAGE_PAPER_LOCK_H_
@@ -50,6 +52,15 @@ namespace obtree {
 /// Compact spin-then-park mutual-exclusion lock (see file comment).
 class PaperLock {
  public:
+  /// Probe rounds a contended acquisition performs before it parks (Lock)
+  /// or gives the target back to the caller (SpinAcquire).
+  static constexpr uint32_t kSpinBudget = 64;
+
+  /// Cap on the exponential backoff between probes, in pause iterations
+  /// (1, 2, 4, ... up to the cap; once capped, each further round also
+  /// yields so a preempted holder can run on few-core hosts).
+  static constexpr uint32_t kBackoffMax = 256;
+
   PaperLock() = default;
   PaperLock(const PaperLock&) = delete;
   PaperLock& operator=(const PaperLock&) = delete;
@@ -62,22 +73,21 @@ class PaperLock {
                                           std::memory_order_relaxed);
   }
 
-  /// Bounded acquisition attempt: up to `spin_budget` test-and-test-and-set
-  /// probe rounds with exponential backoff (capped at `backoff_max` pause
-  /// iterations; at the cap each round also yields, so a preempted holder
-  /// can run on few-core hosts). Returns true with the lock held, false
-  /// once the budget is exhausted — never parks.
-  bool SpinAcquire(uint32_t spin_budget, uint32_t backoff_max) {
+  /// Bounded acquisition attempt: up to kSpinBudget test-and-test-and-set
+  /// probe rounds with exponential backoff capped at kBackoffMax. Returns
+  /// true with the lock held, false once the budget is exhausted — never
+  /// parks.
+  bool SpinAcquire() {
     uint32_t delay = 1;
-    for (uint32_t round = 0; round < spin_budget; ++round) {
+    for (uint32_t round = 0; round < kSpinBudget; ++round) {
       if (state_.load(std::memory_order_relaxed) == kFree && TryLock()) {
         return true;
       }
       for (uint32_t p = 0; p < delay; ++p) CpuRelax();
-      if (delay < backoff_max / 2) {
+      if (delay < kBackoffMax / 2) {
         delay <<= 1;
-      } else if (delay < backoff_max) {
-        delay = backoff_max;
+      } else if (delay < kBackoffMax) {
+        delay = kBackoffMax;
       } else {
         std::this_thread::yield();
       }
@@ -88,8 +98,8 @@ class PaperLock {
   /// Unbounded acquisition: spin per SpinAcquire, then park until the
   /// holder releases. Returns true iff the thread parked (slept) at least
   /// once — the caller's "this acquisition hit the slow path" signal.
-  bool Lock(uint32_t spin_budget, uint32_t backoff_max) {
-    if (SpinAcquire(spin_budget, backoff_max)) return false;
+  bool Lock() {
+    if (SpinAcquire()) return false;
     // Drepper-style parking: announce a waiter by exchanging the state to
     // kHeldWaiters. Seeing kFree back means we acquired (conservatively
     // keeping the waiters flag: Unlock then issues at most one spurious
@@ -115,6 +125,14 @@ class PaperLock {
   /// the answer is stale the instant it is produced).
   bool IsLockedForTest() const {
     return state_.load(std::memory_order_relaxed) != kFree;
+  }
+
+  /// True when a waiter has announced that it parks (test use only). A
+  /// waiter sets this state right before it sleeps, so while the caller
+  /// itself holds the lock, seeing it means another thread's Lock call
+  /// has left its spin phase and will report that it parked.
+  bool HasParkedWaiterForTest() const {
+    return state_.load(std::memory_order_relaxed) == kHeldWaiters;
   }
 
  private:

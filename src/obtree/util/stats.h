@@ -137,14 +137,16 @@ enum class StatId : int {
   kDeletes,              ///< logical delete operations
   kBatchOps,             ///< logical operations submitted through the
                          ///< Multi* batch API (each op in a batch counts
-                         ///< once, on top of its kSearches/kInserts/...)
+                         ///< once, on top of its kSearches/kInserts/...;
+                         ///< a ShardedMap counts its batches on the map
+                         ///< and sums them into its Stats())
   kBatchPagesCoalesced,  ///< always 0: nothing counts it (a batch is a
                          ///< loop of single ops and shares no page
                          ///< reads); kept because perfbench/src/common.cc
                          ///< reads it
   kStoreReads,           ///< page images faulted into the arena from the
-                         ///< PageStore backend (FileStore pread + verify)
-  kStoreWrites,          ///< page images staged to the backend: dirty
+                         ///< FileStore (pread + verify)
+  kStoreWrites,          ///< page images staged to the FileStore: dirty
                          ///< evictions plus checkpoint flushes
   kPagesEvicted,         ///< resident pages the buffer-pool clock evicted
                          ///< to stay within TreeOptions::buffer_pool_pages
@@ -159,19 +161,6 @@ inline constexpr int kNumStatIds = static_cast<int>(StatId::kNumStats);
 
 /// Human-readable name of a counter.
 const char* StatName(StatId id);
-
-/// Per-batch slice of the batch counters: what one Multi* call did. The
-/// same count is accumulated on the owning tree's StatsCollector under
-/// kBatchOps; this struct lets a caller attribute it to a single batch
-/// without diffing snapshots.
-struct BatchStats {
-  uint64_t ops = 0;  ///< operations in the batch
-
-  BatchStats& operator+=(const BatchStats& o) {
-    ops += o.ops;
-    return *this;
-  }
-};
 
 /// Point-in-time copy of all counters plus the lock-depth high-water mark.
 struct StatsSnapshot {

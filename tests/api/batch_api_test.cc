@@ -51,7 +51,6 @@ TEST(BatchApiTest, MultiGetAgreesWithSingleOpLoop) {
 
   const BatchResult r = map.MultiGet(keys);
   ASSERT_EQ(r.values.size(), keys.size());
-  EXPECT_EQ(r.stats.ops, keys.size());
   for (size_t i = 0; i < keys.size(); ++i) {
     const Result<Value> single = map.Get(keys[i]);
     ASSERT_EQ(r.values[i].ok(), single.ok()) << "key " << keys[i];
@@ -107,6 +106,45 @@ TEST(BatchApiTest, BatchCostsExactlyItsSingleOps) {
   EXPECT_EQ(sd.Get(StatId::kSearches), keys.size() - 2);
   EXPECT_EQ(bd.Get(StatId::kBatchOps), keys.size());
   EXPECT_EQ(sd.Get(StatId::kBatchOps), 0u);
+
+  // The same on the sharded front-end: a batch routes each key as a
+  // single Get does, and the map counts kBatchOps for the whole batch.
+  ShardOptions sopt;
+  sopt.num_shards = 4;
+  sopt.key_space_hint = 10'000;
+  sopt.compression = CompressionMode::kNone;
+  sopt.tree.min_entries = 32;
+  ShardedMap sharded_batched(sopt);
+  ShardedMap sharded_serial(sopt);
+  for (Key k = 1; k <= 5'000; ++k) {
+    ASSERT_TRUE(sharded_batched.Insert(2 * k, 2 * k + 1).ok());
+    ASSERT_TRUE(sharded_serial.Insert(2 * k, 2 * k + 1).ok());
+  }
+  const StatsSnapshot sb0 = sharded_batched.Stats();
+  const StatsSnapshot ss0 = sharded_serial.Stats();
+  const BatchResult sr = sharded_batched.MultiGet(keys);
+  std::vector<Result<Value>> sharded_singles;
+  for (Key k : keys) sharded_singles.push_back(sharded_serial.Get(k));
+  const StatsSnapshot sbd = sharded_batched.Stats().Delta(sb0);
+  const StatsSnapshot ssd = sharded_serial.Stats().Delta(ss0);
+
+  ASSERT_EQ(sr.values.size(), keys.size());
+  for (size_t i = 0; i < keys.size(); ++i) {
+    ASSERT_EQ(sr.values[i].ok(), sharded_singles[i].ok()) << "key " << keys[i];
+    if (sharded_singles[i].ok()) {
+      EXPECT_EQ(*sr.values[i], *sharded_singles[i]) << "key " << keys[i];
+    } else {
+      EXPECT_EQ(sr.values[i].status().code(),
+                sharded_singles[i].status().code())
+          << "key " << keys[i];
+    }
+  }
+  for (StatId id : {StatId::kGets, StatId::kSearches}) {
+    EXPECT_EQ(sbd.Get(id), ssd.Get(id)) << StatName(id);
+  }
+  EXPECT_EQ(ssd.Get(StatId::kSearches), keys.size() - 2);
+  EXPECT_EQ(sbd.Get(StatId::kBatchOps), keys.size());
+  EXPECT_EQ(ssd.Get(StatId::kBatchOps), 0u);
 }
 
 TEST(BatchApiTest, WriteBatchesAgreeWithSingleOpLoop) {
@@ -178,7 +216,6 @@ TEST(BatchApiTest, EmptySingleAndMismatchedBatches) {
   const BatchResult one = map.MultiGet({10});
   ASSERT_EQ(one.values.size(), 1u);
   EXPECT_EQ(*one.values[0], 11u);
-  EXPECT_EQ(one.stats.ops, 1u);
 
   // Out-of-range keys fail per-op, not per-batch.
   const BatchResult bad = map.MultiGet({10, 0, kMaxUserKey + 1});
@@ -288,7 +325,6 @@ TEST(BatchApiTest, ShardedBatchesAgreeWithSingleOpLoop) {
   }
   const BatchResult ins = map.MultiInsert(keys, vals);
   ASSERT_EQ(ins.statuses.size(), keys.size());
-  EXPECT_EQ(ins.stats.ops, keys.size());
   for (size_t i = 0; i < keys.size(); ++i) {
     // A duplicate key in the batch fails exactly like a duplicate Insert.
     EXPECT_EQ(ins.statuses[i].ok(),
@@ -317,7 +353,7 @@ TEST(BatchApiTest, ShardedBatchesCrossLiveMigration) {
   // Freeze a split right after its handoff table swap: the upper half of
   // shard 0 routes to the (empty) receiver with nothing drained yet, so
   // every key there is unsettled and batched ops must take the dual-zone
-  // path while settled batch-mates go to their shard's batch.
+  // path while settled batch-mates go straight to their shard.
   ShardOptions opt;
   opt.num_shards = 2;
   opt.key_space_hint = 400;

@@ -448,7 +448,6 @@ TEST(AppendLeafTest, ConcurrentAppendersReadersAndChurn) {
   options.tree = SmallNodes(true);
   options.compression = CompressionMode::kQueueWorkers;
   options.compression_threads = 1;
-  options.tree.enqueue_underfull_on_delete = true;
   ConcurrentMap map(options);
 
   constexpr Key kPerThread = 8'000;

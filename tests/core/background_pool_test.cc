@@ -41,7 +41,6 @@ struct Shard {
   explicit Shard(uint32_t k = 2) {
     TreeOptions options;
     options.min_entries = k;
-    options.enqueue_underfull_on_delete = true;
     tree = std::make_unique<SagivTree>(options);
     queue = std::make_unique<CompressionQueue>();
     queue->RegisterWith(tree->epoch());

@@ -143,7 +143,6 @@ class TreeBuilder {
 TreeOptions K2() {
   TreeOptions opt;
   opt.min_entries = 2;
-  opt.compression_wait_retries = 4;  // keep the wait case fast in tests
   return opt;
 }
 
@@ -297,11 +296,7 @@ TEST(TryCollapseRootTest, CollapsesMultiLevelSingleChildChain) {
 
 struct QueueFixture {
   TreeOptions options = K2();
-  SagivTree tree{[] {
-    TreeOptions o = K2();
-    o.enqueue_underfull_on_delete = true;
-    return o;
-  }()};
+  SagivTree tree{K2()};
   CompressionQueue queue;
   QueueCompressor compressor{&tree, &queue};
 

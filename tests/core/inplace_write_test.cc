@@ -47,7 +47,6 @@ TEST(InplaceWriteTest, InplaceModeCountsStats) {
 
 TEST(InplaceWriteTest, UnderfullLeafStillEnqueuedForCompression) {
   TreeOptions options = SmallNodes();
-  options.enqueue_underfull_on_delete = true;
   SagivTree tree(options);
   CompressionQueue queue;
   tree.AttachCompressionQueue(&queue);

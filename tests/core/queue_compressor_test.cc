@@ -24,7 +24,6 @@ struct QueueSetup {
 
   explicit QueueSetup(uint32_t k) {
     options.min_entries = k;
-    options.enqueue_underfull_on_delete = true;
     tree = std::make_unique<SagivTree>(options);
     queue = std::make_unique<CompressionQueue>();
     queue->RegisterWith(tree->epoch());
@@ -142,6 +141,32 @@ TEST(QueueCompressorTest, DeletionsEnqueueUnderfullLeaves) {
   for (Key k = 1; k <= 290; ++k) ASSERT_TRUE(s.tree->Delete(k).ok());
   EXPECT_FALSE(s.queue->Empty());
   EXPECT_GT(s.tree->stats()->Get(StatId::kQueueEnqueues), 0u);
+}
+
+// Attaching a queue is the whole switch: a tree built from default
+// TreeOptions enqueues its under-full leaves once a queue is attached,
+// and a twin with no queue enqueues nothing.
+TEST(QueueCompressorTest, AttachedQueueAloneTurnsOnEnqueueing) {
+  const TreeOptions defaults;
+  SagivTree with_queue(defaults);
+  SagivTree without_queue(defaults);
+  CompressionQueue queue;
+  queue.RegisterWith(with_queue.epoch());
+  with_queue.AttachCompressionQueue(&queue);
+
+  const Key n = 10 * defaults.capacity();
+  for (SagivTree* tree : {&with_queue, &without_queue}) {
+    for (Key k = 1; k <= n; ++k) ASSERT_TRUE(tree->Insert(k, k).ok());
+    ASSERT_GT(tree->Height(), 1u);  // the leaves are not the root
+    // The leftmost leaf holds at most 2k keys: deleting the smallest 2k
+    // keys takes it below k.
+    for (Key k = 1; k <= defaults.capacity(); ++k) {
+      ASSERT_TRUE(tree->Delete(k).ok());
+    }
+  }
+  EXPECT_GT(with_queue.stats()->Get(StatId::kQueueEnqueues), 0u);
+  EXPECT_FALSE(queue.Empty());
+  EXPECT_EQ(without_queue.stats()->Get(StatId::kQueueEnqueues), 0u);
 }
 
 TEST(QueueCompressorTest, DrainRestoresHalfFullInvariant) {

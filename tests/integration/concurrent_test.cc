@@ -210,7 +210,6 @@ TEST(ConcurrentCompressionTest, MultipleQueueCompressorsSharedQueue) {
   // Deployment (2) of Section 5.4: several compression processes share one
   // queue, running with several updater threads.
   TreeOptions opt = SmallNodes(3);
-  opt.enqueue_underfull_on_delete = true;
   SagivTree tree(opt);
   CompressionQueue queue;
   queue.RegisterWith(tree.epoch());
@@ -268,7 +267,6 @@ TEST(ConcurrentCompressionTest, MultipleQueueCompressorsSharedQueue) {
 
 TEST(ConcurrentCompressionTest, ScansSurviveCompression) {
   TreeOptions opt = SmallNodes(2);
-  opt.enqueue_underfull_on_delete = true;
   SagivTree tree(opt);
   CompressionQueue queue;
   queue.RegisterWith(tree.epoch());
@@ -315,7 +313,6 @@ TEST(DeadlockTest, TinyNodesMaximumContention) {
   // Completion within the test timeout demonstrates deadlock freedom
   // (Theorem 2).
   TreeOptions opt = SmallNodes(2);
-  opt.enqueue_underfull_on_delete = true;
   SagivTree tree(opt);
   CompressionQueue queue;
   queue.RegisterWith(tree.epoch());
@@ -362,7 +359,6 @@ TEST(ReclamationTest, NoPageReusedUnderActiveGuards) {
   // deletes and reclaims pages. Any premature reuse shows up as a checker
   // or search failure (reused pages would contain foreign nodes).
   TreeOptions opt = SmallNodes(2);
-  opt.enqueue_underfull_on_delete = true;
   SagivTree tree(opt);
   CompressionQueue queue;
   queue.RegisterWith(tree.epoch());

@@ -644,10 +644,10 @@ TEST_F(BufferPoolTest, CheckpointFlushesDirtyPagesAndCounts) {
   EXPECT_EQ(stats.Get(StatId::kStoreWrites), writes_before);
 }
 
-TEST_F(BufferPoolTest, CheckpointOnMemStoreIsFailedPrecondition) {
+TEST_F(BufferPoolTest, CheckpointInMemoryIsFailedPrecondition) {
   EpochManager epoch;
   StatsCollector stats;
-  PageManager pm(&epoch, &stats);  // default MemStore
+  PageManager pm(&epoch, &stats);  // no store: in memory
   EXPECT_FALSE(pm.persistent());
   Status s = pm.Checkpoint([](StoreMeta*) {});
   EXPECT_TRUE(s.IsFailedPrecondition()) << s.ToString();

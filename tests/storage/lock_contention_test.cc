@@ -78,9 +78,6 @@ TEST_F(LockContentionTest, LockUnlockSemanticsAndHookFiringPoints) {
 
 TEST_F(LockContentionTest, TryLockAndTryLockSpinRespectAHolder) {
   const PageId id = MustAllocate();
-  // Keep the bounded spin short so the give-up path is fast.
-  pm_.set_lock_spin_budget(4);
-  pm_.set_lock_backoff_max(8);
 
   pm_.Lock(id);
   std::thread other([&]() {
@@ -102,18 +99,20 @@ TEST_F(LockContentionTest, TryLockAndTryLockSpinRespectAHolder) {
 
 TEST_F(LockContentionTest, ContendedLockParksAndRecordsWaitTime) {
   const PageId id = MustAllocate();
-  // Zero spin budget = park immediately: the pre-PaperLock behavior, and
-  // the deterministic way to exercise the futex path.
-  pm_.set_lock_spin_budget(0);
 
   pm_.Lock(id);
   std::atomic<bool> acquired{false};
   std::thread waiter([&]() {
-    pm_.Lock(id);  // parks until the main thread releases
+    pm_.Lock(id);  // spins out its budget, then parks until released
     acquired.store(true, std::memory_order_release);
     pm_.Unlock(id);
   });
-  // Give the waiter time to reach the futex; it must NOT acquire.
+  // Hold the lock until the waiter has left its spin phase and announced
+  // that it parks, then 20 ms more: the park is certain however the
+  // threads are scheduled, and the wait spans at least the extra hold.
+  while (!pm_.LockHasParkedWaiterForTest(id)) {
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  }
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   EXPECT_FALSE(acquired.load(std::memory_order_acquire));
   pm_.Unlock(id);
@@ -124,15 +123,13 @@ TEST_F(LockContentionTest, ContendedLockParksAndRecordsWaitTime) {
   EXPECT_GE(stats_.Get(StatId::kLockParks), 1u);
   const Histogram waits = stats_.LockWaitHistogram();
   ASSERT_GE(waits.count(), 1u);
-  // The waiter slept ~20 ms; the histogram must have seen a wait of at
-  // least a millisecond (coarse: schedulers vary).
+  // The waiter waited 20 ms or more; the histogram must have seen a wait
+  // of at least a millisecond (coarse: schedulers vary).
   EXPECT_GE(waits.max(), 1'000'000u);
 }
 
 TEST_F(LockContentionTest, MutualExclusionUnderManySpinners) {
   const PageId id = MustAllocate();
-  pm_.set_lock_spin_budget(16);
-  pm_.set_lock_backoff_max(32);
   constexpr int kThreads = 8;
   constexpr int kRounds = 400;
   int64_t shared = 0;  // guarded by the paper lock; TSan checks this too
@@ -158,9 +155,7 @@ TEST_F(LockContentionTest, MutualExclusionUnderManySpinners) {
 // layer; single-threaded correctness of the tree is asserted after.
 TEST(LockHotLeafStressTest, EightThreadsOnAHotLeaf) {
   TreeOptions opt;
-  opt.min_entries = 16;       // capacity 32: one or two hot leaves
-  opt.lock_spin_budget = 32;  // exercise spin AND park under contention
-  opt.lock_backoff_max = 64;
+  opt.min_entries = 16;  // capacity 32: one or two hot leaves
   SagivTree tree(opt);
   constexpr Key kHotKeys = 48;
   for (Key k = 1; k <= kHotKeys; k += 2) ASSERT_TRUE(tree.Insert(k, k).ok());
@@ -228,7 +223,6 @@ TEST(LockHotLeafStressTest, EightThreadsOnAHotLeaf) {
 TEST(LockStatsAttributionTest, ContendedStatsAreMonotoneAndPerTree) {
   TreeOptions opt;
   opt.min_entries = 16;
-  opt.lock_spin_budget = 4;
   SagivTree hot(opt);
   SagivTree idle(opt);
   for (Key k = 1; k <= 32; ++k) {

@@ -217,7 +217,7 @@ TEST_F(PageManagerTest, ReusedPageIsZeroed) {
   for (size_t i = 0; i < kPageSize; ++i) ASSERT_EQ(r.bytes[i], 0u) << i;
 }
 
-// Without a buffer pool (MemStore here) every page takes one frame at
+// Without a buffer pool (in memory here) every page takes one frame at
 // its first allocation and keeps it through retirement and reuse.
 TEST_F(PageManagerTest, EveryPageKeepsItsFrameWithoutAPool) {
   constexpr uint32_t kPages = 3000;  // spans three arena chunks
