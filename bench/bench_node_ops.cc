@@ -9,6 +9,8 @@
 
 #include <unistd.h>
 
+#include <algorithm>
+#include <chrono>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
@@ -167,16 +169,65 @@ void BM_NodeInsertRemoveCycle(benchmark::State& state) {
 }
 BENCHMARK(BM_NodeInsertRemoveCycle)->Arg(16)->Arg(128)->Arg(253);
 
+// The tree's split of a full 253-entry leaf taking one more key: B built
+// from A with the key merged in (SplitRightWith), then A rewritten in
+// place (SplitLeftInPlace). Arg 0: a midpoint split, the key landing in
+// A's half (A's entries shift); Arg 1: the tail split of an append (the
+// key past the end, A keeps all it had and stores header words only).
+// Each iteration also restores A from a copy (a 4 KiB memcpy).
 void BM_NodeSplit(benchmark::State& state) {
   const Node full = MakeFullLeaf(Node::kMaxEntries - 1);
+  const bool tail = state.range(0) == 1;
+  const Key k = tail ? full.entries[full.count - 1].key + 5
+                     : full.entries[full.count / 4].key + 5;
+  const uint32_t keep = tail ? full.count : 0;
   for (auto _ : state) {
     Node a = full;
     Node b;
-    a.SplitInto(&b, 7);
+    const size_t bytes = a.SplitRightWith(k, 1, keep, &b);
+    benchmark::DoNotOptimize(bytes + a.SplitLeftInPlace(k, 1, keep, 7));
     benchmark::DoNotOptimize(b.count);
   }
 }
-BENCHMARK(BM_NodeSplit);
+BENCHMARK(BM_NodeSplit)->Arg(0)->Arg(1);
+
+// One leaf split of an in-memory tree under ascending inserts (the
+// append path with its tail splits, default node size): each iteration
+// appends keys until the rightmost leaf is full, untimed, then times the
+// one insert that splits it (descent, locked peek, B's put, A's rewrite,
+// the separator posted one level up). Manual time: ns per split, a mean
+// that includes the rare split whose Allocate maps and populates a new
+// 4 MiB frame chunk (about one split in 1024, each 0.1-10 ms); the
+// p50_ns and p99_ns counters leave those out. The iteration count is
+// fixed so the tree stays near 2.4M keys (~85 MB).
+void BM_AppendSplit(benchmark::State& state) {
+  using Clock = std::chrono::steady_clock;
+  SagivTree tree;
+  const uint32_t capacity = tree.options().capacity();
+  Key next = 1;
+  std::vector<double> ns;
+  ns.reserve(static_cast<size_t>(state.max_iterations));
+  for (auto _ : state) {
+    // After a tail split the rightmost leaf holds one entry.
+    while ((next - 1) % capacity != 0 || next == 1) {
+      if (!tree.Insert(next, next).ok()) std::abort();
+      ++next;
+    }
+    const uint64_t splits = tree.stats()->Get(StatId::kSplits);
+    const auto t0 = Clock::now();
+    const Status s = tree.Insert(next, next);
+    const auto t1 = Clock::now();
+    ++next;
+    if (!s.ok() || tree.stats()->Get(StatId::kSplits) == splits) std::abort();
+    const std::chrono::duration<double, std::nano> took = t1 - t0;
+    state.SetIterationTime(took.count() * 1e-9);
+    ns.push_back(took.count());
+  }
+  std::sort(ns.begin(), ns.end());
+  state.counters["p50_ns"] = ns[ns.size() / 2];
+  state.counters["p99_ns"] = ns[ns.size() * 99 / 100];
+}
+BENCHMARK(BM_AppendSplit)->UseManualTime()->Iterations(20000);
 
 void BM_NodeMerge(benchmark::State& state) {
   Node left = MakeFullLeaf(60);
@@ -505,6 +556,19 @@ void BM_EpochPin(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_EpochPin)->Threads(1)->Threads(3);
+
+// The reclamation floor a page allocation computes (PageManager harvests
+// retired pages through it) with 4 live pins, nested in this thread: it
+// scans the slots below the manager's high-water mark.
+void BM_MinActive(benchmark::State& state) {
+  EpochManager epoch;
+  std::vector<std::unique_ptr<EpochManager::Guard>> pins;
+  for (int i = 0; i < 4; ++i) {
+    pins.push_back(std::make_unique<EpochManager::Guard>(&epoch));
+  }
+  for (auto _ : state) benchmark::DoNotOptimize(epoch.MinActive());
+}
+BENCHMARK(BM_MinActive);
 
 void BM_MutatorGate(benchmark::State& state) {
   struct Gate {

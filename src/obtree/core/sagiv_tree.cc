@@ -702,16 +702,6 @@ Result<PageId> SagivTree::AcquireTargetInPlace(Key key, uint32_t level,
   }
 }
 
-void SagivTree::ApplyInsert(Node* node, Key key, uint64_t down_ptr) {
-  if (node->is_leaf()) {
-    node->InsertLeafEntry(key, static_cast<Value>(down_ptr));
-  } else {
-    bool ok = node->InsertChildSplit(key, static_cast<PageId>(down_ptr));
-    assert(ok);
-    (void)ok;
-  }
-}
-
 void SagivTree::InsertIntoSafeInPlace(PageId page_id, Key key,
                                       uint64_t down_ptr, AscentState* st) {
   PageManager::WriteGuard wg = pager_->BeginWrite(page_id);
@@ -730,36 +720,50 @@ void SagivTree::InsertIntoSafeInPlace(PageId page_id, Key key,
   st->completed = true;
 }
 
-// Split point for the node in `page` (post-ApplyInsert), honoring the
-// append_leaves tail bias: when the node is the rightmost of its level
-// (nil link) and the just-inserted key is its largest — for a leaf the
-// last entry; for an internal node the last FINITE separator, since a
+// Split point for the full locked node `node` about to take `key`,
+// honoring the append_leaves tail bias: when the node is the rightmost of
+// its level (nil link) and `key` lands past its largest key — for a leaf
+// its last entry; for an internal node its last FINITE separator, since a
 // rightmost internal node's final entry is the +inf upper bound — split
-// at the high end, keeping all but one entry on the left. The retiring
-// left node ends ~full instead of half-full, and the near-empty new
-// rightmost node (legal: rightmost nodes are exempt from the half-full
-// invariant) absorbs the next run of appends. Returns 0 (midpoint) when
-// the bias does not apply.
+// at the high end, keeping all but one entry of the merged sequence on
+// the left. The retiring left node ends ~full instead of half-full, and
+// the near-empty new rightmost node (legal: rightmost nodes are exempt
+// from the half-full invariant) absorbs the next run of appends. Returns
+// 0 (midpoint) when the bias does not apply.
 uint32_t SagivTree::TailSplitKeep(const Node* node, Key key) const {
-  if (!options_.append_leaves || node->link != kInvalidPageId ||
-      node->count < 3) {
+  const uint32_t n = node->count;
+  if (!options_.append_leaves || node->link != kInvalidPageId || n < 2) {
     return 0;
   }
-  const uint32_t n = node->count;
-  const bool max_extending = node->is_leaf()
-                                 ? node->entries[n - 1].key == key
-                                 : node->entries[n - 2].key == key;
-  return max_extending ? n - 1 : 0;
+  const bool max_extending = node->is_leaf() ? key > node->entries[n - 1].key
+                                             : key > node->entries[n - 2].key;
+  return max_extending ? n : 0;
 }
 
-Status SagivTree::InsertIntoUnsafe(Page* page, PageId page_id, Key key,
+Status SagivTree::InsertIntoUnsafe(const Node* live, PageId page_id, Key key,
                                    uint64_t down_ptr, AscentState* st) {
-  Node* node = page->As<Node>();
-  Result<PageId> right_page = pager_->Allocate();
-  if (!right_page.ok()) {
-    pager_->Unlock(page_id);
-    return right_page.status();
+  // A root split also builds the new root R: allocate B and R before
+  // anything changes, so a failure leaves the tree as it was.
+  const bool split_root = live->is_root();
+  Status s;
+  if (split_root && live->level + 2 > kMaxLevels) {
+    s = Status::ResourceExhausted("tree height limit reached");
   }
+  PageId fresh[2] = {kInvalidPageId, kInvalidPageId};  // B, then R
+  for (int i = 0; s.ok() && i < (split_root ? 2 : 1); ++i) {
+    Result<PageId> p = pager_->Allocate();
+    if (p.ok()) {
+      fresh[i] = *p;
+    } else {
+      s = p.status();
+    }
+  }
+  if (!s.ok()) {
+    pager_->Unlock(page_id);
+    return s;
+  }
+  const PageId right_page = fresh[0];
+
   // A rightmost-leaf split births a node B that is live-looking (leaf,
   // nil link, +inf high) — exactly what TryAppendFast's locked
   // validation accepts — yet unreachable until A's rewrite publishes the
@@ -772,112 +776,73 @@ Status SagivTree::InsertIntoUnsafe(Page* page, PageId page_id, Key key,
   // read validates B's image inside the window sees an odd-or-advanced
   // epoch and misses. No second lock — insertions keep the paper's
   // one-lock discipline.
-  const bool frontier_leaf = node->is_leaf() && node->link == kInvalidPageId;
+  const bool frontier_leaf = live->is_leaf() && live->link == kInvalidPageId;
   if (frontier_leaf) frontier_seq_.fetch_add(1, std::memory_order_release);
-  ApplyInsert(node, key, down_ptr);
 
+  // B is built straight from the locked live image of A with the new
+  // entry merged in, and only its live prefix is put: Allocate zeroed the
+  // rest of the page. Then A is rewritten in place, one put under one
+  // write guard. B's put comes first, so the instant A's new link lands,
+  // B is reachable through it (Fig. 3). One lock throughout.
+  const uint32_t keep = TailSplitKeep(live, key);
   Page right_buf;
   Node* right = right_buf.As<Node>();
-  const uint32_t keep = TailSplitKeep(node, key);
-  node->SplitInto(right, *right_page, keep);
+  size_t bytes = live->SplitRightWith(key, down_ptr, keep, right);
+  pager_->Put(right_page, right_buf, bytes);
+  {
+    PageManager::WriteGuard wg = pager_->BeginWrite(page_id);
+    Node* node = wg.page()->As<Node>();
+    bytes += node->SplitLeftInPlace(key, down_ptr, keep, right_page);
+    // The root bit moves to R in the same rewrite.
+    if (split_root) bytes += node->ClearRootInPlace();
+  }
+  // The lock pins A: `live` now reads the rewritten left half.
+  const Key sep = live->high;
   stats_->Add(StatId::kSplits);
   if (keep != 0) stats_->Add(StatId::kTailSplits);
-  if (node->is_leaf()) {
-    stats_->RecordLeafFill(node->count * 100 / options_.capacity());
+  if (live->is_leaf()) {
+    stats_->RecordLeafFill(live->count * 100 / options_.capacity());
   }
-
-  // Write the new node B first, then rewrite A; the instant A's image
-  // lands, B is reachable through A's link (Fig. 3). One lock throughout.
-  pager_->Put(*right_page, right_buf);
-  pager_->Put(page_id, *page);
   if (frontier_leaf) {
     frontier_seq_.fetch_add(1, std::memory_order_release);
     if (options_.append_leaves) {
       // The split frontier moved: B is the rightmost leaf. Publish the
       // hint only now — a hint readable before A's put would hand
       // appenders a node no concurrent search can reach yet.
-      rightmost_hint_.store(*right_page, std::memory_order_release);
-    }
-  }
-  pager_->Unlock(page_id);
-  stats_->Add(StatId::kWriteBytesCopied, 3 * kPageSize);  // get + 2 puts
-
-  st->sep = node->high;
-  st->new_child = *right_page;
-  return Status::OK();
-}
-
-Status SagivTree::InsertIntoUnsafeRoot(Page* page, PageId page_id, Key key,
-                                       uint64_t down_ptr, AscentState* st) {
-  Node* node = page->As<Node>();
-  if (node->level + 2 > kMaxLevels) {
-    pager_->Unlock(page_id);
-    return Status::ResourceExhausted("tree height limit reached");
-  }
-  Result<PageId> right_page = pager_->Allocate();
-  if (!right_page.ok()) {
-    pager_->Unlock(page_id);
-    return right_page.status();
-  }
-  Result<PageId> root_page = pager_->Allocate();
-  if (!root_page.ok()) {
-    pager_->Unlock(page_id);
-    return root_page.status();
-  }
-  // Same frontier-split publication rule as InsertIntoUnsafe: hold the
-  // epoch odd across the new right node's initializing put through A's
-  // put, and publish the hint only once the link is live.
-  const bool frontier_leaf = node->is_leaf() && node->link == kInvalidPageId;
-  if (frontier_leaf) frontier_seq_.fetch_add(1, std::memory_order_release);
-  ApplyInsert(node, key, down_ptr);
-
-  Page right_buf;
-  Node* right = right_buf.As<Node>();
-  const uint32_t keep = TailSplitKeep(node, key);
-  node->SplitInto(right, *right_page, keep);
-  node->set_root(false);  // the root bit moves to R in the same rewrite
-  stats_->Add(StatId::kSplits);
-  if (keep != 0) stats_->Add(StatId::kTailSplits);
-  if (node->is_leaf()) {
-    stats_->RecordLeafFill(node->count * 100 / options_.capacity());
-  }
-
-  pager_->Put(*right_page, right_buf);
-  pager_->Put(page_id, *page);
-  if (frontier_leaf) {
-    frontier_seq_.fetch_add(1, std::memory_order_release);
-    if (options_.append_leaves) {
-      // The root was a lone leaf, so the new right node — rightmost by
-      // construction and reachable through A's link as of the put above
-      // — is now the rightmost leaf.
-      rightmost_hint_.store(*right_page, std::memory_order_release);
+      rightmost_hint_.store(right_page, std::memory_order_release);
     }
   }
 
-  // Build the new root R = (current, v, q, u, nil) — in entry form
-  // [(high(A) -> A), (high(B) -> B)] — and only then rewrite the prime
-  // block. We still hold the lock on the old root, which is what licenses
-  // the prime-block rewrite (Section 3.3).
-  Page root_buf;
-  Node* root = root_buf.As<Node>();
-  root->Init(static_cast<uint16_t>(node->level + 1), kMinusInfinity,
-             kPlusInfinity, kInvalidPageId);
-  root->set_root(true);
-  root->entries[0] = Entry{node->high, page_id};
-  root->entries[1] = Entry{right->high, *right_page};
-  root->count = 2;
-  pager_->Put(*root_page, root_buf);
+  if (split_root) {
+    // Build the new root R = (current, v, q, u, nil) — in entry form
+    // [(high(A) -> A), (high(B) -> B)] — and only then rewrite the prime
+    // block. We still hold the lock on the old root, which is what
+    // licenses the prime-block rewrite (Section 3.3).
+    const PageId root_page = fresh[1];
+    Page root_buf;
+    Node* root = root_buf.As<Node>();
+    root->Init(static_cast<uint16_t>(live->level + 1), kMinusInfinity,
+               kPlusInfinity, kInvalidPageId);
+    root->set_root(true);
+    root->entries[0] = Entry{sep, page_id};
+    root->entries[1] = Entry{right->high, right_page};
+    root->count = 2;
+    pager_->Put(root_page, root_buf, NodeBytes(2));
+    bytes += NodeBytes(2);
 
-  PrimeBlockData pb = prime_.Read();
-  assert(pb.num_levels == node->level + 1u);
-  pb.leftmost[pb.num_levels] = *root_page;
-  pb.num_levels++;
-  prime_.Write(pb);
-  stats_->Add(StatId::kRootCreations);
-
+    PrimeBlockData pb = prime_.Read();
+    assert(pb.num_levels == live->level + 1u);
+    pb.leftmost[pb.num_levels] = root_page;
+    pb.num_levels++;
+    prime_.Write(pb);
+    stats_->Add(StatId::kRootCreations);
+    st->completed = true;
+  } else {
+    st->sep = sep;
+    st->new_child = right_page;
+  }
   pager_->Unlock(page_id);
-  stats_->Add(StatId::kWriteBytesCopied, 4 * kPageSize);  // get + 3 puts
-  st->completed = true;
+  stats_->Add(StatId::kWriteBytesCopied, bytes);
   return Status::OK();
 }
 
@@ -1027,7 +992,6 @@ Status SagivTree::InsertCommit(Key key, Value value, PageId start,
   uint64_t down_ptr = value;
   uint32_t level = 0;
   int restarts = 0;
-  Page page;  // private image for splits
 
   for (;;) {  // the "repeat ... until completed" of Fig. 5
     // `view` is the locked live node: plain reads are safe under the lock.
@@ -1062,13 +1026,7 @@ Status SagivTree::InsertCommit(Key key, Value value, PageId start,
     if (view->count < options_.capacity()) {
       InsertIntoSafeInPlace(current, ins_key, down_ptr, &st);
     } else {
-      // Splits keep copy semantics: copy the page out under the lock we
-      // already hold (locked fetches cannot fail).
-      pager_->Get(current, &page);
-      Status s =
-          view->is_root()
-              ? InsertIntoUnsafeRoot(&page, current, ins_key, down_ptr, &st)
-              : InsertIntoUnsafe(&page, current, ins_key, down_ptr, &st);
+      Status s = InsertIntoUnsafe(view, current, ins_key, down_ptr, &st);
       if (!s.ok()) return s;
     }
     if (st.completed) {

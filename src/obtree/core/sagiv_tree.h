@@ -9,11 +9,11 @@
 //     PageManager::OptimisticRead, validating the seqlock version before
 //     trusting anything and re-reading a node whose read tore;
 //   * an insertion holds AT MOST ONE lock at any instant (Section 3) —
-//     updaters may overtake one another on the way up the tree; the
-//     no-split/no-merge mutations also copy no pages: the lock-holding
-//     writer edits the live page in place, bracketed by seqlock odd/even
-//     bumps (PageManager::BeginWrite); only splits and root changes take
-//     the get/put copy cycle;
+//     updaters may overtake one another on the way up the tree; writers
+//     also copy no pages: the lock-holding writer edits the live page in
+//     place, bracketed by seqlock odd/even bumps (PageManager::BeginWrite),
+//     and a split builds its new node from the live image, puts only that
+//     node's live bytes and then rewrites the split node in place;
 //   * deletions remove the record from its leaf under one lock (Section 4)
 //     and optionally enqueue under-full leaves for the queue-driven
 //     compressor of Section 5.4;
@@ -293,11 +293,15 @@ class SagivTree {
     Key sep = 0;            // separator to post one level up
     PageId new_child = kInvalidPageId;
   };
-  // The split finishers: `page` is a private copy of the locked `page_id`.
-  Status InsertIntoUnsafe(Page* page, PageId page_id, Key key,
+  // The split finisher. `live` is the locked, validated live image of
+  // the full node at `page_id` (AcquireTargetInPlace's *live). It builds
+  // the new node B from `live` with (key, down_ptr) merged in, puts B's
+  // live prefix, then rewrites A in place under one write guard: one get
+  // (the locked peek) and two puts, as the paper charges a split. A root
+  // split also creates the new root R and rewrites the prime block, and
+  // completes the insert.
+  Status InsertIntoUnsafe(const Node* live, PageId page_id, Key key,
                           uint64_t down_ptr, AscentState* st);
-  Status InsertIntoUnsafeRoot(Page* page, PageId page_id, Key key,
-                              uint64_t down_ptr, AscentState* st);
 
   // The no-split finisher (requires a lock obtained via
   // AcquireTargetInPlace): seqlock odd, apply the entry edit to the live
@@ -306,12 +310,8 @@ class SagivTree {
   void InsertIntoSafeInPlace(PageId page_id, Key key, uint64_t down_ptr,
                              AscentState* st);
 
-  // Apply the pair insertion to a node image: a leaf insert at level 0, a
-  // child-split post above.
-  static void ApplyInsert(Node* node, Key key, uint64_t down_ptr);
-
-  // Tail-biased split point (0 = midpoint) for a post-ApplyInsert node;
-  // see the definition for the bias rule.
+  // Tail-biased split point (0 = midpoint) for a full node about to take
+  // `key`; see the definition for the bias rule.
   uint32_t TailSplitKeep(const Node* node, Key key) const;
 
   // Recovery helper: rebuild size_ (and sanity-check reachability) by
@@ -347,8 +347,8 @@ class SagivTree {
   // the TREE's rightmost frontier rather than a page). A split of the
   // rightmost leaf bumps this odd before the new right node B's
   // initializing put and even again after the left node's link-publishing
-  // put (InsertIntoUnsafe / InsertIntoUnsafeRoot). TryAppendFast misses
-  // whenever the epoch is odd or moved across its locked validation:
+  // rewrite (InsertIntoUnsafe). TryAppendFast misses whenever the epoch
+  // is odd or moved across its locked validation:
   // B's image is live-looking (leaf, nil link, +inf high) from its first
   // put, yet unreachable until the link lands — and page reuse can hand a
   // stale rightmost_hint_ exactly that page id, so the paper lock alone

@@ -191,16 +191,24 @@ bool Node::ApplyChildSeparatorChange(Key old_sep, Key new_sep, PageId child) {
   return true;
 }
 
+namespace {
+
+// The split point of `total` entries: `keep` if set, else the midpoint.
+// The midpoint keeps the ceiling half on the left: splitting 2k+1 entries
+// must leave BOTH halves strictly below capacity, or ascending insertions
+// at k=1 re-split the (full) right node on every insert and the tree
+// grows one level per insertion.
+uint32_t ResolveKeep(uint32_t keep, uint32_t total) {
+  if (keep == 0) keep = total - total / 2;
+  assert(keep >= 1 && keep < total);
+  return keep;
+}
+
+}  // namespace
+
 void Node::SplitInto(Node* right, PageId right_page, uint32_t keep) {
   assert(count >= 2);
-  if (keep == 0) {
-    // Keep the ceiling half on the left: splitting 2k+1 entries must leave
-    // BOTH halves strictly below capacity, or ascending insertions at k=1
-    // re-split the (full) right node on every insert and the tree grows one
-    // level per insertion.
-    keep = count - count / 2;
-  }
-  assert(keep >= 1 && keep < count);
+  keep = ResolveKeep(keep, count);
   const uint32_t move = count - keep;
 
   right->Init(level, /*low=*/entries[keep - 1].key, /*high=*/high, link);
@@ -210,6 +218,69 @@ void Node::SplitInto(Node* right, PageId right_page, uint32_t keep) {
   count = keep;
   high = entries[keep - 1].key;
   link = right_page;
+}
+
+size_t Node::SplitRightWith(Key k, uint64_t v, uint32_t keep,
+                            Node* right) const {
+  const uint32_t n = count;
+  keep = ResolveKeep(keep, n + 1);
+  const uint32_t pos = LowerBound(k);
+  assert(pos == n || entries[pos].key != k);
+  assert(is_leaf() || (pos < n && k > low));
+  // M[pos] is (k, v) in a leaf; in an internal node it is (k, E[pos]'s
+  // child) and the successor M[pos + 1] = (E[pos]'s key, v).
+  const uint64_t at_pos = is_leaf() ? v : entries[pos].value;
+  const uint32_t move = n + 1 - keep;
+  Entry* out = right->entries;
+  Key right_low;
+  if (pos >= keep) {
+    const uint32_t before = pos - keep;
+    std::memcpy(out, &entries[keep], before * sizeof(Entry));
+    out[before] = Entry{k, at_pos};
+    std::memcpy(&out[before + 1], &entries[pos], (n - pos) * sizeof(Entry));
+    right_low = entries[keep - 1].key;
+  } else {
+    std::memcpy(out, &entries[keep - 1], move * sizeof(Entry));
+    right_low = pos == keep - 1 ? k : entries[keep - 2].key;
+  }
+  if (!is_leaf() && pos + 1 >= keep) out[pos + 1 - keep].value = v;
+  right->Init(level, right_low, high, link);
+  right->count = move;
+  return NodeBytes(move);
+}
+
+size_t Node::SplitLeftInPlace(Key k, uint64_t v, uint32_t keep,
+                              PageId right_page) {
+  const uint32_t n = count;
+  keep = ResolveKeep(keep, n + 1);
+  const uint32_t pos = LowerBound(k);
+  assert(pos == n || entries[pos].key != k);
+  assert(is_leaf() || (pos < n && k > low));
+  size_t bytes = 0;
+  if (pos < keep) {
+    // Shift E[pos, keep - 1) up one slot, back to front; E[keep - 1] and
+    // everything after it now live in B.
+    for (uint32_t j = keep - 1; j > pos; --j) {
+      PageStoreWord(&entries[j].key, entries[j - 1].key);
+      PageStoreWord(&entries[j].value, entries[j - 1].value);
+      bytes += sizeof(Entry);
+    }
+    PageStoreWord(&entries[pos].key, k);
+    bytes += sizeof(Key);
+    if (is_leaf()) {
+      PageStoreWord(&entries[pos].value, v);
+      bytes += sizeof(uint64_t);
+    } else if (pos + 1 < keep) {
+      // entries[pos] keeps E[pos]'s child; its old key moved up a slot
+      // and now bounds the new child.
+      PageStoreWord(&entries[pos + 1].value, v);
+      bytes += sizeof(uint64_t);
+    }
+  }
+  PageStoreWord(&high, entries[keep - 1].key);
+  PageStoreWord32(&link, right_page);
+  StoreCountInPlace(keep);
+  return bytes + sizeof(high) + sizeof(link) + sizeof(count);
 }
 
 void Node::MergeFromRight(const Node& right) {

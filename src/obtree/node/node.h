@@ -131,8 +131,10 @@ struct Node {
   // methods do (binary search, shift sources) are race-free.
   //
   // Each returns the number of bytes stored — the write-path bytes-moved
-  // stats — with 0 meaning "no change" (separator already present).
-  // Compare >= 8 KB for the copy path's Get + Put cycle.
+  // stats — with 0 meaning "no change" (separator already present). A
+  // split is in place too (SplitRightWith / SplitLeftInPlace below): it
+  // stores the new node's live prefix and the words of A that change,
+  // never a whole page.
 
   /// In-place InsertLeafEntry: shifts the tail up one slot back-to-front
   /// and publishes the new count last. Same preconditions.
@@ -168,6 +170,39 @@ struct Node {
   /// shifted into place — NodeView clamps, the seqlock discards.
   void StoreCountInPlace(uint32_t c) { PageStoreWord32(&count, c); }
 
+  /// In-place root-bit clear (a root split hands the bit to the new
+  /// root). Returns the bytes stored.
+  size_t ClearRootInPlace() {
+    __atomic_store_n(&flags, static_cast<uint16_t>(flags & ~kNodeFlagRoot),
+                     __ATOMIC_RELAXED);
+    return sizeof(flags);
+  }
+
+  // --- splitting with an insert -----------------------------------------
+  //
+  // A full node A that must take one more entry (k, v) splits in two
+  // halves, so the caller can put the new right node B before A changes
+  // (Fig. 3). Both halves see the same merged sequence M: A's entries
+  // with (k, v) added as InsertLeafEntry (leaf) or InsertChildSplit(k, v)
+  // (internal) would add it. `keep` entries of M stay in A (0 = the
+  // midpoint SplitInto uses), the rest go to B. The result equals
+  // inserting and then calling SplitInto(right, right_page, keep), except
+  // that nothing past the live entries is written. Preconditions: those
+  // of the insert, minus its room check, and keep in [0, count].
+
+  /// Build B = M[keep, count + 1) into *right: low is M[keep - 1]'s key,
+  /// high and link are A's. Reads A only (plain reads: the caller holds
+  /// A's paper lock). Returns NodeBytes(right->count), the prefix of
+  /// *right that holds the node.
+  size_t SplitRightWith(Key k, uint64_t v, uint32_t keep, Node* right) const;
+
+  /// Rewrite A in place as M[0, keep), under a PageManager::WriteGuard:
+  /// entries only where k lands on A's side, then high (M[keep - 1]'s
+  /// key), link (right_page) and count. A tail split (k on B's side)
+  /// stores only those three header words. Returns the bytes stored.
+  size_t SplitLeftInPlace(Key k, uint64_t v, uint32_t keep,
+                          PageId right_page);
+
   // --- internal updates ----------------------------------------------------
 
   /// Record a child split in this (parent) node: some child split at
@@ -202,6 +237,8 @@ struct Node {
 
   /// Split this (full) node: keep the first `keep` entries here, move the
   /// rest to *right (which must be a fresh node at page `right_page`).
+  /// The copy split of the baselines, which split a private page image;
+  /// SagivTree splits in place (SplitRightWith / SplitLeftInPlace).
   /// Afterwards this->high is the largest remaining key (leaf) / last
   /// upper bound (internal), and this->link points at right_page. Works
   /// for leaves and internal nodes alike. keep = 0 (the default) splits at
@@ -290,14 +327,15 @@ class NodeView {
   PageId ChildFor(Key k) const;
 
  private:
+  // Relaxed, except under TSan (kSeqReadOrder).
   static uint16_t Load16(const uint16_t* p) {
-    return __atomic_load_n(p, __ATOMIC_RELAXED);
+    return __atomic_load_n(p, kSeqReadOrder);
   }
   static uint32_t Load32(const uint32_t* p) {
-    return __atomic_load_n(p, __ATOMIC_RELAXED);
+    return __atomic_load_n(p, kSeqReadOrder);
   }
   static uint64_t Load64(const uint64_t* p) {
-    return __atomic_load_n(p, __ATOMIC_RELAXED);
+    return __atomic_load_n(p, kSeqReadOrder);
   }
 
   const Node* node_;

@@ -215,9 +215,7 @@ Status PageManager::Get(PageId id, Page* out) const {
       continue;  // evicted after the fault-in: re-fault
     }
     AtomicCopyOut(Frame(st)->bytes, out->bytes, kPageSize);
-    std::atomic_thread_fence(std::memory_order_acquire);
-    const uint64_t s2 = m->seq.load(std::memory_order_relaxed);
-    if (s1 == s2) {
+    if (SeqlockUnchanged(m->seq, s1)) {
       Touch(m, st);
       break;
     }
@@ -281,14 +279,19 @@ PageManager::WriteGuard PageManager::BeginWrite(PageId id) {
   return WriteGuard(&m->seq, Frame(st));
 }
 
-void PageManager::Put(PageId id, const Page& in) {
+void PageManager::Put(PageId id, const Page& in, size_t bytes) {
+  assert(bytes % 8 == 0 && bytes <= kPageSize);
   MaybeTrap("put", id, /*error_eligible=*/false);
   Meta* m = MetaFor(id);
   // Serialize concurrent puts on the same page via the seqlock's odd state.
   // Protocol-level locks already prevent concurrent writers in practice.
   const uint64_t seq = BeginSeqWrite(m);
-  // A put defines the page's full content: resident + dirty, no read.
-  AtomicCopyIn(in.bytes, FrameForWrite(m, /*zero=*/false)->bytes, kPageSize);
+  // A put defines the page's content: resident + dirty, no store read. A
+  // short put into a frame taken just now zeroes the frame first, since
+  // the page's zeroed image went out with its old frame.
+  const bool zero = bytes < kPageSize &&
+                    !(m->state.load(std::memory_order_relaxed) & kResident);
+  AtomicCopyIn(in.bytes, FrameForWrite(m, zero)->bytes, bytes);
   m->seq.store(seq + 2, std::memory_order_release);
   stats_->Add(StatId::kPuts);
   if (paged_) MaybeEvict();

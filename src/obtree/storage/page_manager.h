@@ -173,9 +173,7 @@ class PageManager {
     /// consistent snapshot. (Page reuse via Retire/Allocate also bumps
     /// the version, so a recycled page never validates.)
     bool Validate() const {
-      if (!stable()) return false;
-      std::atomic_thread_fence(std::memory_order_acquire);
-      return seq_->load(std::memory_order_relaxed) == version_;
+      return stable() && SeqlockUnchanged(*seq_, version_);
     }
 
    private:
@@ -281,17 +279,23 @@ class PageManager {
     Page* page_ = nullptr;
   };
 
-  /// Begin an in-place read-modify-write of a page (the fast-path
-  /// alternative to the Get + Put copy cycle, which moves >= 8 KB to
-  /// change one slot). The caller MUST hold the paper lock on `id` and
+  /// Begin an in-place read-modify-write of a page (where a Get + Put
+  /// copy cycle would move 8 KiB to change a few words; every tree
+  /// mutation, splits included, writes this way or puts a fresh page).
+  /// The caller MUST hold the paper lock on `id` and
   /// have validated the page as a live node under that lock (see
   /// PeekLocked) — the lock is what makes it the sole mutator. Counts as
   /// the paper's put(A, x) exactly like Put: one "put" evaluation and one
   /// kPuts.
   WriteGuard BeginWrite(PageId id);
 
-  /// Indivisible write of a page (the paper's put(A, x)).
-  void Put(PageId id, const Page& in);
+  /// Indivisible write of a page (the paper's put(A, x)): the first
+  /// `bytes` bytes of `in` (a multiple of 8). A short put leaves the
+  /// rest of the page as it was, which for a page fresh from Allocate is
+  /// zero: a split puts only the live prefix (NodeBytes) of a new node.
+  /// A page evicted since then gets a zeroed frame, so its tail reads as
+  /// zero too.
+  void Put(PageId id, const Page& in, size_t bytes = kPageSize);
 
   /// Acquire the paper lock on a page. Blocks only other lockers. The
   /// lock is a compact spin-then-park PaperLock (storage/paper_lock.h):

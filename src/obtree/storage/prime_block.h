@@ -19,6 +19,7 @@
 #include <cstdint>
 #include <cstring>
 
+#include "obtree/storage/page.h"
 #include "obtree/util/common.h"
 
 namespace obtree {
@@ -44,8 +45,9 @@ struct PrimeBlockData {
   }
 };
 
-/// Seqlock-protected prime block. The payload is copied through relaxed
-/// word-sized atomic accesses (the seq_ check discards torn snapshots),
+/// Seqlock-protected prime block. The payload is copied through the same
+/// word-sized atomic accesses as a page (PageLoadWord / SeqlockUnchanged;
+/// the seq_ check discards torn snapshots),
 /// keeping the concurrent read/write well-defined for the C++ memory
 /// model and for TSan.
 class PrimeBlock {
@@ -59,11 +61,8 @@ class PrimeBlock {
     for (;;) {
       const uint64_t s1 = seq_.load(std::memory_order_acquire);
       if (s1 & 1) continue;
-      for (size_t i = 0; i < kWords; ++i) {
-        buf[i] = __atomic_load_n(&words_[i], __ATOMIC_RELAXED);
-      }
-      std::atomic_thread_fence(std::memory_order_acquire);
-      if (seq_.load(std::memory_order_relaxed) == s1) break;
+      for (size_t i = 0; i < kWords; ++i) buf[i] = PageLoadWord(&words_[i]);
+      if (SeqlockUnchanged(seq_, s1)) break;
     }
     PrimeBlockData out;
     std::memcpy(&out, buf, sizeof(out));

@@ -8,7 +8,7 @@
 
 namespace obtree {
 
-EpochManager::EpochManager() : clock_(1), slots_(kMaxSlots) {}
+EpochManager::EpochManager() : clock_(1), slot_mark_(0), slots_(kMaxSlots) {}
 
 EpochManager::Guard::Guard(EpochManager* mgr) : mgr_(mgr) {
   // Claim the first free slot from this thread's home slot on, publishing
@@ -17,16 +17,21 @@ EpochManager::Guard::Guard(EpochManager* mgr) : mgr_(mgr) {
   // store-then-load pair; the seq_cst clock load below is the load half.
   // A reclaimer or grace fence that ticks the clock after our load sees
   // our slot, and one whose tick our load observed happened before us.
+  // Before its CAS, a slot is covered by the high-water mark (CoverSlot)
+  // so that MinActive() scans it; see slot_mark_ for why that is enough.
   const uint32_t home = ThisThreadIndex();
   const Timestamp before = mgr_->clock_.load(std::memory_order_relaxed);
   for (uint32_t i = 0;; ++i) {
-    std::atomic<Timestamp>& s = mgr_->slots_[(home + i) % kMaxSlots].start;
+    const uint32_t index = (home + i) % kMaxSlots;
+    std::atomic<Timestamp>& s = mgr_->slots_[index].start;
     Timestamp expected = kMaxTimestamp;
-    if (s.load(std::memory_order_relaxed) == kMaxTimestamp &&
-        s.compare_exchange_strong(expected, before + 1,
-                                  std::memory_order_seq_cst)) {
-      slot_ = &s;
-      break;
+    if (s.load(std::memory_order_relaxed) == kMaxTimestamp) {
+      mgr_->CoverSlot(index);
+      if (s.compare_exchange_strong(expected, before + 1,
+                                    std::memory_order_seq_cst)) {
+        slot_ = &s;
+        break;
+      }
     }
     // Every slot busy (kMaxSlots concurrent operations): yield and retry
     // rather than abort.
@@ -49,11 +54,20 @@ void EpochManager::Guard::Refresh() {
   slot_->store(start_, std::memory_order_release);
 }
 
+void EpochManager::CoverSlot(uint32_t index) {
+  uint32_t mark = slot_mark_.load(std::memory_order_seq_cst);
+  while (mark <= index &&
+         !slot_mark_.compare_exchange_weak(mark, index + 1,
+                                           std::memory_order_seq_cst)) {
+  }
+}
+
 Timestamp EpochManager::MinActive() const {
   Timestamp min = kMaxTimestamp;
-  for (const Slot& s : slots_) {
+  const uint32_t mark = slot_mark_.load(std::memory_order_seq_cst);
+  for (uint32_t i = 0; i < mark; ++i) {
     // seq_cst: the load half of the reclaimer's tick-then-scan pair.
-    Timestamp t = s.start.load(std::memory_order_seq_cst);
+    Timestamp t = slots_[i].start.load(std::memory_order_seq_cst);
     if (t < min) min = t;
   }
   std::lock_guard<std::mutex> l(providers_mu_);
@@ -72,8 +86,9 @@ void EpochManager::RegisterExternalMinProvider(
 
 int EpochManager::ActiveCount() const {
   int n = 0;
-  for (const Slot& s : slots_) {
-    if (s.start.load(std::memory_order_acquire) != kMaxTimestamp) ++n;
+  const uint32_t mark = slot_mark_.load(std::memory_order_seq_cst);
+  for (uint32_t i = 0; i < mark; ++i) {
+    if (slots_[i].start.load(std::memory_order_acquire) != kMaxTimestamp) ++n;
   }
   return n;
 }

@@ -23,6 +23,9 @@
 // its own cache line, so a pin is one CAS on that line plus a load of the
 // read-mostly clock, and a release is one store. A nested pin, or a thread
 // whose home slot another thread holds, probes the following slots.
+// MinActive() scans only the slots below a high-water mark, one past the
+// highest slot index any pin ever claimed: as many slots as threads have
+// ever pinned here (nested pins add one each), not all kMaxSlots.
 
 #ifndef OBTREE_UTIL_EPOCH_H_
 #define OBTREE_UTIL_EPOCH_H_
@@ -84,7 +87,9 @@ class EpochManager {
   /// Smallest start time among active operations and external providers;
   /// kMaxTimestamp when nothing is active. Pages retired strictly before
   /// this value are safe to reuse: after `t = Advance()`, MinActive() > t
-  /// means every operation pinned now began after that tick.
+  /// means every operation pinned now began after that tick. Costs one
+  /// seq_cst load per slot below the high-water mark (one slot per
+  /// thread that ever pinned, up to kMaxSlots), plus the providers.
   Timestamp MinActive() const;
 
   /// Register a callback that reports the minimum timestamp still live in
@@ -102,7 +107,26 @@ class EpochManager {
     std::atomic<Timestamp> start{kMaxTimestamp};  // kMaxTimestamp = free
   };
 
+  // Raise slot_mark_ to at least index + 1 (seq_cst); a no-op, one
+  // load, once the mark covers the slot.
+  void CoverSlot(uint32_t index);
+
   std::atomic<Timestamp> clock_;
+  // High-water mark: one past the highest slot index ever claimed. Only
+  // rises; MinActive() and ActiveCount() scan slots [0, mark). A pin
+  // covers its slot (CoverSlot: a seq_cst load, and a seq_cst CAS when
+  // it must raise the mark) before its slot CAS, so the order on the pin
+  // side is cover, slot CAS, clock load; on the reclaimer's it is tick,
+  // mark load, slot loads, all seq_cst. Suppose a reclaimer's mark load
+  // reads a mark too low to cover a pin's slot, older than the value the
+  // pin's cover raised or read. Then that mark load precedes the cover
+  // in the single seq_cst order, so the reclaimer's tick precedes the
+  // pin's clock load, which therefore reads the tick: the missed pin
+  // began after it, and is already younger than anything retired at it.
+  // A mark load that does see the cover scans the slot, and the slot
+  // argument of Guard applies. With thread churn past kMaxSlots indices
+  // the mark saturates at kMaxSlots: the full scan.
+  std::atomic<uint32_t> slot_mark_;
   std::vector<Slot> slots_;
 
   mutable std::mutex providers_mu_;

@@ -68,16 +68,18 @@ enum class StatId : int {
   kOptimisticFallbacks,  ///< always 0: nothing counts it; kept because
                          ///< perfbench/src/common.cc reads it
   kInplaceWrites,        ///< no-split mutations applied to the live page
-                         ///< under the seqlock (PageManager::BeginWrite)
-                         ///< instead of a Get + Put copy cycle
+                         ///< under the seqlock (PageManager::BeginWrite);
+                         ///< splits, which rewrite their node in place
+                         ///< too, count kSplits instead
   kInplaceFallbacks,     ///< locked peeks that kept tearing past their
                          ///< retry bound (racing page reuse) and gave the
                          ///< lock back: the write restarted from the root,
                          ///< or the append fast path missed
   kWriteBytesInplace,    ///< bytes stored by in-place mutations
-  kWriteBytesCopied,     ///< bytes moved by splits on the insert path
-                         ///< (page copied out under the lock + every
-                         ///< page image written back)
+  kWriteBytesCopied,     ///< bytes stored by splits on the insert path:
+                         ///< the new node's live prefix, the split
+                         ///< node's rewritten words, and a new root's
+                         ///< prefix (no page is copied out)
   kAppendFastHits,       ///< inserts completed by the rightmost fast path
                          ///< (options().append_leaves): descent skipped,
                          ///< key appended to the hinted rightmost leaf

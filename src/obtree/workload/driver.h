@@ -14,6 +14,7 @@
 #ifndef OBTREE_WORKLOAD_DRIVER_H_
 #define OBTREE_WORKLOAD_DRIVER_H_
 
+#include <atomic>
 #include <chrono>
 #include <string>
 #include <thread>
@@ -132,12 +133,18 @@ DriverResult RunWorkload(Tree* tree, const WorkloadSpec& spec, int threads,
   std::vector<Histogram> histograms(static_cast<size_t>(threads));
   std::vector<uint64_t> succeeded(static_cast<size_t>(threads), 0);
   std::vector<std::thread> workers;
-  const auto start = Clock::now();
+  // Start barrier: every worker is spawned and set up before the clock
+  // starts and any of them runs an operation, so thread-spawn skew stays
+  // out of the timed window.
+  std::atomic<int> ready{0};
+  std::atomic<bool> go{false};
   for (int t = 0; t < threads; ++t) {
     workers.emplace_back([&, t]() {
       OpGenerator gen(spec, seed, t, threads);
       Histogram& hist = histograms[static_cast<size_t>(t)];
       uint64_t ok = 0;
+      ready.fetch_add(1, std::memory_order_release);
+      while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
       for (uint64_t i = 0; i < ops_per_thread; ++i) {
         const OpGenerator::Op op = gen.Next();
         const auto op_start =
@@ -171,6 +178,11 @@ DriverResult RunWorkload(Tree* tree, const WorkloadSpec& spec, int threads,
       succeeded[static_cast<size_t>(t)] = ok;
     });
   }
+  while (ready.load(std::memory_order_acquire) < threads) {
+    std::this_thread::yield();
+  }
+  const auto start = Clock::now();
+  go.store(true, std::memory_order_release);
   for (auto& w : workers) w.join();
   const auto end = Clock::now();
 

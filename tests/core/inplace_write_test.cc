@@ -19,6 +19,7 @@
 #include "obtree/api/concurrent_map.h"
 #include "obtree/core/compression_queue.h"
 #include "obtree/core/sagiv_tree.h"
+#include "obtree/core/scan_compressor.h"
 #include "obtree/core/tree_checker.h"
 #include "obtree/util/random.h"
 
@@ -38,11 +39,67 @@ TEST(InplaceWriteTest, InplaceModeCountsStats) {
   const StatsSnapshot snap = tree.stats()->Snapshot();
   EXPECT_GT(snap.Get(StatId::kInplaceWrites), 0u);
   EXPECT_GT(snap.Get(StatId::kWriteBytesInplace), 0u);
-  // Splits keep copy semantics, so some copied bytes still accrue...
+  // Splits store the new node's live prefix and the changed words of the
+  // split node, so split bytes still accrue...
   EXPECT_GT(snap.Get(StatId::kSplits), 0u);
-  // ...but the no-split mutations dominate: far less copy traffic than
-  // the 8 KB-per-mutation regime (750 mutations * 8 KB = 6 MB).
+  EXPECT_GT(snap.Get(StatId::kWriteBytesCopied), 0u);
+  // ...but far less than the 8 KB-per-mutation regime of a page-copy
+  // cycle (750 mutations * 8 KB = 6 MB).
   EXPECT_LT(snap.Get(StatId::kWriteBytesCopied), 750u * 8192u / 2);
+}
+
+// The paper's cost units for a split (§2.2, Figs. 5-6): one get of the
+// locked node A and two puts, B's and then A's. An insert that splits a
+// leaf, but not its parent, is compared with an insert into the same leaf
+// that does not split: both descend the same path and post one entry in
+// place (a locked peek and a put, at the leaf or at the parent), so the
+// difference is what the split itself costs.
+TEST(InplaceWriteTest, LeafSplitCostsOneGetAndTwoPuts) {
+  TreeOptions options;
+  options.min_entries = 4;        // capacity 8
+  options.append_leaves = false;  // midpoint splits, no fast path
+  SagivTree tree(options);
+  // Ascending inserts leave every leaf but the last with 5 entries; the
+  // leftmost leaf holds 2, 4, ..., 10 and its parent 5 separators.
+  for (Key k = 2; k <= 200; k += 2) ASSERT_TRUE(tree.Insert(k, k + 1).ok());
+  ASSERT_EQ(tree.Height(), 3u);
+  ASSERT_TRUE(tree.Insert(3, 4).ok());
+  ASSERT_TRUE(tree.Insert(5, 6).ok());
+
+  struct Cost {
+    uint64_t gets, puts, splits, bytes, link_follows, restarts;
+  };
+  auto measure = [&tree](Key k) {
+    const StatsSnapshot before = tree.stats()->Snapshot();
+    EXPECT_TRUE(tree.Insert(k, k + 1).ok());
+    const StatsSnapshot d = tree.stats()->Snapshot().Delta(before);
+    return Cost{d.Get(StatId::kGets),        d.Get(StatId::kPuts),
+                d.Get(StatId::kSplits),      d.Get(StatId::kWriteBytesCopied),
+                d.Get(StatId::kLinkFollows), d.Get(StatId::kRestarts)};
+  };
+  const Cost fill = measure(7);   // the leaf now holds 8: full
+  const Cost split = measure(9);  // 9 entries: 5 stay, 4 move to B
+  ASSERT_EQ(fill.splits, 0u);
+  ASSERT_EQ(split.splits, 1u);  // the parent took the separator in place
+  ASSERT_EQ(fill.link_follows + split.link_follows, 0u);
+  ASSERT_EQ(fill.restarts + split.restarts, 0u);
+  EXPECT_EQ(fill.gets, tree.Height() + 1);  // descent + locked peek
+  EXPECT_EQ(fill.puts, 1u);
+  // The parent's post costs what the leaf's post cost in `fill`, so
+  // the rest is the split's own: A's locked peek (no copy-out of A), and
+  // the puts of B and then A.
+  EXPECT_EQ(split.gets - fill.gets, 1u);
+  EXPECT_EQ(split.puts - fill.puts, 2u);
+  // Key 9 lands on B's side: B's live prefix, plus A's high, link and
+  // count words.
+  EXPECT_EQ(split.bytes, NodeBytes(4) + sizeof(Key) + sizeof(PageId) +
+                             sizeof(uint32_t));
+  for (Key k = 2; k <= 10; ++k) {
+    Result<Value> v = tree.Search(k);
+    ASSERT_TRUE(v.ok()) << k;
+    EXPECT_EQ(*v, k + 1);
+  }
+  EXPECT_TRUE(TreeChecker(&tree).CheckStructure().ok());
 }
 
 TEST(InplaceWriteTest, UnderfullLeafStillEnqueuedForCompression) {
@@ -137,6 +194,75 @@ TEST(InplaceWriteTest, ConcurrentReadersNeverSeeTornInplaceWrites) {
     ASSERT_EQ(*v, k + 1);
   }
   EXPECT_GT(map.Stats().Get(StatId::kInplaceWrites), 0u);
+}
+
+// Splits in place while optimistic readers watch: one writer inserts and
+// erases keys between a fixed set of present keys, and after each round
+// merges the emptied leaves back (a ScanCompressor pass), so the leaves
+// over the range split again and again, each split putting B and then
+// rewriting A in place. A Search of a present key must always find it,
+// and a Scan of the range must deliver every present key, ascending, with
+// no torn pair.
+TEST(InplaceWriteTest, ReadersNeverMissKeysOfALeafSplitInPlace) {
+  TreeOptions options;
+  options.min_entries = 4;  // capacity 8: a split every few inserts
+  SagivTree tree(options);
+  constexpr Key kLo = 1'000;
+  constexpr Key kStride = 64;  // present keys: kLo, kLo + 64, ...
+  constexpr Key kPresent = 8;  // a handful of leaves, all splitting
+  constexpr Key kHi = kLo + kStride * (kPresent - 1);
+  for (Key k = kLo; k <= kHi; k += kStride) {
+    ASSERT_TRUE(tree.Insert(k, k + 1).ok());
+  }
+
+  std::atomic<bool> stop{false};
+  std::atomic<bool> bad{false};
+  std::thread writer([&tree, &stop]() {
+    Random rng(5);
+    std::vector<Key> mine;
+    for (int round = 0; round < 3000; ++round) {
+      for (int i = 0; i < 24; ++i) {
+        const Key k = kLo + rng.Uniform(kHi - kLo);
+        if (k % kStride == kLo % kStride) continue;  // a present key
+        if (tree.Insert(k, k + 1).ok()) mine.push_back(k);
+      }
+      for (Key k : mine) (void)tree.Delete(k);
+      mine.clear();
+      ScanCompressor(&tree).FullPass();
+    }
+    stop.store(true);
+  });
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 2; ++t) {
+    readers.emplace_back([&tree, &stop, &bad]() {
+      while (!stop.load(std::memory_order_relaxed)) {
+        for (Key k = kLo; k <= kHi; k += kStride) {
+          Result<Value> v = tree.Search(k);
+          if (!v.ok() || *v != k + 1) bad.store(true);
+        }
+      }
+    });
+  }
+  readers.emplace_back([&tree, &stop, &bad]() {
+    while (!stop.load(std::memory_order_relaxed)) {
+      Key last = 0;
+      Key present = 0;
+      tree.Scan(kLo, kHi, [&](Key k, Value v) {
+        if (k <= last || k < kLo || k > kHi || v != k + 1) bad.store(true);
+        if (k % kStride == kLo % kStride) ++present;
+        last = k;
+        return true;
+      });
+      if (present != kPresent) bad.store(true);
+    }
+  });
+  writer.join();
+  for (auto& r : readers) r.join();
+  EXPECT_FALSE(bad.load());
+  EXPECT_GT(tree.stats()->Get(StatId::kSplits), 1000u);
+  EXPECT_EQ(tree.Size(), kPresent);
+  Status s = TreeChecker(&tree).CheckStructure();
+  EXPECT_TRUE(s.ok()) << s.ToString();
 }
 
 // Writer-vs-writer: concurrent Inserts/Deletes on overlapping ranges with

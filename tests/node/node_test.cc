@@ -7,6 +7,7 @@
 
 #include "obtree/node/node.h"
 
+#include <cstring>
 #include <memory>
 
 #include <gtest/gtest.h>
@@ -220,6 +221,60 @@ TEST(NodeSplitTest, InternalSplitKeepsHighInvariant) {
   EXPECT_EQ(b.high, b.entries[b.count - 1].key);
   EXPECT_EQ(b.high, kPlusInfinity);
   EXPECT_EQ(a.count + b.count, 4u);
+}
+
+// The in-place split (SplitRightWith, then SplitLeftInPlace) against the
+// copy split it replaces: insert, then SplitInto, on a copy. Every
+// insertion position, for the midpoint, a one-entry left half and the
+// tail keep, for leaves and internal nodes of several sizes. A's header
+// and live entries and B's whole live image must match exactly; A's
+// entries past its new count are dead and not compared.
+TEST(NodeSplitTest, InPlaceSplitMatchesCopySplit) {
+  constexpr PageId kRight = 91;
+  for (const bool leaf : {true, false}) {
+    for (const uint32_t n : {2u, 3u, 8u, 9u, 60u, 253u}) {
+      Node proto;
+      proto.Init(leaf ? 0 : 1, /*low=*/3, /*high=*/10 * n, /*link=*/17);
+      for (uint32_t i = 0; i < n; ++i) {
+        proto.entries[i] = Entry{10 * (i + 1), 1000 + i};
+      }
+      proto.count = n;
+      // A leaf takes a key at every position in [0, n]; an internal
+      // node's separator lies below its high, so at most position n - 1.
+      const uint32_t last_pos = leaf ? n : n - 1;
+      for (uint32_t pos = 0; pos <= last_pos; ++pos) {
+        for (const uint32_t keep : {0u, 1u, n}) {
+          SCOPED_TRACE(testing::Message() << (leaf ? "leaf" : "internal")
+                                          << " n=" << n << " pos=" << pos
+                                          << " keep=" << keep);
+          const Key k = 10 * pos + 5;
+          const uint64_t v = 7000 + pos;
+
+          Node ref_a = proto;
+          Node ref_b;
+          if (leaf) {
+            ref_a.InsertLeafEntry(k, v);
+          } else {
+            ASSERT_TRUE(ref_a.InsertChildSplit(k, static_cast<PageId>(v)));
+          }
+          ref_a.SplitInto(&ref_b, kRight, keep);
+
+          Node a = proto;
+          Node b;
+          const size_t b_bytes = a.SplitRightWith(k, v, keep, &b);
+          const size_t a_bytes = a.SplitLeftInPlace(k, v, keep, kRight);
+
+          EXPECT_EQ(b_bytes, NodeBytes(ref_b.count));
+          EXPECT_EQ(std::memcmp(&b, &ref_b, NodeBytes(ref_b.count)), 0);
+          EXPECT_EQ(std::memcmp(&a, &ref_a, NodeBytes(ref_a.count)), 0);
+          // A stores its three changed header words, plus entries only
+          // when the new key stays on its side.
+          const bool lands_left = pos < ref_a.count;
+          EXPECT_EQ(a_bytes > 16, lands_left);
+        }
+      }
+    }
+  }
 }
 
 TEST(NodeMergeTest, MergeFromRightAppends) {

@@ -134,6 +134,39 @@ TEST(EpochTest, ThreadsSharingAHomeSlotBothPin) {
   EXPECT_EQ(mgr.ActiveCount(), 0);
 }
 
+// MinActive() scans only the slots below the high-water mark, so a pin
+// that claims a slot above it must raise the mark first. A fresh manager's
+// mark is 0: the outer pin covers this thread's home slot, the nested pin
+// probes past it to the next slot, and a new thread's pin lands on its own
+// home slot. Each must hold the floor alone, once the others are gone.
+TEST(EpochTest, PinsAboveTheHighWaterMarkHoldTheFloor) {
+  EpochManager mgr;
+  auto outer = std::make_unique<EpochManager::Guard>(&mgr);
+  mgr.Advance();
+  auto nested = std::make_unique<EpochManager::Guard>(&mgr);
+  outer.reset();
+  EXPECT_EQ(mgr.ActiveCount(), 1);
+  EXPECT_LE(mgr.MinActive(), nested->start_time());
+  const Timestamp ticked = mgr.Advance();
+  EXPECT_LE(mgr.MinActive(), ticked);  // the floor stays at the nested pin
+
+  std::atomic<Timestamp> pinned{0};
+  std::atomic<bool> release{false};
+  std::thread other([&] {
+    EpochManager::Guard g(&mgr);
+    pinned.store(g.start_time());
+    while (!release.load()) std::this_thread::yield();
+  });
+  while (pinned.load() == 0) std::this_thread::yield();
+  nested.reset();
+  EXPECT_EQ(mgr.ActiveCount(), 1);
+  EXPECT_EQ(mgr.MinActive(), pinned.load());
+  release.store(true);
+  other.join();
+  EXPECT_EQ(mgr.MinActive(), kMaxTimestamp);
+  EXPECT_EQ(mgr.ActiveCount(), 0);
+}
+
 TEST(EpochTest, ExternalProviderHoldsFloor) {
   EpochManager mgr;
   std::atomic<Timestamp> queue_min{kMaxTimestamp};
