@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <optional>
 #include <string>
 #include <thread>
 
@@ -32,10 +33,10 @@ ShardedMap::ShardedMap(const ShardOptions& options) : options_(options) {
     options_ = ShardOptions();  // degrade to a working default
   }
   const uint32_t n = options_.num_shards;
-  // Ceil division without overflow (key_space_hint may be near 2^64).
-  shard_width_ =
+  // The first table splits [1, key_space_hint] into n equal ranges: ceil
+  // division without overflow; Validate keeps the hint >= n, so width >= 1.
+  const uint64_t width =
       options_.key_space_hint / n + (options_.key_space_hint % n != 0);
-  if (shard_width_ == 0) shard_width_ = 1;
   dynamic_ = options_.rebalance.enabled;
 
   // One machine-sized maintenance pool serves every shard.
@@ -55,7 +56,7 @@ ShardedMap::ShardedMap(const ShardOptions& options) : options_(options) {
         init_status_ = trees_.back()->init_status();
       }
       RouteEntry e;
-      e.lo = static_cast<Key>(i) * shard_width_ + 1;
+      e.lo = static_cast<Key>(i) * width + 1;
       e.tree = trees_.back().get();
       initial->entries.push_back(e);
     }
@@ -113,16 +114,12 @@ bool ShardedMap::recovered_from_checkpoint() const {
 }
 
 size_t ShardedMap::RouteIndex(const RoutingTable* t, Key key) {
+  // The answer stays in [lo, lo + n); each step halves n with no branch
+  // on the comparison.
   const auto& es = t->entries;
   size_t lo = 0;
-  size_t hi = es.size();
-  while (hi - lo > 1) {
-    const size_t mid = lo + (hi - lo) / 2;
-    if (es[mid].lo <= key) {
-      lo = mid;
-    } else {
-      hi = mid;
-    }
+  for (size_t n = es.size(); n > 1; n -= n / 2) {
+    lo = es[lo + n / 2].lo <= key ? lo + n / 2 : lo;
   }
   return lo;
 }
@@ -133,13 +130,13 @@ const ShardedMap::RouteEntry& ShardedMap::Route(const RoutingTable* t,
 }
 
 uint32_t ShardedMap::ShardIndex(Key key) const {
-  const RoutingTable* t = table();
-  if (!dynamic_) {
-    const uint64_t idx = (key - 1) / shard_width_;
-    const uint64_t last = t->entries.size() - 1;
-    return static_cast<uint32_t>(idx < last ? idx : last);
-  }
-  return static_cast<uint32_t>(RouteIndex(t, key));
+  return static_cast<uint32_t>(RouteIndex(table(), key));
+}
+
+const ShardedMap::RoutingTable* ShardedMap::PinTable(
+    std::optional<EpochManager::Guard>* pin) const {
+  if (dynamic_) pin->emplace(&table_epoch_);
+  return table();
 }
 
 bool ShardedMap::Settled(const ShardMigration* mig, Key key) {
@@ -219,41 +216,29 @@ Status ShardedMap::DualUpsert(const RouteEntry& e, Key key, Value value) {
 }
 
 Status ShardedMap::Insert(Key key, Value value) {
-  if (!dynamic_) {
-    return StaticRoute(table(), key).tree->Insert(key, value);
-  }
-  EpochManager::Guard g(&table_epoch_);
-  const RouteEntry e = Route(table(), key);
+  std::optional<EpochManager::Guard> pin;
+  const RouteEntry& e = Route(PinTable(&pin), key);
   if (Settled(e.mig, key)) return e.tree->Insert(key, value);
   return DualInsert(e, key, value);
 }
 
 Result<Value> ShardedMap::Get(Key key) const {
-  if (!dynamic_) {
-    return StaticRoute(table(), key).tree->Get(key);
-  }
-  EpochManager::Guard g(&table_epoch_);
-  const RouteEntry e = Route(table(), key);
+  std::optional<EpochManager::Guard> pin;
+  const RouteEntry& e = Route(PinTable(&pin), key);
   if (Settled(e.mig, key)) return e.tree->Get(key);
   return DualGet(e, key);
 }
 
 Status ShardedMap::Erase(Key key) {
-  if (!dynamic_) {
-    return StaticRoute(table(), key).tree->Erase(key);
-  }
-  EpochManager::Guard g(&table_epoch_);
-  const RouteEntry e = Route(table(), key);
+  std::optional<EpochManager::Guard> pin;
+  const RouteEntry& e = Route(PinTable(&pin), key);
   if (Settled(e.mig, key)) return e.tree->Erase(key);
   return DualErase(e, key);
 }
 
 Status ShardedMap::Upsert(Key key, Value value) {
-  if (!dynamic_) {
-    return StaticRoute(table(), key).tree->Upsert(key, value);
-  }
-  EpochManager::Guard g(&table_epoch_);
-  const RouteEntry e = Route(table(), key);
+  std::optional<EpochManager::Guard> pin;
+  const RouteEntry& e = Route(PinTable(&pin), key);
   if (Settled(e.mig, key)) return e.tree->Upsert(key, value);
   return DualUpsert(e, key, value);
 }
@@ -423,9 +408,8 @@ size_t ShardedMap::Scan(
     Key lo, Key hi, const std::function<bool(Key, Value)>& visitor) const {
   if (lo < 1) lo = 1;
   if (hi < lo) return 0;
-  if (!dynamic_) return ScanTable(table(), lo, hi, visitor);
-  EpochManager::Guard g(&table_epoch_);
-  return ScanTable(table(), lo, hi, visitor);
+  std::optional<EpochManager::Guard> pin;
+  return ScanTable(PinTable(&pin), lo, hi, visitor);
 }
 
 std::vector<std::pair<Key, Value>> ShardedMap::ScanLimit(

@@ -12,18 +12,21 @@
 //   shard 0  shard 1  ...    shard N-1           (each a ConcurrentMap:
 //                                                 SagivTree + compressors)
 //
-// Point operations route to exactly one shard. Range scans visit only the
-// shards whose ranges intersect [lo, hi], in shard order; because the
-// partition is ordered, concatenating per-shard results yields globally
-// ascending keys without a heap merge. Stats and TreeShape aggregate
-// across shards.
+// Every map routes through a routing table of shard lower bounds: a point
+// operation binary-searches it and goes to exactly one shard. Range scans
+// visit only the shards whose ranges intersect [lo, hi], in shard order;
+// because the partition is ordered, concatenating per-shard results
+// yields globally ascending keys without a heap merge. Stats and
+// TreeShape aggregate across shards.
 //
 // With options.rebalance.enabled the partition becomes DYNAMIC: a
 // ShardRebalancer thread watches per-shard load (op counters, paper-lock
 // contention, BackgroundPool drain/boost rates), splits hot shards and
 // merges cold neighbors by migrating boundary key ranges under live
-// traffic. Routing then goes through an atomically swappable boundary
-// table; during a migration, operations on the moving range run a
+// traffic. It publishes each new partition by swapping the table, so
+// operations on such a map pin a routing epoch while they hold a table
+// snapshot; a map without a rebalancer never replaces its table and skips
+// the pin. During a migration, operations on the moving range run a
 // donor-first double lookup so every interleaving stays correct. The full
 // protocol, its invariants, and the operator playbook are in
 // docs/REBALANCING.md.
@@ -41,6 +44,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -95,7 +99,7 @@ class ShardedMap : private ShardRebalancer::Host {
   // --- batched operations ---------------------------------------------------
   //
   // Each Multi* call is a loop over this map's own single-op calls, in
-  // submission order. Every op routes on its own and, in dynamic mode,
+  // submission order. Every op routes on its own and, on a rebalancing map,
   // takes its own routing-epoch pin, so a concurrent table swap waits for
   // at most one op of a batch; a key in a migration's unsettled zone runs
   // the dual-lookup protocol exactly as a single call does. Results,
@@ -305,7 +309,7 @@ class ShardedMap : private ShardRebalancer::Host {
   ActionResult SplitShard(size_t index) override;
   ActionResult MergeShards(size_t left) override;
 
-  /// seq_cst: on the dynamic route this load follows the Guard's pin, the
+  /// seq_cst: on a rebalancing map this load follows the Guard's pin, the
   /// load half of the pin's store-then-load pair that PublishTable's grace
   /// period relies on. On x86 it is a plain load, as acquire would be.
   const RoutingTable* table() const {
@@ -316,16 +320,12 @@ class ShardedMap : private ShardRebalancer::Host {
   static const RouteEntry& Route(const RoutingTable* t, Key key);
   static size_t RouteIndex(const RoutingTable* t, Key key);
 
-  /// Division-based routing for the static (rebalancing-off) topology —
-  /// the table is equal-width there, so the quotient IS the index.
-  const RouteEntry& StaticRoute(const RoutingTable* t, Key key) const {
-    const uint64_t idx = (key - 1) / shard_width_;
-    const uint64_t last = t->entries.size() - 1;
-    return t->entries[idx < last ? idx : last];
-  }
+  /// The current table, pinned into `pin` on a rebalancing map for as long
+  /// as the caller keeps `pin`. A map without a rebalancer never replaces
+  /// its table, so its operations leave `pin` empty.
+  const RoutingTable* PinTable(std::optional<EpochManager::Guard>* pin) const;
 
-  /// Scan body over one table snapshot (caller holds the epoch guard in
-  /// dynamic mode).
+  /// Scan body over one table snapshot (from PinTable).
   size_t ScanTable(const RoutingTable* t, Key lo, Key hi,
                    const std::function<bool(Key, Value)>& visitor) const;
 
@@ -390,8 +390,7 @@ class ShardedMap : private ShardRebalancer::Host {
 
   ShardOptions options_;
   Status init_status_;
-  uint64_t shard_width_;  ///< keys per initial shard range (ceil division)
-  bool dynamic_ = false;  ///< options_.rebalance.enabled and valid
+  bool dynamic_ = false;  ///< rebalancing on: table_ swaps, ops pin
   /// Declared before the tree graveyard so it is destroyed after them:
   /// each tree's destructor detaches itself from the (still-live) pool.
   std::unique_ptr<BackgroundPool> pool_;
@@ -406,8 +405,8 @@ class ShardedMap : private ShardRebalancer::Host {
   std::vector<std::unique_ptr<RoutingTable>> tables_;
   std::vector<std::unique_ptr<ShardMigration>> migrations_;
   std::atomic<RoutingTable*> table_{nullptr};
-  /// Map-level grace-period clock: every operation pins a Guard while it
-  /// may hold a routing-table snapshot (only when dynamic_), and
+  /// Map-level grace-period clock: on a rebalancing map every operation
+  /// pins a Guard while it may hold a routing-table snapshot, and
   /// PublishTable waits until all pre-swap pins release.
   mutable EpochManager table_epoch_;
   /// Serializes topology changes: controller actions and Debug* calls.

@@ -186,7 +186,9 @@ SagivTree::SagivTree(const TreeOptions& options)
       pb.leftmost[i] = meta.leftmost[i];
     }
     prime_.Write(pb);
-    internal_NoteBulkLoad(meta.max_key, meta.rightmost_leaf);
+    // Arm the append watermark (stale-low, it would arm the fast path below
+    // the stored max); RecoverSizeFromLeaves sets the rightmost hint.
+    NoteMaxKey(meta.max_key);
     // The manifest's tree_size can be off by operations whose size bump
     // had not landed when the checkpoint barrier cut; the leaf chain is
     // the authority.

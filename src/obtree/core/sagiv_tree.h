@@ -181,17 +181,6 @@ class SagivTree {
     size_.fetch_add(static_cast<uint64_t>(delta), std::memory_order_relaxed);
   }
 
-  /// Record a bulk load's outcome for the append fast-path hints:
-  /// `max_key` is the largest loaded key and `rightmost_leaf` the page
-  /// holding it. Keeps max_key_hint_ from going stale-low (which would
-  /// arm the fast path for keys below the loaded max and poison
-  /// rightmost_hint_ with non-rightmost leaves) and points the first
-  /// max-extending insert straight at the loaded frontier.
-  void internal_NoteBulkLoad(Key max_key, PageId rightmost_leaf) {
-    NoteMaxKey(max_key);
-    rightmost_hint_.store(rightmost_leaf, std::memory_order_release);
-  }
-
   // Why a descent gave up on its current node and restarted from the
   // root; drives the per-cause restart counters. An implementation
   // detail, public only so sagiv_tree.cc's file-local route-dispatch
@@ -217,7 +206,7 @@ class SagivTree {
   // a key that WAS >= every stored key at some point (monotone under
   // inserts, possibly stale-high after deletes — which only disarms the
   // fast path, never misroutes it; every max-extending insert, and
-  // BulkLoad, raises it). TryAppendFast re-establishes
+  // recovery from a checkpoint, raises it). TryAppendFast re-establishes
   // the truth under the paper lock before touching anything — and, for
   // the one hazard the lock cannot see (a half-published frontier split
   // whose fresh right node looks live before it is link-reachable),
@@ -314,9 +303,10 @@ class SagivTree {
   // `key`; see the definition for the bias rule.
   uint32_t TailSplitKeep(const Node* node, Key key) const;
 
-  // Recovery helper: rebuild size_ (and sanity-check reachability) by
-  // walking the level-0 link chain of a freshly recovered tree. Runs
-  // before any concurrency exists; fault evaluation is suppressed.
+  // Recovery helper: rebuild size_ and rightmost_hint_ (and sanity-check
+  // reachability) by walking the level-0 link chain of a freshly
+  // recovered tree. Runs before any concurrency exists; fault evaluation
+  // is suppressed.
   void RecoverSizeFromLeaves();
 
   TreeOptions options_;

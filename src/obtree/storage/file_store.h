@@ -101,7 +101,8 @@ struct StoreMeta {
   uint64_t tree_size = 0;             ///< logical key count at the barrier
   std::vector<PageId> leftmost;       ///< prime block: leftmost[level]
   Key max_key = 0;                    ///< append fast-path watermark
-  PageId rightmost_leaf = kInvalidPageId;  ///< append fast-path hint
+  PageId rightmost_leaf = kInvalidPageId;  ///< append fast-path hint;
+                                           ///< recovery re-walks the leaves
 };
 
 /// Persistent page backend over a directory (see file comment). All

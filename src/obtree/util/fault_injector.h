@@ -22,8 +22,8 @@
 // ordinal first still depends on the schedule; the stress harness prints
 // its seed so a failing schedule can be replayed under the same spec.)
 //
-// Maintenance and audit code (compressors, TreeChecker, TreeDump, bulk
-// load) must observe ground truth, not injected chaos: they wrap
+// Maintenance and audit code (compressors, TreeChecker, TreeDump,
+// recovery) must observe ground truth, not injected chaos: they wrap
 // themselves in a ScopedExemption, which suppresses all fault evaluation
 // on the current thread for its lifetime.
 

@@ -2,6 +2,7 @@
 
 #include "obtree/api/sharded_map.h"
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <cstring>
@@ -33,6 +34,35 @@ ShardOptions SmallShards(uint32_t num_shards, Key key_space_hint,
   opt.compression = mode;
   opt.tree.min_entries = k;
   return opt;
+}
+
+// Routing through the table must place every key where the equal-width
+// division of [1, key_space_hint] does: ShardIndex(k) == min((k - 1) / W,
+// n - 1) with W = ceil(hint / n), and a key inserted through the map lives
+// in exactly the shard ShardIndex names. Checks each boundary key +-1 and
+// kMaxUserKey on a map without rebalancing.
+void ExpectDivisionRouting(ShardedMap* map, Key hint) {
+  const uint64_t n = map->num_shards();
+  const uint64_t width = hint / n + (hint % n != 0);
+  std::set<Key> keys = {1, kMaxUserKey};
+  for (uint64_t s = 1; s < n; ++s) {
+    const Key lo = s * width + 1;
+    ASSERT_EQ(map->ShardLowerBound(static_cast<uint32_t>(s)), lo);
+    keys.insert({lo - 1, lo, lo + 1});
+  }
+  for (Key k : keys) {
+    const uint64_t want = std::min<uint64_t>((k - 1) / width, n - 1);
+    EXPECT_EQ(map->ShardIndex(k), want) << "key " << k;
+    ASSERT_TRUE(map->Insert(k, k ^ 0x5a).ok()) << "key " << k;
+  }
+  for (Key k : keys) {
+    const uint32_t owner = map->ShardIndex(k);
+    for (uint32_t s = 0; s < n; ++s) {
+      EXPECT_EQ(map->shard(s)->Get(k).ok(), s == owner) << "key " << k;
+    }
+    EXPECT_EQ(*map->Get(k), k ^ 0x5a) << "key " << k;
+  }
+  EXPECT_EQ(map->Size(), keys.size());
 }
 
 TEST(ShardOptionsTest, ValidatesShardCount) {
@@ -99,6 +129,38 @@ TEST(ShardedMapTest, RoutingAtShardBoundaries) {
   EXPECT_EQ(map.Size(), boundary_keys.size());
   for (Key k : boundary_keys) EXPECT_TRUE(map.Erase(k).ok());
   EXPECT_TRUE(map.Empty());
+
+  // The same placement for a hint the shard count does not divide
+  // (1001 / 8: W = 126, the last range is short) and for the narrowest
+  // table, key_space_hint == num_shards (W = 1).
+  ExpectDivisionRouting(&map, 400);
+  ShardedMap uneven(SmallShards(8, 1001));
+  ExpectDivisionRouting(&uneven, 1001);
+  ShardedMap narrow(SmallShards(4, 4));
+  ASSERT_TRUE(narrow.init_status().ok());
+  ExpectDivisionRouting(&narrow, 4);
+}
+
+// Key 0 (kMinusInfinity) and kPlusInfinity are outside the user key range
+// on both map kinds: they route to the first and the last shard, and every
+// point op must reject them.
+TEST(ShardedMapTest, OutOfRangeKeysRejectedOnBothMapKinds) {
+  ShardOptions rebalancing = SmallShards(4, 400);
+  rebalancing.rebalance.enabled = true;
+  rebalancing.rebalance.period_ms = 3'600'000;  // the controller never acts
+  for (const ShardOptions& opt : {SmallShards(4, 400), rebalancing}) {
+    ShardedMap map(opt);
+    ASSERT_TRUE(map.init_status().ok());
+    EXPECT_EQ(map.ShardIndex(0), 0u);
+    EXPECT_EQ(map.ShardIndex(kPlusInfinity), 3u);
+    for (Key k : {kMinusInfinity, kPlusInfinity}) {
+      EXPECT_TRUE(map.Insert(k, 1).IsInvalidArgument()) << k;
+      EXPECT_TRUE(map.Get(k).status().IsInvalidArgument()) << k;
+      EXPECT_TRUE(map.Erase(k).IsInvalidArgument()) << k;
+      EXPECT_TRUE(map.Upsert(k, 1).IsInvalidArgument()) << k;
+    }
+    EXPECT_TRUE(map.Empty());
+  }
 }
 
 TEST(ShardedMapTest, DuplicateAndMissingKeysMatchSingleTreeSemantics) {
@@ -443,6 +505,9 @@ TEST(ShardedMapTest, HugeKeySpaceHintDoesNotOverflowRouting) {
   EXPECT_EQ(*map.Get(kMaxUserKey), 9u);
   EXPECT_EQ(map.shard(0)->Size(), 1u);
   EXPECT_EQ(map.shard(3)->Size(), 1u);
+
+  ShardedMap fresh(SmallShards(4, kMaxUserKey));
+  ExpectDivisionRouting(&fresh, kMaxUserKey);
 }
 
 TEST(ShardedMapTest, SharedPoolBoundsBackgroundThreads) {
@@ -522,6 +587,9 @@ TEST(ShardedMapTest, SingleShardDegeneratesToOneTree) {
   EXPECT_EQ(map.ShardIndex(kMaxUserKey), 0u);
   EXPECT_EQ(map.shard(0)->Size(), 100u);
   EXPECT_TRUE(map.ValidateStructure().ok());
+
+  ShardedMap fresh(SmallShards(1, 1000));
+  ExpectDivisionRouting(&fresh, 1000);
 }
 
 }  // namespace

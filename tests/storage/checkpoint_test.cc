@@ -126,6 +126,46 @@ TEST_F(CheckpointTest, RecoverRefusesEmptyDirAndAcceptsCheckpointed) {
   EXPECT_TRUE(r2.status().IsInvalidArgument());
 }
 
+// Recovery arms the append fast-path hints at the recovered frontier: the
+// watermark rises to the stored max, so an insert below it takes the plain
+// descent with no fast-path attempt, and the rightmost hint names the
+// recovered rightmost leaf, so the first max-extending insert hits it.
+TEST_F(CheckpointTest, RecoveryArmsAppendFastPathHints) {
+  MapOptions opt;
+  opt.tree.storage_dir = dir_;
+  // 1000 ascending keys fill 8 leaves of 2k = 120 pairs and leave 40 in
+  // the rightmost, which therefore has room for the append below.
+  opt.tree.min_entries = 60;
+  opt.compression = CompressionMode::kNone;
+  {
+    ConcurrentMap map(opt);
+    ASSERT_TRUE(map.init_status().ok());
+    // Even keys 2..2000 leave gaps to insert into below the stored max.
+    for (Key k = 2; k <= 2'000; k += 2) ASSERT_TRUE(map.Insert(k, k).ok());
+    ASSERT_TRUE(map.Checkpoint().ok());
+  }
+  auto r = ConcurrentMap::Recover(opt);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  ConcurrentMap& map = **r;
+  const StatsCollector* stats = map.tree()->stats();
+  ASSERT_GT(map.Height(), 1u);
+
+  // 999 < stored max 2000: no fast-path attempt at all.
+  ASSERT_TRUE(map.Insert(999, 1).ok());
+  EXPECT_EQ(stats->Get(StatId::kAppendFastHits), 0u);
+  EXPECT_EQ(stats->Get(StatId::kAppendFastMisses), 0u);
+
+  // 2001 extends the max: one hit on the recovered rightmost leaf.
+  ASSERT_TRUE(map.Insert(2'001, 2).ok());
+  EXPECT_EQ(stats->Get(StatId::kAppendFastHits), 1u);
+  EXPECT_EQ(stats->Get(StatId::kAppendFastMisses), 0u);
+
+  EXPECT_EQ(*map.Get(999), 1u);
+  EXPECT_EQ(*map.Get(2'001), 2u);
+  Status s = map.ValidateStructure();
+  EXPECT_TRUE(s.ok()) << s.ToString();
+}
+
 TEST_F(CheckpointTest, DeletesAndReusedPagesSurviveRoundTrip) {
   constexpr Key kN = 5'000;
   {
