@@ -22,9 +22,8 @@ ConcurrentMap::ConcurrentMap(const MapOptions& options, BackgroundPool* pool)
     tree_->AttachCompressionQueue(queue_.get());
   }
   if (pool == nullptr) {
-    BackgroundPool::Options pool_options;
-    pool_options.threads = std::max(1, options_.compression_threads);
-    owned_pool_ = std::make_unique<BackgroundPool>(pool_options);
+    owned_pool_ = std::make_unique<BackgroundPool>(
+        std::max(1, options_.compression_threads));
     pool = owned_pool_.get();
   }
   pool_ = pool;
@@ -43,7 +42,7 @@ void ConcurrentMap::ShutdownMaintenance() noexcept {
   // dereferences both. Detach blocks until no worker touches this map and
   // is idempotent, so calling this twice (or after a partial construction)
   // is safe. The owned pool goes after the detach: destroying it joins its
-  // workers and its supervisor.
+  // workers.
   std::lock_guard<std::mutex> lk(maintenance_mu_);
   if (pool_ != nullptr) {
     pool_->Detach(pool_handle_);

@@ -229,18 +229,12 @@ class ConcurrentMap {
   const SagivTree* tree() const { return tree_.get(); }
   CompressionQueue* queue() { return queue_.get(); }
 
-  /// Workers of the pool THIS map owns; the pool's supervisor is one more
-  /// thread (0 with a shared pool, compression off, or after Quiesce).
+  /// Workers of the pool THIS map owns (0 with a shared pool, compression
+  /// off, or after Quiesce).
   int background_thread_count() const;
 
   /// The pool serving this map (owned or shared), or nullptr.
   BackgroundPool* attached_pool() const { return pool_; }
-
-  /// The handle attached_pool()'s Attach returned for this map (0 when
-  /// no pool serves it). Join key for the per-shard rows of
-  /// BackgroundPool::Stats()/StatsFor — snapshot rows are in attach
-  /// order, not shard order.
-  uint64_t pool_handle() const { return pool_handle_; }
 
   /// Permanently stop background maintenance for this map: detach from
   /// the pool (blocking until no worker touches it), destroy an owned

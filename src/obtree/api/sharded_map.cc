@@ -25,6 +25,11 @@ namespace {
 // the next batch boundary and rolls back.
 constexpr std::chrono::milliseconds kMigrationDeadline{10'000};
 
+// Consecutive failed batches a migration tolerates (each retried with
+// backoff from the same scan position) before the whole migration aborts
+// and rolls back to the donor.
+constexpr uint32_t kMigrationRetryLimit = 3;
+
 }  // namespace
 
 ShardedMap::ShardedMap(const ShardOptions& options) : options_(options) {
@@ -41,9 +46,7 @@ ShardedMap::ShardedMap(const ShardOptions& options) : options_(options) {
 
   // One machine-sized maintenance pool serves every shard.
   if (options_.compression != CompressionMode::kNone) {
-    BackgroundPool::Options pool_options;
-    pool_options.threads = options_.pool_threads;
-    pool_ = std::make_unique<BackgroundPool>(pool_options);
+    pool_ = std::make_unique<BackgroundPool>(options_.pool_threads);
   }
 
   auto initial = std::make_unique<RoutingTable>();
@@ -559,11 +562,8 @@ std::vector<ShardLoad> ShardedMap::SnapshotLoads() {
     load.ops = s.Get(StatId::kSearches) + s.Get(StatId::kInserts) +
                s.Get(StatId::kDeletes);
     load.contention = s.Get(StatId::kLocksContended);
-    if (pool_ != nullptr) {
-      const PoolShardStats ps = pool_->StatsFor(e.tree->pool_handle());
-      load.pool_drains = ps.tasks_drained;
-      load.pool_boosts = ps.boosts;
-    }
+    load.pool_drains = s.Get(StatId::kPoolTasksDrained);
+    load.pool_boosts = s.Get(StatId::kPoolBoosts);
     load.keys = e.tree->Size();
     out.push_back(load);
   }
@@ -698,7 +698,7 @@ bool ShardedMap::RunMigration(ShardMigration* mig) {
       if (last >= mig->hi) break;
       pos = last + 1;
     } else {
-      if (++failures > options_.rebalance.migration_retry_limit) {
+      if (++failures > kMigrationRetryLimit) {
         donor->tree()->stats()->Add(StatId::kMigrationAborts);
         SetLastRebalanceError(Status::Aborted(
             "migration batch exhausted its retries; rolled back"));

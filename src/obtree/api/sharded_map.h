@@ -172,9 +172,10 @@ class ShardedMap : private ShardRebalancer::Host {
   /// rebalancing actions.
   StatsSnapshot Stats() const;
 
-  /// Counters of the shared background-maintenance pool: tasks drained
-  /// per shard, boost/steal counts, idle ratio. Empty (threads == 0) with
-  /// compression off.
+  /// Counters of the shared background-maintenance pool: tasks drained,
+  /// boost/steal counts, idle ratio. Empty (threads == 0) with
+  /// compression off. The per-shard split is in each shard's
+  /// pool_tasks_drained / pool_boosts tree counters.
   PoolStatsSnapshot PoolStats() const;
 
   /// Structural statistics aggregated across shards: heights max,
@@ -229,8 +230,7 @@ class ShardedMap : private ShardRebalancer::Host {
   }
 
   /// Background maintenance workers serving this map: the shared pool's
-  /// fixed size, independent of num_shards (0 with compression off). The
-  /// pool's supervisor is one more thread.
+  /// fixed size, independent of num_shards (0 with compression off).
   int background_thread_count() const;
 
   const ShardOptions& options() const { return options_; }

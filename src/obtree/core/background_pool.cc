@@ -2,15 +2,25 @@
 
 #include "obtree/core/background_pool.h"
 
+#include <chrono>
 #include <cstdlib>
 
 #include "obtree/core/compression_queue.h"
 #include "obtree/core/queue_compressor.h"
 #include "obtree/core/sagiv_tree.h"
 #include "obtree/core/scan_compressor.h"
-#include "obtree/util/fault_injector.h"
 
 namespace obtree {
+namespace {
+
+// How long a worker sleeps after a round that found no work.
+constexpr std::chrono::milliseconds kIdleSleep{1};
+
+// Every kBoostPeriod-th scheduling turn serves the deepest queue; these
+// turns are extra: they do not consume round-robin turns.
+constexpr uint64_t kBoostPeriod = 4;
+
+}  // namespace
 
 int BackgroundPool::DefaultThreadCount() {
   if (const char* env = std::getenv("OBTREE_POOL_THREADS")) {
@@ -26,29 +36,11 @@ int BackgroundPool::DefaultThreadCount() {
   return static_cast<int>(quarter < 1 ? 1 : (quarter > 8 ? 8 : quarter));
 }
 
-BackgroundPool::BackgroundPool() : BackgroundPool(Options()) {}
-
-BackgroundPool::BackgroundPool(const Options& options) : options_(options) {
-  if (options_.threads <= 0) options_.threads = DefaultThreadCount();
-  if (options_.idle_sleep.count() <= 0) {
-    options_.idle_sleep = std::chrono::milliseconds(1);
-  }
-  if (options_.health_check_period.count() <= 0) {
-    options_.health_check_period = std::chrono::milliseconds(10);
-  }
-  threads_started_ = options_.threads;
-  worker_slots_.reserve(static_cast<size_t>(threads_started_));
-  for (int i = 0; i < threads_started_; ++i) {
-    auto slot = std::make_unique<WorkerSlot>();
-    // alive is set by the SPAWNER: the supervisor must never mistake a
-    // thread that has not been scheduled yet for a dead one.
-    slot->alive.store(true, std::memory_order_release);
-    WorkerSlot* raw = slot.get();
-    slot->thread = std::thread([this, raw]() { WorkerLoop(raw); });
-    worker_slots_.push_back(std::move(slot));
-  }
-  if (options_.supervise) {
-    supervisor_ = std::thread([this]() { SupervisorLoop(); });
+BackgroundPool::BackgroundPool(int threads)
+    : threads_(threads > 0 ? threads : DefaultThreadCount()) {
+  workers_.reserve(static_cast<size_t>(threads_));
+  for (int i = 0; i < threads_; ++i) {
+    workers_.emplace_back([this]() { WorkerLoop(); });
   }
 }
 
@@ -120,10 +112,9 @@ void BackgroundPool::WaitIdle(Source* src) {
   // BeginWork's fetch_add/load: either the worker sees the flag and backs
   // out, or this wait sees its increment of `active` and waits for the
   // matching EndWork.
-  // Re-polling wait (not a plain wait): `active` is maintained by RAII
-  // scopes so a killed worker always releases its claim, but a bounded
-  // wait keeps the caller live even across a lost wakeup or a worker torn
-  // down between its decrement and its notify.
+  // Re-polling wait (not a plain wait): a bounded wait keeps the caller
+  // live even across a lost wakeup between a worker's decrement and its
+  // notify.
   std::unique_lock<std::mutex> lk(wake_mu_);
   while (src->active.load() != 0) {
     wake_cv_.wait_for(lk, std::chrono::milliseconds(1),
@@ -145,16 +136,8 @@ void BackgroundPool::Stop() {
     std::lock_guard<std::mutex> lk(wake_mu_);
   }
   wake_cv_.notify_all();
-  {
-    std::lock_guard<std::mutex> lk(sup_mu_);
-  }
-  sup_cv_.notify_all();
-  // Join the supervisor FIRST so no respawn races the worker joins below.
-  if (supervisor_.joinable()) supervisor_.join();
-  for (auto& slot : worker_slots_) {
-    if (slot->thread.joinable()) slot->thread.join();
-  }
-  worker_slots_.clear();
+  for (std::thread& t : workers_) t.join();
+  workers_.clear();
 }
 
 size_t BackgroundPool::num_sources() const {
@@ -164,39 +147,14 @@ size_t BackgroundPool::num_sources() const {
 
 PoolStatsSnapshot BackgroundPool::Stats() const {
   PoolStatsSnapshot snap;
-  snap.threads = threads_started_;
-  // Read the per-shard slices BEFORE the pool-wide totals (workers
-  // increment in the opposite order, with a release on the slice that
-  // these acquire loads pair with), so totals always cover slices.
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    snap.shards.reserve(sources_.size());
-    for (const auto& s : sources_) snap.shards.push_back(SliceOf(*s));
-  }
+  snap.threads = threads_;
   snap.rounds = rounds_.load(std::memory_order_relaxed);
   snap.tasks_drained = tasks_drained_.load(std::memory_order_relaxed);
   snap.restructures = restructures_.load(std::memory_order_relaxed);
   snap.boosts = boosts_.load(std::memory_order_relaxed);
   snap.steals = steals_.load(std::memory_order_relaxed);
   snap.idle_sleeps = idle_sleeps_.load(std::memory_order_relaxed);
-  snap.worker_deaths = worker_deaths_.load(std::memory_order_relaxed);
-  snap.worker_respawns = worker_respawns_.load(std::memory_order_relaxed);
   return snap;
-}
-
-PoolShardStats BackgroundPool::StatsFor(uint64_t handle) const {
-  const std::shared_ptr<Source> s = Find(handle);
-  return s != nullptr ? SliceOf(*s) : PoolShardStats();
-}
-
-PoolShardStats BackgroundPool::SliceOf(const Source& s) {
-  PoolShardStats ps;
-  ps.handle = s.handle;
-  ps.tasks_drained = s.tasks_drained.load(std::memory_order_acquire);
-  ps.restructures = s.restructures.load(std::memory_order_acquire);
-  ps.requeues = s.requeues.load(std::memory_order_relaxed);
-  ps.boosts = s.boosts.load(std::memory_order_relaxed);
-  return ps;
 }
 
 bool BackgroundPool::BeginWork(Source* src) {
@@ -253,13 +211,11 @@ BackgroundPool::RoundResult BackgroundPool::RunOneRound() {
   // Boost turns draw from their own tick stream and do NOT consume a
   // round-robin turn (rr_ only advances on non-boost turns). Tying both
   // to one counter starves shards whose index is congruent to the boost
-  // phase whenever boost_period divides the shard count — e.g. with the
-  // defaults (period 4, 16 shards) every turn of shards 0/4/8/12 would
-  // be boost-eligible and lost to any persistently deeper queue.
-  const uint64_t tick = tick_.fetch_add(1, std::memory_order_relaxed);
+  // phase whenever kBoostPeriod divides the shard count — e.g. with 16
+  // shards every turn of shards 0/4/8/12 would be boost-eligible and lost
+  // to any persistently deeper queue.
   const bool boost_turn =
-      options_.boost_period > 0 &&
-      tick % static_cast<uint64_t>(options_.boost_period) == 0;
+      tick_.fetch_add(1, std::memory_order_relaxed) % kBoostPeriod == 0;
   size_t pick;
   bool off_turn = false;
   if (boost_turn && max_depth > 0) {
@@ -284,9 +240,8 @@ BackgroundPool::RoundResult BackgroundPool::RunOneRound() {
     // unless backlog waits elsewhere (Resume wakes the sleepers).
     return max_depth > 0 ? RoundResult::kYield : RoundResult::kIdle;
   }
-  // RAII release of the Detach claim: EVERY exit from here on — normal
-  // return, injected mid-drain kill, escaped exception — runs EndWork, so
-  // a dying worker can never wedge Detach() behind a leaked `active`.
+  // RAII release of the Detach claim: every return from here on runs
+  // EndWork, so no early exit can wedge Detach() behind a leaked `active`.
   struct ActiveScope {
     BackgroundPool* pool;
     Source* src;
@@ -298,31 +253,17 @@ BackgroundPool::RoundResult BackgroundPool::RunOneRound() {
     // snapshot + depth scan) amortizes over several tasks, while the
     // batch bound keeps the fairness granularity — a cold shard waits at
     // most kDrainBatch tasks for its turn.
-    // Counter discipline: pool-wide totals are incremented BEFORE the
-    // per-shard slice, the slice increment is a release, and Stats()
-    // acquire-reads slices before loading totals — so a snapshot's
-    // totals always cover its slices, even on weakly-ordered hardware.
     bool drained_any = false;
     for (int b = 0; b < kDrainBatch; ++b) {
-      // Failpoint: die mid-drain with the Detach claim held. ActiveScope
-      // releases it on the way out — exactly the leak the un-hardened
-      // Detach() would have hung on.
-      if (FaultInjector::TrapsArmed() &&
-          FaultInjector::Instance().Evaluate("pool-drain").inject_error) {
-        return RoundResult::kKilled;
-      }
       const QueueCompressor::Outcome outcome = src->drainer->CompressOne();
       if (outcome == QueueCompressor::Outcome::kQueueEmpty) break;
       drained_any = true;
       tasks_drained_.fetch_add(1, std::memory_order_relaxed);
-      src->tasks_drained.fetch_add(1, std::memory_order_release);
       src->tree->stats()->Add(StatId::kPoolTasksDrained);
       if (outcome == QueueCompressor::Outcome::kRestructured) {
         restructures_.fetch_add(1, std::memory_order_relaxed);
-        src->restructures.fetch_add(1, std::memory_order_release);
       }
       if (outcome == QueueCompressor::Outcome::kRequeued) {
-        src->requeues.fetch_add(1, std::memory_order_relaxed);
         result = RoundResult::kYield;
         break;  // let the requeued entry settle before retrying
       }
@@ -332,7 +273,6 @@ BackgroundPool::RoundResult BackgroundPool::RunOneRound() {
     // tasks — one per pick that found work, matching the pool-wide
     // boosts_/steals_ counters and the rebalancer's hot-shard signal.
     if (off_turn && drained_any) {
-      src->boosts.fetch_add(1, std::memory_order_relaxed);
       src->tree->stats()->Add(StatId::kPoolBoosts);
     }
   } else {
@@ -340,8 +280,6 @@ BackgroundPool::RoundResult BackgroundPool::RunOneRound() {
     if (work > 0) {
       tasks_drained_.fetch_add(1, std::memory_order_relaxed);
       restructures_.fetch_add(work, std::memory_order_relaxed);
-      src->tasks_drained.fetch_add(1, std::memory_order_release);
-      src->restructures.fetch_add(work, std::memory_order_release);
       src->tree->stats()->Add(StatId::kPoolTasksDrained);
       result = RoundResult::kWorked;
     }
@@ -356,18 +294,11 @@ BackgroundPool::RoundResult BackgroundPool::RunOneRound() {
   return result;
 }
 
-void BackgroundPool::WorkerLoop(WorkerSlot* slot) {
-  bool killed = false;
-  while (!killed && !stop_.load(std::memory_order_acquire)) {
-    // Failpoint: a worker that dies between rounds (kError) or stalls
-    // (kStall, performed inside Evaluate).
-    if (FaultInjector::TrapsArmed() &&
-        FaultInjector::Instance().Evaluate("pool-worker").inject_error) {
-      break;
-    }
+void BackgroundPool::WorkerLoop() {
+  while (!stop_.load(std::memory_order_acquire)) {
     // Captured before the round: an Attach after this point changes the
     // generation and aborts the idle wait below, so a newly attached busy
-    // shard is never stuck behind a full idle_sleep timeout.
+    // shard is never stuck behind a full idle sleep.
     const uint64_t gen = wake_gen_.load(std::memory_order_relaxed);
     switch (RunOneRound()) {
       case RoundResult::kWorked:
@@ -375,53 +306,16 @@ void BackgroundPool::WorkerLoop(WorkerSlot* slot) {
       case RoundResult::kYield:
         std::this_thread::yield();
         break;
-      case RoundResult::kKilled:
-        killed = true;
-        break;
       case RoundResult::kIdle: {
         idle_sleeps_.fetch_add(1, std::memory_order_relaxed);
         std::unique_lock<std::mutex> lk(wake_mu_);
-        wake_cv_.wait_for(lk, options_.idle_sleep, [this, gen]() {
+        wake_cv_.wait_for(lk, kIdleSleep, [this, gen]() {
           return stop_.load(std::memory_order_acquire) ||
                  wake_gen_.load(std::memory_order_relaxed) != gen;
         });
         break;
       }
     }
-  }
-  slot->alive.store(false, std::memory_order_release);
-  if (!stop_.load(std::memory_order_acquire)) {
-    // Premature exit (injected death), not a Stop(): account it and wake
-    // the supervisor so the respawn happens without waiting out a full
-    // health-check period.
-    worker_deaths_.fetch_add(1, std::memory_order_relaxed);
-    {
-      std::lock_guard<std::mutex> lk(sup_mu_);
-    }
-    sup_cv_.notify_all();
-  }
-}
-
-void BackgroundPool::SupervisorLoop() {
-  std::unique_lock<std::mutex> lk(sup_mu_);
-  while (!stop_.load(std::memory_order_acquire)) {
-    sup_cv_.wait_for(lk, options_.health_check_period);
-    if (stop_.load(std::memory_order_acquire)) break;
-    // Drop sup_mu_ across join/spawn: a dying worker takes it to notify,
-    // so holding it while joining that worker would deadlock.
-    lk.unlock();
-    for (auto& slot : worker_slots_) {
-      if (stop_.load(std::memory_order_acquire)) break;
-      if (slot->alive.load(std::memory_order_acquire)) continue;
-      if (!slot->thread.joinable()) continue;
-      slot->thread.join();
-      if (stop_.load(std::memory_order_acquire)) break;
-      worker_respawns_.fetch_add(1, std::memory_order_relaxed);
-      slot->alive.store(true, std::memory_order_release);
-      WorkerSlot* raw = slot.get();
-      slot->thread = std::thread([this, raw]() { WorkerLoop(raw); });
-    }
-    lk.lock();
   }
 }
 

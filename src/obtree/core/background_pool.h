@@ -14,7 +14,7 @@
 //
 // Scheduling is round-robin across the attached shards for fairness, with
 // two depth-driven exceptions:
-//   * boost: every boost_period-th scheduling turn serves the deepest
+//   * boost: every fourth scheduling turn serves the deepest
 //     queue, so a hot shard gets extra attention proportional to the
 //     pool's round rate. Boost turns are drawn from a separate tick
 //     stream and do not consume round-robin turns — the rotation cursor
@@ -25,6 +25,10 @@
 // Cold shards keep their round-robin turns in both cases, so a hot shard
 // can never starve them. Workers sleep when every queue is empty.
 //
+// Each worker is a plain thread that loops until Stop(): the library
+// throws nothing, so a worker has no other way to exit, and the pool
+// runs exactly thread_count() threads.
+//
 // Attach/Detach/Pause/Resume are thread-safe and callable while the pool
 // runs. Detach is idempotent and blocks until no worker is touching the
 // shard, which makes it safe to call from a map destructor before the
@@ -34,7 +38,6 @@
 #define OBTREE_CORE_BACKGROUND_POOL_H_
 
 #include <atomic>
-#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <memory>
@@ -55,38 +58,13 @@ class ScanCompressor;
 /// Shared background-maintenance worker pool (see file comment).
 class BackgroundPool {
  public:
-  struct Options {
-    /// Worker count. <= 0 selects DefaultThreadCount(): the
-    /// OBTREE_POOL_THREADS environment variable if set, otherwise a
-    /// hardware_concurrency-derived maintenance share of the machine.
-    int threads = 0;
-
-    /// How long a worker sleeps after a round that found no work.
-    std::chrono::milliseconds idle_sleep{1};
-
-    /// Every boost_period-th scheduling turn serves the deepest queue;
-    /// these turns are extra — they do not consume round-robin turns
-    /// (0 disables boosting).
-    int boost_period = 4;
-
-    /// Self-healing: run a supervisor thread that health-checks the
-    /// workers and respawns any that died (an injected kill via the
-    /// "pool-worker"/"pool-drain" failpoints, or an escaped exception
-    /// in a drain pass). A respawned worker re-enters the shared
-    /// scheduling loop, so every attached shard's service resumes — the
-    /// rotation is global, not partitioned per worker.
-    bool supervise = true;
-
-    /// How often the supervisor polls worker health (it is also woken
-    /// immediately by a dying worker).
-    std::chrono::milliseconds health_check_period{10};
-  };
-
-  /// Thread count used when Options::threads <= 0 (env override first).
+  /// Thread count used when the constructor gets threads <= 0: the
+  /// OBTREE_POOL_THREADS environment variable if set, otherwise a
+  /// hardware_concurrency-derived maintenance share of the machine.
   static int DefaultThreadCount();
 
-  BackgroundPool();  // all-default Options
-  explicit BackgroundPool(const Options& options);
+  /// Starts `threads` workers (<= 0 selects DefaultThreadCount()).
+  explicit BackgroundPool(int threads = 0);
 
   /// Stops and joins all workers (equivalent to Stop()).
   ~BackgroundPool();
@@ -106,8 +84,8 @@ class BackgroundPool {
 
   /// Hold off service of a shard without detaching it: blocks like Detach,
   /// then workers skip the shard until the matching Resume(handle). It
-  /// keeps its handle and counters. Unknown or detached handles are
-  /// ignored. Thread-safe.
+  /// keeps its handle. Unknown or detached handles are ignored.
+  /// Thread-safe.
   void Pause(uint64_t handle);
   void Resume(uint64_t handle);
 
@@ -115,19 +93,11 @@ class BackgroundPool {
   /// registered (Detach still works) but receive no further service.
   void Stop();
 
-  int thread_count() const { return threads_started_; }
+  int thread_count() const { return threads_; }
   size_t num_sources() const;
 
   /// Point-in-time counters (monotone while the pool lives).
   PoolStatsSnapshot Stats() const;
-
-  /// Point-in-time counters of ONE attached shard, looked up by the
-  /// handle Attach returned (ConcurrentMap::pool_handle()). Cheaper than
-  /// Stats() when a caller — e.g. the shard rebalancer building its
-  /// per-shard load snapshot — wants a single shard's drain/boost rates
-  /// rather than the whole pool. Returns a zeroed slice (handle == 0)
-  /// for unknown or detached handles.
-  PoolShardStats StatsFor(uint64_t handle) const;
 
  private:
   /// One attached shard. Kept alive by shared_ptr until the last worker
@@ -143,31 +113,16 @@ class BackgroundPool {
     std::atomic<int> active{0};
     std::atomic<bool> detached{false};
     std::atomic<bool> paused{false};
-    std::atomic<uint64_t> tasks_drained{0};
-    std::atomic<uint64_t> restructures{0};
-    std::atomic<uint64_t> requeues{0};
-    std::atomic<uint64_t> boosts{0};
   };
 
-  enum class RoundResult { kWorked, kYield, kIdle, kKilled };
-
-  /// One worker thread plus its liveness flag. `alive` is set by the
-  /// spawner BEFORE the thread starts (so the supervisor never joins a
-  /// thread that simply has not run yet) and cleared by the worker on
-  /// exit. Slots are stable for the pool's lifetime; only the thread
-  /// object inside is replaced on respawn.
-  struct WorkerSlot {
-    std::thread thread;
-    std::atomic<bool> alive{false};
-  };
+  enum class RoundResult { kWorked, kYield, kIdle };
 
   /// Tasks drained from one queue per scheduling round (amortizes the
   /// registry snapshot + depth scan while bounding how long a cold shard
   /// waits for its round-robin turn).
   static constexpr int kDrainBatch = 8;
 
-  void WorkerLoop(WorkerSlot* slot);
-  void SupervisorLoop();
+  void WorkerLoop();
   RoundResult RunOneRound();
 
   /// active++ unless the source is detached or paused; returns false
@@ -176,14 +131,12 @@ class BackgroundPool {
   void EndWork(Source* src);
 
   std::shared_ptr<Source> Find(uint64_t handle) const;  // null if absent
-  static PoolShardStats SliceOf(const Source& s);
   /// Block until no worker holds a BeginWork claim on `src` (the caller
   /// has already set `detached` or `paused`).
   void WaitIdle(Source* src);
   void WakeWorkers();  // bumps wake_gen_ and notifies
 
-  Options options_;
-  int threads_started_ = 0;
+  int threads_ = 0;
 
   mutable std::mutex mu_;                        // guards sources_, next_handle_
   std::vector<std::shared_ptr<Source>> sources_;
@@ -202,22 +155,15 @@ class BackgroundPool {
   std::atomic<uint64_t> rr_{0};
   std::atomic<uint64_t> tick_{0};                // boost-phase stream
 
-  // Pool-wide counters (per-shard ones live in Source).
+  // Pool-wide counters (per-tree ones live in each tree's StatsCollector).
   std::atomic<uint64_t> rounds_{0};
   std::atomic<uint64_t> tasks_drained_{0};
   std::atomic<uint64_t> restructures_{0};
   std::atomic<uint64_t> boosts_{0};
   std::atomic<uint64_t> steals_{0};
   std::atomic<uint64_t> idle_sleeps_{0};
-  std::atomic<uint64_t> worker_deaths_{0};
-  std::atomic<uint64_t> worker_respawns_{0};
 
-  std::vector<std::unique_ptr<WorkerSlot>> worker_slots_;
-
-  // Supervisor handshake: dying workers notify; Stop() notifies.
-  std::mutex sup_mu_;
-  std::condition_variable sup_cv_;
-  std::thread supervisor_;
+  std::vector<std::thread> workers_;
 };
 
 }  // namespace obtree

@@ -165,21 +165,6 @@ struct RebalanceOptions {
   /// migration's own inserts/deletes never feed the next hotness score.
   uint32_t cooldown_periods = 2;
 
-  /// Self-healing: consecutive failed batches a migration tolerates
-  /// (each retried with backoff from the same scan position) before the
-  /// whole migration aborts and rolls back to the donor.
-  uint32_t migration_retry_limit = 3;
-
-  /// Circuit breaker: after this many CONSECUTIVE failed split/merge
-  /// actions (a failure = migration aborted + rolled back; a skipped
-  /// action — e.g. nothing to merge — does not count) the controller
-  /// stops attempting actions entirely.
-  uint32_t max_consecutive_failures = 3;
-
-  /// Periods the tripped breaker stays open before re-arming (half-open:
-  /// the next action's outcome decides whether it trips again).
-  uint32_t breaker_cooldown_periods = 16;
-
   Status Validate() const {
     if (period_ms == 0) {
       return Status::InvalidArgument("rebalance period_ms must be positive");
@@ -198,10 +183,6 @@ struct RebalanceOptions {
     }
     if (migration_batch < 1) {
       return Status::InvalidArgument("migration_batch must be positive");
-    }
-    if (max_consecutive_failures < 1) {
-      return Status::InvalidArgument(
-          "max_consecutive_failures must be positive");
     }
     return Status::OK();
   }

@@ -16,8 +16,6 @@ namespace obtree {
 QueueCompressor::Outcome QueueCompressor::CompressOne() {
   // Maintenance reads must see ground truth: an injected fetch error here
   // would be misread as a stale task and silently discard real work.
-  // Maintenance-layer faults are modeled one level up instead (pool
-  // worker kills/stalls, site "pool-worker"/"pool-drain").
   FaultInjector::ScopedExemption exempt;
   CompressionTask task;
   if (!queue_->Pop(&task)) return Outcome::kQueueEmpty;

@@ -17,6 +17,14 @@ constexpr double kContentionWeight = 2.0;
 constexpr double kDrainWeight = 0.5;
 constexpr double kBoostWeight = 4.0;
 
+// Circuit breaker: after this many CONSECUTIVE failed split/merge actions
+// (a failure = migration aborted + rolled back; a skipped action, e.g.
+// nothing to merge, does not count) the controller stops acting, and it
+// stays open this many periods before re-arming half-open (the next
+// action's outcome decides whether it trips again).
+constexpr uint32_t kMaxConsecutiveFailures = 3;
+constexpr uint32_t kBreakerCooldownPeriods = 16;
+
 }  // namespace
 
 ShardRebalancer::ShardRebalancer(Host* host, const RebalanceOptions& options)
@@ -181,10 +189,10 @@ ShardRebalancer::ActionResult ShardRebalancer::NoteAction(
       failed_actions_.fetch_add(1, std::memory_order_relaxed);
       ++consecutive_failures_;
       if (half_open_ ||
-          consecutive_failures_ >= options_.max_consecutive_failures) {
+          consecutive_failures_ >= kMaxConsecutiveFailures) {
         breaker_open_ = true;
         half_open_ = false;
-        breaker_reopen_in_ = options_.breaker_cooldown_periods;
+        breaker_reopen_in_ = kBreakerCooldownPeriods;
         consecutive_failures_ = 0;
         breaker_trips_.fetch_add(1, std::memory_order_relaxed);
         breaker_open_flag_.store(true, std::memory_order_relaxed);

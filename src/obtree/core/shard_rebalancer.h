@@ -43,7 +43,9 @@ struct ShardLoad {
   uint64_t ops = 0;          ///< logical searches + inserts + deletes
   uint64_t contention = 0;   ///< paper-lock contended acquisitions
   uint64_t pool_drains = 0;  ///< BackgroundPool tasks drained for the shard
-  uint64_t pool_boosts = 0;  ///< off-turn pool picks (depth boost / steal)
+                             ///< (the tree's kPoolTasksDrained)
+  uint64_t pool_boosts = 0;  ///< off-turn pool picks (depth boost / steal;
+                             ///< the tree's kPoolBoosts)
   uint64_t keys = 0;         ///< keys currently stored
 };
 
@@ -140,7 +142,7 @@ class ShardRebalancer {
 
   // Circuit breaker (all under tick_mu_). Closed: act normally, counting
   // consecutive kFailed results. Open: act on nothing for
-  // breaker_cooldown_periods ticks. Half-open: one probe action is
+  // kBreakerCooldownPeriods ticks. Half-open: one probe action is
   // allowed; kFailed re-trips immediately, kOk closes the breaker.
   uint32_t consecutive_failures_ = 0;
   bool breaker_open_ = false;

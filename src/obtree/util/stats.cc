@@ -99,7 +99,6 @@ std::string StatsSnapshot::ToString() const {
 }
 
 std::string PoolStatsSnapshot::ToString() const {
-  std::string out;
   char line[128];
   std::snprintf(line, sizeof(line),
                 "  pool: %d threads, %llu rounds, %llu drained, "
@@ -109,26 +108,7 @@ std::string PoolStatsSnapshot::ToString() const {
                 static_cast<unsigned long long>(restructures),
                 static_cast<unsigned long long>(boosts),
                 static_cast<unsigned long long>(steals), IdleRatio());
-  out += line;
-  if (worker_deaths > 0 || worker_respawns > 0) {
-    std::snprintf(line, sizeof(line),
-                  "  pool health: %llu worker deaths, %llu respawns\n",
-                  static_cast<unsigned long long>(worker_deaths),
-                  static_cast<unsigned long long>(worker_respawns));
-    out += line;
-  }
-  for (const PoolShardStats& s : shards) {
-    std::snprintf(line, sizeof(line),
-                  "  shard #%llu: drained %llu, restructures %llu, "
-                  "requeues %llu, boosts %llu\n",
-                  static_cast<unsigned long long>(s.handle),
-                  static_cast<unsigned long long>(s.tasks_drained),
-                  static_cast<unsigned long long>(s.restructures),
-                  static_cast<unsigned long long>(s.requeues),
-                  static_cast<unsigned long long>(s.boosts));
-    out += line;
-  }
-  return out;
+  return line;
 }
 
 StatsCollector::StatsCollector() : max_locks_held_(0) {}

@@ -13,7 +13,6 @@
 #include <atomic>
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "obtree/util/common.h"
 #include "obtree/util/histogram.h"
@@ -103,8 +102,10 @@ enum class StatId : int {
   kQueueEnqueues,        ///< compression queue pushes
   kQueueRequeues,        ///< nodes put back on the queue
   kQueueDiscards,        ///< queue entries discarded as stale
-  kPoolTasksDrained,     ///< queue entries this tree had drained for it by
-                         ///< a shared BackgroundPool worker
+  kPoolTasksDrained,     ///< queue entries (or scan passes that found
+                         ///< work) a BackgroundPool worker ran for this
+                         ///< tree; monotone across Detach, so the
+                         ///< rebalancer diffs it per shard
   kPoolBoosts,           ///< pool picks of this tree that bypassed the
                          ///< round-robin order (depth boost or work steal)
   kRebalanceSplits,      ///< shard splits the rebalancer performed
@@ -131,7 +132,7 @@ enum class StatId : int {
   kMigrationRollbackKeys,  ///< keys moved back to their original tree by
                            ///< a migration rollback
   kRebalanceBreakerTrips,  ///< times the rebalancer circuit breaker
-                           ///< opened after max_consecutive_failures
+                           ///< opened after consecutive failed actions
                            ///< (summed into ShardedMap::Stats() from the
                            ///< rebalancer; not counted on any one tree)
   kSearches,             ///< logical search operations
@@ -180,57 +181,21 @@ struct StatsSnapshot {
   std::string ToString() const;
 };
 
-/// Per-attached-shard slice of a BackgroundPool stats snapshot
-/// (core/background_pool.h). This is the per-shard half of the
-/// rebalancer's load signal (core/shard_rebalancer.h): a shard whose
-/// drain/boost counters grow much faster than its peers' is receiving a
-/// disproportionate share of deletion churn.
-///
-/// All counters are plain event COUNTS (no units) cumulative since
-/// Attach, and are monotone non-decreasing for as long as the shard stays
-/// attached; Detach discards them (a re-Attach starts from zero under a
-/// new handle). Consumers that want rates must snapshot twice and diff.
-struct PoolShardStats {
-  /// The identifier Attach returned for this shard. Join key for mapping
-  /// a snapshot row back to the ConcurrentMap it describes
-  /// (ConcurrentMap::pool_handle()); handles are unique per pool and
-  /// never reused.
-  uint64_t handle = 0;
-  uint64_t tasks_drained = 0;  ///< queue entries processed for this shard
-                               ///< (all outcomes: restructure, requeue,
-                               ///< or stale discard)
-  uint64_t restructures = 0;   ///< entries that led to a structural fix
-                               ///< (merge/redistribution/root collapse)
-  uint64_t requeues = 0;       ///< entries put back for a later visit
-  uint64_t boosts = 0;         ///< off-turn picks (depth boost / steal):
-                               ///< how often this shard's queue was deep
-                               ///< enough to jump the round-robin order
-};
-
-/// Point-in-time counters of a BackgroundPool: how a machine-sized worker
-/// set divided its attention across the attached shards. As with
-/// PoolShardStats, every field is a cumulative count since the pool
+/// Point-in-time counters of a BackgroundPool: how much a machine-sized
+/// worker set did. Every field is a cumulative count since the pool
 /// started, monotone non-decreasing while the pool lives (Stop freezes
-/// them); only the per-shard rows in `shards` reset, and only on Detach.
+/// them). The per-shard split lives in each tree's own counters
+/// (StatId::kPoolTasksDrained, kPoolBoosts), which survive Detach.
 struct PoolStatsSnapshot {
   int threads = 0;             ///< workers the pool runs (0 = no pool)
   uint64_t rounds = 0;         ///< scheduling rounds across all workers
-  uint64_t tasks_drained = 0;  ///< queue entries processed (all outcomes);
-                               ///< equals the sum over live shards'
-                               ///< tasks_drained plus those of shards
-                               ///< detached since
+  uint64_t tasks_drained = 0;  ///< queue entries processed (all outcomes)
+                               ///< plus scan passes that found work
   uint64_t restructures = 0;   ///< merges/redistributions/root collapses
   uint64_t boosts = 0;         ///< periodic deepest-queue priority picks
   uint64_t steals = 0;         ///< empty round-robin turns redirected to
                                ///< the deepest non-empty queue
   uint64_t idle_sleeps = 0;    ///< rounds that found no work and slept
-  uint64_t worker_deaths = 0;  ///< workers that exited their loop early
-                               ///< (injected kill or escaped exception)
-  uint64_t worker_respawns = 0;  ///< dead workers replaced by the
-                                 ///< supervisor's health check
-  std::vector<PoolShardStats> shards;  ///< live shards, in attach order
-                                       ///< (NOT shard-index order; join on
-                                       ///< `handle`)
 
   /// Fraction of scheduling rounds that went to sleep instead of working.
   double IdleRatio() const {
@@ -239,7 +204,7 @@ struct PoolStatsSnapshot {
                : 0.0;
   }
 
-  /// Multi-line rendering (pool-wide counters + one line per shard).
+  /// One-line rendering of the counters.
   std::string ToString() const;
 };
 

@@ -2,7 +2,6 @@
 
 #include "obtree/api/concurrent_map.h"
 
-#include <chrono>
 #include <memory>
 #include <set>
 #include <thread>
@@ -12,7 +11,6 @@
 #include "../test_util.h"
 #include "obtree/core/background_pool.h"
 #include "obtree/core/tree_checker.h"
-#include "obtree/util/fault_injector.h"
 #include "obtree/util/random.h"
 
 namespace obtree {
@@ -209,9 +207,7 @@ TEST(ConcurrentMapTest, AttachesToExternalBackgroundPool) {
   // Two maps share one pool; neither spawns threads of its own. One map
   // dies mid-traffic (the detach-before-teardown path) and the survivor
   // keeps being served.
-  BackgroundPool::Options pool_options;
-  pool_options.threads = 2;
-  BackgroundPool pool(pool_options);
+  BackgroundPool pool(2);
   auto doomed = std::make_unique<ConcurrentMap>(
       SmallNodes(CompressionMode::kQueueWorkers), &pool);
   ConcurrentMap survivor(SmallNodes(CompressionMode::kQueueWorkers), &pool);
@@ -240,9 +236,8 @@ TEST(ConcurrentMapTest, AttachesToExternalBackgroundPool) {
 }
 
 TEST(ConcurrentMapTest, StandaloneMapRunsItsOwnPool) {
-  // Without a shared pool the map builds its own: compression_threads
-  // workers plus the pool's supervisor, all gone after Quiesce or
-  // destruction.
+  // Without a shared pool the map builds its own: exactly
+  // compression_threads workers, all gone after Quiesce or destruction.
   MapOptions opt = SmallNodes(CompressionMode::kQueueWorkers);
   opt.compression_threads = 2;
   const int baseline = testutil::SettledThreadCount();
@@ -252,7 +247,7 @@ TEST(ConcurrentMapTest, StandaloneMapRunsItsOwnPool) {
     ASSERT_NE(map.attached_pool(), nullptr);
     EXPECT_EQ(map.attached_pool()->num_sources(), 1u);
     if (baseline > 0) {
-      EXPECT_EQ(testutil::LiveThreadCount(), baseline + 3);
+      EXPECT_EQ(testutil::LiveThreadCount(), baseline + 2);
     }
     map.Quiesce();
     EXPECT_EQ(map.background_thread_count(), 0);
@@ -267,46 +262,12 @@ TEST(ConcurrentMapTest, StandaloneMapRunsItsOwnPool) {
   {
     ConcurrentMap map(opt);
     if (baseline > 0) {
-      EXPECT_EQ(testutil::LiveThreadCount(), baseline + 3);
+      EXPECT_EQ(testutil::LiveThreadCount(), baseline + 2);
     }
   }
   if (baseline > 0) {
     EXPECT_EQ(testutil::WaitForThreadCount(baseline), baseline);
   }
-}
-
-TEST(ConcurrentMapTest, StandalonePoolRespawnsKilledWorkers) {
-  MapOptions opt = SmallNodes(CompressionMode::kQueueWorkers);
-  opt.compression_threads = 2;
-  ConcurrentMap map(opt);
-  BackgroundPool* pool = map.attached_pool();
-  ASSERT_NE(pool, nullptr);
-
-  FaultSpec kill;
-  kill.action = FaultAction::kError;
-  kill.max_fires = 2;
-  FaultInjector::Instance().Arm("pool-worker", kill);
-  const auto until =
-      std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  while (pool->Stats().worker_respawns < 2 &&
-         std::chrono::steady_clock::now() < until) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  FaultInjector::Instance().DisarmAll();
-  EXPECT_EQ(pool->Stats().worker_deaths, 2u);
-  EXPECT_EQ(pool->Stats().worker_respawns, 2u);
-
-  // The respawned workers drain the queue the deletions fill.
-  for (Key k = 1; k <= 2000; ++k) ASSERT_TRUE(map.Insert(k, k).ok());
-  for (Key k = 1; k <= 2000; ++k) ASSERT_TRUE(map.Erase(k).ok());
-  while (!map.queue()->Empty() && std::chrono::steady_clock::now() < until) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  EXPECT_TRUE(map.queue()->Empty());
-  EXPECT_GT(pool->Stats().tasks_drained, 0u);
-  map.CompressNow();
-  EXPECT_LE(map.Height(), 2u);
-  EXPECT_TRUE(map.ValidateStructure().ok());
 }
 
 TEST(ConcurrentMapTest, StatsExposed) {

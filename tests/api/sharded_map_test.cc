@@ -530,9 +530,7 @@ TEST(ShardedMapTest, SharedPoolBoundsBackgroundThreads) {
       EXPECT_EQ(map.shard(s)->attached_pool(), map.pool());
     }
     if (baseline > 0) {
-      // 4 pool workers + 1 pool supervisor (BackgroundPool::Options::
-      // supervise defaults on).
-      EXPECT_EQ(LiveThreadCount(), baseline + 5);
+      EXPECT_EQ(LiveThreadCount(), baseline + 4);  // exactly the workers
     }
 
     // The pool actually maintains the shards: churn, then wait for queues
@@ -556,8 +554,14 @@ TEST(ShardedMapTest, SharedPoolBoundsBackgroundThreads) {
     const PoolStatsSnapshot pool_stats = map.PoolStats();
     EXPECT_EQ(pool_stats.threads, 4);
     EXPECT_GT(pool_stats.rounds, 0u);
-    EXPECT_EQ(pool_stats.shards.size(), 16u);
-    // Per-shard drain counters surface through the aggregated Stats too.
+    EXPECT_EQ(map.pool()->num_sources(), 16u);
+    // Per-shard drain counters sum to the pool total, and surface through
+    // the aggregated Stats too.
+    uint64_t per_shard_sum = 0;
+    for (uint32_t s = 0; s < map.num_shards(); ++s) {
+      per_shard_sum += map.shard(s)->Stats().Get(StatId::kPoolTasksDrained);
+    }
+    EXPECT_EQ(per_shard_sum, pool_stats.tasks_drained);
     EXPECT_EQ(map.Stats().Get(StatId::kPoolTasksDrained),
               pool_stats.tasks_drained);
   }

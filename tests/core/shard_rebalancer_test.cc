@@ -8,6 +8,7 @@
 #include "obtree/core/shard_rebalancer.h"
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstring>
 #include <mutex>
@@ -250,6 +251,47 @@ TEST(ShardRebalancerTest, ControllerMergesTheColdPair) {
   EXPECT_EQ(map.rebalancer()->merges(), 1u);
   EXPECT_EQ(map.num_shards(), 3u);
   ExpectAllPresent(map, 1, 400);
+}
+
+// A shard's pool load must stay monotone when the shard leaves the pool
+// (Quiesce): a load that dropped to zero would wrap the next tick's
+// unsigned drain delta to ~1.8e19 and make the controller split a shard
+// that is no hotter than its peers.
+TEST(ShardRebalancerTest, QuiescedShardIsNotScoredHot) {
+  ShardOptions opt = RebalancingShards(4, 4000);
+  opt.compression = CompressionMode::kQueueWorkers;
+  opt.pool_threads = 2;
+  opt.tree.min_entries = 2;
+  ShardedMap map(opt);
+  ASSERT_TRUE(map.init_status().ok());
+  FillRange(&map, 1, 4000);
+
+  // Churn shard 0 ([1, 1000]) until the pool has drained work for it.
+  ConcurrentMap* shard0 = map.shard(0);
+  auto drained = [&]() {
+    return shard0->Stats().Get(StatId::kPoolTasksDrained);
+  };
+  for (int round = 0; round < 100 && drained() == 0; ++round) {
+    for (Key k = 1; k <= 1000; ++k) {
+      if (k % 10 != 0) (void)map.Erase(k);
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    for (Key k = 1; k <= 1000; ++k) (void)map.Insert(k, k * 10);
+  }
+  ASSERT_GT(drained(), 0u);
+  testutil::WaitForStableCounter(drained,
+                                 [&]() { return shard0->queue()->Empty(); });
+  map.rebalancer()->TickForTest();  // baseline
+  EXPECT_EQ(map.rebalancer()->splits(), 0u);
+
+  shard0->Quiesce();
+  for (int pass = 0; pass < 2; ++pass) {
+    for (Key k = 1; k <= 4000; ++k) ASSERT_TRUE(map.Get(k).ok()) << k;
+  }
+  map.rebalancer()->TickForTest();
+  EXPECT_EQ(map.rebalancer()->splits(), 0u);
+  EXPECT_EQ(map.num_shards(), 4u);
+  ExpectAllPresent(map, 1, 4000);
 }
 
 // Mechanism: freeze the migrator INSIDE the batch window, right after a
@@ -567,10 +609,12 @@ RebalanceOptions BreakerOptions() {
   opt.min_ops_per_period = 10;
   opt.min_keys_to_split = 10;
   opt.cooldown_periods = 0;
-  opt.max_consecutive_failures = 2;
-  opt.breaker_cooldown_periods = 3;
   return opt;
 }
+
+// The controller's breaker constants (shard_rebalancer.cc).
+constexpr int kMaxConsecutiveFailures = 3;
+constexpr int kBreakerCooldownPeriods = 16;
 
 TEST(ShardRebalancerBreakerTest, TripsOpensAndRearmsHalfOpen) {
   using ActionResult = ShardRebalancer::ActionResult;
@@ -583,43 +627,46 @@ TEST(ShardRebalancerBreakerTest, TripsOpensAndRearmsHalfOpen) {
   // A failed action clears the baseline (rollback traffic must not feed
   // the next score), so every failure is followed by one observe-only
   // tick before the controller can act again.
-  reb.TickForTest();  // 1: no baseline yet, observe-only
+  reb.TickForTest();  // no baseline yet, observe-only
   EXPECT_EQ(host.actions(), 0);
-  reb.TickForTest();  // 2: failure 1 of 2
-  EXPECT_EQ(host.actions(), 1);
-  EXPECT_FALSE(reb.breaker_open());
-  reb.TickForTest();  // 3: observe-only (baseline retaken)
-  EXPECT_EQ(host.actions(), 1);
-  reb.TickForTest();  // 4: failure 2 of 2 -> trip
-  EXPECT_EQ(host.actions(), 2);
+  for (int f = 1; f < kMaxConsecutiveFailures; ++f) {
+    reb.TickForTest();  // failure f
+    EXPECT_EQ(host.actions(), f);
+    EXPECT_FALSE(reb.breaker_open()) << "failure " << f;
+    reb.TickForTest();  // observe-only (baseline retaken)
+    EXPECT_EQ(host.actions(), f);
+  }
+  reb.TickForTest();  // the last consecutive failure trips the breaker
+  EXPECT_EQ(host.actions(), kMaxConsecutiveFailures);
   EXPECT_TRUE(reb.breaker_open());
   EXPECT_EQ(reb.breaker_trips(), 1u);
-  EXPECT_EQ(reb.failed_actions(), 2u);
+  EXPECT_EQ(reb.failed_actions(),
+            static_cast<uint64_t>(kMaxConsecutiveFailures));
 
-  // Open window: breaker_cooldown_periods ticks with no host actions.
-  for (int i = 0; i < 3; ++i) {
-    reb.TickForTest();  // 5, 6, 7
-    EXPECT_EQ(host.actions(), 2) << "open tick " << i;
+  // Open window: kBreakerCooldownPeriods ticks with no host actions.
+  for (int i = 0; i < kBreakerCooldownPeriods; ++i) {
+    reb.TickForTest();
+    EXPECT_EQ(host.actions(), kMaxConsecutiveFailures) << "open tick " << i;
     EXPECT_TRUE(reb.breaker_open());
   }
 
-  // 8: half-open probe fails -> re-trip on that single failure.
+  // Half-open probe fails -> re-trip on that single failure.
   reb.TickForTest();
-  EXPECT_EQ(host.actions(), 3);
+  EXPECT_EQ(host.actions(), kMaxConsecutiveFailures + 1);
   EXPECT_TRUE(reb.breaker_open());
   EXPECT_EQ(reb.breaker_trips(), 2u);
 
   // Wait out the second open window, then let the probe succeed.
-  for (int i = 0; i < 3; ++i) reb.TickForTest();  // 9, 10, 11
-  EXPECT_EQ(host.actions(), 3);
+  for (int i = 0; i < kBreakerCooldownPeriods; ++i) reb.TickForTest();
+  EXPECT_EQ(host.actions(), kMaxConsecutiveFailures + 1);
   host.set_result(ActionResult::kOk);
-  reb.TickForTest();  // 12: successful half-open probe -> closed
-  EXPECT_EQ(host.actions(), 4);
+  reb.TickForTest();  // successful half-open probe -> closed
+  EXPECT_EQ(host.actions(), kMaxConsecutiveFailures + 2);
   EXPECT_FALSE(reb.breaker_open());
   EXPECT_EQ(reb.splits() + reb.merges(), 1u);
-  reb.TickForTest();  // 13: observe-only (action cleared the baseline)
-  reb.TickForTest();  // 14: normal action, breaker stays closed
-  EXPECT_EQ(host.actions(), 5);
+  reb.TickForTest();  // observe-only (action cleared the baseline)
+  reb.TickForTest();  // normal action, breaker stays closed
+  EXPECT_EQ(host.actions(), kMaxConsecutiveFailures + 3);
   EXPECT_FALSE(reb.breaker_open());
   EXPECT_EQ(reb.breaker_trips(), 2u);
 }
