@@ -246,7 +246,6 @@ Status SagivTree::Checkpoint() {
     meta->leftmost.assign(pb.leftmost, pb.leftmost + pb.num_levels);
     meta->tree_size = size_.load(std::memory_order_relaxed);
     meta->max_key = max_key_hint_.load(std::memory_order_relaxed);
-    meta->rightmost_leaf = rightmost_hint_.load(std::memory_order_relaxed);
   });
 }
 

@@ -7,10 +7,12 @@
 #include <sys/types.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
 #include <vector>
 
 #if defined(__x86_64__)
@@ -24,7 +26,7 @@ namespace obtree {
 namespace {
 
 constexpr uint64_t kManifestMagic = 0x464d454552544f42ULL;  // "OBTREEMF"
-constexpr uint32_t kManifestVersion = 1;
+constexpr uint32_t kManifestVersion = 2;
 constexpr char kDataFileName[] = "pages.dat";
 constexpr char kManifestName[] = "MANIFEST";
 constexpr char kManifestTmpName[] = "MANIFEST.tmp";
@@ -33,9 +35,13 @@ constexpr char kManifestTmpName[] = "MANIFEST.tmp";
 // one classic disk sector, so recovery faces a genuinely torn page.
 constexpr size_t kTornWriteBytes = 512;
 
-off_t SlotOffset(PageId id, uint8_t slot) {
-  return static_cast<off_t>((static_cast<uint64_t>(id) * 2 + slot) *
-                            kPageSize);
+// Every page holds at most a committed and a staged image, and a write
+// takes the lowest free slot, so no slot at or past this bound is ever
+// in use.
+constexpr uint32_t kMaxSlots = 2 * kMaxPageIds;
+
+off_t SlotOffset(uint32_t slot) {
+  return static_cast<off_t>(static_cast<uint64_t>(slot) * kPageSize);
 }
 
 // Full-length pwrite (retrying short writes / EINTR).
@@ -353,7 +359,6 @@ Status FileStore::LoadManifest() {
   meta.next_fresh = p.U32();
   meta.tree_size = p.U64();
   meta.max_key = p.U64();
-  meta.rightmost_leaf = p.U32();
   if (meta.next_fresh > kMaxPageIds) {
     return Status::DataLoss("manifest next_fresh " +
                             std::to_string(meta.next_fresh) + " > " +
@@ -380,19 +385,24 @@ Status FileStore::LoadManifest() {
   if (!p.ok() || page_count > meta.next_fresh) {
     return Status::DataLoss("manifest page table");
   }
-  // Entries may come in any order. Each id indexes the slot table, so
-  // one the allocator never handed out, or a repeat, is corruption.
+  // Entries may come in any order. Each id indexes the slot table and
+  // each slot the data file, so an id the allocator never handed out, a
+  // slot past the bound, or either one named twice is corruption.
   std::vector<SlotEntry> table;
+  std::vector<bool> named;  // indexed by slot
   for (uint32_t i = 0; i < page_count; ++i) {
     const PageId id = p.U32();
     const uint32_t slot = p.U32();
     const uint32_t crc = p.U32();
     if (!p.ok()) break;
-    if (slot > 1) return Status::DataLoss("manifest slot bit");
     if (id >= meta.next_fresh) {
       return Status::DataLoss("manifest page id " + std::to_string(id) +
                               " >= next_fresh " +
                               std::to_string(meta.next_fresh));
+    }
+    if (slot >= kMaxSlots) {
+      return Status::DataLoss("manifest slot " + std::to_string(slot) +
+                              " >= " + std::to_string(kMaxSlots));
     }
     if (id >= table.size()) table.resize(id + size_t{1});
     SlotEntry& e = table[id];
@@ -400,27 +410,54 @@ Status FileStore::LoadManifest() {
       return Status::DataLoss("manifest names page " + std::to_string(id) +
                               " twice");
     }
-    e.committed = static_cast<uint8_t>(slot);
-    e.crc[slot] = crc;
+    if (slot >= named.size()) named.resize(slot + size_t{1});
+    if (named[slot]) {
+      return Status::DataLoss("manifest names slot " + std::to_string(slot) +
+                              " twice");
+    }
+    named[slot] = true;
+    e.committed = slot;
+    e.committed_crc = crc;
   }
   if (!p.ok()) return Status::DataLoss("manifest truncated");
+  // Every slot below the highest named one that no page names is free.
+  // Ascending order is already a valid min-heap.
+  std::vector<uint32_t> free_slots;
+  for (uint32_t slot = 0; slot < named.size(); ++slot) {
+    if (!named[slot]) free_slots.push_back(slot);
+  }
 
   std::lock_guard<std::mutex> lk(mu_);
   slots_ = std::move(table);
+  free_slots_ = std::move(free_slots);
+  end_slot_ = static_cast<uint32_t>(named.size());
   committed_epoch_ = meta.checkpoint_epoch;
   recovered_meta_ = std::move(meta);
   has_checkpoint_ = true;
   return Status::OK();
 }
 
+uint32_t FileStore::TakeSlotLocked() {
+  if (free_slots_.empty()) return end_slot_++;
+  std::pop_heap(free_slots_.begin(), free_slots_.end(), std::greater<>());
+  const uint32_t slot = free_slots_.back();
+  free_slots_.pop_back();
+  return slot;
+}
+
+void FileStore::FreeSlotLocked(uint32_t slot) {
+  free_slots_.push_back(slot);
+  std::push_heap(free_slots_.begin(), free_slots_.end(), std::greater<>());
+}
+
 Status FileStore::ReadPage(PageId id, void* buf) {
-  uint8_t slot = kNoSlot;
+  uint32_t slot = kNoSlot;
   uint32_t crc = 0;
   {
     std::lock_guard<std::mutex> lk(mu_);
     if (id < slots_.size()) {
       slot = slots_[id].live();
-      if (slot != kNoSlot) crc = slots_[id].crc[slot];
+      crc = slots_[id].live_crc();
     }
   }
   if (slot == kNoSlot) {
@@ -429,7 +466,7 @@ Status FileStore::ReadPage(PageId id, void* buf) {
     return Status::OK();
   }
   size_t got = 0;
-  Status s = PreadAll(data_fd_, buf, kPageSize, SlotOffset(id, slot), &got);
+  Status s = PreadAll(data_fd_, buf, kPageSize, SlotOffset(slot), &got);
   if (!s.ok()) return s;
   if (got < kPageSize) {
     return Status::DataLoss("page image truncated");
@@ -445,15 +482,15 @@ Status FileStore::ReadPage(PageId id, void* buf) {
 }
 
 Status FileStore::WritePage(PageId id, const void* buf) {
-  uint8_t slot;
+  uint32_t slot;
+  bool taken = false;  // slot came out of the free set for this write
   {
     std::lock_guard<std::mutex> lk(mu_);
     if (id >= slots_.size()) slots_.resize(id + size_t{1});
-    const SlotEntry& e = slots_[id];
-    if (e.pending != kNoSlot) {
-      slot = e.pending;  // re-stage into the same shadow slot
-    } else {
-      slot = e.committed == kNoSlot ? 0 : static_cast<uint8_t>(1 - e.committed);
+    slot = slots_[id].pending;  // re-stage into the same shadow slot
+    if (slot == kNoSlot) {
+      slot = TakeSlotLocked();
+      taken = true;
     }
   }
   const FaultOutcome f = FaultInjector::TrapsArmed()
@@ -461,22 +498,24 @@ Status FileStore::WritePage(PageId id, const void* buf) {
                              : FaultOutcome();
   if (f.crash) {
     // Power cut mid-write: one sector of the new image lands, then death.
-    // The torn bytes live in an UNCOMMITTED slot, which is the property
-    // the crash harness exists to verify.
-    (void)PwriteAll(data_fd_, buf, kTornWriteBytes, SlotOffset(id, slot));
+    // The torn bytes live in a slot no committed manifest names, which is
+    // the property the crash harness exists to verify.
+    (void)PwriteAll(data_fd_, buf, kTornWriteBytes, SlotOffset(slot));
     std::_Exit(kCrashExitCode);
   }
-  if (f.inject_error) {
-    return Status::Unavailable("injected store-write failure");
-  }
-  Status s = PwriteAll(data_fd_, buf, kPageSize, SlotOffset(id, slot));
-  if (!s.ok()) return s;
-  const uint32_t crc = Crc32(buf, kPageSize);
+  Status s = f.inject_error
+                 ? Status::Unavailable("injected store-write failure")
+                 : PwriteAll(data_fd_, buf, kPageSize, SlotOffset(slot));
+  const uint32_t crc = s.ok() ? Crc32(buf, kPageSize) : 0;
   std::lock_guard<std::mutex> lk(mu_);
+  if (!s.ok()) {
+    if (taken) FreeSlotLocked(slot);
+    return s;
+  }
   SlotEntry& e = slots_[id];
   if (e.pending == kNoSlot) pending_ids_.push_back(id);
   e.pending = slot;
-  e.crc[slot] = crc;
+  e.pending_crc = crc;
   return Status::OK();
 }
 
@@ -489,7 +528,6 @@ Status FileStore::PublishManifestLocked(const StoreMeta& meta) {
   Put32(&blob, meta.next_fresh);
   Put64(&blob, meta.tree_size);
   Put64(&blob, meta.max_key);
-  Put32(&blob, meta.rightmost_leaf);
   Put32(&blob, static_cast<uint32_t>(meta.leftmost.size()));
   for (PageId id : meta.leftmost) Put32(&blob, id);
   Put32(&blob, static_cast<uint32_t>(meta.free_pages.size()));
@@ -498,11 +536,11 @@ Status FileStore::PublishManifestLocked(const StoreMeta& meta) {
   for (const SlotEntry& e : slots_) count += e.live() != kNoSlot;
   Put32(&blob, count);
   for (PageId id = 0; id < slots_.size(); ++id) {
-    const uint8_t slot = slots_[id].live();
-    if (slot == kNoSlot) continue;
+    const SlotEntry& e = slots_[id];
+    if (e.live() == kNoSlot) continue;
     Put32(&blob, id);
-    Put32(&blob, slot);
-    Put32(&blob, slots_[id].crc[slot]);
+    Put32(&blob, e.live());
+    Put32(&blob, e.live_crc());
   }
   Put32(&blob, Crc32(blob.data(), blob.size()));
 
@@ -560,9 +598,13 @@ Status FileStore::Commit(StoreMeta* meta) {
   Status s = PublishManifestLocked(*meta);
   if (!s.ok()) return s;
 
+  // The new manifest is durable, so the slots only the old one named
+  // are free from here on.
   for (PageId id : pending_ids_) {
     SlotEntry& e = slots_[id];
+    if (e.committed != kNoSlot) FreeSlotLocked(e.committed);
     e.committed = e.pending;
+    e.committed_crc = e.pending_crc;
     e.pending = kNoSlot;
   }
   pending_ids_.clear();

@@ -14,27 +14,35 @@
 //
 // On-disk layout (one directory per store):
 //
-//   <dir>/pages.dat   page images in 4 KB-aligned slots (O_DIRECT-ready:
-//                     every slot offset is a kPageSize multiple). Each
-//                     page owns a PAIR of slots at indices 2*id and
-//                     2*id + 1 and ping-pongs between them: a WritePage
-//                     always lands in the slot the committed manifest
-//                     does NOT reference, so a torn write (crash mid
-//                     pwrite) can only corrupt bytes recovery will never
-//                     read.
+//   <dir>/pages.dat   page images in 4 KB slots, slot s at byte offset
+//                     s * kPageSize (O_DIRECT-ready: every offset is a
+//                     kPageSize multiple). Slots belong to no page: a
+//                     page with no staged image takes the lowest free
+//                     slot (else the next one past the end), and a
+//                     re-stage before the next Commit reuses it. A slot
+//                     is free when neither the durable manifest nor a
+//                     staged image names it, so a write never lands in a
+//                     slot the committed manifest names, and a torn
+//                     write (crash mid pwrite) can only corrupt bytes
+//                     recovery will never read. A committed slot becomes
+//                     free only once Commit has made the manifest that
+//                     replaces it durable. A checkpoint of N pages thus
+//                     fills a dense run of slots, and the file stays
+//                     within two slots per page.
 //   <dir>/MANIFEST    the commit point: checkpoint epoch, allocator
 //                     state, tree metadata (prime block, size, append
-//                     hints), and the per-page {slot, crc32} table naming
-//                     which slot of each pair holds the committed image,
-//                     in page-id order. Written as MANIFEST.tmp + fsync +
-//                     rename + dir fsync, so it is replaced atomically; a
-//                     crash at any interior point leaves the previous
-//                     manifest intact.
+//                     watermark), and the per-page {id, slot, crc32}
+//                     table naming the slot of each page's committed
+//                     image, in page-id order. Written as MANIFEST.tmp +
+//                     fsync + rename + dir fsync, so it is replaced
+//                     atomically; a crash at any interior point leaves
+//                     the previous manifest intact.
 //
-// In memory the store keeps one 12-byte entry per page id (a dense
-// vector): the CRC of each of its two slots, the slot the manifest names
-// and the slot staged since the last Commit. A read or a write looks its
-// page up with one indexed access under the store mutex.
+// In memory the store keeps one 16-byte entry per page id (a dense
+// vector): the committed slot and the slot staged since the last Commit,
+// each with its image's CRC, plus a min-heap of the free slots. A read
+// or a write looks its page up with one indexed access under the store
+// mutex.
 //
 // Every image is checksummed with CRC-32 (IEEE). On x86-64 CPUs with
 // PCLMULQDQ the checksum folds 64 bytes per step with carry-less
@@ -42,16 +50,17 @@
 // that computes the same value elsewhere and for short inputs and tails.
 //
 // Checkpoint protocol (PageManager::Checkpoint drives it):
-//   1. every dirty page is staged via WritePage (shadow slots);
+//   1. every dirty page is staged via WritePage (free slots);
 //   2. Commit: fsync pages.dat, serialize the manifest (each page's
 //      staged slot, else its committed one) to MANIFEST.tmp, fsync it,
 //      rename over MANIFEST, fsync the directory, then promote the
-//      staged slots to committed.
+//      staged slots to committed and free the slots they replace.
 //
 // Durability fault sites (FaultInjector, see FaultAction::kCrash):
 //   "store-write"       before each page pwrite; a kCrash fire persists
-//                       the first 512 bytes of the new image (a genuine
-//                       torn sector) and dies.
+//                       the first 512 bytes of the new image in its free
+//                       slot (a genuine torn sector) and dies; a kError
+//                       fire gives a slot it took back to the free set.
 //   "store-fsync"       before the pages.dat fsync in Commit.
 //   "manifest-rename"   after MANIFEST.tmp is durable, before the rename.
 //   "checkpoint-commit" after the rename + directory fsync (the
@@ -81,7 +90,7 @@ inline constexpr uint32_t kMaxPageIds = 1u << 24;
 /// Everything beyond raw page bytes that a checkpoint must capture for a
 /// later Recover to rebuild the tree: the allocator frontier and free
 /// list (PageManager state) plus the prime block, logical size, and
-/// append-path hints (SagivTree state). Serialized into the manifest by
+/// append watermark (SagivTree state). Serialized into the manifest by
 /// FileStore::Commit.
 struct StoreMeta {
   /// Monotone checkpoint counter: 0 = never checkpointed; assigned by
@@ -101,8 +110,6 @@ struct StoreMeta {
   uint64_t tree_size = 0;             ///< logical key count at the barrier
   std::vector<PageId> leftmost;       ///< prime block: leftmost[level]
   Key max_key = 0;                    ///< append fast-path watermark
-  PageId rightmost_leaf = kInvalidPageId;  ///< append fast-path hint;
-                                           ///< recovery re-walks the leaves
 };
 
 /// Persistent page backend over a directory (see file comment). All
@@ -114,8 +121,9 @@ class FileStore {
   /// manifest exists it is loaded and verified: has_checkpoint() becomes
   /// true and recovered_meta() holds the checkpointed tree state. A
   /// manifest that fails its magic/version/checksum, or whose page table
-  /// names a page id >= next_fresh or one id twice, yields DataLoss. A
-  /// leftover MANIFEST.tmp (crash before the rename) is discarded.
+  /// names a page id >= next_fresh, a slot >= 2 * kMaxPageIds, or one id
+  /// or slot twice, yields DataLoss. A leftover MANIFEST.tmp (crash
+  /// before the rename) is discarded.
   static Result<std::unique_ptr<FileStore>> Open(const std::string& dir);
 
   ~FileStore();
@@ -127,9 +135,9 @@ class FileStore {
   Status ReadPage(PageId id, void* buf);
 
   /// Stage the image of page `id` (kPageSize bytes). The write lands in
-  /// the page's uncommitted shadow slot: it is NOT part of the
-  /// recoverable image until the next Commit, so a crash mid-write can
-  /// only tear bytes recovery will never read.
+  /// the page's staged slot, else the lowest free one: it is NOT part of
+  /// the recoverable image until the next Commit, so a crash mid-write
+  /// can only tear bytes recovery will never read.
   Status WritePage(PageId id, const void* buf);
 
   /// Checkpoint barrier: make every image staged since the previous
@@ -165,18 +173,23 @@ class FileStore {
   static uint32_t Crc32Portable(const void* data, size_t n);
 
  private:
-  static constexpr uint8_t kNoSlot = 2;
+  static constexpr uint32_t kNoSlot = UINT32_MAX;
 
-  // One page's state in the two slots of its pair.
+  // One page's images: the slot the manifest names and the slot staged
+  // since the last Commit, each with the checksum of its image.
   struct SlotEntry {
-    uint32_t crc[2] = {0, 0};     // checksum of the image in each slot
-    uint8_t committed = kNoSlot;  // slot the manifest names
-    uint8_t pending = kNoSlot;    // slot staged since the last Commit
+    uint32_t committed = kNoSlot;
+    uint32_t committed_crc = 0;
+    uint32_t pending = kNoSlot;
+    uint32_t pending_crc = 0;
 
-    // The slot a read serves: the staged image, else the committed one.
-    uint8_t live() const { return pending != kNoSlot ? pending : committed; }
+    // The image a read serves: the staged one, else the committed one.
+    uint32_t live() const { return pending != kNoSlot ? pending : committed; }
+    uint32_t live_crc() const {
+      return pending != kNoSlot ? pending_crc : committed_crc;
+    }
   };
-  static_assert(sizeof(SlotEntry) == 12, "one 12-byte entry per page id");
+  static_assert(sizeof(SlotEntry) == 16, "one 16-byte entry per page id");
 
   FileStore(std::string dir, int data_fd, int dir_fd);
 
@@ -189,13 +202,22 @@ class FileStore {
   // with has_checkpoint_ false; torn/corrupt file => DataLoss.
   Status LoadManifest();
 
+  // Take the lowest free slot out of the free set, else the next slot
+  // past the end. Caller holds mu_.
+  uint32_t TakeSlotLocked();
+
+  // Return `slot` to the free set. Caller holds mu_.
+  void FreeSlotLocked(uint32_t slot);
+
   const std::string dir_;
   const int data_fd_;
   const int dir_fd_;
 
   mutable std::mutex mu_;
-  std::vector<SlotEntry> slots_;     // indexed by PageId
-  std::vector<PageId> pending_ids_;  // ids with a pending slot
+  std::vector<SlotEntry> slots_;      // indexed by PageId
+  std::vector<PageId> pending_ids_;   // ids with a pending slot
+  std::vector<uint32_t> free_slots_;  // min-heap of free slots < end_slot_
+  uint32_t end_slot_ = 0;             // no slot at or past it was taken
   uint64_t committed_epoch_ = 0;
   bool has_checkpoint_ = false;
   StoreMeta recovered_meta_;

@@ -1,8 +1,9 @@
 // Copyright 2026 The obtree Authors.
 //
 // Backend unit tests of FileStore: the CRC-32 checksum format, page round
-// trips through the shadow (ping-pong) slot pairs, manifest atomicity,
-// checksum verification on read-back, and the PageManager-level buffer
+// trips through the allocated shadow slots, the density and reuse of
+// those slots, manifest atomicity and validation, checksum verification
+// on read-back, and the PageManager-level buffer
 // pool over it (fault-in, eviction, counters). Crash injection is
 // exercised separately by crash_recovery_test (it forks); everything here
 // stays in-process.
@@ -47,6 +48,18 @@ Page MakePage(uint8_t fill) {
   Page p;
   std::memset(p.bytes, fill, kPageSize);
   return p;
+}
+
+// The image of page `id` in checkpoint round `round`: distinct per page
+// and per round.
+Page RoundPage(PageId id, uint8_t round) {
+  Page p = MakePage(round);
+  std::memcpy(p.bytes, &id, sizeof(id));
+  return p;
+}
+
+uint64_t DataFileSize(const std::string& dir) {
+  return std::filesystem::file_size(dir + "/pages.dat");
 }
 
 // --- checksum format ------------------------------------------------------
@@ -152,7 +165,6 @@ TEST_F(FileStoreTest, ReopenRecoversCommittedState) {
     meta.next_fresh = 1;
     meta.tree_size = 42;
     meta.max_key = 999;
-    meta.rightmost_leaf = 0;
     meta.leftmost = {0};
     meta.free_pages = {};
     ASSERT_TRUE((*store)->Commit(&meta).ok());
@@ -165,7 +177,6 @@ TEST_F(FileStoreTest, ReopenRecoversCommittedState) {
   EXPECT_EQ(meta.next_fresh, 1u);
   EXPECT_EQ(meta.tree_size, 42u);
   EXPECT_EQ(meta.max_key, 999u);
-  EXPECT_EQ(meta.rightmost_leaf, 0u);
   ASSERT_EQ(meta.leftmost.size(), 1u);
   Page r;
   ASSERT_TRUE((*store)->ReadPage(0, r.bytes).ok());
@@ -195,8 +206,9 @@ TEST_F(FileStoreTest, UncommittedWriteDoesNotReplaceCommittedImage) {
   for (size_t i = 0; i < kPageSize; ++i) ASSERT_EQ(r.bytes[i], 0x11u) << i;
 }
 
-// Successive committed versions of one page ping-pong between its two
-// slots; each commit's image must read back intact.
+// Successive committed versions of a lone page ping-pong between slots 0
+// and 1 (the committed slot is never free for the next write); each
+// commit's image must read back intact.
 TEST_F(FileStoreTest, SlotPingPongAcrossCommits) {
   auto store = FileStore::Open(dir_);
   ASSERT_TRUE(store.ok());
@@ -282,14 +294,19 @@ TEST_F(FileStoreTest, PageStagedTwiceReadsBackNewestImage) {
   }
 }
 
-// The manifest's page table indexes the store's slot table, so the
-// loader checks each id even when the trailer checksum is valid: an id
-// at or past next_fresh, or one named twice, is DataLoss. Entry order
-// is free (the writer sorts by id; a reversed table still opens).
+// The manifest's page table indexes the store's slot table and its
+// slots index the data file, so the loader checks each entry even when
+// the trailer checksum is valid: an id at or past next_fresh, a slot at
+// or past 2 * kMaxPageIds, or an id or a slot named twice is DataLoss,
+// and so is any version but the current one (there is no migration).
+// Entry order is free (the writer sorts by id; a reversed table still
+// opens).
 TEST_F(FileStoreTest, ManifestPageTableIsCheckedOnOpen) {
-  // Layout with no levels and no free pages: a 56-byte header, then
-  // 12-byte {id, slot, crc} entries, then the 4-byte trailer CRC.
-  constexpr size_t kEntriesAt = 56;
+  // Layout with no levels and no free pages: a 52-byte header (the
+  // version at byte 8), then 12-byte {id, slot, crc} entries, then the
+  // 4-byte trailer CRC.
+  constexpr size_t kVersionAt = 8;
+  constexpr size_t kEntriesAt = 52;
   const Page w0 = MakePage(0x0a);
   const Page w1 = MakePage(0x1b);
   {
@@ -336,6 +353,27 @@ TEST_F(FileStoreTest, ManifestPageTableIsCheckedOnOpen) {
   store = FileStore::Open(dir_);
   EXPECT_TRUE(store.status().IsDataLoss()) << store.status().ToString();
 
+  std::string shared_slot = good;
+  put32(&shared_slot, kEntriesAt + 12 + 4, 0);  // page 1 in page 0's slot
+  install(shared_slot);
+  store = FileStore::Open(dir_);
+  EXPECT_TRUE(store.status().IsDataLoss()) << store.status().ToString();
+  EXPECT_NE(store.status().message().find("slot 0 twice"), std::string::npos)
+      << store.status().ToString();
+
+  std::string slot_past_bound = good;
+  put32(&slot_past_bound, kEntriesAt + 12 + 4, 2 * kMaxPageIds);
+  install(slot_past_bound);
+  store = FileStore::Open(dir_);
+  EXPECT_TRUE(store.status().IsDataLoss()) << store.status().ToString();
+
+  std::string version1 = good;
+  put32(&version1, kVersionAt, 1);
+  install(version1);
+  store = FileStore::Open(dir_);
+  EXPECT_TRUE(store.status().IsDataLoss()) << store.status().ToString();
+  EXPECT_EQ(store.status().message(), "manifest version");
+
   std::string reversed = good;
   reversed.replace(kEntriesAt, 12, good, kEntriesAt + 12, 12);
   reversed.replace(kEntriesAt + 12, 12, good, kEntriesAt, 12);
@@ -347,6 +385,125 @@ TEST_F(FileStoreTest, ManifestPageTableIsCheckedOnOpen) {
   EXPECT_EQ(std::memcmp(w0.bytes, r.bytes, kPageSize), 0);
   ASSERT_TRUE((*store)->ReadPage(1, r.bytes).ok());
   EXPECT_EQ(std::memcmp(w1.bytes, r.bytes, kPageSize), 0);
+}
+
+// One checkpoint of N pages fills the first N slots of pages.dat: the
+// file holds no gaps between page images.
+TEST_F(FileStoreTest, OneCommitFillsADenseRunOfSlots) {
+  constexpr uint32_t kN = 256;
+  auto store = FileStore::Open(dir_);
+  ASSERT_TRUE(store.ok());
+  for (PageId id = 0; id < kN; ++id) {
+    ASSERT_TRUE((*store)->WritePage(id, RoundPage(id, 1).bytes).ok());
+  }
+  StoreMeta meta;
+  meta.next_fresh = kN;
+  ASSERT_TRUE((*store)->Commit(&meta).ok());
+  EXPECT_EQ(DataFileSize(dir_), uint64_t{kN} * kPageSize);
+}
+
+// Re-staging every page each round alternates between two dense runs:
+// the slots a commit frees take the next round's images, so the file
+// never grows past two slots per page, and a reopen reads the last
+// round.
+TEST_F(FileStoreTest, RepeatedCommitsReuseFreedSlots) {
+  constexpr uint32_t kN = 256;
+  constexpr uint8_t kRounds = 20;
+  {
+    auto store = FileStore::Open(dir_);
+    ASSERT_TRUE(store.ok());
+    for (uint8_t round = 1; round <= kRounds; ++round) {
+      for (PageId id = 0; id < kN; ++id) {
+        ASSERT_TRUE((*store)->WritePage(id, RoundPage(id, round).bytes).ok());
+      }
+      StoreMeta meta;
+      meta.next_fresh = kN;
+      ASSERT_TRUE((*store)->Commit(&meta).ok());
+      ASSERT_LE(DataFileSize(dir_), 2 * uint64_t{kN} * kPageSize)
+          << "round " << int{round};
+    }
+  }
+  auto store = FileStore::Open(dir_);
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  EXPECT_EQ((*store)->checkpoint_epoch(), kRounds);
+  for (PageId id = 0; id < kN; ++id) {
+    const Page want = RoundPage(id, kRounds);
+    Page r;
+    ASSERT_TRUE((*store)->ReadPage(id, r.bytes).ok()) << id;
+    ASSERT_EQ(std::memcmp(want.bytes, r.bytes, kPageSize), 0) << id;
+  }
+}
+
+// A crash after staging a full round over slots an earlier commit freed
+// (and over slots past the manifest's highest one, staged and lost by
+// the crash before) loses only the staged round: each reopen reads the
+// round committed last.
+TEST_F(FileStoreTest, UncommittedRoundOverReusedSlotsLeavesCommittedRound) {
+  constexpr uint32_t kN = 256;
+  for (uint8_t round = 1; round <= 4; ++round) {
+    {
+      auto store = FileStore::Open(dir_);
+      ASSERT_TRUE(store.ok()) << store.status().ToString();
+      for (PageId id = 0; id < kN; ++id) {
+        ASSERT_TRUE((*store)->WritePage(id, RoundPage(id, round).bytes).ok());
+      }
+      StoreMeta meta;
+      meta.next_fresh = kN;
+      ASSERT_TRUE((*store)->Commit(&meta).ok());
+      for (PageId id = 0; id < kN; ++id) {
+        const Page next = RoundPage(id, static_cast<uint8_t>(round + 1));
+        ASSERT_TRUE((*store)->WritePage(id, next.bytes).ok());
+      }
+    }  // destroyed without a Commit
+    auto store = FileStore::Open(dir_);
+    ASSERT_TRUE(store.ok()) << store.status().ToString();
+    EXPECT_EQ((*store)->checkpoint_epoch(), round);
+    for (PageId id = 0; id < kN; ++id) {
+      const Page want = RoundPage(id, round);
+      Page r;
+      ASSERT_TRUE((*store)->ReadPage(id, r.bytes).ok()) << id;
+      ASSERT_EQ(std::memcmp(want.bytes, r.bytes, kPageSize), 0)
+          << "round " << int{round} << " page " << id;
+    }
+  }
+}
+
+// A failed write leaves the page's committed image in place and gives
+// back the slot it took: 50 failures take no slot, so the first write
+// that succeeds lands in the one slot past the end.
+TEST_F(FileStoreTest, FailedWriteKeepsCommittedImageAndFreesItsSlot) {
+  constexpr uint32_t kN = 16;
+  constexpr PageId kTarget = 5;
+  auto store = FileStore::Open(dir_);
+  ASSERT_TRUE(store.ok());
+  for (PageId id = 0; id < kN; ++id) {
+    ASSERT_TRUE((*store)->WritePage(id, RoundPage(id, 1).bytes).ok());
+  }
+  StoreMeta meta;
+  meta.next_fresh = kN;
+  ASSERT_TRUE((*store)->Commit(&meta).ok());
+  ASSERT_EQ(DataFileSize(dir_), uint64_t{kN} * kPageSize);
+
+  FaultSpec fail;
+  fail.action = FaultAction::kError;
+  FaultInjector::Instance().Arm("store-write", fail);
+  const Page v2 = RoundPage(kTarget, 2);
+  for (int i = 0; i < 50; ++i) {
+    const Status s = (*store)->WritePage(kTarget, v2.bytes);
+    ASSERT_TRUE(s.IsUnavailable()) << s.ToString();
+  }
+  FaultInjector::Instance().DisarmAll();
+  const Page v1 = RoundPage(kTarget, 1);
+  Page r;
+  ASSERT_TRUE((*store)->ReadPage(kTarget, r.bytes).ok());
+  EXPECT_EQ(std::memcmp(v1.bytes, r.bytes, kPageSize), 0);
+  EXPECT_EQ(DataFileSize(dir_), uint64_t{kN} * kPageSize);
+
+  ASSERT_TRUE((*store)->WritePage(kTarget, v2.bytes).ok());
+  EXPECT_EQ(DataFileSize(dir_), uint64_t{kN + 1} * kPageSize);
+  ASSERT_TRUE((*store)->Commit(&meta).ok());
+  ASSERT_TRUE((*store)->ReadPage(kTarget, r.bytes).ok());
+  EXPECT_EQ(std::memcmp(v2.bytes, r.bytes, kPageSize), 0);
 }
 
 // next_fresh sizes PageManager's page directory on recovery, and every
