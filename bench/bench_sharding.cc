@@ -9,15 +9,6 @@
 // shard's range) collapses the gain, and the global-lock baseline trails
 // everything.
 //
-// E11e — online rebalancing vs the shard-hot-spot adversary. E11c shows
-// range partitioning's known weakness: aim 90% of traffic at one shard's
-// range and the static layout degenerates to a single tree. The
-// ShardRebalancer reads the same telemetry CI collects (op deltas, lock
-// contention, pool drain/boost rates), splits the hot shard at its median
-// stored key, and repeats until traffic spreads. Gate, via
-// BENCH_sharding.json: rebalancer-on beats rebalancer-off by >= 1.3x at 8
-// threads on a >= 4-CPU host (record-only on smaller runners).
-//
 // Rows: thread counts. Columns: Kops/s per target. One table per mix.
 // Every cell is also recorded to BENCH_sharding.json for the CI artifact.
 
@@ -53,15 +44,7 @@ void Record(const std::string& config, int threads, double kops) {
   Samples().push_back(JsonSample{config, threads, kops});
 }
 
-/// The rebalancing gate numbers (E11e), consumed by CI.
-struct RebalanceGate {
-  double off_kops = 0;        ///< static 4-shard layout, hotspot adversary
-  double on_kops = 0;         ///< rebalancer enabled, same adversary
-  uint32_t final_shards = 0;  ///< shard count after the rebalanced run
-};
-
-void WriteJson(const char* path, bool quick,
-               const RebalanceGate& rebalance) {
+void WriteJson(const char* path, bool quick) {
   std::FILE* f = std::fopen(path, "w");
   if (f == nullptr) {
     std::fprintf(stderr, "cannot write %s\n", path);
@@ -70,15 +53,7 @@ void WriteJson(const char* path, bool quick,
   std::fprintf(f, "{\n");
   std::fprintf(f, "  \"bench\": \"sharding\",\n");
   std::fprintf(f, "  \"quick\": %s,\n", quick ? "true" : "false");
-  const double speedup = rebalance.off_kops > 0
-                             ? rebalance.on_kops / rebalance.off_kops
-                             : 0.0;
   std::fprintf(f, "  \"cpus\": %u,\n", std::thread::hardware_concurrency());
-  std::fprintf(f, "  \"rebalance_off_kops\": %.1f,\n", rebalance.off_kops);
-  std::fprintf(f, "  \"rebalance_on_kops\": %.1f,\n", rebalance.on_kops);
-  std::fprintf(f, "  \"rebalance_final_shards\": %u,\n",
-               rebalance.final_shards);
-  std::fprintf(f, "  \"rebalance_hotspot_speedup\": %.3f,\n", speedup);
   std::fprintf(f, "  \"configs\": [\n");
   const std::vector<JsonSample>& samples = Samples();
   for (size_t i = 0; i < samples.size(); ++i) {
@@ -166,86 +141,6 @@ void RunMix(WorkloadSpec spec, const std::vector<int>& thread_counts,
   std::printf("(cells are Kops/s; higher is better)\n\n");
 }
 
-// ------------------------------------------------------------------- E11e
-
-struct RebalanceRun {
-  double kops = 0;
-  uint32_t final_shards = 0;
-  uint64_t splits = 0;
-  uint64_t keys_migrated = 0;
-};
-
-/// Run the shard-hot-spot adversary against a 4-shard map, with or
-/// without the online rebalancer. Best-of-`repeats` (the gated speedup
-/// must not flap on CI-host noise).
-RebalanceRun RebalancedHotspotKops(const WorkloadSpec& spec, bool rebalance,
-                                   int threads, uint64_t ops_per_thread,
-                                   int repeats) {
-  RebalanceRun best;
-  for (int r = 0; r < repeats; ++r) {
-    ShardOptions options;
-    options.tree = BenchTreeOptions();
-    options.num_shards = 4;
-    options.key_space_hint = spec.key_space;
-    options.compression = CompressionMode::kNone;  // isolate routing cost
-    options.rebalance.enabled = rebalance;
-    options.rebalance.period_ms = 5;
-    options.rebalance.hotness_threshold = 1.5;
-    options.rebalance.cold_threshold = 0.4;
-    options.rebalance.max_shards = 16;
-    options.rebalance.min_ops_per_period = 2048;
-    options.rebalance.min_keys_to_split = 64;
-    options.rebalance.migration_batch = 256;
-    options.rebalance.cooldown_periods = 1;
-    ShardedMap map(options);
-    PreloadTree(&map, spec, 4);
-    const DriverResult result =
-        RunWorkload(&map, spec, threads, ops_per_thread, /*seed=*/7 + r);
-    const double kops = result.MopsPerSec() * 1000.0;
-    if (kops > best.kops) {
-      best.kops = kops;
-      best.final_shards = map.num_shards();
-      const StatsSnapshot stats = map.Stats();
-      best.splits = stats.Get(StatId::kRebalanceSplits);
-      best.keys_migrated = stats.Get(StatId::kKeysMigrated);
-    }
-  }
-  return best;
-}
-
-RebalanceGate RunRebalanceComparison(uint64_t ops_per_thread, Key key_space,
-                                     int repeats) {
-  RebalanceGate gate;
-  WorkloadSpec spec = WorkloadSpec::ShardHotSpot(4);
-  spec.key_space = key_space;
-  spec.preload = key_space / 2;
-  const int fg_threads = 8;
-
-  const RebalanceRun off = RebalancedHotspotKops(
-      spec, /*rebalance=*/false, fg_threads, ops_per_thread, repeats);
-  const RebalanceRun on = RebalancedHotspotKops(
-      spec, /*rebalance=*/true, fg_threads, ops_per_thread, repeats);
-  gate.off_kops = off.kops;
-  gate.on_kops = on.kops;
-  gate.final_shards = on.final_shards;
-
-  Table table({"rebalancer", "Kops/s", "final shards", "splits",
-               "keys migrated"});
-  table.AddRow({"off", Fmt(off.kops), Fmt(static_cast<uint64_t>(4)), "-",
-                "-"});
-  table.AddRow({"on", Fmt(on.kops),
-                Fmt(static_cast<uint64_t>(on.final_shards)), Fmt(on.splits),
-                Fmt(on.keys_migrated)});
-  table.Print();
-  std::printf(
-      "(speedup on/off = %.2fx; the CI gate wants >= 1.3x at 8 threads on "
-      "a >= 4-CPU host)\n\n",
-      off.kops > 0 ? on.kops / off.kops : 0.0);
-  Record("e11e/hotspot_rebalance_off", fg_threads, off.kops);
-  Record("e11e/hotspot_rebalance_on", fg_threads, on.kops);
-  return gate;
-}
-
 }  // namespace
 }  // namespace obtree
 
@@ -287,15 +182,6 @@ int main(int argc, char** argv) {
   RunMix(zipf, threads, 0, mem_ops, key_space);
   RunMix(WorkloadSpec::ShardHotSpot(4), threads, 0, mem_ops, key_space);
 
-  PrintBanner(
-      "E11e: online rebalancing vs the shard-hot-spot adversary",
-      "the rebalancer reads pool telemetry and per-shard op/contention "
-      "deltas, splits the hot shard at its median stored key, and repeats "
-      "until the 90%-on-one-shard adversary is spread across many trees; "
-      "rebalancer-off is the E11c collapse it must beat");
-  const RebalanceGate rebalance =
-      RunRebalanceComparison(mem_ops, key_space, /*repeats=*/3);
-
-  WriteJson("BENCH_sharding.json", quick, rebalance);
+  WriteJson("BENCH_sharding.json", quick);
   return 0;
 }

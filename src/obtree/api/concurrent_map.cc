@@ -210,7 +210,13 @@ TreeShape ConcurrentMap::Shape() const {
 }
 
 Status ConcurrentMap::ValidateStructure() const {
-  return TreeChecker(tree_.get()).CheckStructure();
+  // Pause this map's pool service as CompressNow does: a worker halfway
+  // through a rearrange would show the audit a structure in transit.
+  std::lock_guard<std::mutex> lk(maintenance_mu_);
+  if (pool_ != nullptr) pool_->Pause(pool_handle_);
+  Status s = TreeChecker(tree_.get()).CheckStructure();
+  if (pool_ != nullptr) pool_->Resume(pool_handle_);
+  return s;
 }
 
 }  // namespace obtree

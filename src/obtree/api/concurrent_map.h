@@ -191,7 +191,9 @@ class ConcurrentMap {
   /// (TreeShape::leaf_fill_pct).
   TreeShape Shape() const;
 
-  /// Full structural validation (quiescent only).
+  /// Full structural validation. This map's background maintenance is
+  /// paused around the audit, so no pool pass is half done while it
+  /// reads; foreground writers must still be quiescent.
   Status ValidateStructure() const;
 
   /// Forward cursor over the map. Resumable across concurrent inserts,
@@ -241,9 +243,6 @@ class ConcurrentMap {
   /// pool, and detach the compression queue; waits out a CompressNow. The
   /// map stays fully usable — under-full nodes just stop being compacted.
   /// Idempotent.
-  /// The shard rebalancer calls this on a donor tree once its last key
-  /// has migrated out, so retired (empty) trees cost the pool no
-  /// round-robin turns.
   void Quiesce() { ShutdownMaintenance(); }
 
  private:
@@ -259,7 +258,8 @@ class ConcurrentMap {
   std::unique_ptr<SagivTree> tree_;
   std::unique_ptr<CompressionQueue> queue_;
   std::unique_ptr<BackgroundPool> owned_pool_;  ///< null when shared/none
-  std::mutex maintenance_mu_;  ///< CompressNow vs ShutdownMaintenance
+  /// CompressNow and ValidateStructure vs ShutdownMaintenance.
+  mutable std::mutex maintenance_mu_;
   BackgroundPool* pool_ = nullptr;  ///< owned_pool_ or a shared pool
   uint64_t pool_handle_ = 0;
 };

@@ -271,7 +271,7 @@ BackgroundPool::RoundResult BackgroundPool::RunOneRound() {
     }
     // Boosts/steals count scheduling decisions (off-turn PICKS), not
     // tasks — one per pick that found work, matching the pool-wide
-    // boosts_/steals_ counters and the rebalancer's hot-shard signal.
+    // boosts_/steals_ counters.
     if (off_turn && drained_any) {
       src->tree->stats()->Add(StatId::kPoolBoosts);
     }

@@ -100,94 +100,6 @@ struct TreeOptions {
   }
 };
 
-/// Configuration of the online shard rebalancer (core/shard_rebalancer.h,
-/// protocol and tuning playbook in docs/REBALANCING.md). The rebalancer
-/// periodically snapshots per-shard load — logical op counters, paper-lock
-/// contention, and BackgroundPool drain/boost rates — computes a hotness
-/// score per shard, and migrates boundary key ranges under live traffic:
-/// a hot shard is split (its upper half drains into a fresh tree), cold
-/// adjacent shards are merged (the right tree drains into the left).
-struct RebalanceOptions {
-  /// Master switch. Off by default: the partition stays exactly as
-  /// construction laid it out and ShardedMap adds zero routing overhead.
-  /// On, every operation additionally pins a map-level epoch slot
-  /// (~two CAS per op) so boundary swaps can wait out in-flight ops.
-  bool enabled = false;
-
-  /// Controller period in milliseconds: how often loads are snapshotted
-  /// and at most one split/merge decision is taken. Shorter periods react
-  /// faster but amplify sampling noise; see docs/REBALANCING.md for
-  /// tuning guidance.
-  uint32_t period_ms = 50;
-
-  /// A shard is hot when its share of the period's operations exceeds
-  /// hotness_threshold times the fair share (1/num_shards). 2.0 means
-  /// "twice the traffic a balanced partition would give it". Must be
-  /// > 1.0 or every shard of a balanced map would qualify.
-  double hotness_threshold = 2.0;
-
-  /// Two ADJACENT shards are cold — and merged — when their combined
-  /// share of the period's operations is below cold_threshold times one
-  /// fair share. Keep cold_threshold * hotness_threshold well below 2.0
-  /// (i.e. a just-split pair must not immediately re-merge) or the
-  /// controller can oscillate; Validate() enforces the safe ordering.
-  double cold_threshold = 0.5;
-
-  /// Bounds on the number of key-range partitions the controller may
-  /// create or coalesce. Splits stop at max_shards, merges at
-  /// min_shards. max_shards does NOT bound memory: every tree a split
-  /// creates or a merge retires, and every superseded routing table and
-  /// migration, lives until the map is destroyed, so a controller that
-  /// keeps splitting and merging grows the map's memory without bound
-  /// (ROADMAP.md, "A rebalancing map's memory is bounded by its live
-  /// shards").
-  uint32_t min_shards = 1;
-  uint32_t max_shards = 64;
-
-  /// Periods whose total operation delta falls below this are ignored
-  /// (no split/merge): an idle or barely-used map must not be
-  /// restructured on sampling noise.
-  uint64_t min_ops_per_period = 2048;
-
-  /// Keys a shard must hold before it is worth splitting (draining a
-  /// nearly-empty hot shard moves contention, not data, and the split
-  /// would churn the routing table for nothing).
-  uint64_t min_keys_to_split = 512;
-
-  /// Keys moved per migration batch. Each batch opens the migration's
-  /// in-flight window (batch epoch) once; concurrent ops landing on the
-  /// batch's key range wait it out (kMigrationRetries). Larger batches
-  /// amortize scan cost but widen the window a racing op can wait on.
-  uint32_t migration_batch = 256;
-
-  /// Periods the controller stays quiet after a split or merge. The
-  /// first quiet period also re-baselines the load snapshot, so the
-  /// migration's own inserts/deletes never feed the next hotness score.
-  uint32_t cooldown_periods = 2;
-
-  Status Validate() const {
-    if (period_ms == 0) {
-      return Status::InvalidArgument("rebalance period_ms must be positive");
-    }
-    if (hotness_threshold <= 1.0) {
-      return Status::InvalidArgument("hotness_threshold must exceed 1.0");
-    }
-    if (cold_threshold < 0.0 || cold_threshold * hotness_threshold >= 2.0) {
-      return Status::InvalidArgument(
-          "cold_threshold must be >= 0 and cold_threshold * "
-          "hotness_threshold < 2 (anti-oscillation)");
-    }
-    if (min_shards < 1 || max_shards < min_shards) {
-      return Status::InvalidArgument(
-          "need 1 <= min_shards <= max_shards");
-    }
-    if (migration_batch < 1) {
-      return Status::InvalidArgument("migration_batch must be positive");
-    }
-    return Status::OK();
-  }
-};
-
 /// Configuration of a ShardedMap: a key-range-partitioned front-end over
 /// `num_shards` independent trees (see api/sharded_map.h).
 struct ShardOptions {
@@ -216,12 +128,6 @@ struct ShardOptions {
   /// background-thread count fixed no matter how many shards exist.
   int pool_threads = 0;
 
-  /// Online shard rebalancing (default off). When enabled, num_shards is
-  /// only the INITIAL partition: the rebalancer splits hot shards and
-  /// merges cold neighbors at runtime, within
-  /// [rebalance.min_shards, rebalance.max_shards].
-  RebalanceOptions rebalance;
-
   static constexpr uint32_t kMaxShards = 1u << 10;
 
   /// Validate option values (shard count and hint; TreeOptions are
@@ -237,22 +143,6 @@ struct ShardOptions {
     }
     if (pool_threads < 0) {
       return Status::InvalidArgument("pool_threads must be >= 0 (0 = auto)");
-    }
-    if (rebalance.enabled) {
-      Status s = rebalance.Validate();
-      if (!s.ok()) return s;
-      if (num_shards > rebalance.max_shards) {
-        return Status::InvalidArgument(
-            "num_shards exceeds rebalance.max_shards");
-      }
-      if (!tree.storage_dir.empty()) {
-        // A rebalance migration moves keys between shard trees with no
-        // cross-shard checkpoint barrier, so per-shard manifests could
-        // commit a key in two shards (or neither). Until checkpoints
-        // span shards atomically, the combination is rejected.
-        return Status::InvalidArgument(
-            "rebalancing cannot be combined with storage_dir persistence");
-      }
     }
     return tree.Validate();
   }

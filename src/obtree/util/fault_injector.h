@@ -3,10 +3,10 @@
 // Deterministic process-wide fault-injection registry.
 //
 // A *failpoint site* is a short string naming a place in the code that can
-// misbehave ("get", "put", "alloc", "migration-batch", "store-write",
-// ...). Sites share the naming scheme of the PageManager test hooks: the
-// hook op string IS the failpoint site name, so a test can observe and
-// perturb the same program point with one vocabulary.
+// misbehave ("get", "put", "alloc", "store-write", ...). Sites share the
+// naming scheme of the PageManager test hooks: the hook op string IS the
+// failpoint site name, so a test can observe and perturb the same program
+// point with one vocabulary.
 //
 // Tests arm a site with a FaultSpec describing *when* it fires (seeded
 // probability, every-Nth hit, bounded fire count, optional thread filter)

@@ -46,16 +46,9 @@ const char* StatName(StatId id) {
     case StatId::kQueueDiscards: return "queue_discards";
     case StatId::kPoolTasksDrained: return "pool_tasks_drained";
     case StatId::kPoolBoosts: return "pool_boosts";
-    case StatId::kRebalanceSplits: return "rebalance_splits";
-    case StatId::kRebalanceMerges: return "rebalance_merges";
-    case StatId::kKeysMigrated: return "keys_migrated";
-    case StatId::kMigrationRetries: return "migration_retries";
     case StatId::kFaultsInjected: return "faults_injected";
     case StatId::kFetchRetries: return "fetch_retries";
     case StatId::kFetchGiveups: return "fetch_giveups";
-    case StatId::kMigrationAborts: return "migration_aborts";
-    case StatId::kMigrationRollbackKeys: return "migration_rollback_keys";
-    case StatId::kRebalanceBreakerTrips: return "rebalance_breaker_trips";
     case StatId::kSearches: return "searches";
     case StatId::kInserts: return "inserts";
     case StatId::kDeletes: return "deletes";

@@ -24,8 +24,8 @@ namespace obtree {
 /// Attribution rules (who increments what, and on which tree):
 ///   * Physical counters (kGets/kPuts/kLocks*/kInplace*/kWriteBytes*)
 ///     count PAGE-LAYER events and accrue on the tree that owns the page,
-///     regardless of which thread — user op, compressor, pool worker, or
-///     migration — touched it.
+///     regardless of which thread — user op, compressor, or pool worker —
+///     touched it.
 ///   * Logical counters (kSearches/kInserts/kDeletes, kBatchOps) count one
 ///     per USER-LEVEL call on the tree the call was routed to, before the
 ///     operation runs — a restarted or failed op still counts once, never
@@ -36,8 +36,7 @@ namespace obtree {
 ///     side, so rates are hits / (hits + misses) with no double counting.
 ///     A fast-path miss also proceeds down the normal path, where it may
 ///     increment that path's counters — misses are not failures.
-///   * Rebalancer counters name their tree explicitly in the comments
-///     below (donor vs receiver); map-level aggregation sums all shards.
+///   * A ShardedMap's Stats() sums its shards' counters.
 enum class StatId : int {
   kGets = 0,             ///< page reads (the paper's get)
   kPuts,                 ///< page writes (the paper's put)
@@ -104,21 +103,10 @@ enum class StatId : int {
   kQueueDiscards,        ///< queue entries discarded as stale
   kPoolTasksDrained,     ///< queue entries (or scan passes that found
                          ///< work) a BackgroundPool worker ran for this
-                         ///< tree; monotone across Detach, so the
-                         ///< rebalancer diffs it per shard
+                         ///< tree; monotone across Detach, so a pool's
+                         ///< drains can be read per tree
   kPoolBoosts,           ///< pool picks of this tree that bypassed the
                          ///< round-robin order (depth boost or work steal)
-  kRebalanceSplits,      ///< shard splits the rebalancer performed
-                         ///< (attributed to the new tree that received the
-                         ///< hot shard's upper half)
-  kRebalanceMerges,      ///< shard merges the rebalancer performed
-                         ///< (attributed to the surviving left tree)
-  kKeysMigrated,         ///< keys the rebalancer moved between trees
-                         ///< (attributed to the donor they moved out of)
-  kMigrationRetries,     ///< operations that landed on a migration's
-                         ///< in-flight batch window and waited it out
-                         ///< before the second lookup (attributed to the
-                         ///< donor tree)
   kFaultsInjected,       ///< faults fired into this tree's page layer by
                          ///< the FaultInjector (errors only; stalls are
                          ///< invisible here)
@@ -126,15 +114,6 @@ enum class StatId : int {
                          ///< result (bounded retry-with-backoff)
   kFetchGiveups,         ///< fetches that exhausted the retry budget and
                          ///< surfaced Unavailable to the operation
-  kMigrationAborts,      ///< shard migrations abandoned (deadline or
-                         ///< retry exhaustion) and rolled back to the
-                         ///< donor (attributed to the original donor)
-  kMigrationRollbackKeys,  ///< keys moved back to their original tree by
-                           ///< a migration rollback
-  kRebalanceBreakerTrips,  ///< times the rebalancer circuit breaker
-                           ///< opened after consecutive failed actions
-                           ///< (summed into ShardedMap::Stats() from the
-                           ///< rebalancer; not counted on any one tree)
   kSearches,             ///< logical search operations
   kInserts,              ///< logical insert operations
   kDeletes,              ///< logical delete operations

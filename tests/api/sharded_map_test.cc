@@ -4,9 +4,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <condition_variable>
-#include <cstring>
-#include <mutex>
 #include <set>
 #include <thread>
 #include <utility>
@@ -40,7 +37,7 @@ ShardOptions SmallShards(uint32_t num_shards, Key key_space_hint,
 // division of [1, key_space_hint] does: ShardIndex(k) == min((k - 1) / W,
 // n - 1) with W = ceil(hint / n), and a key inserted through the map lives
 // in exactly the shard ShardIndex names. Checks each boundary key +-1 and
-// kMaxUserKey on a map without rebalancing.
+// kMaxUserKey.
 void ExpectDivisionRouting(ShardedMap* map, Key hint) {
   const uint64_t n = map->num_shards();
   const uint64_t width = hint / n + (hint % n != 0);
@@ -141,26 +138,21 @@ TEST(ShardedMapTest, RoutingAtShardBoundaries) {
   ExpectDivisionRouting(&narrow, 4);
 }
 
-// Key 0 (kMinusInfinity) and kPlusInfinity are outside the user key range
-// on both map kinds: they route to the first and the last shard, and every
-// point op must reject them.
-TEST(ShardedMapTest, OutOfRangeKeysRejectedOnBothMapKinds) {
-  ShardOptions rebalancing = SmallShards(4, 400);
-  rebalancing.rebalance.enabled = true;
-  rebalancing.rebalance.period_ms = 3'600'000;  // the controller never acts
-  for (const ShardOptions& opt : {SmallShards(4, 400), rebalancing}) {
-    ShardedMap map(opt);
-    ASSERT_TRUE(map.init_status().ok());
-    EXPECT_EQ(map.ShardIndex(0), 0u);
-    EXPECT_EQ(map.ShardIndex(kPlusInfinity), 3u);
-    for (Key k : {kMinusInfinity, kPlusInfinity}) {
-      EXPECT_TRUE(map.Insert(k, 1).IsInvalidArgument()) << k;
-      EXPECT_TRUE(map.Get(k).status().IsInvalidArgument()) << k;
-      EXPECT_TRUE(map.Erase(k).IsInvalidArgument()) << k;
-      EXPECT_TRUE(map.Upsert(k, 1).IsInvalidArgument()) << k;
-    }
-    EXPECT_TRUE(map.Empty());
+// Key 0 (kMinusInfinity) and kPlusInfinity are outside the user key
+// range: they route to the first and the last shard, and every point op
+// must reject them.
+TEST(ShardedMapTest, OutOfRangeKeysRejected) {
+  ShardedMap map(SmallShards(4, 400));
+  ASSERT_TRUE(map.init_status().ok());
+  EXPECT_EQ(map.ShardIndex(0), 0u);
+  EXPECT_EQ(map.ShardIndex(kPlusInfinity), 3u);
+  for (Key k : {kMinusInfinity, kPlusInfinity}) {
+    EXPECT_TRUE(map.Insert(k, 1).IsInvalidArgument()) << k;
+    EXPECT_TRUE(map.Get(k).status().IsInvalidArgument()) << k;
+    EXPECT_TRUE(map.Erase(k).IsInvalidArgument()) << k;
+    EXPECT_TRUE(map.Upsert(k, 1).IsInvalidArgument()) << k;
   }
+  EXPECT_TRUE(map.Empty());
 }
 
 TEST(ShardedMapTest, DuplicateAndMissingKeysMatchSingleTreeSemantics) {
@@ -257,84 +249,6 @@ TEST(ShardedMapTest, ScanStopAtShardEndDoesNotTouchNextShard) {
                      }),
             301u);
   EXPECT_EQ(seen, 301u);
-}
-
-// Scans over a range whose migration is frozen between two batches read
-// the donor and the receiver merged (ScanMergedRange) and stay exact.
-TEST(ShardedMapTest, ScanDuringMigrationIsExact) {
-  ShardOptions opt = SmallShards(2, 4000);
-  opt.rebalance.enabled = true;
-  opt.rebalance.period_ms = 3'600'000;  // the controller never acts
-  opt.rebalance.max_shards = 4;
-  opt.rebalance.migration_batch = 8;
-  ShardedMap map(opt);
-  ASSERT_TRUE(map.init_status().ok());
-  for (Key k = 1; k <= 4000; ++k) ASSERT_TRUE(map.Insert(k, k * 10).ok());
-
-  std::mutex mu;
-  std::condition_variable cv;
-  bool frozen = false;
-  bool released = false;
-  int batches = 0;
-  map.SetMigrationHookForTest([&](const char* point, Key) {
-    if (std::strcmp(point, "batch-end") != 0) return;
-    std::unique_lock<std::mutex> lk(mu);
-    if (++batches != 5) return;  // 40 keys moved, the rest still in donor
-    frozen = true;
-    cv.notify_all();
-    cv.wait(lk, [&]() { return released; });
-  });
-  std::thread splitter([&]() { EXPECT_TRUE(map.DebugSplitShard(0)); });
-  {
-    std::unique_lock<std::mutex> lk(mu);
-    cv.wait(lk, [&]() { return frozen; });
-  }
-
-  auto scan = [&](Key lo, Key hi, size_t stop_after) {
-    std::vector<std::pair<Key, Value>> out;
-    const size_t visited = map.Scan(lo, hi, [&](Key k, Value v) {
-      out.emplace_back(k, v);
-      return out.size() < stop_after;
-    });
-    EXPECT_EQ(visited, out.size());
-    return out;
-  };
-  auto expect = [](Key lo, Key hi, size_t stop_after) {
-    std::vector<std::pair<Key, Value>> out;
-    for (Key k = lo; k <= hi && out.size() < stop_after; ++k) {
-      out.emplace_back(k, k * 10);
-    }
-    return out;
-  };
-  constexpr size_t kAll = static_cast<size_t>(-1);
-  EXPECT_EQ(scan(1, kMaxUserKey, kAll), expect(1, 4000, kAll));
-  // Across the moved/unmoved edge of the migrating range and past it.
-  EXPECT_EQ(scan(990, 1100, kAll), expect(990, 1100, kAll));
-  EXPECT_EQ(scan(1020, kMaxUserKey, 50), expect(1020, 4000, 50));
-  EXPECT_EQ(scan(1900, 2100, kAll), expect(1900, 2100, kAll));
-  // A scan that stops early reads about what it delivers, bounded by hi,
-  // even while its range is merged from the donor and the receiver.
-  auto validations = [&]() {
-    return map.Stats().Get(StatId::kOptimisticValidations);
-  };
-  uint64_t before = validations();
-  EXPECT_EQ(scan(1001, 1040, 7), expect(1001, 1040, 7));
-  const uint64_t frozen_cost = validations() - before;
-
-  {
-    std::lock_guard<std::mutex> lk(mu);
-    released = true;
-  }
-  cv.notify_all();
-  splitter.join();
-  map.SetMigrationHookForTest(nullptr);
-  EXPECT_EQ(scan(1, kMaxUserKey, kAll), expect(1, 4000, kAll));
-
-  before = validations();
-  EXPECT_EQ(scan(1001, 1040, 7), expect(1001, 1040, 7));
-  const uint64_t settled_cost = validations() - before;
-  EXPECT_GT(settled_cost, 0u);
-  EXPECT_LE(frozen_cost, 2 * settled_cost);
 }
 
 TEST(ShardedMapTest, ScanLimitPaginatesAcrossShards) {

@@ -531,14 +531,6 @@ TEST_F(CheckpointTest, ShardedMapRoundTripsAcrossShardDirs) {
   EXPECT_TRUE(s.ok()) << s.ToString();
 }
 
-// Rebalancing and persistence are mutually exclusive by validation.
-TEST_F(CheckpointTest, RebalancePlusStorageDirIsRejected) {
-  ShardOptions opt;
-  opt.rebalance.enabled = true;
-  opt.tree.storage_dir = dir_;
-  EXPECT_TRUE(opt.Validate().IsInvalidArgument());
-}
-
 // buffer_pool_pages below the floor is rejected.
 TEST_F(CheckpointTest, TinyBufferPoolIsRejected) {
   TreeOptions opt;

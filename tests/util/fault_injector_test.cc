@@ -185,7 +185,7 @@ TEST_F(FaultInjectorTest, DisarmAllClearsEverything) {
   spec.action = FaultAction::kError;
   FaultInjector::Instance().Arm("get", spec);
   FaultInjector::Instance().Arm("put", spec);
-  FaultInjector::Instance().Arm("migration-batch", spec);
+  FaultInjector::Instance().Arm("alloc", spec);
   EXPECT_TRUE(FaultInjector::TrapsArmed());
   FaultInjector::Instance().DisarmAll();
   EXPECT_FALSE(FaultInjector::TrapsArmed());
