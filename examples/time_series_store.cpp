@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "obtree/api/concurrent_map.h"
+#include "obtree/core/background_pool.h"
 #include "obtree/core/tree_checker.h"
 #include "obtree/util/random.h"
 
@@ -41,8 +42,9 @@ int main() {
   obtree::MapOptions options;
   options.tree.min_entries = 64;
   options.compression = obtree::CompressionMode::kQueueWorkers;
-  options.compression_threads = 2;
-  obtree::ConcurrentMap store(options);
+  // Two compression workers drain the queue (Section 5.4's deployment (2)).
+  obtree::BackgroundPool pool(2);
+  obtree::ConcurrentMap store(options, &pool);
 
   constexpr int kWriters = 4;
   constexpr uint64_t kSamplesPerWriter = 50'000;

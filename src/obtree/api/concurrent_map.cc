@@ -22,8 +22,7 @@ ConcurrentMap::ConcurrentMap(const MapOptions& options, BackgroundPool* pool)
     tree_->AttachCompressionQueue(queue_.get());
   }
   if (pool == nullptr) {
-    owned_pool_ = std::make_unique<BackgroundPool>(
-        std::max(1, options_.compression_threads));
+    owned_pool_ = std::make_unique<BackgroundPool>(1);
     pool = owned_pool_.get();
   }
   pool_ = pool;

@@ -43,9 +43,6 @@ struct MapOptions {
   TreeOptions tree;
   /// Compression deployment.
   CompressionMode compression = CompressionMode::kQueueWorkers;
-  /// Workers (>= 1) of the map's own pool, unused with a shared one: one
-  /// is Section 5.4's deployment (1), several are deployment (2).
-  int compression_threads = 1;
 };
 
 /// Thread-safe ordered map from Key to Value.
@@ -53,9 +50,10 @@ class ConcurrentMap {
  public:
   /// Unless compression is kNone, the map attaches its compression work
   /// (queue or scan) to a BackgroundPool. With `pool == nullptr` (the
-  /// default) it owns one of options.compression_threads workers. With a
-  /// pool it spawns NO threads and the pool must outlive it (ShardedMap's
-  /// one machine-sized pool serves all its shards this way).
+  /// default) it owns a one-worker pool, Section 5.4's deployment (1).
+  /// With a pool it spawns NO threads and the pool must outlive it: a
+  /// BackgroundPool(n) of several workers is deployment (2), and
+  /// ShardedMap's one machine-sized pool serves all its shards this way.
   explicit ConcurrentMap(const MapOptions& options = MapOptions(),
                          BackgroundPool* pool = nullptr);
 

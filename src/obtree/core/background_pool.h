@@ -5,8 +5,9 @@
 // Section 5.4's point is that compression is decoupled from the operation
 // path, so "a small number of background processes" can serve an
 // arbitrarily large structure. A ShardedMap shares one machine-sized pool
-// across every shard; a standalone ConcurrentMap owns a pool of its
-// compression_threads workers (deployment (1) or (2)).
+// across every shard; a standalone ConcurrentMap owns a one-worker pool
+// (deployment (1)), and one handed a BackgroundPool(n) shares its n
+// workers (deployment (2)).
 //
 //   shard 0 queue ---+
 //   shard 1 queue ---+--> [ worker ] [ worker ] ... (pool_threads total)

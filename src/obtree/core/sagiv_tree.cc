@@ -118,6 +118,15 @@ SagivTree::RestartCause CauseFor(Route::Kind kind) {
   }
 }
 
+// Follows a kLink route right (moveright) or a kMerge route through a
+// deleted node's merge pointer (§5.2), counting the hop; returns the page
+// to read next.
+PageId Hop(StatsCollector* stats, const Route& route) {
+  stats->Add(route.kind == Route::kLink ? StatId::kLinkFollows
+                                        : StatId::kMergePointerFollows);
+  return route.next;
+}
+
 // Per-thread descent stack shared by Insert/Delete: the movedown stack
 // was a heap allocation on every mutation otherwise. The in_use flag
 // hands a nested mutation (e.g. an Insert issued from a Scan visitor) a
@@ -299,31 +308,33 @@ void SagivTree::CountRestart(RestartCause cause) const {
   }
 }
 
-Result<PageId> SagivTree::internal_FindNodeAtLevel(
-    Key key, uint32_t level, std::vector<PageId>* stack_out,
-    bool wait_for_level) const {
-  int restarts = 0;
-  int waits = 0;
-  for (;;) {
+Status SagivTree::AwaitLevel(uint32_t level, bool wait,
+                             PrimeBlockData* pb) const {
+  for (int waits = 0; pb->num_levels <= level; ++waits) {
+    if (!wait) return Status::NotFound("level does not exist");
+    if (waits >= kMaxRestarts) return Status::Internal("level never appeared");
+    std::this_thread::yield();
+    *pb = prime_.Read();
+  }
+  return Status::OK();
+}
+
+template <typename Probe>
+Result<PageId> SagivTree::Descend(Key key, uint32_t level,
+                                  std::vector<PageId>* stack_out,
+                                  bool wait_for_level,
+                                  EpochManager::Guard* repin,
+                                  const Probe& probe) const {
+  for (int restarts = 0;;) {
     if (stack_out) stack_out->clear();
-    const PrimeBlockData pb = prime_.Read();
+    PrimeBlockData pb = prime_.Read();
     if (pb.num_levels <= level) {
-      if (!wait_for_level) {
-        return Status::NotFound("level does not exist");
-      }
-      // Section 3.3: a split outran the creation of the level it must post
-      // to (or the level was collapsed and will be regrown by a pending
-      // insertion). Wait for the prime block to show the level.
-      if (++waits > kMaxRestarts) {
-        return Status::Internal("level never appeared");
-      }
-      std::this_thread::yield();
-      continue;
+      const Status s = AwaitLevel(level, wait_for_level, &pb);
+      if (!s.ok()) return s;
     }
     PageId current = pb.root();
     RestartCause cause = RestartCause::kNone;
-    bool restart = false;
-    for (int steps = 0; !restart; ++steps) {
+    for (int steps = 0; cause == RestartCause::kNone; ++steps) {
       if (steps > kMaxStepsPerAttempt) {
         return Status::Internal("descent did not terminate");
       }
@@ -331,9 +342,13 @@ Result<PageId> SagivTree::internal_FindNodeAtLevel(
       if (g.faulted()) return g.fault();
       Route route;  // defaults to kTorn for the unstable-guard case
       if (g.stable()) {
-        route = RouteForKey(NodeView(g.page()->As<Node>()), key, level);
-        // Nothing read above may be trusted until the version validates;
-        // in particular route.next is followed only on a clean check.
+        const NodeView view(g.page()->As<Node>());
+        route = RouteForKey(view, key, level);
+        // The probe reads the arrived node under the same version as the
+        // routing decision: one validation covers both. Nothing read above
+        // may be trusted until the version validates; in particular
+        // route.next is followed only on a clean check.
+        if (route.kind == Route::kArrived) probe(view);
         if (route.kind != Route::kTorn && !g.Validate()) {
           route.kind = Route::kTorn;
         }
@@ -351,28 +366,29 @@ Result<PageId> SagivTree::internal_FindNodeAtLevel(
           current = route.next;
           break;
         case Route::kLink:
-          stats_->Add(StatId::kLinkFollows);
-          current = route.next;
-          break;
         case Route::kMerge:
-          stats_->Add(StatId::kMergePointerFollows);
-          current = route.next;
+          current = Hop(stats_.get(), route);
           break;
-        case Route::kRestartStale:
-        case Route::kRestartRightmost:
-        case Route::kRestartNoMergeTarget:
-          cause = CauseFor(route.kind);
-          restart = true;
+        default:
+          cause = CauseFor(route.kind);  // a restart kind
           break;
-        case Route::kTorn:
-          break;  // handled above
       }
     }
     CountRestart(cause);
     if (++restarts > kMaxRestarts) {
-      return Status::Internal("too many restarts in FindNodeAtLevel");
+      return Status::Internal("too many restarts in descent");
     }
+    // Re-pin: a restarted search may legally observe a fresher tree, and
+    // releasing the old pin lets reclamation advance (Section 5.3).
+    if (repin != nullptr) repin->Refresh();
   }
+}
+
+Result<PageId> SagivTree::internal_FindNodeAtLevel(
+    Key key, uint32_t level, std::vector<PageId>* stack_out,
+    bool wait_for_level) const {
+  return Descend(key, level, stack_out, wait_for_level, /*repin=*/nullptr,
+                 [](const NodeView&) {});
 }
 
 // ---------------------------------------------------------------------------
@@ -385,68 +401,15 @@ Result<Value> SagivTree::Search(Key key) const {
   }
   stats_->Add(StatId::kSearches);
   EpochManager::Guard guard(epoch_.get());
-  int restarts = 0;
-  for (;;) {
-    const PrimeBlockData pb = prime_.Read();
-    PageId current = pb.root();
-    RestartCause cause = RestartCause::kNone;
-    bool restart = false;
-    for (int steps = 0; !restart; ++steps) {
-      if (steps > kMaxStepsPerAttempt) {
-        return Status::Internal("descent did not terminate");
-      }
-      const PageManager::ReadGuard g = FetchPage(current);
-      if (g.faulted()) return g.fault();
-      Route route;  // defaults to kTorn for the unstable-guard case
-      std::optional<Value> value;
-      if (g.stable()) {
-        const NodeView view(g.page()->As<Node>());
-        route = RouteForKey(view, key, /*target_level=*/0);
-        // Probe the leaf slot under the same version as the routing
-        // decision: one validation covers both.
-        if (route.kind == Route::kArrived) value = view.FindLeafValue(key);
-        if (route.kind != Route::kTorn && !g.Validate()) {
-          route.kind = Route::kTorn;
-        }
-      }
-      if (route.kind == Route::kTorn) {
-        stats_->Add(StatId::kOptimisticRetries);
-        continue;  // re-read the same node
-      }
-      stats_->Add(StatId::kOptimisticValidations);
-      switch (route.kind) {
-        case Route::kArrived:
-          if (!value.has_value()) return Status::NotFound();
-          return *value;
-        case Route::kChild:
-          current = route.next;
-          break;
-        case Route::kLink:
-          stats_->Add(StatId::kLinkFollows);
-          current = route.next;
-          break;
-        case Route::kMerge:
-          stats_->Add(StatId::kMergePointerFollows);
-          current = route.next;
-          break;
-        case Route::kRestartStale:
-        case Route::kRestartRightmost:
-        case Route::kRestartNoMergeTarget:
-          cause = CauseFor(route.kind);
-          restart = true;
-          break;
-        case Route::kTorn:
-          break;  // handled above
-      }
-    }
-    CountRestart(cause);
-    if (++restarts > kMaxRestarts) {
-      return Status::Internal("too many restarts in search");
-    }
-    // Re-pin: a restarted search may legally observe a fresher tree, and
-    // releasing the old pin lets reclamation advance (Section 5.3).
-    guard.Refresh();
-  }
+  std::optional<Value> value;
+  const Result<PageId> leaf =
+      Descend(key, /*level=*/0, /*stack_out=*/nullptr, /*wait_for_level=*/true,
+              &guard, [&](const NodeView& view) {
+                value = view.FindLeafValue(key);
+              });
+  if (!leaf.ok()) return leaf.status();
+  if (!value.has_value()) return Status::NotFound();
+  return *value;
 }
 
 size_t SagivTree::Scan(Key lo, Key hi,
@@ -485,54 +448,32 @@ size_t SagivTree::Scan(Key lo, Key hi,
     if (++steps > kMaxStepsPerAttempt) return visited;
     const PageManager::ReadGuard g = FetchPage(current);
     if (g.faulted()) return visited;
-    enum { kRetry, kMove, kRestart, kNextLeaf } action = kRetry;
-    PageId move_to = kInvalidPageId;
-    StatId move_stat = StatId::kLinkFollows;
-    RestartCause cause = RestartCause::kNone;
+    Route route;  // defaults to kTorn for the unstable-guard case
     Key leaf_high = 0;
     PageId leaf_link = kInvalidPageId;
     if (g.stable()) {
       const NodeView view(g.page()->As<Node>());
-      if (view.is_deleted()) {
-        const PageId target = view.merge_target();
-        if (g.Validate()) {
-          if (target == kInvalidPageId) {
-            action = kRestart;
-            cause = RestartCause::kMissingMergeTarget;
-          } else {
-            action = kMove;
-            move_to = target;
-            move_stat = StatId::kMergePointerFollows;
-          }
-        }
-      } else if (!view.is_leaf() || next_key <= view.low()) {
-        // Reused page (no longer a leaf) or data moved left (§5.2 (2)).
-        if (g.Validate()) {
-          action = kRestart;
-          cause = RestartCause::kStaleNode;
-        }
-      } else if (next_key > view.high()) {
-        const PageId link = view.link();
-        if (g.Validate()) {
-          if (link == kInvalidPageId) {
-            action = kRestart;
-            cause = RestartCause::kRightmostStale;
-          } else {
-            action = kMove;
-            move_to = link;
-            move_stat = StatId::kLinkFollows;
-          }
+      route = RouteForKey(view, next_key, /*target_level=*/0);
+      // A page positioned on or hopped to as a leaf that is now internal
+      // was reused: restart, as AcquireTargetInPlace does.
+      if (route.kind == Route::kChild) route.kind = Route::kRestartStale;
+      if (route.kind != Route::kArrived) {
+        if (route.kind != Route::kTorn && !g.Validate()) {
+          route.kind = Route::kTorn;
         }
       } else {
-        // Deliver this leaf's pairs in [next_key, hi] chunk by chunk; its
-        // high and link are trusted once the first chunk validates.
+        // Deliver this leaf's pairs in [next_key, hi] chunk by chunk; the
+        // route, high and link are trusted once the first chunk validates.
         leaf_high = view.high();
         leaf_link = view.link();
         const uint32_t n = view.count();
         for (uint32_t from = view.LowerBound(next_key);;) {
           const uint32_t to = std::min<uint32_t>(from + kScanChunk, n);
           const uint32_t got = view.CopyEntries(from, to, hi, chunk);
-          if (!g.Validate()) break;  // torn: re-read from next_key
+          if (!g.Validate()) {
+            route.kind = Route::kTorn;  // re-read from next_key
+            break;
+          }
           stats_->Add(StatId::kOptimisticValidations);
           for (uint32_t i = 0; i < got; ++i) {
             ++visited;
@@ -546,37 +487,34 @@ size_t SagivTree::Scan(Key lo, Key hi,
             next_key = chunk[got - 1].key + 1;
             steps = 0;  // the steps bound is per positioning attempt
           }
-          if (to == n) {
-            action = kNextLeaf;
-            break;
-          }
+          if (to == n) break;
           from = to;
         }
       }
     }
-    switch (action) {
-      case kRetry:
+    switch (route.kind) {
+      case Route::kTorn:
         stats_->Add(StatId::kOptimisticRetries);
         continue;  // re-read the same page
-      case kMove:
+      case Route::kArrived:
+        break;  // the leaf is delivered
+      case Route::kLink:
+      case Route::kMerge:
         stats_->Add(StatId::kOptimisticValidations);
-        stats_->Add(move_stat);
-        current = move_to;
+        current = Hop(stats_.get(), route);
         continue;
-      case kRestart:
+      default:  // a restart kind
         stats_->Add(StatId::kOptimisticValidations);
-        CountRestart(cause);
+        CountRestart(CauseFor(route.kind));
         if (++restarts > kMaxRestarts) return visited;
         guard.Refresh();
         current = kInvalidPageId;
         continue;
-      case kNextLeaf:
-        break;
     }
     if (leaf_high >= hi) return visited;
     next_key = leaf_high + 1;
     steps = 0;
-    // Fast path: follow the leaf link (the probe above re-checks that it
+    // Fast path: follow the leaf link (the route above re-checks that it
     // still covers next_key); a nil link forces a fresh descent.
     current = leaf_link;
     if (current != kInvalidPageId) stats_->Add(StatId::kLinkFollows);
@@ -608,41 +546,21 @@ Result<PageId> SagivTree::AcquireTargetInPlace(Key key, uint32_t level,
     // wake it into a stale target, and restart it anyway (the convoy +
     // restart-storm pattern this discipline exists to break). Only a node
     // that still looks like the target is worth the parking Lock.
-    if (!pager_->TryLockSpin(current)) {
+    bool locked = pager_->TryLockSpin(current);
+    Route route;  // kTorn when unstable/faulted/unvalidated: no signal
+    if (!locked) {
       const PageManager::ReadGuard peek = pager_->OptimisticRead(current);
-      Route reroute;  // kTorn when unstable/faulted/unvalidated: no signal
       if (peek.stable()) {
-        reroute = RouteForKey(NodeView(peek.page()->As<Node>()), key, level);
-        if (!peek.Validate()) reroute.kind = Route::kTorn;
+        route = RouteForKey(NodeView(peek.page()->As<Node>()), key, level);
+        if (!peek.Validate()) route.kind = Route::kTorn;
       }
-      switch (reroute.kind) {
-        case Route::kLink:
-          stats_->Add(StatId::kLinkFollows);
-          current = reroute.next;
-          continue;
-        case Route::kMerge:
-          stats_->Add(StatId::kMergePointerFollows);
-          current = reroute.next;
-          continue;
-        case Route::kRestartStale:
-        case Route::kRestartRightmost:
-        case Route::kRestartNoMergeTarget: {
-          CountRestart(CauseFor(reroute.kind));
-          if (++(*restarts) > kMaxRestarts) {
-            return Status::Internal("too many restarts acquiring target node");
-          }
-          Result<PageId> r =
-              internal_FindNodeAtLevel(key, level, stack, wait_for_level);
-          if (!r.ok()) return r.status();
-          current = *r;
-          continue;
-        }
-        default:
-          // kArrived (still the target), kChild (reused as a higher-level
-          // node — let the locked inspection classify it), or kTorn: wait
-          // for the holder.
-          pager_->Lock(current);
-          break;
+      // kArrived (still the target), kChild (reused as a higher-level node
+      // — let the locked inspection classify it), or kTorn: wait for the
+      // holder. A hop or a restart needs no lock.
+      if (route.kind == Route::kArrived || route.kind == Route::kChild ||
+          route.kind == Route::kTorn) {
+        pager_->Lock(current);
+        locked = true;
       }
     }
     // Inspect the live page without copying it. The paper lock excludes
@@ -651,9 +569,8 @@ Result<PageId> SagivTree::AcquireTargetInPlace(Key key, uint32_t level,
     // atomic-and-validated until the image proves live; from then on the
     // lock alone pins the node. Every peek — retries included — counts
     // as a node access, exactly like the unlocked descents.
-    Route route;
     const Node* node_image = nullptr;
-    for (int peeks = 0;; ++peeks) {
+    for (int peeks = 0; locked; ++peeks) {
       const PageManager::ReadGuard g = pager_->PeekLocked(current);
       route = Route{};  // kTorn: also covers the unstable-guard case
       if (g.stable()) {
@@ -674,24 +591,16 @@ Result<PageId> SagivTree::AcquireTargetInPlace(Key key, uint32_t level,
         break;
       }
     }
-    switch (route.kind) {
-      case Route::kArrived:
-        *live = node_image;
-        return current;  // locked; *live pinned until Unlock
-      case Route::kLink:
-        pager_->Unlock(current);
-        stats_->Add(StatId::kLinkFollows);
-        current = route.next;
-        continue;
-      case Route::kMerge:
-        pager_->Unlock(current);
-        stats_->Add(StatId::kMergePointerFollows);
-        current = route.next;
-        continue;
-      default:
-        break;  // a restart kind, or kTorn past the peek bound
+    if (route.kind == Route::kArrived) {
+      *live = node_image;
+      return current;  // locked; *live pinned until Unlock
     }
-    pager_->Unlock(current);
+    if (locked) pager_->Unlock(current);
+    if (route.kind == Route::kLink || route.kind == Route::kMerge) {
+      current = Hop(stats_.get(), route);
+      continue;
+    }
+    // A restart kind, or kTorn past the peek bound.
     CountRestart(CauseFor(route.kind));
     if (++(*restarts) > kMaxRestarts) {
       return Status::Internal("too many restarts acquiring target node");
@@ -1046,18 +955,10 @@ Status SagivTree::InsertCommit(Key key, Value value, PageId start,
       current = stack.back();
       stack.pop_back();
     } else {
-      int waits = 0;
-      for (;;) {
-        const PrimeBlockData pb = prime_.Read();
-        if (pb.num_levels > level) {
-          current = pb.leftmost[level];
-          break;
-        }
-        if (++waits > kMaxRestarts) {
-          return Status::Internal("next level never appeared");
-        }
-        std::this_thread::yield();
-      }
+      PrimeBlockData pb = prime_.Read();
+      const Status s = AwaitLevel(level, /*wait=*/true, &pb);
+      if (!s.ok()) return s;
+      current = pb.leftmost[level];
     }
   }
 }

@@ -254,6 +254,24 @@ class SagivTree {
   }
   void RetryFaultedFetch(PageId id, PageManager::ReadGuard* g) const;
 
+  // Section 3.3: re-reads *pb until it shows `level`, when a split outran
+  // the creation of the level it must post to (or the level was collapsed
+  // and a pending insertion will regrow it). Without `wait` a missing
+  // level is NotFound; Internal after a file-local bound of waits.
+  Status AwaitLevel(uint32_t level, bool wait, PrimeBlockData* pb) const;
+
+  // The one unlocked descent (internal_FindNodeAtLevel's contract): every
+  // node read is classified by the paper's next(A, v) and the result
+  // dispatched in one loop. `probe(const NodeView&)` runs on the arrived
+  // node's image before the validation that also covers the routing
+  // decision, so what it read is trusted exactly when the call returns
+  // OK. A restart refreshes `repin` when given (Search's epoch guard).
+  template <typename Probe>
+  Result<PageId> Descend(Key key, uint32_t level,
+                         std::vector<PageId>* stack_out, bool wait_for_level,
+                         EpochManager::Guard* repin,
+                         const Probe& probe) const;
+
   // Lock the live node at `level` in whose range `key` falls, starting
   // the moveright from `start`, WITHOUT copying its page. Contention-aware
   // acquisition: a bounded TryLockSpin first; if the lock stays contended

@@ -19,6 +19,33 @@ namespace {
 // yield-retry rounds a pass spends on one pair before skipping it.
 constexpr int kWaitRetries = 256;
 
+// Re-locks the parent F at *current and aims the sweep at the child after
+// `this_child`: the next entry of F, or, when `this_child` was F's last
+// entry or has left F, the first pair of F's right neighbour. Returns
+// false, leaving *current and *one alone, when F is no longer a live
+// node of `parent_level`; *f_buf then holds that image for the caller.
+bool StepPastChild(PageManager* pager, uint32_t parent_level,
+                   PageId this_child, Page* f_buf, PageId* current,
+                   PageId* one) {
+  const PageId f_page = *current;
+  pager->Lock(f_page);
+  pager->Get(f_page, f_buf);
+  const Node* fn = f_buf->As<Node>();
+  const bool live = !fn->is_deleted() && fn->level == parent_level;
+  if (live) {
+    const int found = fn->FindChildIndex(this_child);
+    if (found >= 0 && static_cast<uint32_t>(found) + 1 < fn->count) {
+      *one = static_cast<PageId>(
+          fn->entries[static_cast<uint32_t>(found) + 1].value);
+    } else {
+      *current = fn->link;
+      *one = kInvalidPageId;
+    }
+  }
+  pager->Unlock(f_page);
+  return live;
+}
+
 }  // namespace
 
 ScanCompressor::Advance ScanCompressor::ProcessPair(Page* f, PageId f_page,
@@ -158,50 +185,21 @@ size_t ScanCompressor::CompressLevel(uint32_t level) {
         one = this_child;
         retries = 0;
         break;
-      case Advance::kToRight: {
-        // Re-read is unnecessary: the pair's right child page id was
-        // derived from left->link inside ProcessPair; recompute next loop
-        // from F. Advance by remembering the left child and stepping one
-        // entry past it.
-        one = this_child;
-        // Move to the entry after `one`: emulate by a skip marker.
-        // Simplest: find `one` next iteration and bump idx by one.
-        one = kInvalidPageId;  // replaced below
-        // Fall through logic handled by kSkipEntry path:
-        [[fallthrough]];
-      }
-      case Advance::kSkipEntry: {
-        // Examine the entry following idx next time. We re-lock F to read
-        // a stable successor entry.
-        pager->Lock(current);
-        pager->Get(current, &f_buf);
-        if (!fn->is_deleted() && fn->level == level + 1) {
-          const int found = fn->FindChildIndex(this_child);
-          if (found >= 0 && static_cast<uint32_t>(found) + 1 < fn->count) {
-            one = static_cast<PageId>(
-                fn->entries[static_cast<uint32_t>(found) + 1].value);
-            pager->Unlock(current);
-            retries = 0;
-            break;
-          }
-          const PageId link = fn->link;
-          pager->Unlock(current);
-          current = link;
-          one = kInvalidPageId;
-          retries = 0;
+      case Advance::kToRight:
+      case Advance::kSkipEntry:
+        // Examine the pair after `this_child` next; F is re-read under its
+        // lock for a stable successor entry.
+        retries = 0;
+        if (StepPastChild(pager, level + 1, this_child, &f_buf, &current,
+                          &one)) {
           break;
         }
-        const PageId target = fn->merge_target;
-        pager->Unlock(current);
-        if (fn->is_deleted() && target != kInvalidPageId) {
-          current = target;
-          one = this_child;
-        } else {
+        if (!fn->is_deleted() || fn->merge_target == kInvalidPageId) {
           return work;
         }
-        retries = 0;
+        current = fn->merge_target;  // F merged away: resume in its target
+        one = this_child;
         break;
-      }
       case Advance::kNextParent: {
         pager->Lock(current);
         pager->Get(current, &f_buf);
@@ -219,29 +217,12 @@ size_t ScanCompressor::CompressLevel(uint32_t level) {
           // The pending insertion never posted (or keeps splitting A, the
           // paper's "minuscule probability" livelock). Skip the pair for
           // this pass.
-          one = this_child;
           retries = 0;
-          // Skip exactly like kSkipEntry but without recursion: next
-          // iteration FindChildIndex(one) resolves and we bump past it.
-          // To bump past, treat as kSkipEntry:
-          pager->Lock(current);
-          pager->Get(current, &f_buf);
-          if (!fn->is_deleted() && fn->level == level + 1) {
-            const int found = fn->FindChildIndex(this_child);
-            if (found >= 0 && static_cast<uint32_t>(found) + 1 < fn->count) {
-              one = static_cast<PageId>(
-                  fn->entries[static_cast<uint32_t>(found) + 1].value);
-              pager->Unlock(current);
-              break;
-            }
-            const PageId link = fn->link;
-            pager->Unlock(current);
-            current = link;
-            one = kInvalidPageId;
-            break;
+          if (!StepPastChild(pager, level + 1, this_child, &f_buf, &current,
+                             &one)) {
+            return work;
           }
-          pager->Unlock(current);
-          return work;
+          break;
         }
         std::this_thread::yield();
         break;

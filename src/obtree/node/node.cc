@@ -39,12 +39,6 @@ PageId Node::ChildFor(Key k) const {
   return static_cast<PageId>(entries[i].value);
 }
 
-Node::NextStep Node::Next(Key k) const {
-  if (k > high) return NextStep{true, link};
-  if (is_leaf()) return NextStep{false, kInvalidPageId};
-  return NextStep{false, ChildFor(k)};
-}
-
 void Node::InsertLeafEntry(Key k, Value v) {
   assert(is_leaf());
   assert(count < kMaxEntries);

@@ -103,13 +103,6 @@ struct Node {
   /// must have handled the link case) and count > 0.
   PageId ChildFor(Key k) const;
 
-  /// The paper's next(A, v): where a search for v proceeds from this node.
-  struct NextStep {
-    bool is_link;    ///< true: follow the link (v > high value)
-    PageId page;     ///< destination (kInvalidPageId if link is nil)
-  };
-  NextStep Next(Key k) const;
-
   // --- leaf updates -------------------------------------------------------
 
   /// Insert (k, v) preserving order. Precondition: k absent, count <

@@ -103,9 +103,9 @@ TEST(ConcurrentMapTest, ShapeReportsOccupancy) {
 }
 
 TEST(ConcurrentMapTest, ConcurrentMixedWithBackgroundWorkers) {
-  MapOptions opt = SmallNodes(CompressionMode::kQueueWorkers, 2);
-  opt.compression_threads = 2;
-  ConcurrentMap map(opt);
+  // Section 5.4's deployment (2): several workers serve the map's queue.
+  BackgroundPool pool(2);
+  ConcurrentMap map(SmallNodes(CompressionMode::kQueueWorkers, 2), &pool);
   std::vector<std::thread> workers;
   for (int t = 0; t < 4; ++t) {
     workers.emplace_back([&map, t]() {
@@ -236,18 +236,17 @@ TEST(ConcurrentMapTest, AttachesToExternalBackgroundPool) {
 }
 
 TEST(ConcurrentMapTest, StandaloneMapRunsItsOwnPool) {
-  // Without a shared pool the map builds its own: exactly
-  // compression_threads workers, all gone after Quiesce or destruction.
-  MapOptions opt = SmallNodes(CompressionMode::kQueueWorkers);
-  opt.compression_threads = 2;
+  // Without a shared pool the map builds its own: exactly one worker
+  // (Section 5.4's deployment (1)), gone after Quiesce or destruction.
+  const MapOptions opt = SmallNodes(CompressionMode::kQueueWorkers);
   const int baseline = testutil::SettledThreadCount();
   {
     ConcurrentMap map(opt);
-    EXPECT_EQ(map.background_thread_count(), 2);
+    EXPECT_EQ(map.background_thread_count(), 1);
     ASSERT_NE(map.attached_pool(), nullptr);
     EXPECT_EQ(map.attached_pool()->num_sources(), 1u);
     if (baseline > 0) {
-      EXPECT_EQ(testutil::LiveThreadCount(), baseline + 2);
+      EXPECT_EQ(testutil::LiveThreadCount(), baseline + 1);
     }
     map.Quiesce();
     EXPECT_EQ(map.background_thread_count(), 0);
@@ -262,7 +261,7 @@ TEST(ConcurrentMapTest, StandaloneMapRunsItsOwnPool) {
   {
     ConcurrentMap map(opt);
     if (baseline > 0) {
-      EXPECT_EQ(testutil::LiveThreadCount(), baseline + 2);
+      EXPECT_EQ(testutil::LiveThreadCount(), baseline + 1);
     }
   }
   if (baseline > 0) {

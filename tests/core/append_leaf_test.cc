@@ -447,7 +447,6 @@ TEST(AppendLeafTest, ConcurrentAppendersReadersAndChurn) {
   MapOptions options;
   options.tree = SmallNodes(true);
   options.compression = CompressionMode::kQueueWorkers;
-  options.compression_threads = 1;
   ConcurrentMap map(options);
 
   constexpr Key kPerThread = 8'000;

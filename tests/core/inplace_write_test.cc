@@ -102,6 +102,63 @@ TEST(InplaceWriteTest, LeafSplitCostsOneGetAndTwoPuts) {
   EXPECT_TRUE(TreeChecker(&tree).CheckStructure().ok());
 }
 
+// The paper's cost units for the readers on a quiescent tree: a search
+// reads and validates each node on its root-to-leaf path once. A scan
+// descends the same way to its first leaf, reads that leaf again to
+// deliver from it, and then pays one get and one link follow per further
+// leaf; each leaf of at most kScanChunk pairs is one validated chunk.
+// Nothing tears, hops right or restarts when no writer runs.
+TEST(ReadCostTest, QuiescentReadsCostOneGetPerNode) {
+  TreeOptions options;
+  options.min_entries = 4;        // capacity 8
+  options.append_leaves = false;  // midpoint splits: every leaf holds 5
+  SagivTree tree(options);
+  for (Key k = 2; k <= 200; k += 2) ASSERT_TRUE(tree.Insert(k, k + 1).ok());
+  ASSERT_EQ(tree.Height(), 3u);
+
+  auto delta = [&tree](const StatsSnapshot& before) {
+    return tree.stats()->Snapshot().Delta(before);
+  };
+  for (Key k : {2, 3, 100, 101, 200, 201}) {
+    const StatsSnapshot before = tree.stats()->Snapshot();
+    const Result<Value> v = tree.Search(k);
+    const StatsSnapshot d = delta(before);
+    EXPECT_EQ(v.ok(), k % 2 == 0) << k;
+    EXPECT_EQ(d.Get(StatId::kGets), tree.Height()) << k;
+    EXPECT_EQ(d.Get(StatId::kOptimisticValidations), tree.Height()) << k;
+    EXPECT_EQ(d.Get(StatId::kOptimisticRetries), 0u) << k;
+    EXPECT_EQ(d.Get(StatId::kLinkFollows), 0u) << k;
+    EXPECT_EQ(d.Get(StatId::kRestarts), 0u) << k;
+  }
+
+  // Count the leaves a scan of [lo, hi] touches from the leaf chain.
+  auto leaves_over = [&tree](Key lo, Key hi) {
+    uint64_t leaves = 0;
+    Page page;
+    PageId id = *tree.internal_FindNodeAtLevel(lo, 0, nullptr);
+    for (; id != kInvalidPageId; ++leaves) {
+      tree.internal_pager()->Get(id, &page);
+      if (page.As<Node>()->high >= hi) return leaves + 1;
+      id = page.As<Node>()->link;
+    }
+    return leaves;
+  };
+  for (const auto& range : {std::pair<Key, Key>{2, 4}, {2, 200}, {51, 149}}) {
+    const uint64_t leaves = leaves_over(range.first, range.second);
+    const StatsSnapshot before = tree.stats()->Snapshot();
+    const size_t visited =
+        tree.Scan(range.first, range.second, [](Key, Value) { return true; });
+    const StatsSnapshot d = delta(before);
+    EXPECT_EQ(visited, range.second / 2 - (range.first - 1) / 2);
+    EXPECT_EQ(d.Get(StatId::kGets), tree.Height() + leaves)
+        << range.first << ".." << range.second << " over " << leaves;
+    EXPECT_EQ(d.Get(StatId::kOptimisticValidations), tree.Height() + leaves);
+    EXPECT_EQ(d.Get(StatId::kLinkFollows), leaves - 1);
+    EXPECT_EQ(d.Get(StatId::kOptimisticRetries), 0u);
+    EXPECT_EQ(d.Get(StatId::kRestarts), 0u);
+  }
+}
+
 TEST(InplaceWriteTest, UnderfullLeafStillEnqueuedForCompression) {
   TreeOptions options = SmallNodes();
   SagivTree tree(options);
@@ -122,7 +179,6 @@ TEST(InplaceWriteTest, ConcurrentReadersNeverSeeTornInplaceWrites) {
   MapOptions options;
   options.tree = SmallNodes();
   options.compression = CompressionMode::kQueueWorkers;
-  options.compression_threads = 1;
   ConcurrentMap map(options);
   constexpr Key kSpace = 20'000;
   for (Key k = 2; k <= kSpace; k += 2) {

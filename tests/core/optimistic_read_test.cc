@@ -44,7 +44,6 @@ TEST(OptimisticReadTest, ConcurrentSearchNeverReturnsTornValue) {
   MapOptions options;
   options.tree = SmallNodes();
   options.compression = CompressionMode::kQueueWorkers;
-  options.compression_threads = 1;
   ConcurrentMap map(options);
   constexpr Key kSpace = 20'000;
   for (Key k = 2; k <= kSpace; k += 2) {
@@ -109,7 +108,6 @@ void ConcurrentScanCheck(const TreeOptions& tree_options) {
   MapOptions options;
   options.tree = tree_options;
   options.compression = CompressionMode::kQueueWorkers;
-  options.compression_threads = 1;
   ConcurrentMap map(options);
   constexpr Key kSpace = 10'000;
   for (Key k = 2; k <= kSpace; k += 2) {

@@ -17,6 +17,7 @@
 #include <condition_variable>
 #include <mutex>
 #include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -216,6 +217,55 @@ TEST(InterleavingTest, ReaderRecoversThroughMergePointer) {
   gate.Release();
   compressor_thread.join();
   tree.internal_pager()->SetTestHook(nullptr);
+  Status s = TreeChecker(&tree).CheckStructure();
+  EXPECT_TRUE(s.ok()) << s.ToString();
+}
+
+TEST(InterleavingTest, ScanRecoversThroughMergePointer) {
+  SagivTree tree(K2());
+  for (Key k = 10; k <= 60; k += 10) ASSERT_TRUE(tree.Insert(k, k).ok());
+  // Leaves [10] and [40,60] after the deletes: a mergeable pair.
+  ASSERT_TRUE(tree.Delete(20).ok());
+  ASSERT_TRUE(tree.Delete(30).ok());
+  ASSERT_TRUE(tree.Delete(50).ok());
+  ASSERT_GE(tree.Height(), 2u);
+  const PrimeBlockData pb = tree.internal_prime()->Read();
+  Page buf;
+  tree.internal_pager()->Get(pb.leftmost[0], &buf);
+  const PageId right_leaf = buf.As<Node>()->link;
+  ASSERT_NE(right_leaf, kInvalidPageId);
+
+  // The scan delivers the left leaf, keeping its link to the right leaf.
+  // Its visitor then runs the merge up to the pause before the deleted
+  // right leaf is unlocked, so the scan's next hop lands on a deleted leaf
+  // and must recover through its merge pointer to the absorbing node.
+  Gate gate;
+  tree.internal_pager()->SetTestHook(
+      [&](const char* op, PageId page) { gate.MaybeBlock(op, page); });
+  gate.Arm("unlock", right_leaf);
+  ScanCompressor compressor(&tree);
+  std::thread compressor_thread;
+  StatsSnapshot mid_merge;
+  std::vector<Key> seen;
+  tree.Scan(1, kMaxUserKey, [&](Key k, Value v) {
+    EXPECT_EQ(v, k);
+    seen.push_back(k);
+    if (!compressor_thread.joinable()) {
+      compressor_thread = std::thread([&]() { compressor.FullPass(); });
+      gate.AwaitPaused();
+      mid_merge = tree.stats()->Snapshot();
+    }
+    return true;
+  });
+  const StatsSnapshot d = tree.stats()->Snapshot().Delta(mid_merge);
+  gate.Release();
+  ASSERT_TRUE(compressor_thread.joinable());
+  compressor_thread.join();
+  tree.internal_pager()->SetTestHook(nullptr);
+
+  EXPECT_EQ(seen, (std::vector<Key>{10, 40, 60}));
+  EXPECT_GE(d.Get(StatId::kMergePointerFollows), 1u);
+  EXPECT_GT(tree.stats()->Get(StatId::kMerges), 0u);
   Status s = TreeChecker(&tree).CheckStructure();
   EXPECT_TRUE(s.ok()) << s.ToString();
 }

@@ -85,16 +85,6 @@ TEST(NodeSearchTest, ChildForPicksCoveringRange) {
   EXPECT_EQ(n.ChildFor(kMaxUserKey), 3u);
 }
 
-TEST(NodeSearchTest, NextFollowsLinkAboveHigh) {
-  Node n = MakeInternal(0, {{10, 1}, {20, 2}}, /*link=*/99);
-  Node::NextStep s = n.Next(25);
-  EXPECT_TRUE(s.is_link);
-  EXPECT_EQ(s.page, 99u);
-  s = n.Next(15);
-  EXPECT_FALSE(s.is_link);
-  EXPECT_EQ(s.page, 2u);
-}
-
 TEST(NodeLeafTest, InsertKeepsOrder) {
   Node n = MakeLeaf(0, kPlusInfinity, kInvalidPageId);
   for (Key k : {30, 10, 20, 40, 5}) n.InsertLeafEntry(k, k * 2);
