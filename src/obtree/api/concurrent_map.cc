@@ -72,52 +72,8 @@ BatchResult ConcurrentMap::MultiGet(const std::vector<Key>& keys) const {
   BatchResult r;
   r.values.reserve(keys.size());
   for (Key k : keys) r.values.push_back(tree_->Search(k));
-  CountBatch(r);
+  tree_->stats()->Add(StatId::kBatchOps, keys.size());
   return r;
-}
-
-BatchResult ConcurrentMap::MultiInsert(const std::vector<Key>& keys,
-                                       const std::vector<Value>& values) {
-  BatchResult r;
-  if (keys.size() != values.size()) {
-    r.statuses.assign(keys.size(),
-                      Status::InvalidArgument("keys/values size mismatch"));
-    return r;
-  }
-  r.statuses.reserve(keys.size());
-  for (size_t i = 0; i < keys.size(); ++i) {
-    r.statuses.push_back(tree_->Insert(keys[i], values[i]));
-  }
-  CountBatch(r);
-  return r;
-}
-
-BatchResult ConcurrentMap::MultiErase(const std::vector<Key>& keys) {
-  BatchResult r;
-  r.statuses.reserve(keys.size());
-  for (Key k : keys) r.statuses.push_back(tree_->Delete(k));
-  CountBatch(r);
-  return r;
-}
-
-BatchResult ConcurrentMap::MultiUpsert(const std::vector<Key>& keys,
-                                       const std::vector<Value>& values) {
-  BatchResult r;
-  if (keys.size() != values.size()) {
-    r.statuses.assign(keys.size(),
-                      Status::InvalidArgument("keys/values size mismatch"));
-    return r;
-  }
-  r.statuses.reserve(keys.size());
-  for (size_t i = 0; i < keys.size(); ++i) {
-    r.statuses.push_back(tree_->Upsert(keys[i], values[i]));
-  }
-  CountBatch(r);
-  return r;
-}
-
-void ConcurrentMap::CountBatch(const BatchResult& r) const {
-  tree_->stats()->Add(StatId::kBatchOps, r.size());
 }
 
 size_t ConcurrentMap::Scan(
@@ -170,38 +126,6 @@ void ConcurrentMap::CompressNow() {
   }
   tree_->internal_pager()->Reclaim();
   if (pool_ != nullptr) pool_->Resume(pool_handle_);
-}
-
-ConcurrentMap::Cursor::Cursor(const ConcurrentMap* map, Key start)
-    : map_(map), next_key_(start < 1 ? 1 : start) {}
-
-void ConcurrentMap::Cursor::Seek(Key target) {
-  next_key_ = target < 1 ? 1 : target;
-  exhausted_ = false;
-  buffer_.clear();
-  buffer_index_ = 0;
-}
-
-bool ConcurrentMap::Cursor::Next(Key* key, Value* value) {
-  if (buffer_index_ >= buffer_.size()) {
-    if (exhausted_) return false;
-    buffer_ = map_->ScanLimit(next_key_, kBatch);
-    buffer_index_ = 0;
-    if (buffer_.empty()) {
-      exhausted_ = true;
-      return false;
-    }
-    if (buffer_.size() < kBatch) exhausted_ = true;
-    if (buffer_.back().first == kMaxUserKey) {
-      exhausted_ = true;
-    } else {
-      next_key_ = buffer_.back().first + 1;
-    }
-  }
-  *key = buffer_[buffer_index_].first;
-  *value = buffer_[buffer_index_].second;
-  ++buffer_index_;
-  return true;
 }
 
 TreeShape ConcurrentMap::Shape() const {

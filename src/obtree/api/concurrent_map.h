@@ -4,7 +4,8 @@
 // SagivTree with a compression deployment (Section 5's three options)
 // served by a BackgroundPool, so applications get an ordered
 // key-value map with lock-free reads, single-lock writes, and automatic
-// space compaction.
+// space compaction. Besides the point operations and Scan, MultiGet reads
+// a batch of keys as a loop of Gets.
 //
 //   obtree::MapOptions options;
 //   options.compression = obtree::CompressionMode::kQueueWorkers;
@@ -93,31 +94,12 @@ class ConcurrentMap {
   /// never a window where the key is absent.
   Status Upsert(Key key, Value value);
 
-  // --- batched operations ---------------------------------------------------
-  //
-  // Each Multi* call is a loop over the single-op calls, in submission
-  // order. Every op takes its own epoch pin and checkpoint-gate hold, so
-  // a pending checkpoint waits for at most one op. Results, costs and
-  // counters are those of the same calls made one by one, plus one
-  // kBatchOps per op; ops fail independently. See ARCHITECTURE.md
-  // "Batched operations".
-
-  /// Batched Get: result.values[i] corresponds to keys[i].
+  /// Batched Get: a loop over Get in submission order, so
+  /// result.values[i] is Get(keys[i]). Every key takes its own epoch pin,
+  /// and results, costs and counters are those of the same Gets made one
+  /// by one, plus one kBatchOps per key. See ARCHITECTURE.md "Batched
+  /// operations".
   BatchResult MultiGet(const std::vector<Key>& keys) const;
-
-  /// Batched Insert: result.statuses[i] as Insert(keys[i], values[i]).
-  /// keys and values must be the same length (else every status is
-  /// InvalidArgument).
-  BatchResult MultiInsert(const std::vector<Key>& keys,
-                          const std::vector<Value>& values);
-
-  /// Batched Erase: result.statuses[i] as Erase(keys[i]).
-  BatchResult MultiErase(const std::vector<Key>& keys);
-
-  /// Batched Upsert: result.statuses[i] as Upsert(keys[i], values[i]).
-  /// Same length requirement as MultiInsert.
-  BatchResult MultiUpsert(const std::vector<Key>& keys,
-                          const std::vector<Value>& values);
 
   /// Visit pairs with lo <= key <= hi in ascending order; the visitor
   /// returns false to stop. Returns pairs visited. Concurrent updates may
@@ -194,36 +176,6 @@ class ConcurrentMap {
   /// reads; foreground writers must still be quiescent.
   Status ValidateStructure() const;
 
-  /// Forward cursor over the map. Resumable across concurrent inserts,
-  /// deletes, and compression: each batch is fetched fresh from the tree,
-  /// so the cursor observes keys >= its position that are live at fetch
-  /// time (no snapshot isolation — the paper's model has none). Keys are
-  /// delivered in strictly ascending order exactly once.
-  class Cursor {
-   public:
-    /// Positions the cursor at the smallest key >= start.
-    explicit Cursor(const ConcurrentMap* map, Key start = 1);
-
-    /// Fetch the next pair. Returns false when the key space past the
-    /// current position is (currently) empty.
-    bool Next(Key* key, Value* value);
-
-    /// Reposition at the smallest key >= target and discard the buffer.
-    void Seek(Key target);
-
-    /// The next key position the cursor will read from.
-    Key position() const { return next_key_; }
-
-   private:
-    static constexpr size_t kBatch = 64;
-
-    const ConcurrentMap* map_;
-    Key next_key_;
-    bool exhausted_ = false;
-    std::vector<std::pair<Key, Value>> buffer_;
-    size_t buffer_index_ = 0;
-  };
-
   /// Escape hatch for benchmarks and tests.
   SagivTree* tree() { return tree_.get(); }
   const SagivTree* tree() const { return tree_.get(); }
@@ -248,9 +200,6 @@ class ConcurrentMap {
   /// detach from the pool, destroy an owned one, then detach the queue
   /// from the tree. Safe to call repeatedly.
   void ShutdownMaintenance() noexcept;
-
-  /// Add the batch's size to kBatchOps.
-  void CountBatch(const BatchResult& r) const;
 
   MapOptions options_;
   std::unique_ptr<SagivTree> tree_;

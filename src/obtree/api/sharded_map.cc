@@ -95,56 +95,6 @@ Status ShardedMap::Upsert(Key key, Value value) {
   return shards_[RouteIndex(key)].map->Upsert(key, value);
 }
 
-// --- batched operations ----------------------------------------------------
-
-BatchResult ShardedMap::MultiGet(const std::vector<Key>& keys) const {
-  BatchResult r;
-  r.values.reserve(keys.size());
-  for (Key k : keys) r.values.push_back(Get(k));
-  batch_ops_.fetch_add(keys.size(), std::memory_order_relaxed);
-  return r;
-}
-
-BatchResult ShardedMap::MultiInsert(const std::vector<Key>& keys,
-                                    const std::vector<Value>& values) {
-  BatchResult r;
-  if (keys.size() != values.size()) {
-    r.statuses.assign(keys.size(),
-                      Status::InvalidArgument("keys/values size mismatch"));
-    return r;
-  }
-  r.statuses.reserve(keys.size());
-  for (size_t i = 0; i < keys.size(); ++i) {
-    r.statuses.push_back(Insert(keys[i], values[i]));
-  }
-  batch_ops_.fetch_add(keys.size(), std::memory_order_relaxed);
-  return r;
-}
-
-BatchResult ShardedMap::MultiErase(const std::vector<Key>& keys) {
-  BatchResult r;
-  r.statuses.reserve(keys.size());
-  for (Key k : keys) r.statuses.push_back(Erase(k));
-  batch_ops_.fetch_add(keys.size(), std::memory_order_relaxed);
-  return r;
-}
-
-BatchResult ShardedMap::MultiUpsert(const std::vector<Key>& keys,
-                                    const std::vector<Value>& values) {
-  BatchResult r;
-  if (keys.size() != values.size()) {
-    r.statuses.assign(keys.size(),
-                      Status::InvalidArgument("keys/values size mismatch"));
-    return r;
-  }
-  r.statuses.reserve(keys.size());
-  for (size_t i = 0; i < keys.size(); ++i) {
-    r.statuses.push_back(Upsert(keys[i], values[i]));
-  }
-  batch_ops_.fetch_add(keys.size(), std::memory_order_relaxed);
-  return r;
-}
-
 // --- scans -----------------------------------------------------------------
 
 size_t ShardedMap::Scan(
@@ -167,18 +117,6 @@ size_t ShardedMap::Scan(
         shards_[s].map->tree()->Scan(seg_lo, seg_hi, visitor, &stopped);
   }
   return visited;
-}
-
-std::vector<std::pair<Key, Value>> ShardedMap::ScanLimit(
-    Key from, size_t limit) const {
-  std::vector<std::pair<Key, Value>> out;
-  if (limit == 0) return out;
-  out.reserve(std::min<size_t>(limit, 4096));
-  Scan(from, kMaxUserKey, [&](Key k, Value v) {
-    out.emplace_back(k, v);
-    return out.size() < limit;
-  });
-  return out;
 }
 
 // --- aggregation -----------------------------------------------------------
@@ -218,9 +156,6 @@ StatsSnapshot ShardedMap::Stats() const {
     }
     total.max_locks_held = std::max(total.max_locks_held, snap.max_locks_held);
   }
-  // Batched ops are counted on the map, since a batch spans shards.
-  total.counters[static_cast<size_t>(StatId::kBatchOps)] +=
-      batch_ops_.load(std::memory_order_relaxed);
   return total;
 }
 

@@ -18,7 +18,8 @@
 // scans visit only the shards whose ranges intersect [lo, hi], in shard
 // order; because the partition is ordered, concatenating per-shard
 // results yields globally ascending keys without a heap merge. Stats and
-// TreeShape aggregate across shards.
+// TreeShape aggregate across shards. The surface is the point operations
+// plus Scan; a batch of keys is a loop over them, each routed on its own.
 //
 //   obtree::ShardOptions options;
 //   options.num_shards = 8;
@@ -29,10 +30,8 @@
 #ifndef OBTREE_API_SHARDED_MAP_H_
 #define OBTREE_API_SHARDED_MAP_H_
 
-#include <atomic>
 #include <functional>
 #include <memory>
-#include <utility>
 #include <vector>
 
 #include "obtree/api/concurrent_map.h"
@@ -78,30 +77,6 @@ class ShardedMap {
   Result<Value> Search(Key key) const { return Get(key); }
   Status Delete(Key key) { return Erase(key); }
 
-  // --- batched operations ---------------------------------------------------
-  //
-  // Each Multi* call is a loop over this map's own single-op calls, in
-  // submission order; every op routes on its own. Results, costs and
-  // counters are those of the same calls made one by one, plus one
-  // kBatchOps per op (counted on the map, not on a shard).
-
-  /// Batched Get: result.values[i] corresponds to keys[i].
-  BatchResult MultiGet(const std::vector<Key>& keys) const;
-
-  /// Batched Insert: result.statuses[i] as Insert(keys[i], values[i]).
-  /// keys and values must be the same length (else every status is
-  /// InvalidArgument).
-  BatchResult MultiInsert(const std::vector<Key>& keys,
-                          const std::vector<Value>& values);
-
-  /// Batched Erase: result.statuses[i] as Erase(keys[i]).
-  BatchResult MultiErase(const std::vector<Key>& keys);
-
-  /// Batched Upsert: result.statuses[i] as Upsert(keys[i], values[i]).
-  /// Same length requirement as MultiInsert.
-  BatchResult MultiUpsert(const std::vector<Key>& keys,
-                          const std::vector<Value>& values);
-
   /// Visit pairs with lo <= key <= hi in globally ascending order,
   /// traversing only the shards whose ranges intersect [lo, hi]. The
   /// visitor returns false to stop; no later shard is then touched.
@@ -110,9 +85,6 @@ class ShardedMap {
   /// of its leaf, and a torn leaf resumes after the last delivered key.
   size_t Scan(Key lo, Key hi,
               const std::function<bool(Key, Value)>& visitor) const;
-
-  /// Collect up to `limit` pairs starting at `from` (pagination helper).
-  std::vector<std::pair<Key, Value>> ScanLimit(Key from, size_t limit) const;
 
   /// Total keys across shards.
   uint64_t Size() const;
@@ -138,8 +110,7 @@ class ShardedMap {
   /// True when any shard recovered from a committed checkpoint.
   bool recovered_from_checkpoint() const;
 
-  /// Operation counters summed across shards, plus the map's own
-  /// kBatchOps; max_locks_held is the max.
+  /// Operation counters summed across shards; max_locks_held is the max.
   StatsSnapshot Stats() const;
 
   /// Counters of the shared background-maintenance pool: tasks drained,
@@ -217,10 +188,6 @@ class ShardedMap {
   /// Sorted by lo; shard i serves keys in [shards_[i].lo,
   /// shards_[i + 1].lo). Built once by the constructor.
   const std::vector<Shard> shards_;
-  /// kBatchOps of this map's Multi* calls, summed into Stats(). On a
-  /// cache line of its own: batch callers write it, and every operation
-  /// reads shards_ next to it.
-  alignas(64) mutable std::atomic<uint64_t> batch_ops_{0};
 };
 
 }  // namespace obtree

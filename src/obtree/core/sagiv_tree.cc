@@ -425,24 +425,24 @@ size_t SagivTree::Scan(Key lo, Key hi,
   size_t visited = 0;
   int restarts = 0;
   Key next_key = lo;
-  PageId current = kInvalidPageId;  // invalid: descend to locate the leaf
+  PageId current = kInvalidPageId;  // invalid: start again at the root
 
   // A leaf's pairs in [next_key, hi] are harvested kScanChunk at a time,
   // each chunk validated against the one version the guard took and only
   // then delivered — the visitor never sees an unvalidated pair. When a
   // later chunk tears (the visitor itself may have written the leaf), the
   // page is re-read from the last delivered key + 1, so delivery stays
-  // ascending and never repeats a pair. A failed descent or fetch ends the
-  // scan with what was delivered.
+  // ascending and never repeats a pair. The first leaf is reached from the
+  // root by the same route loop, so it is read once. A failed fetch ends
+  // the scan with what was delivered.
   Entry chunk[kScanChunk];
 
   int steps = 0;
   for (;;) {
     if (current == kInvalidPageId) {
-      Result<PageId> leaf =
-          internal_FindNodeAtLevel(next_key, /*level=*/0, nullptr);
-      if (!leaf.ok()) return visited;
-      current = *leaf;
+      PrimeBlockData pb = prime_.Read();
+      if (!AwaitLevel(/*level=*/0, /*wait=*/true, &pb).ok()) return visited;
+      current = pb.root();
       steps = 0;
     }
     if (++steps > kMaxStepsPerAttempt) return visited;
@@ -454,9 +454,6 @@ size_t SagivTree::Scan(Key lo, Key hi,
     if (g.stable()) {
       const NodeView view(g.page()->As<Node>());
       route = RouteForKey(view, next_key, /*target_level=*/0);
-      // A page positioned on or hopped to as a leaf that is now internal
-      // was reused: restart, as AcquireTargetInPlace does.
-      if (route.kind == Route::kChild) route.kind = Route::kRestartStale;
       if (route.kind != Route::kArrived) {
         if (route.kind != Route::kTorn && !g.Validate()) {
           route.kind = Route::kTorn;
@@ -498,6 +495,10 @@ size_t SagivTree::Scan(Key lo, Key hi,
         continue;  // re-read the same page
       case Route::kArrived:
         break;  // the leaf is delivered
+      case Route::kChild:
+        stats_->Add(StatId::kOptimisticValidations);
+        current = route.next;
+        continue;
       case Route::kLink:
       case Route::kMerge:
         stats_->Add(StatId::kOptimisticValidations);

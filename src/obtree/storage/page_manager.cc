@@ -139,23 +139,10 @@ uint64_t PageManager::BeginSeqWrite(Meta* m) {
 
 Result<PageId> PageManager::Allocate() {
   if (MaybeTrap("alloc", kInvalidPageId, /*error_eligible=*/true)) {
-    // Protocol error paths (split/root-creation failures) already unlock
-    // everything and leave the tree valid — the allocation-budget tests
-    // prove it; this site exercises the same paths probabilistically.
+    // Protocol error paths (split/root-creation failures) must unlock
+    // everything and leave the tree valid. FaultInjectionTest arms this
+    // site with skip_first to fail every allocation after the first few.
     return Status::Unavailable("injected allocation fault");
-  }
-  int64_t budget = allocation_budget_.load(std::memory_order_relaxed);
-  if (budget >= 0) {
-    for (;;) {
-      if (budget == 0) {
-        return Status::ResourceExhausted("injected allocation failure");
-      }
-      if (allocation_budget_.compare_exchange_weak(
-              budget, budget - 1, std::memory_order_relaxed)) {
-        break;
-      }
-      if (budget < 0) break;  // reset to unlimited concurrently
-    }
   }
   PageId id;
   {

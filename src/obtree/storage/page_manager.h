@@ -95,14 +95,6 @@ class PageManager {
     if (!has && had) FaultInjector::ReleaseTrapRef();
   }
 
-  /// Fault injection for tests: after `n` more successful allocations,
-  /// Allocate() returns ResourceExhausted until reset with a negative
-  /// value. Protocol error paths (split/root-creation failures) must
-  /// unlock everything and leave the tree valid.
-  void set_allocation_budget(int64_t n) {
-    allocation_budget_.store(n, std::memory_order_relaxed);
-  }
-
   /// Indivisible read of a page into *out (the paper's get(x)). Every
   /// node access (Get, OptimisticRead, PeekLocked) evaluates the "get"
   /// failpoint once and counts one StatId::kGets; every Put and BeginWrite
@@ -530,11 +522,13 @@ class PageManager {
   size_t EvictPages(size_t n) const;
   bool TryEvict(PageId id) const;
 
-  // Checkpoint gate (persistent mode only): mutators hold it shared —
-  // normally for a whole logical operation via MutatorScope, with the
-  // paper-lock span (first lock acquired -> last released) as a
-  // defense-in-depth fallback for unwrapped paths — and Checkpoint
-  // holds it exclusive. Reentrant per thread (a thread-local depth
+  // Checkpoint gate (persistent mode only): mutators hold it shared and
+  // Checkpoint holds it exclusive. Insert, Upsert and Delete hold it for
+  // the whole operation via MutatorScope. Compressor restructures open
+  // no scope: their gate is the paper-lock span (first lock acquired ->
+  // last released, entered in Lock/TryLock/TryLockSpin and left in
+  // Unlock), so a checkpoint waits out each restructure while it holds
+  // locks. Reentrant per thread (a thread-local depth
   // counter): only the 0->1 transition enters, only 1->0 leaves, so a
   // scope holder acquiring paper locks never re-waits and cannot
   // deadlock against a pending checkpoint. Readers never touch the gate.
@@ -592,7 +586,6 @@ class PageManager {
   std::mutex gate_mu_;
   std::condition_variable gate_cv_;
 
-  std::atomic<int64_t> allocation_budget_{-1};  // <0 = unlimited
   std::atomic<bool> has_test_hook_{false};
   TestHook test_hook_;
 

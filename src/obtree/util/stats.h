@@ -117,11 +117,8 @@ enum class StatId : int {
   kSearches,             ///< logical search operations
   kInserts,              ///< logical insert operations
   kDeletes,              ///< logical delete operations
-  kBatchOps,             ///< logical operations submitted through the
-                         ///< Multi* batch API (each op in a batch counts
-                         ///< once, on top of its kSearches/kInserts/...;
-                         ///< a ShardedMap counts its batches on the map
-                         ///< and sums them into its Stats())
+  kBatchOps,             ///< keys read through ConcurrentMap::MultiGet
+                         ///< (each counts once, on top of its kSearches)
   kBatchPagesCoalesced,  ///< always 0: nothing counts it (a batch is a
                          ///< loop of single ops and shares no page
                          ///< reads); kept because perfbench/src/common.cc

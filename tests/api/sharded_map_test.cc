@@ -251,24 +251,27 @@ TEST(ShardedMapTest, ScanStopAtShardEndDoesNotTouchNextShard) {
   EXPECT_EQ(seen, 301u);
 }
 
-TEST(ShardedMapTest, ScanLimitPaginatesAcrossShards) {
+// Pages of 7 pairs, each a Scan whose visitor stops after the 7th,
+// straddle shard boundaries and together deliver every key once in order.
+TEST(ShardedMapTest, ScanPagesAcrossShards) {
   ShardedMap map(SmallShards(4, 100));
   for (Key k = 1; k <= 100; ++k) ASSERT_TRUE(map.Insert(k, k).ok());
   Key from = 1;
   size_t total = 0;
   Key prev = 0;
   while (true) {
-    auto page = map.ScanLimit(from, 7);  // 7 straddles shard boundaries
-    if (page.empty()) break;
-    for (const auto& kv : page) {
-      EXPECT_GT(kv.first, prev);
-      prev = kv.first;
-    }
-    total += page.size();
-    from = page.back().first + 1;
+    size_t page = 0;
+    const size_t visited = map.Scan(from, kMaxUserKey, [&](Key k, Value) {
+      EXPECT_GT(k, prev);
+      prev = k;
+      return ++page < 7;
+    });
+    EXPECT_EQ(visited, page);
+    if (page == 0) break;
+    total += page;
+    from = prev + 1;
   }
   EXPECT_EQ(total, 100u);
-  EXPECT_TRUE(map.ScanLimit(1, 0).empty());
 }
 
 TEST(ShardedMapTest, AggregatesStatsAndShape) {

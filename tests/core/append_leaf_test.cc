@@ -244,32 +244,31 @@ TEST(AppendLeafTest, DeletedMaxKeepsFastPathCorrect) {
   EXPECT_TRUE(s.ok()) << s.ToString();
 }
 
-// Batched inserts are single inserts: a MultiInsert whose keys extend
-// the max takes the rightmost fast path key by key and raises the
-// watermark, so a later single insert between the old max and the
-// batch's max takes the plain descent (no wasted locked miss), and the
+// Inserts that extend the max take the rightmost fast path key by key
+// and raise the watermark, so a later insert between the old max and
+// the new one takes the plain descent (no wasted locked miss), and the
 // hint still names the true rightmost leaf.
-TEST(AppendLeafTest, BatchedInsertsRaiseTheWatermark) {
+TEST(AppendLeafTest, MaxExtendingInsertsRaiseTheWatermark) {
   MapOptions options;
   options.tree = SmallNodes(true);
   options.compression = CompressionMode::kNone;
   ConcurrentMap map(options);
   for (Key k = 1; k <= 20; ++k) ASSERT_TRUE(map.Insert(k, k + 1).ok());
 
-  // The batch lifts the tree max 20 -> 1000; both keys are
+  // Two inserts lift the tree max 20 -> 1000; both keys are
   // max-extending when their turn comes, so both try the fast path.
-  const StatsSnapshot before_batch = map.Stats();
-  const BatchResult r = map.MultiInsert({500, 1000}, {501, 1001});
-  ASSERT_TRUE(r.all_ok());
-  const StatsSnapshot batch = map.Stats().Delta(before_batch);
-  EXPECT_EQ(batch.Get(StatId::kAppendFastHits) +
-                batch.Get(StatId::kAppendFastMisses),
+  const StatsSnapshot before = map.Stats();
+  ASSERT_TRUE(map.Insert(500, 501).ok());
+  ASSERT_TRUE(map.Insert(1000, 1001).ok());
+  const StatsSnapshot lifted = map.Stats().Delta(before);
+  EXPECT_EQ(lifted.Get(StatId::kAppendFastHits) +
+                lifted.Get(StatId::kAppendFastMisses),
             2u);
-  EXPECT_GE(batch.Get(StatId::kAppendFastHits), 1u);
+  EXPECT_GE(lifted.Get(StatId::kAppendFastHits), 1u);
 
-  // 50 sits between the single-op max (20) and the batch max (1000):
-  // with the watermark raised by the batch it is not max-extending, so
-  // it takes the plain descent — no fast-path attempt, no miss.
+  // 50 sits between the old max (20) and the new max (1000): with the
+  // watermark raised it is not max-extending, so it takes the plain
+  // descent — no fast-path attempt, no miss.
   const uint64_t misses_before = map.Stats().Get(StatId::kAppendFastMisses);
   ASSERT_TRUE(map.Insert(50, 51).ok());
   EXPECT_EQ(map.Stats().Get(StatId::kAppendFastMisses), misses_before);

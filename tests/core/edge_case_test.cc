@@ -19,6 +19,7 @@
 #include "obtree/core/sagiv_tree.h"
 #include "obtree/core/scan_compressor.h"
 #include "obtree/core/tree_checker.h"
+#include "obtree/util/fault_injector.h"
 
 namespace obtree {
 namespace {
@@ -506,26 +507,34 @@ TEST_F(CheckerNegativeTest, DetectsUnderfullWhenStrict) {
 
 // --- allocation-failure injection ------------------------------------------
 
+// Arms the "alloc" failpoint so the first `pass` allocations succeed and
+// every later one fails with Unavailable.
+void FailAllocationsAfter(uint64_t pass) {
+  FaultSpec spec;
+  spec.skip_first = pass;
+  FaultInjector::Instance().Arm("alloc", spec);
+}
+
 TEST(FaultInjectionTest, SplitFailureLeavesTreeValidAndUnlocked) {
   TreeOptions opt = K2();
   SagivTree tree(opt);
   for (Key k = 1; k <= 100; ++k) ASSERT_TRUE(tree.Insert(k, k).ok());
 
   // Forbid all further allocations: the next split must fail cleanly.
-  tree.internal_pager()->set_allocation_budget(0);
+  FailAllocationsAfter(0);
   int failures = 0;
   for (Key k = 101; k <= 200; ++k) {
     Status s = tree.Insert(k, k);
     if (!s.ok()) {
-      EXPECT_TRUE(s.IsResourceExhausted()) << s.ToString();
+      EXPECT_TRUE(s.IsUnavailable()) << s.ToString();
       ++failures;
     }
   }
   EXPECT_GT(failures, 0);
   EXPECT_EQ(PageManager::LocksHeldByThisThread(), 0);
 
-  // Restore the budget: everything works again and the tree is valid.
-  tree.internal_pager()->set_allocation_budget(-1);
+  // Disarm: everything works again and the tree is valid.
+  FaultInjector::Instance().Disarm("alloc");
   for (Key k = 500; k <= 600; ++k) ASSERT_TRUE(tree.Insert(k, k).ok());
   Status s = TreeChecker(&tree).CheckStructure();
   EXPECT_TRUE(s.ok()) << s.ToString();
@@ -533,16 +542,15 @@ TEST(FaultInjectionTest, SplitFailureLeavesTreeValidAndUnlocked) {
 
 TEST(FaultInjectionTest, PartialBudgetExercisesRootSplitFailure) {
   TreeOptions opt = K2();
-  SagivTree tree(opt);
   // Let a few allocations through so failures land mid-protocol (e.g.
   // after the sibling page is allocated but before the new root's page).
-  for (int budget = 0; budget < 4; ++budget) {
+  for (uint64_t budget = 0; budget < 4; ++budget) {
     SagivTree fresh(opt);
     for (Key k = 1; k <= 4; ++k) ASSERT_TRUE(fresh.Insert(k, k).ok());
-    fresh.internal_pager()->set_allocation_budget(budget);
+    FailAllocationsAfter(budget);
     for (Key k = 5; k <= 40; ++k) (void)fresh.Insert(k, k);
     EXPECT_EQ(PageManager::LocksHeldByThisThread(), 0);
-    fresh.internal_pager()->set_allocation_budget(-1);
+    FaultInjector::Instance().Disarm("alloc");
     for (Key k = 100; k <= 140; ++k) ASSERT_TRUE(fresh.Insert(k, k).ok());
     Status s = TreeChecker(&fresh).CheckStructure();
     EXPECT_TRUE(s.ok()) << "budget " << budget << ": " << s.ToString();
