@@ -82,31 +82,36 @@ void BM_NodeCopyEntries(benchmark::State& state) {
 BENCHMARK(BM_NodeCopyEntries)->Arg(32)->Arg(254);
 
 // The optimistic read path's leaf search on COLD nodes: a pool of 16k
-// leaves (65 MiB, beyond the last-level cache) holding 82 entries each,
-// the mean fill of a k = 60 tree, laid out PageManager's frame stride
-// apart. Every value names a random node, and each search's result picks
-// the next node, as a descent's does; the key is random too. So nearly
-// every search starts with its node out of cache, and one search's
-// misses cannot overlap the next one's.
+// leaves (31 MiB) holding 82 entries each, the mean fill of a k = 60
+// tree, laid out as a k = 60 tree's PageManager lays out its frames
+// (FrameStride(NodeBytes(120)) = 1984 B apart). Every value names a
+// random node, and each search's result picks the next node, as a
+// descent's does; the key is random too. So nearly every search starts
+// with its node outside the core's caches, and one search's misses cannot
+// overlap the next one's.
 void BM_NodeSearchCold(benchmark::State& state) {
   constexpr uint32_t kNodes = 16384;
   constexpr uint32_t kCount = 82;
-  struct alignas(64) Frame {
-    Node node;
-    uint8_t pad[64];
+  constexpr size_t kStride = PageManager::FrameStride(NodeBytes(120));
+  struct alignas(64) Line {
+    uint8_t bytes[64];
   };
-  std::vector<Frame> frames(kNodes);
+  std::vector<Line> lines(kNodes * kStride / sizeof(Line));
+  const auto node = [&](uint64_t i) {
+    return reinterpret_cast<Node*>(lines[i * kStride / sizeof(Line)].bytes);
+  };
+  const Node leaf = MakeFullLeaf(kCount);
   Random rng(3);
-  for (Frame& f : frames) {
-    f.node = MakeFullLeaf(kCount);
+  for (uint32_t n = 0; n < kNodes; ++n) {
+    std::memcpy(node(n), &leaf, NodeBytes(kCount));
     for (uint32_t i = 0; i < kCount; ++i) {
-      f.node.entries[i].value = rng.Uniform(kNodes);
+      node(n)->entries[i].value = rng.Uniform(kNodes);
     }
   }
   uint64_t at = 0;
   for (auto _ : state) {
     const Key k = rng.Uniform(kCount) * 10 + 10;
-    at = *NodeView(&frames[at].node).FindLeafValue(k);
+    at = *NodeView(node(at)).FindLeafValue(k);
     benchmark::DoNotOptimize(at);
   }
 }

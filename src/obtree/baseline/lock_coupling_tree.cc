@@ -38,7 +38,8 @@ LockCouplingTree::LockCouplingTree(const TreeOptions& options)
       latches_(new RwLatchTable()),
       size_(0) {
   if (!init_status_.ok()) options_ = TreeOptions();
-  pager_ = std::make_unique<PageManager>(epoch_.get(), stats_.get());
+  pager_ = std::make_unique<PageManager>(epoch_.get(), stats_.get(), nullptr,
+                                         0, NodeBytes(options_.capacity()));
   Result<PageId> root = pager_->Allocate();
   assert(root.ok());
   Page page;

@@ -70,8 +70,9 @@ struct TreeOptions {
 
   /// Buffer-pool budget for a persistent tree: the number of page images
   /// kept resident in RAM, and so the size of the frame arena that holds
-  /// them (N frames of 4 KiB + 64 B, plus PageManager::kFrameSlack
-  /// frames; each page also has 16 bytes of metadata). Above the budget, a CLOCK sweep
+  /// them (N frames of PageManager::FrameStride(NodeBytes(capacity()))
+  /// bytes, 1984 B at k = 60, plus PageManager::kFrameSlack frames; each
+  /// page also has 16 bytes of metadata). Above the budget, a CLOCK sweep
   /// evicts pages not accessed since its last pass (staging dirty ones to
   /// the store) and reuses their frames; later accesses fault them back
   /// in (StatId::kPagesEvicted / kStoreReads). 0 = every page stays

@@ -181,9 +181,9 @@ SagivTree::SagivTree(const TreeOptions& options)
       init_status_ = store.status();
     }
   }
-  pager_ = std::make_unique<PageManager>(epoch_.get(), stats_.get(),
-                                         file_store_.get(),
-                                         options_.buffer_pool_pages);
+  pager_ = std::make_unique<PageManager>(
+      epoch_.get(), stats_.get(), file_store_.get(),
+      options_.buffer_pool_pages, NodeBytes(options_.capacity()));
 
   if (file_store_ != nullptr && file_store_->has_checkpoint()) {
     // Adopt the committed checkpoint instead of building a fresh root.

@@ -299,7 +299,9 @@ class NodeView {
   /// Index of the first entry with key >= k; count() if none. The same
   /// prefetch-then-search as Node::LowerBound, over the clamped count(),
   /// so on a torn image neither the prefetch nor the probes (at most
-  /// 1 + log2(kMaxEntries), rounded up) leave the page.
+  /// 1 + log2(kMaxEntries), rounded up) read past a page from the node's
+  /// start, and so none leaves the chunk's readable span (PageManager
+  /// maps a page past every frame's start).
   uint32_t LowerBound(Key k) const;
 
   /// The value stored for key k in a leaf image, if present.
@@ -351,7 +353,7 @@ inline void PrefetchEntries(const Entry* entries, uint32_t count) {
 
 /// Bytes of a page image that are meaningful for a node with `count`
 /// entries (header + entries). Used to bound copy sizes.
-inline size_t NodeBytes(uint32_t count) {
+constexpr size_t NodeBytes(uint32_t count) {
   return Node::kHeaderSize + static_cast<size_t>(count) * sizeof(Entry);
 }
 

@@ -10,6 +10,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <new>
+#include <string>
 #include <thread>
 
 #include <sys/mman.h>
@@ -47,30 +48,49 @@ void AtomicCopyIn(const uint8_t* src, uint8_t* dst, size_t bytes) {
   }
 }
 
-// Zero a page with the same word-granular atomic stores as AtomicCopyIn:
+// Zero a frame with the same word-granular atomic stores as AtomicCopyIn:
 // optimistic readers may still be probing a frame while its reuse zeroes
 // it, and a plain memset racing those atomic loads would be undefined.
-void AtomicZero(uint8_t* dst) {
+void AtomicZero(uint8_t* dst, size_t bytes) {
   auto* d = reinterpret_cast<uint64_t*>(dst);
-  for (size_t i = 0; i < kPageSize / 8; ++i) {
+  for (size_t i = 0; i < bytes / 8; ++i) {
     PageStoreWord(&d[i], 0);
   }
 }
 
+// What a store image must hold past the end of a frame.
+alignas(64) constexpr uint8_t kZeroPage[kPageSize] = {};
+
 }  // namespace
 
 PageManager::PageManager(EpochManager* epoch, StatsCollector* stats,
-                         FileStore* store, uint32_t buffer_pool_pages)
+                         FileStore* store, uint32_t buffer_pool_pages,
+                         size_t max_node_bytes)
     : epoch_(epoch),
       stats_(stats),
       store_(store),
       paged_(store != nullptr),
       pool_cap_(paged_ ? buffer_pool_pages : 0),
+      stride_(FrameStride(max_node_bytes)),
+      frame_bytes_(std::min(stride_, kPageSize)),
+      chunk_bytes_(ChunkBytes(stride_)),
       frame_chunks_(kMaxChunks),
       gate_slots_(paged_ ? std::make_unique<GateSlot[]>(kGateSlots) : nullptr),
       meta_chunks_(kMaxChunks),
       next_fresh_(0) {
   assert(epoch != nullptr && stats != nullptr);
+  assert(max_node_bytes <= kPageSize);
+  static_assert(
+      [] {
+        for (size_t node = 64; node <= kPageSize; node += 64) {
+          if (ChunkBytes(FrameStride(node)) >
+              ChunkBytes(FrameStride(kPageSize))) {
+            return false;
+          }
+        }
+        return true;
+      }(),
+      "no frame size may map a chunk larger than full-page frames do");
   for (auto& c : frame_chunks_) c.store(nullptr, std::memory_order_relaxed);
   for (auto& c : meta_chunks_) c.store(nullptr, std::memory_order_relaxed);
 }
@@ -83,7 +103,7 @@ PageManager::~PageManager() {
   }
   for (auto& c : frame_chunks_) {
     uint8_t* frames = c.load(std::memory_order_relaxed);
-    if (frames != nullptr) munmap(frames, kChunkSize * kFrameStride);
+    if (frames != nullptr) munmap(frames, chunk_bytes_);
   }
 }
 
@@ -118,8 +138,12 @@ Page* PageManager::Frame(uint32_t state) const {
   uint8_t* chunk = frame_chunks_[frame >> kChunkBits].load(
       std::memory_order_acquire);
   assert(chunk != nullptr);
-  return reinterpret_cast<Page*>(chunk +
-                                 (frame & (kChunkSize - 1)) * kFrameStride);
+  return reinterpret_cast<Page*>(chunk + (frame & (kChunkSize - 1)) * stride_);
+}
+
+void PageManager::CopyFrameOut(const Page* frame, Page* out) const {
+  AtomicCopyOut(frame->bytes, out->bytes, frame_bytes_);
+  std::memset(out->bytes + frame_bytes_, 0, kPageSize - frame_bytes_);
 }
 
 uint64_t PageManager::BeginSeqWrite(Meta* m) {
@@ -201,7 +225,7 @@ Status PageManager::Get(PageId id, Page* out) const {
       assert(paged_);
       continue;  // evicted after the fault-in: re-fault
     }
-    AtomicCopyOut(Frame(st)->bytes, out->bytes, kPageSize);
+    CopyFrameOut(Frame(st), out);
     if (SeqlockUnchanged(m->seq, s1)) {
       Touch(m, st);
       break;
@@ -268,6 +292,7 @@ PageManager::WriteGuard PageManager::BeginWrite(PageId id) {
 
 void PageManager::Put(PageId id, const Page& in, size_t bytes) {
   assert(bytes % 8 == 0 && bytes <= kPageSize);
+  bytes = std::min(bytes, frame_bytes_);
   MaybeTrap("put", id, /*error_eligible=*/false);
   Meta* m = MetaFor(id);
   // Serialize concurrent puts on the same page via the seqlock's odd state.
@@ -276,7 +301,7 @@ void PageManager::Put(PageId id, const Page& in, size_t bytes) {
   // A put defines the page's content: resident + dirty, no store read. A
   // short put into a frame taken just now zeroes the frame first, since
   // the page's zeroed image went out with its old frame.
-  const bool zero = bytes < kPageSize &&
+  const bool zero = bytes < frame_bytes_ &&
                     !(m->state.load(std::memory_order_relaxed) & kResident);
   AtomicCopyIn(in.bytes, FrameForWrite(m, zero)->bytes, bytes);
   m->seq.store(seq + 2, std::memory_order_release);
@@ -433,7 +458,7 @@ Page* PageManager::FrameForWrite(Meta* m, bool zero) const {
     resident_count_.fetch_add(1, std::memory_order_relaxed);
   }
   Page* frame = Frame(st);
-  if (zero && !fresh) AtomicZero(frame->bytes);
+  if (zero && !fresh) AtomicZero(frame->bytes, frame_bytes_);
   return frame;
 }
 
@@ -488,25 +513,23 @@ uint32_t PageManager::CarveFrameLocked() const {
     // frame, so its unused tail costs no memory.
     const bool filled =
         pool_cap_ == 0 || (chunk + 1) * kChunkSize <= pool_cap_ + kFrameSlack;
-    constexpr size_t kBytes = kChunkSize * kFrameStride;
-    constexpr size_t kHuge = size_t{2} << 20;
-    const size_t span = filled ? kBytes + kHuge : kBytes;
+    const size_t span = filled ? chunk_bytes_ + kHugePage : chunk_bytes_;
     void* p = mmap(nullptr, span, PROT_READ | PROT_WRITE,
                    MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
     if (p == MAP_FAILED) throw std::bad_alloc();
     uint8_t* frames = static_cast<uint8_t*>(p);
     if (filled) {
       const uintptr_t at = reinterpret_cast<uintptr_t>(frames);
-      const size_t head = ((at + kHuge - 1) & ~(kHuge - 1)) - at;
+      const size_t head = ((at + kHugePage - 1) & ~(kHugePage - 1)) - at;
       if (head != 0) munmap(frames, head);
       frames += head;
-      munmap(frames + kBytes, kHuge - head);
+      munmap(frames + chunk_bytes_, kHugePage - head);
 #ifdef MADV_HUGEPAGE
-      madvise(frames, kBytes, MADV_HUGEPAGE);
+      madvise(frames, chunk_bytes_, MADV_HUGEPAGE);
 #endif
       // Unpublished yet: no reader races these stores.
       volatile uint8_t* touch = frames;
-      for (size_t off = 0; off < kBytes; off += 4096) touch[off] = 0;
+      for (size_t off = 0; off < chunk_bytes_; off += 4096) touch[off] = 0;
     }
     frame_chunks_[chunk].store(frames, std::memory_order_release);
   }
@@ -533,6 +556,15 @@ Status PageManager::FaultIn(PageId id, Meta* m) const {
   }
   Page buf;
   Status s = store_->ReadPage(id, buf.bytes);
+  // An image with bytes past the frame holds a node larger than this
+  // manager's (a store written with a larger min_entries): refuse it
+  // rather than truncate its entries.
+  if (s.ok() && std::memcmp(buf.bytes + frame_bytes_, kZeroPage,
+                            kPageSize - frame_bytes_) != 0) {
+    s = Status::DataLoss("page " + std::to_string(id) +
+                         " does not fit a frame of " +
+                         std::to_string(frame_bytes_) + " bytes");
+  }
   if (!s.ok()) {
     // Restore the original even version: the page still has no frame,
     // so readers that captured `seq` lose nothing.
@@ -543,7 +575,7 @@ Status PageManager::FaultIn(PageId id, Meta* m) const {
       AcquireFrame(nullptr) << kFrameShift | kResident | kReferenced;
   // Readers of the frame's previous page may still be probing it; they
   // fail validation, and the atomic stores keep their loads defined.
-  AtomicCopyIn(buf.bytes, Frame(frame_state)->bytes, kPageSize);
+  AtomicCopyIn(buf.bytes, Frame(frame_state)->bytes, frame_bytes_);
   m->state.store(frame_state, std::memory_order_release);
   m->seq.store(seq + 2, std::memory_order_release);
   resident_count_.fetch_add(1, std::memory_order_relaxed);
@@ -608,7 +640,7 @@ bool PageManager::TryEvict(PageId id) const {
   }
   if (st & kDirty) {
     Page buf;
-    AtomicCopyOut(Frame(st)->bytes, buf.bytes, kPageSize);
+    CopyFrameOut(Frame(st), &buf);
     Status s = store_->WritePage(id, buf.bytes);
     if (!s.ok()) {
       // Keep the page resident and dirty; a later sweep or the next
@@ -737,7 +769,7 @@ Status PageManager::Checkpoint(
       if (!(state & kDirty)) continue;
       // No mutators and no eviction: the content is frozen, so a plain
       // word-granular copy is a consistent snapshot (readers only read).
-      AtomicCopyOut(Frame(state)->bytes, buf.bytes, kPageSize);
+      CopyFrameOut(Frame(state), &buf);
       Status s = store_->WritePage(id, buf.bytes);
       if (!s.ok()) {
         result = s;

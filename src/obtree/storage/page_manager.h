@@ -28,6 +28,7 @@
 #ifndef OBTREE_STORAGE_PAGE_MANAGER_H_
 #define OBTREE_STORAGE_PAGE_MANAGER_H_
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <deque>
@@ -66,8 +67,14 @@ class PageManager {
   ///              unbounded); it also caps the frame arena at
   ///              buffer_pool_pages + kFrameSlack frames. See
   ///              TreeOptions::buffer_pool_pages.
+  /// @param max_node_bytes the largest image the manager's users put (a
+  ///              tree passes NodeBytes(options.capacity())); at most
+  ///              kPageSize. It sizes the frames (FrameStride), and so
+  ///              the RAM a resident page takes; store slots stay a
+  ///              full page.
   PageManager(EpochManager* epoch, StatsCollector* stats,
-              FileStore* store = nullptr, uint32_t buffer_pool_pages = 0);
+              FileStore* store = nullptr, uint32_t buffer_pool_pages = 0,
+              size_t max_node_bytes = kPageSize);
   ~PageManager();
   OBTREE_DISALLOW_COPY_AND_ASSIGN(PageManager);
 
@@ -95,7 +102,8 @@ class PageManager {
     if (!has && had) FaultInjector::ReleaseTrapRef();
   }
 
-  /// Indivisible read of a page into *out (the paper's get(x)). Every
+  /// Indivisible read of a page into *out (the paper's get(x)): the
+  /// frame's bytes, then zeroes to the end of the page. Every
   /// node access (Get, OptimisticRead, PeekLocked) evaluates the "get"
   /// failpoint once and counts one StatId::kGets; every Put and BeginWrite
   /// does the same with "put" and kPuts. Outside a ScopedExemption, a
@@ -282,11 +290,12 @@ class PageManager {
   WriteGuard BeginWrite(PageId id);
 
   /// Indivisible write of a page (the paper's put(A, x)): the first
-  /// `bytes` bytes of `in` (a multiple of 8). A short put leaves the
-  /// rest of the page as it was, which for a page fresh from Allocate is
-  /// zero: a split puts only the live prefix (NodeBytes) of a new node.
-  /// A page evicted since then gets a zeroed frame, so its tail reads as
-  /// zero too.
+  /// `bytes` bytes of `in` (a multiple of 8), of which the frame keeps
+  /// what it holds (see frame_stride(); bytes past the largest node image
+  /// carry no entry). A short put leaves the rest of the frame as it was, which
+  /// for a page fresh from Allocate is zero: a split puts only the live
+  /// prefix (NodeBytes) of a new node. A page evicted since then gets a
+  /// zeroed frame, so its tail reads as zero too.
   void Put(PageId id, const Page& in, size_t bytes = kPageSize);
 
   /// Acquire the paper lock on a page. Blocks only other lockers. The
@@ -362,6 +371,23 @@ class PageManager {
   size_t resident_pages() const {
     return resident_count_.load(std::memory_order_relaxed);
   }
+
+  /// Bytes between the starts of consecutive frames for node images of
+  /// at most `max_node_bytes`: the smallest odd number of 64-byte lines
+  /// that holds them. Packed at a power of two, every node's header (and
+  /// every binary-search probe at a given offset) would fall into the
+  /// same few L1 sets, and a descent's pages would evict each other: the
+  /// benchmark's ingest-checkpoint get_p50 measured about 12% slower
+  /// with full frames packed at 4 KiB (4-vCPU Xeon). An odd line count
+  /// spreads frames over every set. k = 60 (NodeBytes(120) = 1952 B)
+  /// gives 31 lines, 1984 B; a full page gives 65 lines, 4160 B.
+  static constexpr size_t FrameStride(size_t max_node_bytes) {
+    return (((max_node_bytes + 63) / 64) | 1) * 64;
+  }
+
+  /// This manager's FrameStride. A frame holds min(stride, kPageSize)
+  /// bytes of its page.
+  size_t frame_stride() const { return stride_; }
 
   /// Frames above buffer_pool_pages the arena may carve: resident pages
   /// can briefly exceed the budget while the single sweeper is busy, and
@@ -448,33 +474,49 @@ class PageManager {
   static_assert(sizeof(Meta) == 16, "per-page metadata must stay compact");
 
   // Both the metadata and the frame arena grow in chunks of 1024 entries:
-  // 16 KiB of metadata, or 1024 frames (4 MiB + 64 KiB) mmap'd as one
-  // region. A chunk the pool will fill starts on a 2 MiB boundary and is
-  // advised onto transparent huge pages before it is populated: two huge
-  // pages plus a 4 KiB-paged tail, so a frame visit rarely misses the TLB.
-  // A bounded pool's partial last chunk stays on lazily faulted 4 KiB
-  // pages; without THP every chunk does (see CarveFrameLocked).
+  // 16 KiB of metadata, or 1024 frames mmap'd as one region of
+  // chunk_bytes_. A torn image can claim Node::kMaxEntries entries, so an
+  // optimistic reader may read a full page from any frame's start; the
+  // region therefore runs at least a page past the last frame's start,
+  // and such a read stays mapped (past its own frame, it reads another
+  // frame or the zeroed tail, and fails validation). A chunk the pool
+  // will fill starts on a 2 MiB boundary and is advised onto transparent
+  // huge pages before it is populated, so a frame visit rarely misses the
+  // TLB. Its size rounds up to a whole huge page when that adds less
+  // than half of one: at k = 60 (1984 B frames) a chunk is one 2 MiB
+  // page; with full-page frames (4160 B) it is two plus a 64 KiB tail on
+  // 4 KiB pages. No frame size makes a chunk larger than full-page
+  // frames do. A bounded pool's partial last chunk stays on lazily
+  // faulted 4 KiB pages; without THP every chunk does (see
+  // CarveFrameLocked).
   static constexpr int kChunkBits = 10;
   static constexpr size_t kChunkSize = 1ull << kChunkBits;
   static constexpr size_t kMaxChunks = kMaxPageIds >> kChunkBits;
   static_assert(kMaxChunks * kChunkSize == kMaxPageIds);
+  static constexpr size_t kHugePage = size_t{2} << 20;
+
+  // Bytes mapped for a chunk of frames `stride` apart (see above).
+  static constexpr size_t ChunkBytes(size_t stride) {
+    size_t bytes = (kChunkSize - 1) * stride + std::max(stride, kPageSize);
+    bytes = (bytes + 4095) & ~size_t{4095};
+    if (bytes % kHugePage >= kHugePage / 2) {
+      bytes = (bytes + kHugePage - 1) & ~(kHugePage - 1);
+    }
+    return bytes;
+  }
 
   struct MetaChunk {
     Meta meta[kChunkSize];
   };
 
-  // Frames start kFrameStride bytes apart, one cache line more than a
-  // page. Packed at 4 KiB, every node's header (and every binary-search
-  // probe at a given offset) would fall into the same L1 cache set, and
-  // a descent's pages would evict each other: the benchmark's
-  // ingest-checkpoint get_p50 measured about 12% slower that way (4-vCPU
-  // Xeon). The extra line shifts each frame by one set; frames stay
-  // 64-byte aligned.
-  static constexpr size_t kFrameStride = kPageSize + 64;
-
   Meta* MetaFor(PageId id) const;
   void EnsureMetaChunk(size_t chunk_index);  // alloc_mu_ held or no races
   Page* Frame(uint32_t state) const;
+
+  // Copy a frame's bytes into a full page image whose remaining bytes
+  // read as zero: the image a Get returns and eviction or a checkpoint
+  // stages. Word-granular atomic loads, so a racing writer stays defined.
+  void CopyFrameOut(const Page* frame, Page* out) const;
 
   // Take `m`'s seqlock odd, waiting out any put in flight; returns the
   // even version it replaced (store version + 2 to publish, or version
@@ -506,8 +548,9 @@ class PageManager {
   // Fault `id` into a frame if non-resident (no-op otherwise): seqlock
   // odd, read the store image into a scratch buffer, publish it into a
   // frame via relaxed word stores, mark resident, seqlock even. Errors
-  // (checksum mismatch, transient I/O) leave the page non-resident with
-  // its version restored.
+  // (checksum mismatch, transient I/O, or an image with non-zero bytes
+  // past the frame, i.e. a node larger than this manager's, which is
+  // DataLoss) leave the page non-resident with its version restored.
   Status EnsureResident(PageId id, Meta* m) const;
   Status FaultIn(PageId id, Meta* m) const;
 
@@ -562,6 +605,9 @@ class PageManager {
   FileStore* const store_;   // nullptr: in memory
   const bool paged_;         // store_ != nullptr: gates all pool logic
   const uint32_t pool_cap_;  // 0 = unbounded (always 0 unless paged_)
+  const size_t stride_;       // FrameStride(max_node_bytes)
+  const size_t frame_bytes_;  // min(stride_, kPageSize): a frame's bytes
+  const size_t chunk_bytes_;  // ChunkBytes(stride_)
   mutable std::atomic<size_t> resident_count_{0};
 
   // Eviction sweep state; evict_mu_ also excludes eviction from the

@@ -538,6 +538,132 @@ TEST_F(CheckpointTest, TinyBufferPoolIsRejected) {
   EXPECT_TRUE(opt.Validate().IsInvalidArgument());
 }
 
+// --- images in node-sized frames -------------------------------------------
+
+// Entry counts along the leaf chain, left to right (quiescent tree).
+std::vector<uint32_t> LeafCounts(const SagivTree& tree) {
+  std::vector<uint32_t> counts;
+  PageId id = tree.internal_prime()->Read().leftmost[0];
+  Page page;
+  while (id != kInvalidPageId) {
+    EXPECT_TRUE(tree.internal_pager()->Get(id, &page).ok()) << id;
+    counts.push_back(page.As<Node>()->count);
+    id = page.As<Node>()->link;
+  }
+  return counts;
+}
+
+// At k = 60 a full leaf (2k = 120 entries, 1952 bytes) nearly fills its
+// 1984-byte frame. Ascending inserts with tail splits leave every leaf at
+// exactly 120 entries; through a 64-page pool each is evicted, faulted
+// back in, checkpointed and recovered with every value intact.
+TEST_F(CheckpointTest, FullLeavesSurviveEvictionAndRecovery) {
+  constexpr uint32_t kFull = 120;
+  constexpr Key kN = kFull * 200;
+  MapOptions opt;
+  opt.tree.storage_dir = dir_;
+  opt.tree.buffer_pool_pages = 64;
+  opt.compression = CompressionMode::kNone;
+  ASSERT_EQ(opt.tree.capacity(), kFull);
+  const auto check = [&](const ConcurrentMap& map) {
+    for (Key k = 1; k <= kN; ++k) {
+      Result<Value> r = map.Get(k);
+      ASSERT_TRUE(r.ok()) << k << ": " << r.status().ToString();
+      ASSERT_EQ(*r, k * 3) << k;
+    }
+    EXPECT_EQ(LeafCounts(*map.tree()),
+              std::vector<uint32_t>(kN / kFull, kFull));
+  };
+  {
+    ConcurrentMap map(opt);
+    ASSERT_TRUE(map.init_status().ok());
+    for (Key k = 1; k <= kN; ++k) ASSERT_TRUE(map.Insert(k, k * 3).ok());
+    check(map);
+    EXPECT_GT(map.Stats().Get(StatId::kPagesEvicted), 0u);
+    EXPECT_GT(map.Stats().Get(StatId::kStoreReads), 0u);
+    ASSERT_TRUE(map.Checkpoint().ok());
+  }
+  auto r = ConcurrentMap::Recover(opt);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  check(**r);
+  const Status s = (*r)->ValidateStructure();
+  EXPECT_TRUE(s.ok()) << s.ToString();
+}
+
+// A store written at k = 120 holds leaves of up to 240 entries (3872
+// bytes). Recovered at k = 60, whose frames hold 1984 bytes, such a leaf
+// must not be truncated into a frame: every Get that reaches one returns
+// DataLoss, never a wrong value or NotFound.
+TEST_F(CheckpointTest, NodesLargerThanTheFrameAreRefused) {
+  constexpr uint32_t kFull = 240;
+  constexpr Key kN = kFull * 20;
+  MapOptions opt;
+  opt.tree.storage_dir = dir_;
+  opt.tree.min_entries = kFull / 2;
+  opt.compression = CompressionMode::kNone;
+  {
+    ConcurrentMap map(opt);
+    ASSERT_TRUE(map.init_status().ok());
+    for (Key k = 1; k <= kN; ++k) ASSERT_TRUE(map.Insert(k, k * 5).ok());
+    ASSERT_EQ(LeafCounts(*map.tree()),
+              std::vector<uint32_t>(kN / kFull, kFull));
+    ASSERT_TRUE(map.Checkpoint().ok());
+  }
+  opt.tree.min_entries = 60;
+  auto r = ConcurrentMap::Recover(opt);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  // Tally the outcomes so a failure shows what a truncated leaf returns.
+  Key right = 0, wrong = 0, not_found = 0, data_loss = 0;
+  for (Key k = 1; k <= kN; ++k) {
+    const Result<Value> got = (*r)->Get(k);
+    if (got.ok()) {
+      ++(*got == k * 5 ? right : wrong);
+    } else if (got.status().IsNotFound()) {
+      ++not_found;
+    } else if (got.status().IsDataLoss()) {
+      ++data_loss;
+    }
+  }
+  EXPECT_EQ(data_loss, kN) << "right values " << right << ", wrong values "
+                           << wrong << ", NotFound " << not_found;
+}
+
+// The converse: a store written at k = 60 recovers at k = 120, whose
+// frames hold every image in it, with every key readable and the tree
+// still writable.
+TEST_F(CheckpointTest, SmallerNodesRecoverIntoLargerFrames) {
+  constexpr Key kN = 10'000;
+  MapOptions opt;
+  opt.tree.storage_dir = dir_;
+  opt.compression = CompressionMode::kNone;
+  {
+    ConcurrentMap map(opt);
+    ASSERT_TRUE(map.init_status().ok());
+    Random rng(11);
+    std::vector<Key> keys;
+    for (Key k = 1; k <= kN; ++k) keys.push_back(k);
+    for (size_t i = keys.size(); i > 1; --i) {
+      std::swap(keys[i - 1], keys[rng.Uniform(i)]);
+    }
+    for (const Key k : keys) ASSERT_TRUE(map.Insert(k, k * 7).ok());
+    ASSERT_TRUE(map.Checkpoint().ok());
+  }
+  opt.tree.min_entries = 120;
+  auto r = ConcurrentMap::Recover(opt);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  ConcurrentMap& map = **r;
+  for (Key k = 1; k <= kN; ++k) {
+    const Result<Value> got = map.Get(k);
+    ASSERT_TRUE(got.ok()) << k << ": " << got.status().ToString();
+    ASSERT_EQ(*got, k * 7) << k;
+  }
+  for (Key k = kN + 1; k <= kN + 2'000; ++k) {
+    ASSERT_TRUE(map.Insert(k, k * 7).ok()) << k;
+  }
+  const Status s = map.ValidateStructure();
+  EXPECT_TRUE(s.ok()) << s.ToString();
+}
+
 // --- the checkpoint gate itself -------------------------------------------
 
 // Mutators churn MutatorScopes (each with a nested paper lock and a page

@@ -23,6 +23,7 @@
 
 #include <gtest/gtest.h>
 
+#include "obtree/node/node.h"
 #include "obtree/storage/file_store.h"
 
 namespace obtree {
@@ -514,7 +515,10 @@ TEST_F(PageManagerTest, ReadersNeverSeeTornPages) {
 // --- the frame arena -------------------------------------------------------
 
 constexpr uintptr_t kHugePage = uintptr_t{2} << 20;
-constexpr uintptr_t kFrameStride = kPageSize + 64;  // PageManager's stride
+constexpr size_t kChunk = 1024;  // frames per chunk
+
+// The largest node of a tree of order k = 60.
+constexpr size_t kNodeBytesK60 = NodeBytes(120);
 
 // The frame a resident page lives in.
 uintptr_t FrameAddress(const PageManager& pm, PageId id) {
@@ -556,13 +560,14 @@ int ThpEligible(uintptr_t addr) {
 }
 
 // Every chunk of an unbounded pool is filled, so each one's first frame
-// sits on a 2 MiB boundary; frames stay 64-byte aligned, kFrameStride
-// apart within a chunk.
-TEST(PageManagerArenaTest, FilledChunksStartOnHugePageBoundaries) {
+// sits on a 2 MiB boundary; frames stay 64-byte aligned, `stride` apart
+// within a chunk.
+void ExpectFilledChunksOnHugePageBoundaries(size_t max_node_bytes,
+                                            size_t stride) {
   EpochManager epoch;
   StatsCollector stats;
-  PageManager pm(&epoch, &stats);
-  constexpr size_t kChunk = 1024;
+  PageManager pm(&epoch, &stats, nullptr, 0, max_node_bytes);
+  ASSERT_EQ(pm.frame_stride(), stride);
   constexpr size_t kPages = 3 * kChunk + 5;
   std::vector<uintptr_t> frames;
   for (size_t i = 0; i < kPages; ++i) {
@@ -572,11 +577,11 @@ TEST(PageManagerArenaTest, FilledChunksStartOnHugePageBoundaries) {
   }
   EXPECT_EQ(pm.frame_count(), kPages);
   std::sort(frames.begin(), frames.end());
-  // Split the sorted frames into runs kFrameStride apart: one per chunk.
+  // Split the sorted frames into runs frame_stride() apart: one per chunk.
   std::vector<size_t> run_lengths;
   for (size_t i = 0; i < frames.size(); ++i) {
     EXPECT_EQ(frames[i] % 64, 0u) << i;
-    if (i > 0 && frames[i] - frames[i - 1] == kFrameStride) {
+    if (i > 0 && frames[i] - frames[i - 1] == pm.frame_stride()) {
       ++run_lengths.back();
       continue;
     }
@@ -585,6 +590,89 @@ TEST(PageManagerArenaTest, FilledChunksStartOnHugePageBoundaries) {
   }
   std::sort(run_lengths.begin(), run_lengths.end());
   EXPECT_EQ(run_lengths, (std::vector<size_t>{5, kChunk, kChunk, kChunk}));
+}
+
+TEST(PageManagerArenaTest, FilledChunksStartOnHugePageBoundaries) {
+  ExpectFilledChunksOnHugePageBoundaries(kPageSize, 4160);
+}
+
+TEST(PageManagerArenaTest, NodeSizedFilledChunksStartOnHugePageBoundaries) {
+  ExpectFilledChunksOnHugePageBoundaries(kNodeBytesK60, 1984);
+}
+
+// The stride is the smallest odd number of cache lines holding a node.
+TEST(PageManagerArenaTest, FrameStrideIsTheSmallestOddLineCount) {
+  EXPECT_EQ(PageManager::FrameStride(kNodeBytesK60), 1984u);  // 31 lines
+  EXPECT_EQ(PageManager::FrameStride(NodeBytes(252)), 4160u);  // k = 126
+  EXPECT_EQ(PageManager::FrameStride(kPageSize), 4160u);
+  EXPECT_EQ(PageManager::FrameStride(64), 64u);
+  EXPECT_EQ(PageManager::FrameStride(65), 192u);
+}
+
+// A node-sized frame keeps the first frame_stride() bytes of a put; a Get
+// returns them and zeroes after.
+TEST(PageManagerArenaTest, NodeSizedFrameKeepsOnlyItsBytes) {
+  EpochManager epoch;
+  StatsCollector stats;
+  PageManager pm(&epoch, &stats, nullptr, 0, kNodeBytesK60);
+  auto id = pm.Allocate();
+  ASSERT_TRUE(id.ok());
+  Page w;
+  std::memset(w.bytes, 0xAB, kPageSize);
+  pm.Put(*id, w);
+  Page r;
+  std::memset(r.bytes, 0xCD, kPageSize);
+  ASSERT_TRUE(pm.Get(*id, &r).ok());
+  const size_t frame = pm.frame_stride();
+  for (size_t i = 0; i < kPageSize; ++i) {
+    ASSERT_EQ(r.bytes[i], i < frame ? 0xAB : 0) << i;
+  }
+}
+
+// A torn image may claim Node::kMaxEntries entries, and NodeView then
+// reads up to a full page from the frame's start, far past a node-sized
+// frame. Each chunk is mapped at least a page past its last frame's
+// start, so even that frame's reads stay in mapped memory (a chunk mapped
+// at exactly 1024 frames crashes here).
+TEST(PageManagerArenaTest, TornReadOfTheLastFrameStaysInTheChunk) {
+  EpochManager epoch;
+  StatsCollector stats;
+  PageManager pm(&epoch, &stats, nullptr, 0, kNodeBytesK60);
+  std::vector<PageId> ids;
+  for (size_t i = 0; i < kChunk; ++i) {
+    auto id = pm.Allocate();
+    ASSERT_TRUE(id.ok());
+    ids.push_back(*id);
+  }
+  ASSERT_EQ(pm.frame_count(), kChunk);
+  // The chunk's last frame is the one at the highest address.
+  PageId last = ids.front();
+  uintptr_t lo = FrameAddress(pm, last);
+  for (const PageId id : ids) {
+    if (FrameAddress(pm, id) > FrameAddress(pm, last)) last = id;
+    lo = std::min(lo, FrameAddress(pm, id));
+  }
+  ASSERT_EQ(FrameAddress(pm, last), lo + (kChunk - 1) * pm.frame_stride());
+
+  Page w;
+  w.Clear();
+  Node* n = w.As<Node>();
+  n->Init(0, kMinusInfinity, kPlusInfinity, kInvalidPageId);
+  n->count = Node::kMaxEntries;
+  pm.Put(last, w);
+
+  const PageManager::ReadGuard g = pm.OptimisticRead(last);
+  ASSERT_TRUE(g.stable());
+  const NodeView view(g.page()->As<Node>());
+  ASSERT_EQ(view.count(), Node::kMaxEntries);
+  // Every key the view reads is zero: the frame's own entries were put
+  // as zeroes, and past the frame lies the chunk's zeroed tail.
+  EXPECT_EQ(view.LowerBound(kMaxUserKey), Node::kMaxEntries);
+  EXPECT_FALSE(view.FindLeafValue(kMaxUserKey).has_value());
+  Entry out[Node::kMaxEntries];
+  EXPECT_EQ(view.CopyEntries(0, Node::kMaxEntries, kPlusInfinity, out),
+            Node::kMaxEntries);
+  EXPECT_TRUE(g.Validate());
 }
 
 // A filled chunk is advised onto transparent huge pages; a bounded pool's
@@ -597,39 +685,41 @@ TEST(PageManagerArenaTest, OnlyFilledChunksAreHugePageEligible) {
   }
   EpochManager epoch;
   StatsCollector stats;
+  for (const size_t node_bytes : {kPageSize, kNodeBytesK60}) {
+    SCOPED_TRACE(node_bytes);
+    PageManager unbounded(&epoch, &stats, nullptr, 0, node_bytes);
+    auto id = unbounded.Allocate();
+    ASSERT_TRUE(id.ok());
+    const int filled = ThpEligible(FrameAddress(unbounded, *id));
+    if (filled < 0) GTEST_SKIP() << "smaps reports no THPeligible field";
+    EXPECT_EQ(filled, 1);
 
-  PageManager unbounded(&epoch, &stats);
-  auto id = unbounded.Allocate();
-  ASSERT_TRUE(id.ok());
-  const int filled = ThpEligible(FrameAddress(unbounded, *id));
-  if (filled < 0) GTEST_SKIP() << "smaps reports no THPeligible field";
-  EXPECT_EQ(filled, 1);
-
-  // Pool of 1100 frames: chunk 0 (frames 0-1023) is filled, chunk 1 is
-  // the partial last one.
-  const std::string dir = ::testing::TempDir() + "obtree_pm_arena";
-  std::filesystem::remove_all(dir);
-  {
-    auto store = FileStore::Open(dir);
-    ASSERT_TRUE(store.ok());
-    PageManager bounded(&epoch, &stats, store->get(),
-                        /*buffer_pool_pages=*/1100);
-    std::vector<PageId> ids;
-    for (int i = 0; i < 1030; ++i) {
-      auto page = bounded.Allocate();
-      ASSERT_TRUE(page.ok());
-      ids.push_back(*page);
+    // Pool of 1100 frames: chunk 0 (frames 0-1023) is filled, chunk 1 is
+    // the partial last one.
+    const std::string dir = ::testing::TempDir() + "obtree_pm_arena";
+    std::filesystem::remove_all(dir);
+    {
+      auto store = FileStore::Open(dir);
+      ASSERT_TRUE(store.ok());
+      PageManager bounded(&epoch, &stats, store->get(),
+                          /*buffer_pool_pages=*/1100, node_bytes);
+      std::vector<PageId> ids;
+      for (int i = 0; i < 1030; ++i) {
+        auto page = bounded.Allocate();
+        ASSERT_TRUE(page.ok());
+        ids.push_back(*page);
+      }
+      ASSERT_EQ(bounded.frame_count(), ids.size());
+      const uintptr_t first = FrameAddress(bounded, ids.front());
+      EXPECT_EQ(first % kHugePage, 0u);
+      EXPECT_EQ(ThpEligible(first), 1);
+      // In "always" mode every large enough mapping is eligible.
+      if (mode == "madvise") {
+        EXPECT_EQ(ThpEligible(FrameAddress(bounded, ids.back())), 0);
+      }
     }
-    ASSERT_EQ(bounded.frame_count(), ids.size());
-    const uintptr_t first = FrameAddress(bounded, ids.front());
-    EXPECT_EQ(first % kHugePage, 0u);
-    EXPECT_EQ(ThpEligible(first), 1);
-    // In "always" mode every large enough mapping is eligible.
-    if (mode == "madvise") {
-      EXPECT_EQ(ThpEligible(FrameAddress(bounded, ids.back())), 0);
-    }
+    std::filesystem::remove_all(dir);
   }
-  std::filesystem::remove_all(dir);
 }
 
 }  // namespace
