@@ -82,10 +82,10 @@ void WriteJson(const char* path, bool quick, double mixed_scaling_4t_over_1t,
   // scaling regression from a core-starved host.
   std::fprintf(f, "  \"cpus\": %u,\n", std::thread::hardware_concurrency());
   // Single-tree mixed(50/25/25) in-memory scaling, 4 threads over 1:
-  // PR 4 removed the copy traffic (0.97x), PR 5's contention-proof paper
-  // lock + contention-aware write descent attack the remaining
-  // lock/root contention. CI's perf-smoke gates this field >= 1.3 on
-  // multi-core runners; < 1.0 means 4 threads are SLOWER than 1.
+  // in-place writes removed the copy traffic, and the spin-then-park
+  // paper lock attacks the remaining lock/root contention. CI's
+  // perf-smoke gates this field >= 1.3 on multi-core runners; < 1.0
+  // means 4 threads are SLOWER than 1.
   std::fprintf(f, "  \"mixed_scaling_4t_over_1t\": %.3f,\n",
                mixed_scaling_4t_over_1t);
   // Monotonic insert-only, 1 thread: append-optimized leaves (rightmost

@@ -113,10 +113,10 @@ class ShardedMap {
   /// Operation counters summed across shards; max_locks_held is the max.
   StatsSnapshot Stats() const;
 
-  /// Counters of the shared background-maintenance pool: tasks drained,
-  /// boost/steal counts, idle ratio. Empty (threads == 0) with
+  /// Counters of the shared background-maintenance pool: rounds, tasks
+  /// drained, restructures, idle ratio. Empty (threads == 0) with
   /// compression off. The per-shard split is in each shard's
-  /// pool_tasks_drained / pool_boosts tree counters.
+  /// pool_tasks_drained tree counter.
   PoolStatsSnapshot PoolStats() const;
 
   /// Structural statistics aggregated across shards: heights max,

@@ -16,10 +16,6 @@ namespace {
 // How long a worker sleeps after a round that found no work.
 constexpr std::chrono::milliseconds kIdleSleep{1};
 
-// Every kBoostPeriod-th scheduling turn serves the deepest queue; these
-// turns are extra: they do not consume round-robin turns.
-constexpr uint64_t kBoostPeriod = 4;
-
 }  // namespace
 
 int BackgroundPool::DefaultThreadCount() {
@@ -151,8 +147,6 @@ PoolStatsSnapshot BackgroundPool::Stats() const {
   snap.rounds = rounds_.load(std::memory_order_relaxed);
   snap.tasks_drained = tasks_drained_.load(std::memory_order_relaxed);
   snap.restructures = restructures_.load(std::memory_order_relaxed);
-  snap.boosts = boosts_.load(std::memory_order_relaxed);
-  snap.steals = steals_.load(std::memory_order_relaxed);
   snap.idle_sleeps = idle_sleeps_.load(std::memory_order_relaxed);
   return snap;
 }
@@ -183,113 +177,46 @@ BackgroundPool::RoundResult BackgroundPool::RunOneRound() {
   rounds_.fetch_add(1, std::memory_order_relaxed);
   if (local.empty()) return RoundResult::kIdle;
 
+  // One cursor step per round, then a walk from the cursor that serves
+  // the first source with work. The cursor visits every source once per
+  // rotation, so no shard waits more than one rotation, and a round ends
+  // idle (its worker sleeps) only when no source had work.
   const size_t n = local.size();
-
-  // Queue depths drive the two off-turn policies (boost and steal). Scan
-  // sources have no measurable backlog and count as depth 0: they are
-  // served on their round-robin turns only. Every dereference of a
-  // source's queue must sit inside the BeginWork/EndWork handshake — a
-  // shard whose Detach() has returned may already have destroyed it.
-  auto queue_depth = [this](Source* s) -> size_t {
-    size_t d = 0;
-    if (s->queue != nullptr && BeginWork(s)) {
-      d = s->queue->Size();
-      EndWork(s);
-    }
-    return d;
-  };
-  size_t deepest = 0;
-  size_t max_depth = 0;
+  const size_t start =
+      static_cast<size_t>(rr_.fetch_add(1, std::memory_order_relaxed) % n);
   for (size_t i = 0; i < n; ++i) {
-    const size_t d = queue_depth(local[i].get());
-    if (d > max_depth) {
-      max_depth = d;
-      deepest = i;
-    }
+    Source* src = local[(start + i) % n].get();
+    if (!BeginWork(src)) continue;  // detached in flight, or paused
+    const RoundResult result = Serve(src);
+    EndWork(src);
+    if (result != RoundResult::kIdle) return result;
   }
+  return RoundResult::kIdle;
+}
 
-  // Boost turns draw from their own tick stream and do NOT consume a
-  // round-robin turn (rr_ only advances on non-boost turns). Tying both
-  // to one counter starves shards whose index is congruent to the boost
-  // phase whenever kBoostPeriod divides the shard count — e.g. with 16
-  // shards every turn of shards 0/4/8/12 would be boost-eligible and lost
-  // to any persistently deeper queue.
-  const bool boost_turn =
-      tick_.fetch_add(1, std::memory_order_relaxed) % kBoostPeriod == 0;
-  size_t pick;
-  bool off_turn = false;
-  if (boost_turn && max_depth > 0) {
-    pick = deepest;
-    off_turn = true;
-    boosts_.fetch_add(1, std::memory_order_relaxed);
-  } else {
-    pick = static_cast<size_t>(rr_.fetch_add(1, std::memory_order_relaxed) %
-                               n);
-    if (local[pick]->queue != nullptr && max_depth > 0 &&
-        queue_depth(local[pick].get()) == 0) {
-      pick = deepest;
-      off_turn = true;
-      steals_.fetch_add(1, std::memory_order_relaxed);
-    }
-  }
-
-  Source* src = local[pick].get();
-  if (!BeginWork(src)) {
-    // Detached in flight, or paused. A paused source stays registered, so
-    // yielding would spin on it for as long as the pause lasts: sleep
-    // unless backlog waits elsewhere (Resume wakes the sleepers).
-    return max_depth > 0 ? RoundResult::kYield : RoundResult::kIdle;
-  }
-  // RAII release of the Detach claim: every return from here on runs
-  // EndWork, so no early exit can wedge Detach() behind a leaked `active`.
-  struct ActiveScope {
-    BackgroundPool* pool;
-    Source* src;
-    ~ActiveScope() { pool->EndWork(src); }
-  } scope{this, src};
-  RoundResult result = RoundResult::kIdle;
-  if (src->queue != nullptr) {
-    // Drain a small batch per pick: one scheduling round (registry
-    // snapshot + depth scan) amortizes over several tasks, while the
-    // batch bound keeps the fairness granularity — a cold shard waits at
-    // most kDrainBatch tasks for its turn.
-    bool drained_any = false;
-    for (int b = 0; b < kDrainBatch; ++b) {
-      const QueueCompressor::Outcome outcome = src->drainer->CompressOne();
-      if (outcome == QueueCompressor::Outcome::kQueueEmpty) break;
-      drained_any = true;
-      tasks_drained_.fetch_add(1, std::memory_order_relaxed);
-      src->tree->stats()->Add(StatId::kPoolTasksDrained);
-      if (outcome == QueueCompressor::Outcome::kRestructured) {
-        restructures_.fetch_add(1, std::memory_order_relaxed);
-      }
-      if (outcome == QueueCompressor::Outcome::kRequeued) {
-        result = RoundResult::kYield;
-        break;  // let the requeued entry settle before retrying
-      }
-      result = RoundResult::kWorked;
-    }
-    // Boosts/steals count scheduling decisions (off-turn PICKS), not
-    // tasks — one per pick that found work, matching the pool-wide
-    // boosts_/steals_ counters.
-    if (off_turn && drained_any) {
-      src->tree->stats()->Add(StatId::kPoolBoosts);
-    }
-  } else {
+BackgroundPool::RoundResult BackgroundPool::Serve(Source* src) {
+  if (src->queue == nullptr) {
     const size_t work = src->scanner->FullPass();
-    if (work > 0) {
-      tasks_drained_.fetch_add(1, std::memory_order_relaxed);
-      restructures_.fetch_add(work, std::memory_order_relaxed);
-      src->tree->stats()->Add(StatId::kPoolTasksDrained);
-      result = RoundResult::kWorked;
-    }
+    if (work == 0) return RoundResult::kIdle;
+    tasks_drained_.fetch_add(1, std::memory_order_relaxed);
+    restructures_.fetch_add(work, std::memory_order_relaxed);
+    src->tree->stats()->Add(StatId::kPoolTasksDrained);
+    return RoundResult::kWorked;
   }
-  // "No worker idles while work exists": a turn that found nothing (an
-  // idle scan source, or a queue that raced to empty) must not sleep when
-  // the depth scan saw backlog elsewhere — reschedule immediately so the
-  // next round boosts/steals to it.
-  if (result == RoundResult::kIdle && max_depth > 0) {
-    result = RoundResult::kYield;
+  RoundResult result = RoundResult::kIdle;
+  for (int b = 0; b < kDrainBatch; ++b) {
+    const QueueCompressor::Outcome outcome = src->drainer->CompressOne();
+    if (outcome == QueueCompressor::Outcome::kQueueEmpty) break;
+    tasks_drained_.fetch_add(1, std::memory_order_relaxed);
+    src->tree->stats()->Add(StatId::kPoolTasksDrained);
+    if (outcome == QueueCompressor::Outcome::kRestructured) {
+      restructures_.fetch_add(1, std::memory_order_relaxed);
+    }
+    // Let a requeued entry settle before retrying it.
+    if (outcome == QueueCompressor::Outcome::kRequeued) {
+      return RoundResult::kYield;
+    }
+    result = RoundResult::kWorked;
   }
   return result;
 }

@@ -11,20 +11,14 @@
 //
 //   shard 0 queue ---+
 //   shard 1 queue ---+--> [ worker ] [ worker ] ... (pool_threads total)
-//   shard N queue ---+      round-robin + depth boost
+//   shard N queue ---+      in rotation
 //
-// Scheduling is round-robin across the attached shards for fairness, with
-// two depth-driven exceptions:
-//   * boost: every fourth scheduling turn serves the deepest
-//     queue, so a hot shard gets extra attention proportional to the
-//     pool's round rate. Boost turns are drawn from a separate tick
-//     stream and do not consume round-robin turns — the rotation cursor
-//     only advances on non-boost turns, so every shard's slot always
-//     comes around regardless of how shard count and boost period align;
-//   * steal: a round-robin turn that lands on an empty queue redirects to
-//     the deepest non-empty queue, so no worker idles while work exists.
-// Cold shards keep their round-robin turns in both cases, so a hot shard
-// can never starve them. Workers sleep when every queue is empty.
+// Scheduling is a rotation: each round advances a shared cursor one
+// source and serves the first source, walking from the cursor, that has
+// work (a drain of up to kDrainBatch queue tasks, or a scan pass that
+// found work). So no worker sleeps while a source it walked had work,
+// and a hot shard cannot starve a cold one: the cursor reaches every
+// shard once per rotation. A round in which no source had work sleeps.
 //
 // Each worker is a plain thread that loops until Stop(): the library
 // throws nothing, so a worker has no other way to exit, and the pool
@@ -119,12 +113,15 @@ class BackgroundPool {
   enum class RoundResult { kWorked, kYield, kIdle };
 
   /// Tasks drained from one queue per scheduling round (amortizes the
-  /// registry snapshot + depth scan while bounding how long a cold shard
-  /// waits for its round-robin turn).
+  /// registry snapshot while bounding how long a cold shard waits for
+  /// its turn).
   static constexpr int kDrainBatch = 8;
 
   void WorkerLoop();
   RoundResult RunOneRound();
+  /// One source's turn: a queue drain or a scan pass. kIdle when the
+  /// source had no work. The caller holds a BeginWork claim on `src`.
+  RoundResult Serve(Source* src);
 
   /// active++ unless the source is detached or paused; returns false
   /// without side effects visible to Detach/Pause if it is.
@@ -151,17 +148,12 @@ class BackgroundPool {
   /// generation before its scheduling round; the idle wait aborts on a
   /// change).
   std::atomic<uint64_t> wake_gen_{0};
-  /// Round-robin cursor: advances only on NON-boost turns, so boost turns
-  /// never consume (and thus can never starve) a shard's rotation slot.
-  std::atomic<uint64_t> rr_{0};
-  std::atomic<uint64_t> tick_{0};                // boost-phase stream
+  std::atomic<uint64_t> rr_{0};                  // rotation cursor
 
   // Pool-wide counters (per-tree ones live in each tree's StatsCollector).
   std::atomic<uint64_t> rounds_{0};
   std::atomic<uint64_t> tasks_drained_{0};
   std::atomic<uint64_t> restructures_{0};
-  std::atomic<uint64_t> boosts_{0};
-  std::atomic<uint64_t> steals_{0};
   std::atomic<uint64_t> idle_sleeps_{0};
 
   std::vector<std::thread> workers_;

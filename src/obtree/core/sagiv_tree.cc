@@ -200,8 +200,8 @@ SagivTree::SagivTree(const TreeOptions& options)
     NoteMaxKey(meta.max_key);
     // The manifest's tree_size can be off by operations whose size bump
     // had not landed when the checkpoint barrier cut; the leaf chain is
-    // the authority.
-    RecoverSizeFromLeaves();
+    // the authority when every leaf reads.
+    RecoverSizeFromLeaves(meta.tree_size);
     recovered_ = true;
     stats_->Add(StatId::kRecoveries);
     return;
@@ -224,7 +224,7 @@ SagivTree::SagivTree(const TreeOptions& options)
   rightmost_hint_.store(*root, std::memory_order_release);
 }
 
-void SagivTree::RecoverSizeFromLeaves() {
+void SagivTree::RecoverSizeFromLeaves(uint64_t checkpointed_size) {
   // Single-threaded (construction); suppress fault evaluation so an armed
   // injector cannot fail the recovery walk.
   FaultInjector::ScopedExemption exempt;
@@ -239,7 +239,12 @@ void SagivTree::RecoverSizeFromLeaves() {
   // and a link cycle (corruption) must not hang construction.
   const size_t max_steps = pager_->allocated_pages() + 1;
   for (size_t steps = 0; id != kInvalidPageId && steps < max_steps; ++steps) {
-    if (!pager_->Get(id, &page).ok()) break;
+    if (!pager_->Get(id, &page).ok()) {
+      // An unreadable leaf (its reads return the error): a partial count
+      // would be wrong, so the checkpoint's own count stands.
+      keys = checkpointed_size;
+      break;
+    }
     const Node* node = page.As<Node>();
     if (!node->is_deleted()) keys += node->count;
     rightmost = id;
@@ -537,41 +542,18 @@ Result<PageId> SagivTree::AcquireTargetInPlace(Key key, uint32_t level,
     if (steps > kMaxStepsPerAttempt) {
       return Status::Internal("moveright did not terminate");
     }
-    // Contention-aware acquisition: a bounded test-and-test-and-set spin
-    // (TryLockSpin) first. When the lock stays contended through the spin
-    // budget, the holder is mutating THIS node right now — quite possibly
-    // splitting a hot leaf, after which this node is the wrong target
-    // anyway. So before parking, re-route optimistically from the live
-    // image: a link/merge hop or a restart discovered here costs one node
-    // access and zero sleeps, where blocking first would park the writer,
-    // wake it into a stale target, and restart it anyway (the convoy +
-    // restart-storm pattern this discipline exists to break). Only a node
-    // that still looks like the target is worth the parking Lock.
-    bool locked = pager_->TryLockSpin(current);
-    Route route;  // kTorn when unstable/faulted/unvalidated: no signal
-    if (!locked) {
-      const PageManager::ReadGuard peek = pager_->OptimisticRead(current);
-      if (peek.stable()) {
-        route = RouteForKey(NodeView(peek.page()->As<Node>()), key, level);
-        if (!peek.Validate()) route.kind = Route::kTorn;
-      }
-      // kArrived (still the target), kChild (reused as a higher-level node
-      // — let the locked inspection classify it), or kTorn: wait for the
-      // holder. A hop or a restart needs no lock.
-      if (route.kind == Route::kArrived || route.kind == Route::kChild ||
-          route.kind == Route::kTorn) {
-        pager_->Lock(current);
-        locked = true;
-      }
-    }
+    pager_->Lock(current);
     // Inspect the live page without copying it. The paper lock excludes
     // every mutator EXCEPT the reuse pipeline of a stale page (Retire ->
     // Allocate zeroing -> initializing Put run without it), so reads stay
     // atomic-and-validated until the image proves live; from then on the
     // lock alone pins the node. Every peek — retries included — counts
-    // as a node access, exactly like the unlocked descents.
+    // as a node access, exactly like the unlocked descents. A node that
+    // stopped being the target while this thread waited for its lock (the
+    // holder split or merged it) routes to a hop or a restart below.
     const Node* node_image = nullptr;
-    for (int peeks = 0; locked; ++peeks) {
+    Route route;
+    for (int peeks = 0;; ++peeks) {
       const PageManager::ReadGuard g = pager_->PeekLocked(current);
       route = Route{};  // kTorn: also covers the unstable-guard case
       if (g.stable()) {
@@ -596,7 +578,7 @@ Result<PageId> SagivTree::AcquireTargetInPlace(Key key, uint32_t level,
       *live = node_image;
       return current;  // locked; *live pinned until Unlock
     }
-    if (locked) pager_->Unlock(current);
+    pager_->Unlock(current);
     if (route.kind == Route::kLink || route.kind == Route::kMerge) {
       current = Hop(stats_.get(), route);
       continue;

@@ -273,12 +273,10 @@ class SagivTree {
                          const Probe& probe) const;
 
   // Lock the live node at `level` in whose range `key` falls, starting
-  // the moveright from `start`, WITHOUT copying its page. Contention-aware
-  // acquisition: a bounded TryLockSpin first; if the lock stays contended
-  // through the spin budget, the routing decision is re-checked
-  // optimistically from the live image (the holder may be splitting this
-  // very node) and only a node that still looks like the target is
-  // waited for with a parking Lock. The locked inspection reads through
+  // the moveright from `start`, WITHOUT copying its page. Each candidate
+  // is locked with PageManager::Lock and then inspected: a node that
+  // stopped being the target while the caller waited is hopped past or
+  // restarted from. The locked inspection reads through
   // NodeView + PeekLocked validation, because a stale page can be reused
   // (zeroed and rewritten) underneath even a lock holder; once an image
   // validates as the live target, the lock alone pins it, so on success
@@ -323,9 +321,10 @@ class SagivTree {
 
   // Recovery helper: rebuild size_ and rightmost_hint_ (and sanity-check
   // reachability) by walking the level-0 link chain of a freshly
-  // recovered tree. Runs before any concurrency exists; fault evaluation
-  // is suppressed.
-  void RecoverSizeFromLeaves();
+  // recovered tree; a walk that cannot read a leaf keeps
+  // `checkpointed_size`, the manifest's count. Runs before any
+  // concurrency exists; fault evaluation is suppressed.
+  void RecoverSizeFromLeaves(uint64_t checkpointed_size);
 
   TreeOptions options_;
   Status init_status_;

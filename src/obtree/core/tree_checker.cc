@@ -3,6 +3,7 @@
 #include "obtree/core/tree_checker.h"
 
 #include <cstdio>
+#include <string>
 
 #include "obtree/node/node.h"
 #include "obtree/storage/page_manager.h"
@@ -18,6 +19,22 @@ std::string Msg(const char* fmt, PageId page, const Node& node) {
   std::snprintf(buf, sizeof(buf), "%s (page %u %s)", fmt, page,
                 node.DebugString().c_str());
   return buf;
+}
+
+// A failed read of `page`, with the page named in its message; the code
+// is the read's own (DataLoss for a corrupt image, Unavailable for an
+// I/O fault).
+Status ReadError(const Status& s, PageId page) {
+  std::string msg =
+      "reading page " + std::to_string(page) + ": " + s.message();
+  switch (s.code()) {
+    case Status::Code::kDataLoss:
+      return Status::DataLoss(std::move(msg));
+    case Status::Code::kUnavailable:
+      return Status::Unavailable(std::move(msg));
+    default:
+      return s;
+  }
 }
 
 // Facts about one node needed for cross-level validation.
@@ -76,7 +93,8 @@ Status TreeChecker::CheckStructure(bool require_half_full) const {
       if (current == kInvalidPageId) {
         return Status::Internal("nil page inside a level chain");
       }
-      pager->Get(current, &page);
+      const Status read = pager->Get(current, &page);
+      if (!read.ok()) return ReadError(read, current);
       if (node->is_deleted()) {
         return Status::Internal(Msg("deleted node reachable", current, *node));
       }
@@ -210,7 +228,7 @@ TreeShape TreeChecker::ComputeShape() const {
   for (uint32_t level = 0; level < pb.num_levels; ++level) {
     PageId current = pb.leftmost[level];
     while (current != kInvalidPageId) {
-      pager->Get(current, &page);
+      if (!pager->Get(current, &page).ok()) break;  // unreadable: stop here
       shape.num_nodes++;
       shape.nodes_per_level[level]++;
       if (!node->is_root() && node->count < k) shape.underfull_nodes++;

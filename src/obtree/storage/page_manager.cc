@@ -309,28 +309,16 @@ void PageManager::Put(PageId id, const Page& in, size_t bytes) {
   if (paged_) MaybeEvict();
 }
 
-bool PageManager::LockContended(Meta* m, bool bounded) {
+void PageManager::LockContended(Meta* m) {
   // Telemetry only runs once contention is established: the uncontended
   // fast path (one CAS) never reads a clock or touches these counters.
   stats_->Add(StatId::kLocksContended);
   const auto t0 = std::chrono::steady_clock::now();
-  bool acquired;
-  if (bounded) {
-    acquired = m->paper_lock.SpinAcquire();
-    if (!acquired) stats_->Add(StatId::kLockSpinGiveups);
-  } else {
-    if (m->paper_lock.Lock()) {
-      stats_->Add(StatId::kLockParks);
-    }
-    acquired = true;
-  }
-  if (acquired) {
-    stats_->RecordLockWait(static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - t0)
-            .count()));
-  }
-  return acquired;
+  if (m->paper_lock.Lock()) stats_->Add(StatId::kLockParks);
+  stats_->RecordLockWait(static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now() - t0)
+          .count()));
 }
 
 void PageManager::Lock(PageId id) {
@@ -342,40 +330,10 @@ void PageManager::Lock(PageId id) {
   // checkpoint waiting for that holder would deadlock.
   if (paged_ && tl_locks_held == 0) EnterMutatorGate();
   Meta* m = MetaFor(id);
-  if (!m->paper_lock.TryLock()) {
-    LockContended(m, /*bounded=*/false);
-  }
+  if (!m->paper_lock.TryLock()) LockContended(m);
   tl_locks_held++;
   stats_->Add(StatId::kLocksAcquired);
   stats_->RecordLockDepth(static_cast<uint64_t>(tl_locks_held));
-}
-
-bool PageManager::TryLock(PageId id) {
-  const bool gated = paged_ && tl_locks_held == 0;
-  if (gated && !TryEnterMutatorGate()) return false;
-  if (!MetaFor(id)->paper_lock.TryLock()) {
-    if (gated) ExitMutatorGate();
-    return false;
-  }
-  tl_locks_held++;
-  stats_->Add(StatId::kLocksAcquired);
-  stats_->RecordLockDepth(static_cast<uint64_t>(tl_locks_held));
-  return true;
-}
-
-bool PageManager::TryLockSpin(PageId id) {
-  MaybeTrap("lock", id, /*error_eligible=*/false);
-  const bool gated = paged_ && tl_locks_held == 0;
-  if (gated) EnterMutatorGate();
-  Meta* m = MetaFor(id);
-  if (!m->paper_lock.TryLock() && !LockContended(m, /*bounded=*/true)) {
-    if (gated) ExitMutatorGate();
-    return false;
-  }
-  tl_locks_held++;
-  stats_->Add(StatId::kLocksAcquired);
-  stats_->RecordLockDepth(static_cast<uint64_t>(tl_locks_held));
-  return true;
 }
 
 void PageManager::Unlock(PageId id) {
@@ -622,8 +580,7 @@ bool PageManager::TryEvict(PageId id) const {
   // PeekLocked): handing the frame to another page under them would
   // swap in foreign content mid-read. The paper lock is what pins a
   // validated image, so take it — non-blocking, straight on the
-  // PaperLock (PageManager::TryLock would perturb tl_locks_held and the
-  // checkpoint gate).
+  // PaperLock, outside tl_locks_held and the checkpoint gate.
   if (!m->paper_lock.TryLock()) return false;
   uint64_t seq = m->seq.load(std::memory_order_relaxed);
   if ((seq & 1) != 0 ||
@@ -707,16 +664,6 @@ void PageManager::EnterMutatorGate() {
       return !checkpoint_blocking_.load(std::memory_order_seq_cst);
     });
   }
-}
-
-bool PageManager::TryEnterMutatorGate() {
-  if (tl_gate_depth > 0) {
-    ++tl_gate_depth;
-    return true;
-  }
-  if (!TryJoinGate(MyGateSlot())) return false;
-  tl_gate_depth = 1;
-  return true;
 }
 
 void PageManager::ExitMutatorGate() {

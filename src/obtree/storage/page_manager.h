@@ -82,7 +82,7 @@ class PageManager {
   Result<PageId> Allocate();
 
   /// Test-only interleaving hook: when set, invoked at the entry of Get
-  /// ("get"), Put/BeginWrite ("put"), Lock/TryLockSpin ("lock") and Unlock
+  /// ("get"), Put/BeginWrite ("put"), Lock ("lock") and Unlock
   /// ("unlock") with the page id. Tests use it to pause a protocol thread
   /// at an exact point (e.g. after a merge wrote the gaining child but
   /// before the parent) and observe the tree from other threads. Set/clear
@@ -305,20 +305,6 @@ class PageManager {
   /// StatId::kLocksContended (plus kLockParks when they slept) and feed
   /// the wait time into StatsCollector's lock-wait histogram.
   void Lock(PageId id);
-
-  /// Try to acquire the paper lock without blocking or spinning. Fires
-  /// no test hook (it cannot pause) and records no contention telemetry.
-  bool TryLock(PageId id);
-
-  /// Contention-aware bounded acquire for the write descent: fires the
-  /// same "lock" test hook as Lock at entry, then spins at most
-  /// PaperLock::kSpinBudget probe rounds. Returns true with the lock held.
-  /// Returns false — WITHOUT blocking — when the lock stayed contended
-  /// through the budget (StatId::kLockSpinGiveups); the caller
-  /// re-validates that the page is still worth waiting for (the holder
-  /// was mutating it, e.g. splitting a hot leaf) before paying the
-  /// parking Lock.
-  bool TryLockSpin(PageId id);
 
   /// Release the paper lock.
   void Unlock(PageId id);
@@ -568,13 +554,14 @@ class PageManager {
   // Checkpoint gate (persistent mode only): mutators hold it shared and
   // Checkpoint holds it exclusive. Insert, Upsert and Delete hold it for
   // the whole operation via MutatorScope. Compressor restructures open
-  // no scope: their gate is the paper-lock span (first lock acquired ->
-  // last released, entered in Lock/TryLock/TryLockSpin and left in
-  // Unlock), so a checkpoint waits out each restructure while it holds
-  // locks. Reentrant per thread (a thread-local depth
-  // counter): only the 0->1 transition enters, only 1->0 leaves, so a
-  // scope holder acquiring paper locks never re-waits and cannot
-  // deadlock against a pending checkpoint. Readers never touch the gate.
+  // no scope: their gate is the paper-lock span, entered by the first
+  // Lock of a thread that holds none and left by its last Unlock, so a
+  // checkpoint waits out each restructure while it holds locks, and a
+  // first Lock waits out a pending checkpoint. Reentrant per thread (a
+  // thread-local depth counter): only the 0->1 transition enters, only
+  // 1->0 leaves, so a scope holder acquiring paper locks never re-waits
+  // and cannot deadlock against a pending checkpoint. Readers never
+  // touch the gate.
   // Entering bumps the thread's own gate slot (its ThisThreadIndex()
   // modulo kGateSlots, a counter on its own cache line, since threads
   // past the first kGateSlots share slots) and then checks
@@ -587,7 +574,6 @@ class PageManager {
   // checkpointer raises, rather than a shared_mutex, so it cannot be
   // starved by a reader-preferring implementation.
   void EnterMutatorGate();
-  bool TryEnterMutatorGate();
   void ExitMutatorGate();
   struct GateSlot;
   GateSlot& MyGateSlot();
@@ -595,10 +581,9 @@ class PageManager {
   void LeaveGate(GateSlot& slot);
   bool GateDrained() const;  // every gate slot reads zero
 
-  // Slow-path helper for Lock/TryLockSpin: runs once an acquisition has
-  // found the lock held. Returns true with the lock held (recording the
-  // wait time and park count), false when `bounded` gave up.
-  bool LockContended(Meta* m, bool bounded);
+  // Slow path of Lock, once the lock was found held: waits for it,
+  // recording the wait time and whether the waiter parked.
+  void LockContended(Meta* m);
 
   EpochManager* const epoch_;
   StatsCollector* const stats_;

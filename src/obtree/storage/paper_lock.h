@@ -2,13 +2,10 @@
 //
 // PaperLock: the compact lock behind the paper's lock(x)/unlock(x).
 //
-// The first four PRs removed the copy traffic from both hot paths; what
-// was left of the single-tree scaling deficit was the lock itself. A
-// std::mutex parks a contended thread in the kernel immediately, so a
-// writer convoy on a hot leaf turns a ~100 ns in-place mutation into a
-// train of futex sleeps and wakeups. Following the B-link line of work
-// (and Blink-hash's contention-adaptive latching), the lock — not just
-// its scope — is treated as a first-class performance object:
+// A std::mutex parks a contended thread in the kernel immediately, so a
+// writer convoy on a hot leaf would turn a ~100 ns in-place mutation into
+// a train of futex sleeps and wakeups. This lock has one way to be taken,
+// Lock, which spins briefly and only then parks:
 //
 //   * 4 bytes of state (vs 40 for std::mutex), so a page Slot stays
 //     compact and the lock word shares no cache line with another lock;
@@ -22,17 +19,19 @@
 //     budget sleeps on a futex (Linux) or a yield loop (elsewhere) and
 //     is woken by the releasing thread.
 //
+// TryLock is the one non-blocking attempt; the eviction sweep uses it so
+// it never waits on a page a writer holds.
+//
 // Semantics are exactly those of the mutex it replaces: mutual exclusion
 // between lockers, no effect on readers, no recursion, no fairness
 // guarantee (the futex queue is approximately FIFO among parked waiters;
-// spinners may overtake them). The paper's proof obligations only need
-// mutual exclusion and eventual acquisition, both of which hold.
+// spinners may overtake them). The paper's proof obligations (§3) only
+// need mutual exclusion and eventual acquisition, both of which hold.
 //
 // The spin budget and backoff cap are constants of the lock, not
 // options: critical sections here are a few hundred ns (an in-place
 // mutation between seqlock bumps), so a short spin almost always wins
-// over a park/unpark cycle of microseconds. The 4-byte state is the
-// lock's entire footprint.
+// over a park/unpark cycle of microseconds.
 
 #ifndef OBTREE_STORAGE_PAPER_LOCK_H_
 #define OBTREE_STORAGE_PAPER_LOCK_H_
@@ -52,8 +51,7 @@ namespace obtree {
 /// Compact spin-then-park mutual-exclusion lock (see file comment).
 class PaperLock {
  public:
-  /// Probe rounds a contended acquisition performs before it parks (Lock)
-  /// or gives the target back to the caller (SpinAcquire).
+  /// Probe rounds a contended Lock performs before it parks.
   static constexpr uint32_t kSpinBudget = 64;
 
   /// Cap on the exponential backoff between probes, in pause iterations
@@ -73,29 +71,7 @@ class PaperLock {
                                           std::memory_order_relaxed);
   }
 
-  /// Bounded acquisition attempt: up to kSpinBudget test-and-test-and-set
-  /// probe rounds with exponential backoff capped at kBackoffMax. Returns
-  /// true with the lock held, false once the budget is exhausted — never
-  /// parks.
-  bool SpinAcquire() {
-    uint32_t delay = 1;
-    for (uint32_t round = 0; round < kSpinBudget; ++round) {
-      if (state_.load(std::memory_order_relaxed) == kFree && TryLock()) {
-        return true;
-      }
-      for (uint32_t p = 0; p < delay; ++p) CpuRelax();
-      if (delay < kBackoffMax / 2) {
-        delay <<= 1;
-      } else if (delay < kBackoffMax) {
-        delay = kBackoffMax;
-      } else {
-        std::this_thread::yield();
-      }
-    }
-    return false;
-  }
-
-  /// Unbounded acquisition: spin per SpinAcquire, then park until the
+  /// Acquire: spin up to kSpinBudget probe rounds, then park until the
   /// holder releases. Returns true iff the thread parked (slept) at least
   /// once — the caller's "this acquisition hit the slow path" signal.
   bool Lock() {
@@ -141,6 +117,27 @@ class PaperLock {
   static constexpr uint32_t kFree = 0;
   static constexpr uint32_t kHeld = 1;
   static constexpr uint32_t kHeldWaiters = 2;
+
+  // The spin phase of Lock: up to kSpinBudget test-and-test-and-set
+  // probe rounds with exponential backoff capped at kBackoffMax. True
+  // with the lock held, false once the budget is exhausted.
+  bool SpinAcquire() {
+    uint32_t delay = 1;
+    for (uint32_t round = 0; round < kSpinBudget; ++round) {
+      if (state_.load(std::memory_order_relaxed) == kFree && TryLock()) {
+        return true;
+      }
+      for (uint32_t p = 0; p < delay; ++p) CpuRelax();
+      if (delay < kBackoffMax / 2) {
+        delay <<= 1;
+      } else if (delay < kBackoffMax) {
+        delay = kBackoffMax;
+      } else {
+        std::this_thread::yield();
+      }
+    }
+    return false;
+  }
 
   static void CpuRelax() {
 #if defined(__x86_64__) || defined(__i386__)

@@ -15,7 +15,6 @@ const char* StatName(StatId id) {
     case StatId::kLocksAcquired: return "locks_acquired";
     case StatId::kLocksContended: return "locks_contended";
     case StatId::kLockParks: return "lock_parks";
-    case StatId::kLockSpinGiveups: return "lock_spin_giveups";
     case StatId::kLinkFollows: return "link_follows";
     case StatId::kRestarts: return "restarts";
     case StatId::kRestartsStaleNode: return "restarts_stale_node";
@@ -45,7 +44,6 @@ const char* StatName(StatId id) {
     case StatId::kQueueRequeues: return "queue_requeues";
     case StatId::kQueueDiscards: return "queue_discards";
     case StatId::kPoolTasksDrained: return "pool_tasks_drained";
-    case StatId::kPoolBoosts: return "pool_boosts";
     case StatId::kFaultsInjected: return "faults_injected";
     case StatId::kFetchRetries: return "fetch_retries";
     case StatId::kFetchGiveups: return "fetch_giveups";
@@ -95,12 +93,10 @@ std::string PoolStatsSnapshot::ToString() const {
   char line[128];
   std::snprintf(line, sizeof(line),
                 "  pool: %d threads, %llu rounds, %llu drained, "
-                "%llu restructures, %llu boosts, %llu steals, idle %.2f\n",
+                "%llu restructures, idle %.2f\n",
                 threads, static_cast<unsigned long long>(rounds),
                 static_cast<unsigned long long>(tasks_drained),
-                static_cast<unsigned long long>(restructures),
-                static_cast<unsigned long long>(boosts),
-                static_cast<unsigned long long>(steals), IdleRatio());
+                static_cast<unsigned long long>(restructures), IdleRatio());
   return line;
 }
 

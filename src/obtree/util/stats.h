@@ -41,16 +41,11 @@ enum class StatId : int {
   kGets = 0,             ///< page reads (the paper's get)
   kPuts,                 ///< page writes (the paper's put)
   kLocksAcquired,        ///< paper-lock acquisitions
-  kLocksContended,       ///< acquisition attempts that found the paper
-                         ///< lock held (the spin/park slow path ran);
-                         ///< a TryLockSpin that gave up and re-entered
-                         ///< via Lock counts once per attempt
+  kLocksContended,       ///< acquisitions that found the paper lock
+                         ///< held (the spin/park slow path ran)
   kLockParks,            ///< contended acquisitions that exhausted the
                          ///< spin budget and slept (futex park) at
                          ///< least once before acquiring
-  kLockSpinGiveups,      ///< bounded TryLockSpin acquisitions that gave
-                         ///< up without the lock (caller re-validated
-                         ///< its target instead of parking)
   kLinkFollows,          ///< moveright steps through link pointers
   kRestarts,             ///< operations restarted from the root (total)
   kRestartsStaleNode,    ///< restarts: routed to a node whose level or key
@@ -105,8 +100,6 @@ enum class StatId : int {
                          ///< work) a BackgroundPool worker ran for this
                          ///< tree; monotone across Detach, so a pool's
                          ///< drains can be read per tree
-  kPoolBoosts,           ///< pool picks of this tree that bypassed the
-                         ///< round-robin order (depth boost or work steal)
   kFaultsInjected,       ///< faults fired into this tree's page layer by
                          ///< the FaultInjector (errors only; stalls are
                          ///< invisible here)
@@ -161,16 +154,13 @@ struct StatsSnapshot {
 /// worker set did. Every field is a cumulative count since the pool
 /// started, monotone non-decreasing while the pool lives (Stop freezes
 /// them). The per-shard split lives in each tree's own counters
-/// (StatId::kPoolTasksDrained, kPoolBoosts), which survive Detach.
+/// (StatId::kPoolTasksDrained), which survive Detach.
 struct PoolStatsSnapshot {
   int threads = 0;             ///< workers the pool runs (0 = no pool)
   uint64_t rounds = 0;         ///< scheduling rounds across all workers
   uint64_t tasks_drained = 0;  ///< queue entries processed (all outcomes)
                                ///< plus scan passes that found work
   uint64_t restructures = 0;   ///< merges/redistributions/root collapses
-  uint64_t boosts = 0;         ///< periodic deepest-queue priority picks
-  uint64_t steals = 0;         ///< empty round-robin turns redirected to
-                               ///< the deepest non-empty queue
   uint64_t idle_sleeps = 0;    ///< rounds that found no work and slept
 
   /// Fraction of scheduling rounds that went to sleep instead of working.

@@ -167,10 +167,9 @@ TEST(BackgroundPoolTest, PauseHoldsServiceUntilResume) {
 }
 
 TEST(BackgroundPoolTest, HotShardCannotStarveColdShards) {
-  // Four sources — a count DIVISIBLE by the boost period (4) — so
-  // this also guards against boost-phase/rotation alignment: if boost
-  // turns consumed round-robin turns, the shards whose slots always
-  // coincide with the boost phase would never be served.
+  // Four sources and one worker, with the hot shard attached first: the
+  // rotation cursor must still bring every cold shard's turn around
+  // while the hot queue never runs dry.
   Shard hot;
   Shard cold_a;
   Shard cold_b;
@@ -200,9 +199,9 @@ TEST(BackgroundPoolTest, HotShardCannotStarveColdShards) {
   while (hot.queue->Empty()) std::this_thread::yield();
 
   {
-    // ONE worker: if scheduling were purely depth-driven, the hot queue
-    // would monopolize it; round-robin turns must still reach the cold
-    // shards.
+    // ONE worker: if the walk always started at the hot shard, its queue
+    // would monopolize the worker; the rotation must still reach the
+    // cold shards.
     BackgroundPool pool(1);
     pool.Attach(hot.tree.get(), hot.queue.get());
     const uint64_t ha = pool.Attach(cold_a.tree.get(), cold_a.queue.get());
@@ -227,6 +226,43 @@ TEST(BackgroundPoolTest, HotShardCannotStarveColdShards) {
   EXPECT_TRUE(TreeChecker(cold_a.tree.get()).CheckStructure().ok());
   EXPECT_TRUE(TreeChecker(cold_c.tree.get()).CheckStructure().ok());
   EXPECT_TRUE(TreeChecker(hot.tree.get()).CheckStructure().ok());
+}
+
+// The rotation bound itself, with no mutator racing the pool: a hot
+// shard with a deep backlog, attached first, and three small cold
+// backlogs. The cursor brings each cold shard's turn around once per
+// rotation, so the cold queues empty while most of the hot backlog still
+// waits. A scheduler that always served the first source with work would
+// drain the hot queue first.
+TEST(BackgroundPoolTest, ColdShardsDrainBeforeAHotBacklog) {
+  Shard hot;
+  Shard cold_a;
+  Shard cold_b;
+  Shard cold_c;
+  Churn(&hot, 1, 100'000);
+  Churn(&cold_a, 1, 600);
+  Churn(&cold_b, 1, 600);
+  Churn(&cold_c, 1, 600);
+  const size_t hot_backlog = hot.queue->Size();
+  const size_t cold_backlog = cold_a.queue->Size() + cold_b.queue->Size() +
+                              cold_c.queue->Size();
+  ASSERT_GT(hot_backlog, 20 * cold_backlog);
+
+  BackgroundPool pool(1);
+  pool.Attach(hot.tree.get(), hot.queue.get());
+  pool.Attach(cold_a.tree.get(), cold_a.queue.get());
+  pool.Attach(cold_b.tree.get(), cold_b.queue.get());
+  pool.Attach(cold_c.tree.get(), cold_c.queue.get());
+  EXPECT_TRUE(WaitForEmpty(cold_a.queue.get(), milliseconds(20'000)));
+  EXPECT_TRUE(WaitForEmpty(cold_b.queue.get(), milliseconds(20'000)));
+  EXPECT_TRUE(WaitForEmpty(cold_c.queue.get(), milliseconds(20'000)));
+  const uint64_t hot_drained =
+      hot.tree->stats()->Get(StatId::kPoolTasksDrained);
+  EXPECT_LT(hot_drained, hot_backlog / 2)
+      << "hot backlog " << hot_backlog << ", cold backlog " << cold_backlog;
+  pool.Stop();
+  EXPECT_TRUE(TreeChecker(hot.tree.get()).CheckStructure().ok());
+  EXPECT_TRUE(TreeChecker(cold_a.tree.get()).CheckStructure().ok());
 }
 
 TEST(BackgroundPoolTest, StopWhileBusyJoinsPromptly) {
@@ -314,8 +350,6 @@ TEST(BackgroundPoolTest, StatsCountersMonotone) {
     EXPECT_GE(cur.rounds, prev.rounds);
     EXPECT_GE(cur.tasks_drained, prev.tasks_drained);
     EXPECT_GE(cur.restructures, prev.restructures);
-    EXPECT_GE(cur.boosts, prev.boosts);
-    EXPECT_GE(cur.steals, prev.steals);
     EXPECT_GE(cur.idle_sleeps, prev.idle_sleeps);
     EXPECT_GE(cur.IdleRatio(), 0.0);
     EXPECT_LE(cur.IdleRatio(), 1.0);
@@ -334,7 +368,7 @@ TEST(BackgroundPoolTest, StatsCountersMonotone) {
 
 TEST(BackgroundPoolTest, ScanModeSourceCompacts) {
   // queue == nullptr attaches a scan-maintained tree (Sections 5.1-5.2):
-  // the pool runs full-tree passes on the shard's round-robin turns.
+  // the pool runs full-tree passes on the shard's turns in the rotation.
   TreeOptions options;
   options.min_entries = 2;
   SagivTree tree(options);

@@ -282,6 +282,7 @@ TEST_F(CheckpointTest, CorruptPageSurfacesAsDataLossWithoutRetries) {
   const Status up = map.Upsert(kN / 2, 7);
   EXPECT_TRUE(up.IsDataLoss()) << up.ToString();
   EXPECT_EQ(map.Stats().Get(StatId::kFetchRetries), 0u);
+  EXPECT_EQ(map.Size(), kN);
 }
 
 // Optimistic readers racing eviction and frame reuse through a pool far
@@ -626,6 +627,11 @@ TEST_F(CheckpointTest, NodesLargerThanTheFrameAreRefused) {
   }
   EXPECT_EQ(data_loss, kN) << "right values " << right << ", wrong values "
                            << wrong << ", NotFound " << not_found;
+  // The audit reports the read error, and recovery keeps the
+  // checkpoint's key count instead of what a failed leaf walk counted.
+  const Status valid = (*r)->ValidateStructure();
+  EXPECT_TRUE(valid.IsDataLoss()) << valid.ToString();
+  EXPECT_EQ((*r)->Size(), kN);
 }
 
 // The converse: a store written at k = 60 recovers at k = 120, whose
@@ -715,9 +721,10 @@ TEST_F(CheckpointTest, GateExcludesMutatorScopesDuringCheckpoint) {
             static_cast<uint64_t>(checkpoints));
 }
 
-// While a checkpoint holds the barrier, a gated TryLock (the first paper
-// lock of a thread outside any scope) must fail instead of entering.
-TEST_F(CheckpointTest, GatedTryLockFailsWhileCheckpointHoldsBarrier) {
+// While a checkpoint holds the barrier, a thread's first paper lock
+// outside any MutatorScope (how a compressor restructure enters the
+// gate) must wait: it acquires only once the checkpoint lets go.
+TEST_F(CheckpointTest, UnscopedFirstLockWaitsOutTheCheckpoint) {
   auto store = FileStore::Open(dir_);
   ASSERT_TRUE(store.ok());
   EpochManager epoch;
@@ -725,21 +732,28 @@ TEST_F(CheckpointTest, GatedTryLockFailsWhileCheckpointHoldsBarrier) {
   PageManager pm(&epoch, &stats, store->get(), /*buffer_pool_pages=*/0);
   const PageId id = *pm.Allocate();
 
-  auto try_lock_from_other_thread = [&]() {
-    bool got = false;
-    std::thread([&]() {
-      got = pm.TryLock(id);
-      if (got) pm.Unlock(id);
-    }).join();
-    return got;
-  };
-  bool during = true;
-  ASSERT_TRUE(
-      pm.Checkpoint([&](StoreMeta*) { during = try_lock_from_other_thread(); })
-          .ok());
-  EXPECT_FALSE(during);
-  // The barrier is gone: the same TryLock enters and succeeds.
-  EXPECT_TRUE(try_lock_from_other_thread());
+  std::atomic<bool> entered{false};
+  std::atomic<bool> acquired{false};
+  pm.SetTestHook([&](const char* op, PageId page) {
+    if (page == id && std::string(op) == "lock") entered.store(true);
+  });
+  std::thread locker;
+  bool acquired_during = true;
+  const Status s = pm.Checkpoint([&](StoreMeta*) {
+    locker = std::thread([&]() {
+      pm.Lock(id);
+      acquired.store(true);
+      pm.Unlock(id);
+    });
+    while (!entered.load()) std::this_thread::yield();
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    acquired_during = acquired.load();
+  });
+  if (locker.joinable()) locker.join();
+  pm.SetTestHook(nullptr);
+  ASSERT_TRUE(s.ok()) << s.ToString();
+  EXPECT_FALSE(acquired_during);
+  EXPECT_TRUE(acquired.load());
 }
 
 }  // namespace

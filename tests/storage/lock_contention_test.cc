@@ -1,13 +1,13 @@
 // Copyright 2026 The obtree Authors.
 //
-// The PaperLock contract, exercised through PageManager: the spin-then-
-// park lock must keep exactly the semantics of the mutex it replaced
-// (mutual exclusion, test-hook firing points, LocksHeldByThisThread),
-// while adding the contention telemetry — kLocksContended / kLockParks /
-// kLockSpinGiveups and the lock-wait histogram — and the bounded
-// TryLockSpin used by the write descent. The 8-thread hot-leaf stress is
-// in CI's TSan job: every interleaving of spin, park, and wake must be
-// race-free against the in-place read/write machinery.
+// The PaperLock contract, exercised through PageManager::Lock, the one
+// way a paper lock is taken: the spin-then-park lock must keep exactly
+// the semantics of the mutex it replaced (mutual exclusion, test-hook
+// firing points, LocksHeldByThisThread), while adding the contention
+// telemetry — kLocksContended / kLockParks and the lock-wait histogram.
+// The 8-thread hot-leaf stress is in CI's TSan job: every interleaving of
+// spin, park, and wake must be race-free against the in-place read/write
+// machinery.
 
 #include <atomic>
 #include <chrono>
@@ -49,52 +49,21 @@ TEST_F(LockContentionTest, LockUnlockSemanticsAndHookFiringPoints) {
   });
 
   // Lock fires "lock" before acquiring; Unlock fires "unlock" before
-  // releasing; plain TryLock fires nothing (it cannot pause a protocol
-  // thread at a useful point).
+  // releasing.
   EXPECT_EQ(PageManager::LocksHeldByThisThread(), 0);
   pm_.Lock(id);
   EXPECT_EQ(PageManager::LocksHeldByThisThread(), 1);
   pm_.Unlock(id);
   EXPECT_EQ(PageManager::LocksHeldByThisThread(), 0);
-  EXPECT_TRUE(pm_.TryLock(id));
-  pm_.Unlock(id);
-  // TryLockSpin is a Lock-style entry point for the write descent: it
-  // fires the same "lock" hook at entry.
-  EXPECT_TRUE(pm_.TryLockSpin(id));
-  EXPECT_EQ(PageManager::LocksHeldByThisThread(), 1);
-  pm_.Unlock(id);
 
   pm_.SetTestHook(nullptr);
-  EXPECT_EQ(events,
-            (std::vector<std::string>{"lock", "unlock", "unlock", "lock",
-                                      "unlock"}));
+  EXPECT_EQ(events, (std::vector<std::string>{"lock", "unlock"}));
 
   // Uncontended acquisitions record no contention telemetry.
-  EXPECT_EQ(stats_.Get(StatId::kLocksAcquired), 3u);
+  EXPECT_EQ(stats_.Get(StatId::kLocksAcquired), 1u);
   EXPECT_EQ(stats_.Get(StatId::kLocksContended), 0u);
   EXPECT_EQ(stats_.Get(StatId::kLockParks), 0u);
   EXPECT_EQ(stats_.LockWaitHistogram().count(), 0u);
-}
-
-TEST_F(LockContentionTest, TryLockAndTryLockSpinRespectAHolder) {
-  const PageId id = MustAllocate();
-
-  pm_.Lock(id);
-  std::thread other([&]() {
-    EXPECT_FALSE(pm_.TryLock(id));
-    // The holder never releases while we spin: TryLockSpin must give up
-    // (not park), leave the lock count untouched, and record the give-up.
-    EXPECT_FALSE(pm_.TryLockSpin(id));
-    EXPECT_EQ(PageManager::LocksHeldByThisThread(), 0);
-  });
-  other.join();
-  EXPECT_GE(stats_.Get(StatId::kLocksContended), 1u);
-  EXPECT_EQ(stats_.Get(StatId::kLockSpinGiveups), 1u);
-  EXPECT_EQ(stats_.Get(StatId::kLockParks), 0u);
-
-  pm_.Unlock(id);
-  EXPECT_TRUE(pm_.TryLockSpin(id));
-  pm_.Unlock(id);
 }
 
 TEST_F(LockContentionTest, ContendedLockParksAndRecordsWaitTime) {
@@ -255,12 +224,10 @@ TEST(LockStatsAttributionTest, ContendedStatsAreMonotoneAndPerTree) {
   // otherwise — may be attributed to it.
   EXPECT_EQ(idle.stats()->Get(StatId::kLocksContended), 0u);
   EXPECT_EQ(idle.stats()->Get(StatId::kLockParks), 0u);
-  EXPECT_EQ(idle.stats()->Get(StatId::kLockSpinGiveups), 0u);
   EXPECT_EQ(idle.stats()->LockWaitHistogram().count(), 0u);
-  // Consistency on the hot tree: parks and give-ups are subsets of
-  // contended attempts.
+  // Consistency on the hot tree: parks are a subset of contended
+  // acquisitions.
   EXPECT_LE(hot.stats()->Get(StatId::kLockParks), last_contended);
-  EXPECT_LE(hot.stats()->Get(StatId::kLockSpinGiveups), last_contended);
 }
 
 }  // namespace

@@ -109,16 +109,6 @@ TEST_F(PageManagerTest, LockDoesNotBlockReaders) {
   EXPECT_TRUE(read_ok.load());
 }
 
-TEST_F(PageManagerTest, TryLockReportsContention) {
-  auto id = pm_.Allocate();
-  EXPECT_TRUE(pm_.TryLock(*id));
-  std::thread t([&]() { EXPECT_FALSE(pm_.TryLock(*id)); });
-  t.join();
-  pm_.Unlock(*id);
-  EXPECT_TRUE(pm_.TryLock(*id));
-  pm_.Unlock(*id);
-}
-
 TEST_F(PageManagerTest, LockDepthTracked) {
   auto a = pm_.Allocate();
   auto b = pm_.Allocate();
