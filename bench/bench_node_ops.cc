@@ -5,7 +5,8 @@
 // in-memory page substrate: in-node binary search, leaf insert/remove,
 // split, merge, redistribution, and the seqlock get/put page copies; plus
 // the checksum FileStore computes on every page it reads or writes, the
-// store half of a page fault, and a short range scan over a whole tree.
+// store half of a page fault, a short range scan over a whole tree, and
+// the whole-tree append and hot point-read paths.
 
 #include <unistd.h>
 
@@ -287,24 +288,32 @@ void BM_PageGet(benchmark::State& state) {
 }
 BENCHMARK(BM_PageGet);
 
-// A range scan over an in-memory tree of 1.1M ascending keys (full
-// append-path leaves), starting at a random key among the newest 100k,
-// as ingest-checkpoint's scans do. Arg = pairs delivered before the
-// visitor stops. The tree is built once and shared by every Arg.
-void BM_TreeScan(benchmark::State& state) {
-  constexpr Key kKeys = 1100000;
-  constexpr Key kNewest = 100000;
+// An in-memory tree of 1.1M ascending keys (full append-path leaves),
+// built once on first use and shared by BM_TreeScan and BM_TreeGetHot.
+constexpr Key kScanTreeKeys = 1100000;
+constexpr Key kScanTreeNewest = 100000;
+
+const SagivTree* ScanTree() {
   static const SagivTree* tree = [] {
     auto* t = new SagivTree();
-    for (Key k = 1; k <= kKeys; ++k) {
+    for (Key k = 1; k <= kScanTreeKeys; ++k) {
       if (!t->Insert(k, k).ok()) std::abort();
     }
     return t;
   }();
+  return tree;
+}
+
+// A range scan of ScanTree() starting at a random key among the newest
+// 100k, as ingest-checkpoint's scans do. Arg = pairs delivered before the
+// visitor stops.
+void BM_TreeScan(benchmark::State& state) {
+  const SagivTree* tree = ScanTree();
   const size_t length = static_cast<size_t>(state.range(0));
   Random rng(4);
   for (auto _ : state) {
-    const Key start = kKeys - kNewest + 1 + rng.Uniform(kNewest);
+    const Key start =
+        kScanTreeKeys - kScanTreeNewest + 1 + rng.Uniform(kScanTreeNewest);
     size_t seen = 0;
     tree->Scan(start, kMaxUserKey, [&](Key, Value v) {
       benchmark::DoNotOptimize(v);
@@ -313,6 +322,52 @@ void BM_TreeScan(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_TreeScan)->Arg(1)->Arg(32)->Arg(100);
+
+// Ascending inserts, one per iteration, into a fresh tree: Arg 0 in
+// memory, Arg 1 over a FileStore (unbounded pool, never checkpointed, so
+// no store I/O). Nearly every insert takes the append fast path into the
+// rightmost leaf: the write path's fixed costs (epoch pin, checkpoint
+// gate, paper lock, seqlock, dirty bit, counters) around one entry store.
+// The iteration count is fixed so each repetition builds the same 1M-key
+// tree (~20 MB of frames).
+void BM_TreeAppend(benchmark::State& state) {
+  const bool on_store = state.range(0) != 0;
+  TreeOptions opt;
+  if (on_store) {
+    opt.storage_dir = (std::filesystem::temp_directory_path() /
+                       ("obtree_bench_append_" + std::to_string(::getpid())))
+                          .string();
+    std::filesystem::remove_all(opt.storage_dir);
+  }
+  {
+    SagivTree tree(opt);
+    if (!tree.init_status().ok()) std::abort();
+    Key next = 1;
+    for (auto _ : state) {
+      if (!tree.Insert(next, next).ok()) std::abort();
+      ++next;
+    }
+    state.counters["append_hit_ratio"] =
+        static_cast<double>(tree.stats()->Get(StatId::kAppendFastHits)) /
+        static_cast<double>(state.iterations());
+  }
+  if (on_store) std::filesystem::remove_all(opt.storage_dir);
+}
+BENCHMARK(BM_TreeAppend)->Arg(0)->Arg(1)->Iterations(1000000);
+
+// A point Get at a random key among the newest 100k of the 1.1M-key
+// in-memory tree BM_TreeScan shares: the read path of an ingest workload
+// (epoch pin, a 3-level optimistic descent, validation, counters).
+void BM_TreeGetHot(benchmark::State& state) {
+  const SagivTree* tree = ScanTree();
+  Random rng(5);
+  for (auto _ : state) {
+    const Key key =
+        kScanTreeKeys - kScanTreeNewest + 1 + rng.Uniform(kScanTreeNewest);
+    benchmark::DoNotOptimize(tree->Search(key));
+  }
+}
+BENCHMARK(BM_TreeGetHot);
 
 // The CRC-32 FileStore verifies on every page fault and computes on every
 // eviction write-back and checkpointed page: the per-page checksum cost,

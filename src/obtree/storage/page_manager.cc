@@ -278,16 +278,16 @@ PageManager::WriteGuard PageManager::BeginWrite(PageId id) {
   // only an in-flight reuse of a STALE page could hold the seq odd, and
   // the acquire discipline (validate as live under the lock first) rules
   // that out. The wait in BeginSeqWrite is defensive.
-  BeginSeqWrite(m);
+  const uint64_t version = BeginSeqWrite(m);
   // The caller validated the page under its paper lock (PeekLocked), and
   // the sweep cannot evict a locked page: it is resident in its frame.
+  // A page already dirty and referenced (any page rewritten since the
+  // last checkpoint) keeps its state word untouched (see MarkDirty).
   const uint32_t st = m->state.load(std::memory_order_relaxed);
   assert(st & kResident);
-  if (paged_) {
-    m->state.fetch_or(kDirty | kReferenced, std::memory_order_relaxed);
-  }
+  if (paged_) MarkDirty(m, st);
   stats_->Add(StatId::kPuts);
-  return WriteGuard(&m->seq, Frame(st));
+  return WriteGuard(&m->seq, Frame(st), version);
 }
 
 void PageManager::Put(PageId id, const Page& in, size_t bytes) {
@@ -405,9 +405,7 @@ Page* PageManager::FrameForWrite(Meta* m, bool zero) const {
   uint32_t st = m->state.load(std::memory_order_relaxed);
   bool fresh = false;
   if (st & kResident) {
-    if (paged_) {
-      m->state.fetch_or(kDirty | kReferenced, std::memory_order_relaxed);
-    }
+    if (paged_) MarkDirty(m, st);
   } else {
     st = AcquireFrame(&fresh) << kFrameShift | kResident |
          (paged_ ? kDirty | kReferenced : 0u);

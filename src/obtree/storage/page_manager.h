@@ -227,7 +227,7 @@ class PageManager {
 
   /// Handle for an in-place mutation of one page by the paper-lock
   /// holder: acquisition bumps the seqlock to odd (optimistic readers
-  /// discard what they read, copy-readers wait), Release() bumps it back
+  /// discard what they read, copy-readers wait), Release() stores it back
   /// to even, publishing the stores. Between the two, every store to
   /// page() bytes must go through relaxed word-sized atomics
   /// (PageStoreWord / Node's *InPlace primitives) so racing NodeView
@@ -237,7 +237,7 @@ class PageManager {
    public:
     WriteGuard() = default;
     WriteGuard(WriteGuard&& other) noexcept
-        : seq_(other.seq_), page_(other.page_) {
+        : seq_(other.seq_), page_(other.page_), version_(other.version_) {
       other.seq_ = nullptr;
       other.page_ = nullptr;
     }
@@ -246,6 +246,7 @@ class PageManager {
         Release();
         seq_ = other.seq_;
         page_ = other.page_;
+        version_ = other.version_;
         other.seq_ = nullptr;
         other.page_ = nullptr;
       }
@@ -261,22 +262,26 @@ class PageManager {
     /// True while the seqlock is held odd by this guard.
     bool held() const { return seq_ != nullptr; }
 
-    /// Bump the seqlock back to even, publishing every in-place store.
-    /// Idempotent; also run by the destructor.
+    /// Store the seqlock back to even (the version it held before the
+    /// write, plus 2), publishing every in-place store. A plain release
+    /// store suffices, as in Put: while the seqlock is odd no other
+    /// thread writes it, since every seq writer (TryEvict included) CASes
+    /// from an even value. Idempotent; also run by the destructor.
     void Release() {
       if (seq_ == nullptr) return;
-      seq_->fetch_add(1, std::memory_order_release);
+      seq_->store(version_ + 2, std::memory_order_release);
       seq_ = nullptr;
       page_ = nullptr;
     }
 
    private:
     friend class PageManager;
-    WriteGuard(std::atomic<uint64_t>* seq, Page* page)
-        : seq_(seq), page_(page) {}
+    WriteGuard(std::atomic<uint64_t>* seq, Page* page, uint64_t version)
+        : seq_(seq), page_(page), version_(version) {}
 
     std::atomic<uint64_t>* seq_ = nullptr;
     Page* page_ = nullptr;
+    uint64_t version_ = 0;  // the even version BeginSeqWrite replaced
   };
 
   /// Begin an in-place read-modify-write of a page (where a Get + Put
@@ -286,7 +291,9 @@ class PageManager {
   /// have validated the page as a live node under that lock (see
   /// PeekLocked) — the lock is what makes it the sole mutator. Counts as
   /// the paper's put(A, x) exactly like Put: one "put" evaluation and one
-  /// kPuts.
+  /// kPuts. Over a store it marks the page dirty, with no atomic RMW on a
+  /// page already dirty and referenced; the seqlock CAS is then the only
+  /// locked instruction a write takes here.
   WriteGuard BeginWrite(PageId id);
 
   /// Indivisible write of a page (the paper's put(A, x)): the first
@@ -514,6 +521,19 @@ class PageManager {
   void Touch(Meta* m, uint32_t st) const {
     if (pool_cap_ != 0 && !(st & kReferenced)) {
       m->state.fetch_or(kReferenced, std::memory_order_relaxed);
+    }
+  }
+
+  // Mark a resident page read with state `st` dirty and referenced for a
+  // write, with an RMW only when one of the two bits is clear: a page
+  // written again and again stays both, so its writes store nothing here.
+  // Skipping on a stale `st` is safe. The writer holds the checkpoint
+  // gate, so no checkpoint clears kDirty under it, and the paper lock or
+  // the odd seqlock, so no sweep evicts the page. A sweep that clears
+  // kReferenced meanwhile only costs CLOCK one second chance.
+  static void MarkDirty(Meta* m, uint32_t st) {
+    if ((st & (kDirty | kReferenced)) != (kDirty | kReferenced)) {
+      m->state.fetch_or(kDirty | kReferenced, std::memory_order_relaxed);
     }
   }
 

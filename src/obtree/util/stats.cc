@@ -4,8 +4,6 @@
 
 #include <cstdio>
 
-#include "obtree/util/thread_index.h"
-
 namespace obtree {
 
 const char* StatName(StatId id) {
@@ -101,26 +99,6 @@ std::string PoolStatsSnapshot::ToString() const {
 }
 
 StatsCollector::StatsCollector() : max_locks_held_(0) {}
-
-int StatsCollector::ShardIndex() {
-  // The thread's sequential index: the first kShards threads never share
-  // a shard, where a thread-id hash collides for a few threads already.
-  return static_cast<int>(ThisThreadIndex() % kShards);
-}
-
-void StatsCollector::Add(StatId id, uint64_t n) {
-  shards_[static_cast<size_t>(ShardIndex())]
-      .counters[static_cast<size_t>(id)]
-      .fetch_add(n, std::memory_order_relaxed);
-}
-
-void StatsCollector::RecordLockDepth(uint64_t depth) {
-  uint64_t cur = max_locks_held_.load(std::memory_order_relaxed);
-  while (depth > cur &&
-         !max_locks_held_.compare_exchange_weak(cur, depth,
-                                                std::memory_order_relaxed)) {
-  }
-}
 
 uint64_t StatsCollector::Get(StatId id) const {
   uint64_t sum = 0;

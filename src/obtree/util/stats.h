@@ -16,6 +16,7 @@
 
 #include "obtree/util/common.h"
 #include "obtree/util/histogram.h"
+#include "obtree/util/thread_index.h"
 
 namespace obtree {
 
@@ -174,19 +175,41 @@ struct PoolStatsSnapshot {
   std::string ToString() const;
 };
 
-/// Thread-safe sharded counter set. Increments are relaxed atomics on the
-/// calling thread's shard (its ThisThreadIndex() modulo kShards, so the
-/// first kShards threads each own one); reads sum all shards.
+/// Thread-safe sharded counter set. The first kOwnedShards threads (by
+/// ThisThreadIndex()) each own one shard outright: only that thread ever
+/// writes it, so an increment is a relaxed load and a relaxed store, with
+/// no locked instruction to drain the store buffer on the write path.
+/// Every later thread adds with a relaxed fetch_add on one of
+/// kOverflowShards shared shards (its index modulo their count), which no
+/// owner writes. Reads sum all shards.
 class StatsCollector {
  public:
   StatsCollector();
   OBTREE_DISALLOW_COPY_AND_ASSIGN(StatsCollector);
 
   /// Add `n` to counter `id`.
-  void Add(StatId id, uint64_t n = 1);
+  void Add(StatId id, uint64_t n = 1) {
+    const uint32_t t = ThisThreadIndex();
+    if (t < kOwnedShards) {
+      // Sole writer of this shard: a plain read-then-write loses nothing.
+      std::atomic<uint64_t>& c = shards_[t].counters[static_cast<size_t>(id)];
+      c.store(c.load(std::memory_order_relaxed) + n,
+              std::memory_order_relaxed);
+    } else {
+      shards_[kOwnedShards + t % kOverflowShards]
+          .counters[static_cast<size_t>(id)]
+          .fetch_add(n, std::memory_order_relaxed);
+    }
+  }
 
   /// Raise the lock-depth high-water mark to at least `depth`.
-  void RecordLockDepth(uint64_t depth);
+  void RecordLockDepth(uint64_t depth) {
+    uint64_t cur = max_locks_held_.load(std::memory_order_relaxed);
+    while (depth > cur &&
+           !max_locks_held_.compare_exchange_weak(cur, depth,
+                                                  std::memory_order_relaxed)) {
+    }
+  }
 
   /// Record the wall time (ns) a contended paper-lock acquisition spent
   /// waiting — spin and park included. Uncontended acquisitions record
@@ -216,20 +239,22 @@ class StatsCollector {
 
   StatsSnapshot Snapshot() const;
 
-  /// Zero every counter (not linearizable w.r.t. concurrent increments;
-  /// intended for use between benchmark phases).
+  /// Zero every counter. Not linearizable w.r.t. concurrent increments:
+  /// an owner's increment racing the reset can store its pre-reset sum
+  /// back over the zero. Intended for use between benchmark phases.
   void Reset();
 
- private:
-  static constexpr int kShards = 64;
+  /// Threads (by ThisThreadIndex()) that own a shard.
+  static constexpr uint32_t kOwnedShards = 56;
+  /// Shared shards for every later thread.
+  static constexpr uint32_t kOverflowShards = 8;
 
+ private:
   struct alignas(64) Shard {
     std::array<std::atomic<uint64_t>, kNumStatIds> counters{};
   };
 
-  static int ShardIndex();
-
-  std::array<Shard, kShards> shards_;
+  std::array<Shard, kOwnedShards + kOverflowShards> shards_;
   std::atomic<uint64_t> max_locks_held_;
   AtomicHistogram lock_wait_ns_;
   AtomicHistogram leaf_fill_pct_;

@@ -5,9 +5,11 @@
 // checkpoint-gate slots, stats shards) use it as the thread's home slot,
 // so the first N threads to ask land on N distinct slots of an N-slot
 // array and entering or leaving an operation writes only the calling
-// thread's own cache line. Indices are never reused: a process that keeps
-// spawning threads wraps around the arrays, which callers handle (a slot
-// may be shared, never assumed exclusive).
+// thread's own cache line. Indices are never reused. Epoch and gate slots
+// wrap around for a process that keeps spawning threads, so one may be
+// shared and is never assumed exclusive. Stats shards do not wrap: the
+// first StatsCollector::kOwnedShards indices each own one exclusively,
+// and every later thread adds atomically to a shared overflow shard.
 
 #ifndef OBTREE_UTIL_THREAD_INDEX_H_
 #define OBTREE_UTIL_THREAD_INDEX_H_

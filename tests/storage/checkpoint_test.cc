@@ -756,5 +756,76 @@ TEST_F(CheckpointTest, UnscopedFirstLockWaitsOutTheCheckpoint) {
   EXPECT_TRUE(acquired.load());
 }
 
+// A page checkpointed after an in-place write is clean but still
+// referenced. Writing it in place again must set kDirty again, so the
+// next checkpoint stages it (exactly it: nothing else was written) and
+// recovery reads the newer value. With a bounded pool the page is also
+// evicted after its first write, so it comes back from the store clean
+// and referenced before the second.
+void RewriteAfterCheckpointIsStagedAgain(const std::string& dir,
+                                         uint32_t pool_pages) {
+  constexpr uint32_t kFull = 120;
+  constexpr Key kN = kFull * 200;
+  MapOptions opt;
+  opt.tree.storage_dir = dir;
+  opt.tree.buffer_pool_pages = pool_pages;
+  opt.compression = CompressionMode::kNone;
+  const auto store_writes = [](const ConcurrentMap& map) {
+    return map.Stats().Get(StatId::kStoreWrites);
+  };
+  {
+    ConcurrentMap map(opt);
+    ASSERT_TRUE(map.init_status().ok());
+    for (Key k = 1; k <= kN; ++k) ASSERT_TRUE(map.Insert(k, k).ok());
+    ASSERT_TRUE(map.Checkpoint().ok());
+
+    uint64_t inplace = map.Stats().Get(StatId::kInplaceWrites);
+    ASSERT_TRUE(map.Upsert(1, 100).ok());
+    EXPECT_EQ(map.Stats().Get(StatId::kInplaceWrites), inplace + 1);
+    uint64_t before = store_writes(map);
+    if (pool_pages != 0) {
+      // Read every other leaf until the sweep evicts key 1's leaf, the
+      // only dirty page, which writes it to the store.
+      for (int round = 0; round < 10 && store_writes(map) == before;
+           ++round) {
+        for (Key k = kFull + 1; k <= kN; k += kFull) {
+          ASSERT_TRUE(map.Get(k).ok()) << k;
+        }
+      }
+      ASSERT_EQ(store_writes(map), before + 1) << "leaf never evicted";
+      before = store_writes(map);
+    }
+    ASSERT_TRUE(map.Checkpoint().ok());
+    EXPECT_EQ(store_writes(map) - before, pool_pages == 0 ? 1u : 0u);
+
+    inplace = map.Stats().Get(StatId::kInplaceWrites);
+    ASSERT_TRUE(map.Upsert(1, 200).ok());
+    EXPECT_EQ(map.Stats().Get(StatId::kInplaceWrites), inplace + 1);
+    before = store_writes(map);
+    ASSERT_TRUE(map.Checkpoint().ok());
+    EXPECT_EQ(store_writes(map) - before, 1u);
+  }
+  auto r = ConcurrentMap::Recover(opt);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  Result<Value> v = (*r)->Get(1);
+  ASSERT_TRUE(v.ok()) << v.status().ToString();
+  EXPECT_EQ(*v, 200u);
+  v = (*r)->Get(kN);
+  ASSERT_TRUE(v.ok()) << v.status().ToString();
+  EXPECT_EQ(*v, kN);
+}
+
+TEST_F(CheckpointTest, RewriteAfterCheckpointIsStagedAgain) {
+  {
+    SCOPED_TRACE("unbounded pool");
+    RewriteAfterCheckpointIsStagedAgain(dir_, /*pool_pages=*/0);
+  }
+  std::filesystem::remove_all(dir_);
+  {
+    SCOPED_TRACE("64-page pool");
+    RewriteAfterCheckpointIsStagedAgain(dir_, /*pool_pages=*/64);
+  }
+}
+
 }  // namespace
 }  // namespace obtree
